@@ -11,8 +11,10 @@ Two independent evaluation routes are provided and must agree:
 * :func:`fermionic_action` pushes the promoted sections through the actual
   operators (real structure, twist, Dirac) with Grassmann arithmetic;
 * :func:`fermionic_action_quadratic` evaluates the same pairing on complex
-  unit sections, one generator pair at a time, and reassembles the result
-  through the antisymmetrised quadratic form.
+  unit sections, one per generator, and reassembles the result through the
+  antisymmetrised quadratic form.
+
+Both routes pair through the slot maps of :func:`pairing_slots`.
 
 The ``*_lagrangian_action`` functions are closed-form integrands written
 directly in terms of the Weyl components; they are the hand-derived targets
@@ -22,7 +24,7 @@ the operator engine is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,12 +50,6 @@ _S2 = PAULI[1]
 # ---------------------------------------------------------------------------
 # integrals of section pairs
 # ---------------------------------------------------------------------------
-
-
-def _as_grassmann(value) -> GrassmannNumber:
-    if isinstance(value, GrassmannNumber):
-        return value
-    return GrassmannNumber.scalar(complex(value))
 
 
 def grassmann_inner(first: Section, second: Section) -> GrassmannNumber:
@@ -95,11 +91,35 @@ def bilinear_integral(first: Section, second: Section) -> GrassmannNumber:
 # ---------------------------------------------------------------------------
 
 
+def pairing_slots(geometry, op: FieldOperator, boost: SpinBoost | None = None):
+    """The two slot maps of the twisted pairing ``<J first, R op second>``.
+
+    Returns ``(left, right)`` with ``left(first) = J first`` and
+    ``right(second) = R op second``, so that the pairing of ``first`` and
+    ``second`` is ``grassmann_inner(left(first), right(second))``.  With a
+    boost, the first slot is multiplied by the slot-one matrix before ``J``,
+    the second by the slot-two matrix, and ``op`` is replaced by its boosted
+    conjugate: the single-sector space pairs an inverse-boosted first slot
+    with a boosted second slot, the sectored spaces act with the same
+    sectorwise matrix on both slots.
+    """
+    j = geometry.real_structure
+    r = geometry.r_operator
+    if boost is None:
+        return j.apply, lambda second: r.apply(op.apply(second))
+    b1 = geometry.boost_slot1_matrix(boost)
+    b2 = geometry.boost_slot2_matrix(boost)
+    boosted = geometry.boosted_operator(op, boost)
+    return (
+        lambda first: j.apply(first.matmul(b1)),
+        lambda second: r.apply(boosted.apply(second.matmul(b2))),
+    )
+
+
 def twisted_pairing(geometry, op: FieldOperator, first: Section, second: Section):
     """``<J first, R op second>`` - the twisted fermionic pairing."""
-    lhs = geometry.real_structure.apply(first)
-    rhs = geometry.r_operator.apply(op.apply(second))
-    return grassmann_inner(lhs, rhs)
+    left, right = pairing_slots(geometry, op)
+    return grassmann_inner(left(first), right(second))
 
 
 def untwisted_pairing(geometry, op: FieldOperator, first: Section, second: Section):
@@ -111,20 +131,9 @@ def untwisted_pairing(geometry, op: FieldOperator, first: Section, second: Secti
 def boosted_pairing(
     geometry, op: FieldOperator, boost: SpinBoost, first: Section, second: Section
 ):
-    """Twisted pairing with boosted slots and a conjugated operator.
-
-    The slot matrices come from the geometry: the single-sector space pairs
-    an inverse-boosted first slot with a boosted second slot, the sectored
-    spaces act with the same sectorwise matrix on both slots.
-    """
-    b1 = geometry.boost_slot1_matrix(boost)
-    b2 = geometry.boost_slot2_matrix(boost)
-    return twisted_pairing(
-        geometry,
-        geometry.boosted_operator(op, boost),
-        first.matmul(b1),
-        second.matmul(b2),
-    )
+    """Twisted pairing with boosted slots and a conjugated operator."""
+    left, right = pairing_slots(geometry, op, boost)
+    return grassmann_inner(left(first), right(second))
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +226,25 @@ def fermionic_action(
 
 
 def pairing_coefficients(
-    pair_fn: Callable[[Section, Section], GrassmannNumber],
-    promoted: PromotedWeyl,
-    assemble_first,
-    assemble_second,
+    geometry, op: FieldOperator, promoted: PromotedWeyl, boost: SpinBoost | None = None
 ) -> np.ndarray:
-    """Matrix ``B_ij = a_i a_j pair(e_i, e_j)`` over complex unit sections."""
-    n = promoted.n_generators
-    firsts = [assemble_first(unit_weyl_fields(promoted, i)) for i in range(n)]
-    seconds = [assemble_second(unit_weyl_fields(promoted, j)) for j in range(n)]
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            val = _as_grassmann(pair_fn(firsts[i], seconds[j]))
+    """Matrix ``B_ij = a_i a_j pair(e_i, e_j)`` over complex unit sections.
+
+    Each slot map is applied once per generator, so the n x n matrix costs
+    2n operator applications and n^2 inner products.
+    """
+    first, second = _assemblers(geometry, promoted)
+    left, right = pairing_slots(geometry, op, boost)
+    units = [unit_weyl_fields(promoted, i) for i in range(promoted.n_generators)]
+    lefts = [left(first(u)) for u in units]
+    rights = [right(second(u)) for u in units]
+    out = np.zeros((len(units), len(units)), dtype=complex)
+    for i, lhs in enumerate(lefts):
+        for j, rhs in enumerate(rights):
             out[i, j] = (
-                promoted.amplitudes[i] * promoted.amplitudes[j] * val.coefficient(())
+                promoted.amplitudes[i]
+                * promoted.amplitudes[j]
+                * grassmann_inner(lhs, rhs).coefficient(())
             )
     return out
 
@@ -240,12 +253,7 @@ def fermionic_action_quadratic(
     geometry, op: FieldOperator, promoted: PromotedWeyl, boost: SpinBoost | None = None
 ) -> GrassmannNumber:
     """Second route: complex pairings reassembled as an antisymmetric form."""
-    first, second = _assemblers(geometry, promoted)
-    if boost is None:
-        fn = lambda u, v: twisted_pairing(geometry, op, u, v)  # noqa: E731
-    else:
-        fn = lambda u, v: boosted_pairing(geometry, op, boost, u, v)  # noqa: E731
-    return antisymmetric_pair_form(pairing_coefficients(fn, promoted, first, second))
+    return antisymmetric_pair_form(pairing_coefficients(geometry, op, promoted, boost))
 
 
 def route_spread(*values) -> float:

@@ -94,6 +94,7 @@ from .grassmann import (
     pair_coefficient_matrix,
 )
 from .operator_algebra import (
+    MAX_PROBE_CUTOFF,
     FieldOperator,
     commutator as op_commutator,
     normal_form_distance,
@@ -149,10 +150,10 @@ class RunConfig:
         self.rapidity_max = float(self.rapidity_max)
         if self.mode_cutoff < 1:
             raise ValueError("mode_cutoff must be at least 1")
-        if self.probe_cutoff < 1:
-            raise ValueError("probe_cutoff must be at least 1")
-        if self.rapidity_max < 0:
-            raise ValueError("rapidity_max must be non-negative")
+        if not 1 <= self.probe_cutoff <= MAX_PROBE_CUTOFF:
+            raise ValueError(f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}")
+        if not (np.isfinite(self.rapidity_max) and self.rapidity_max >= 0):
+            raise ValueError("rapidity_max must be finite and non-negative")
         self.groups = tuple(self.groups)
         unknown = [g for g in self.groups if g not in GROUPS]
         if unknown:
@@ -160,8 +161,10 @@ class RunConfig:
         for key, value in self.tolerances.items():
             if key not in GROUPS:
                 raise ValueError(f"tolerance override for unknown group {key!r}")
-            if not (float(value) > 0):
-                raise ValueError(f"tolerance for group {key!r} must be positive")
+            if not (np.isfinite(float(value)) and float(value) > 0):
+                raise ValueError(
+                    f"tolerance for group {key!r} must be finite and positive"
+                )
             self.tolerances[key] = float(value)
 
 

@@ -144,11 +144,19 @@ def _resolve_run_config(args) -> RunConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _finite(value, label: str):
+    """``value`` itself, or a usage error when it is nan or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise UsageError(f"{label} must be finite, got {value!r}")
+    return value
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"{flag} expects a complex literal, got {text!r}") from exc
+    return _finite(value, flag)
 
 
 def _parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
@@ -156,9 +164,10 @@ def _parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
     if len(parts) != length:
         raise UsageError(f"{flag} expects {length} comma-separated numbers")
     try:
-        return tuple(float(part) for part in parts)
+        values = tuple(float(part) for part in parts)
     except ValueError as exc:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from exc
+    return _finite(values, flag)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -240,6 +249,7 @@ def _scalar_from_terms(terms, label: str) -> FourierScalar:
             raise UsageError(f"bad term in {label}: {term!r}") from exc
         if len(mode) != 4:
             raise UsageError(f"{label}: modes must have four integers")
+        _finite(amplitude, label)
         out = out + FourierScalar.wave(mode, amplitude)
     return out
 
@@ -261,6 +271,7 @@ def _section_from_terms(terms, label: str) -> Section:
             raise UsageError(
                 f"{label}: each term needs a 4-integer mode and two amplitudes"
             )
+        _finite(vec, label)
         if mode in out.coeffs:
             out.coeffs[mode] = out.coeffs[mode] + vec
         else:
@@ -378,7 +389,7 @@ def cmd_dispersion(args) -> int:
     p = _parse_vector(args.p, 4, "--p")
     f = _parse_vector(args.f, 4, "--f")
     if args.f0 is not None:
-        f = (float(args.f0),) + f[1:]
+        f = (_finite(float(args.f0), "--f0"),) + f[1:]
     g = _parse_vector(args.g, 4, "--g")
     d = _parse_complex(args.d, "--d")
     boost = None
@@ -386,7 +397,8 @@ def cmd_dispersion(args) -> int:
         axis = _parse_vector(args.axis, 3, "--axis")
         if float(np.linalg.norm(axis)) == 0.0:
             raise UsageError("--axis must be a nonzero 3-vector")
-        boost = SpinBoost(0.5 * float(args.rapidity), axis)
+        rapidity = _finite(float(args.rapidity), "--rapidity")
+        boost = SpinBoost(0.5 * rapidity, axis)
     problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)
     result = problem.solve()
     print(f"kind: {args.kind}")

@@ -568,11 +568,3 @@ class ElectrodynamicsGeometry(_GeometryBase):
 
 MANIFOLD = ManifoldGeometry()
 DOUBLED = DoubledGeometry()
-
-
-def all_geometries(d: complex = -1j):
-    return (
-        ManifoldGeometry(),
-        DoubledGeometry(),
-        ElectrodynamicsGeometry(d),
-    )

@@ -39,6 +39,10 @@ from .torus_fields import (
 DerivIndex = tuple[int, ...]
 TermKey = tuple[Mode, DerivIndex]
 
+#: Largest probe cutoff a run may ask for.  The probe route applies each
+#: difference to (2c+1)^4 plane waves, 28,561 at this cap.
+MAX_PROBE_CUTOFF = 6
+
 
 def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarray]:
     """Rewrite K . T as T' . K for the linear part T (K = conjugation)."""
@@ -71,7 +75,7 @@ class FieldOperator:
             self.terms[key] = g.copy()
 
     def _pruned(self) -> "FieldOperator":
-        self.terms = {k: g for k, g in self.terms.items() if np.any(g != 0)}
+        self.terms = {k: g for k, g in self.terms.items() if g.any()}
         return self
 
     # ----- constructors -------------------------------------------------
@@ -192,7 +196,8 @@ class FieldOperator:
         for (k, d), g in self.terms.items():
             head = FieldOperator(n, {(ZERO_MODE, d): ((-1.0) ** len(d)) * g.conj().T})
             tail = FieldOperator.phase(n, negate_mode(k))
-            out = out + head.compose(tail)
+            for key, h in head.compose(tail).terms.items():
+                out._accumulate(key, h)
         return out._pruned()
 
     # ----- action on sections ---------------------------------------------
@@ -262,11 +267,6 @@ def twist_by(o: FieldOperator, r: np.ndarray) -> FieldOperator:
     return o.conjugate_by(r)
 
 
-def twisted_adjoint(o: FieldOperator, r: np.ndarray) -> FieldOperator:
-    """(R O R^dagger)^dagger, the adjoint taken after the inner twist."""
-    return twist_by(o, r).adjoint()
-
-
 def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:
     if o1.antilinear != o2.antilinear:
         return max(o1.max_abs(), o2.max_abs())
@@ -284,31 +284,38 @@ def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:
 def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:
     """Max output amplitude of diff over all plane-wave basis probes.
 
-    Applying to every fiber basis vector at a fixed probe mode at once
-    amounts to accumulating factor-scaled copies of the term matrices.
+    At probe mode m (m negated for an antilinear operator, whose conjugation
+    flips the wave first), applying diff to every fiber basis vector at once
+    puts sum_{(k, d, G)} prod_{mu in d} (i m_mu) G at output mode m + k.
+    Terms sharing the phase mode k land on the same output mode and on no
+    other, so each such group is one matrix product of the derivative
+    factors F[probe, term] with the stacked term matrices (T, n^2).  Probes
+    are taken in blocks of (2c+1)^2 modes, which keeps the products small.
     """
-    rng = range(-probe_cutoff, probe_cutoff + 1)
+    if not diff.terms:
+        return 0.0
+    axis = np.arange(-probe_cutoff, probe_cutoff + 1)
+    probes = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
+    probes = probes.reshape(-1, 4)
+    if diff.antilinear:
+        probes = -probes
+    groups: dict[Mode, list[tuple[DerivIndex, np.ndarray]]] = {}
+    for (k, d), g in diff.terms.items():
+        groups.setdefault(k, []).append((d, g))
+    derivs = sorted({d for _, d in diff.terms})
+    column = {d: i for i, d in enumerate(derivs)}
+    stacked = [
+        ([column[d] for d, _ in members], np.stack([g.ravel() for _, g in members]))
+        for members in groups.values()
+    ]
+    block = len(axis) ** 2
     best = 0.0
-    for k0 in rng:
-        for k1 in rng:
-            for k2 in rng:
-                for k3 in rng:
-                    m = (k0, k1, k2, k3)
-                    m_eff = negate_mode(m) if diff.antilinear else m
-                    acc: dict[Mode, np.ndarray] = {}
-                    for (k, d), g in diff.terms.items():
-                        factor = 1.0 + 0.0j
-                        for mu in d:
-                            factor *= 1j * m_eff[mu]
-                        if factor == 0:
-                            continue
-                        target = add_modes(m_eff, k)
-                        if target in acc:
-                            acc[target] = acc[target] + factor * g
-                        else:
-                            acc[target] = factor * g
-                    for mat in acc.values():
-                        best = max(best, float(np.max(np.abs(mat))))
+    for start in range(0, len(probes), block):
+        i_m = 1j * probes[start : start + block]
+        factors = np.stack([np.prod(i_m[:, list(d)], axis=1) for d in derivs], axis=1)
+        for cols, mats in stacked:
+            out = factors[:, cols] @ mats
+            best = max(best, float(np.max(np.abs(out))))
     return best
 
 

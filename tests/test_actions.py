@@ -7,6 +7,7 @@ from twistkit.clifford import IDENTITY_BOOST, SpinBoost
 from twistkit.actions import (
     bilinear_integral,
     boosted_doubled_lagrangian_action,
+    boosted_pairing,
     boosted_electro_lagrangian_action,
     boosted_manifold_lagrangian_action,
     doubled_lagrangian_action,
@@ -17,6 +18,7 @@ from twistkit.actions import (
     grassmann_inner,
     manifold_lagrangian_action,
     overlapping_action_inputs,
+    pairing_coefficients,
     promote_weyl_fields,
     route_spread,
     twisted_pairing,
@@ -122,6 +124,42 @@ class TestPairingLemmas:
         plain = untwisted_pairing(geo, op, eta, eta)
         assert abs(twisted + plain) < TOL
         assert abs(twisted) > 1.0
+
+
+class TestPairingCoefficients:
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_matrix_matches_pairwise_pairings(self, geo_name, boosted):
+        """The hoisted slot maps give the matrix of one pairing per (i, j)."""
+        rng = np.random.default_rng(45)
+        geo, n_fields = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, n_fields)
+        op = dressed_operator(geo, f, g)
+        pro = promote_weyl_fields(w)
+        boost = random_boost(rng) if boosted else None
+
+        def slots(i):
+            units = unit_weyl_fields(pro, i)
+            if geo.n_sectors == 1:
+                return geo.h_r_section(units[:1]), geo.h_r_section(units[1:])
+            return geo.h_r_section(units), geo.h_r_section(units)
+
+        n = pro.n_generators
+        expected = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            first = slots(i)[0]
+            for j in range(n):
+                second = slots(j)[1]
+                if boost is None:
+                    val = twisted_pairing(geo, op, first, second)
+                else:
+                    val = boosted_pairing(geo, op, boost, first, second)
+                expected[i, j] = (
+                    pro.amplitudes[i] * pro.amplitudes[j] * val.coefficient(())
+                )
+        got = pairing_coefficients(geo, op, pro, boost)
+        assert np.max(np.abs(expected)) > 1.0
+        assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 class TestPromotion:

@@ -17,6 +17,7 @@ from twistkit.checks import (
     report_json,
     run_checks,
 )
+from twistkit.operator_algebra import MAX_PROBE_CUTOFF
 
 EXPECTED_CHECK_IDS = (
     "clifford.euclidean_anticommutators",
@@ -148,11 +149,19 @@ class TestRunner:
             {"groups": ("clifford", "nope")},
             {"tolerances": {"nope": 1e-9}},
             {"tolerances": {"boost": 0.0}},
+            {"probe_cutoff": MAX_PROBE_CUTOFF + 1},
+            {"rapidity_max": float("nan")},
+            {"rapidity_max": float("inf")},
+            {"tolerances": {"boost": float("inf")}},
+            {"tolerances": {"boost": float("nan")}},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_probe_cutoff_cap_is_accepted(self):
+        assert RunConfig(probe_cutoff=MAX_PROBE_CUTOFF).probe_cutoff == MAX_PROBE_CUTOFF
 
 
 class TestReport:
@@ -233,6 +242,29 @@ class TestVerifyCommand:
         head = proc.stdout.splitlines()[0]
         assert "seed=9" in head and "groups=clifford" in head
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rapidity_usage_error(self, value):
+        proc = run_cli("verify", "--rapidity", value)
+        assert proc.returncode == 2
+        assert "rapidity_max must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("rapidity_max = inf", "rapidity_max must be finite"),
+            ("tolerance.actions = nan", "must be finite and positive"),
+            (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
+             f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
+        ],
+    )
+    def test_bad_config_value_usage_error(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_cli("verify", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
     def test_bad_config_key_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("volume = 11\n")
@@ -284,6 +316,15 @@ class TestActionCommand:
         assert proc.returncode == 0
         assert "generators: 4" in proc.stdout
 
+    def test_non_finite_file_value_usage_error(self, tmp_path):
+        data = tmp_path / "nan.json"
+        data.write_text(
+            '{"fields": [[{"mode": [0,0,0,1], "amplitude": [[NaN, 0], [1, 0]]}], []]}'
+        )
+        proc = run_cli("action", "--weyl-file", str(data))
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+
     def test_malformed_file_usage_error(self, tmp_path):
         data = tmp_path / "broken.json"
         data.write_text('{"fields": [[{"mode": [0,0,0]}], []]}')
@@ -326,6 +367,21 @@ class TestDispersionCommand:
         flat_body = flat.stdout.split("\n", 1)[1]
         boosted_body = boosted.stdout.split("\n", 1)[1]
         assert flat_body == boosted_body
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "dirac", "--d", "nan+0j"),
+            ("--kind", "weyl-left", "--f0", "nan"),
+            ("--kind", "weyl-left", "--p", "0,inf,0,0"),
+            ("--kind", "boosted-weyl", "--rapidity", "inf"),
+        ],
+    )
+    def test_non_finite_usage_error(self, argv):
+        proc = run_cli("dispersion", *argv)
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_vector_usage_error(self):
         proc = run_cli("dispersion", "--kind", "weyl-left", "--p", "1,2")

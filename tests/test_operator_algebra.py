@@ -1,11 +1,13 @@
 """Normal-form operator calculus: composition, adjoints, probes."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistkit.operator_algebra import (
     FieldOperator,
     OperatorComparison,
+    _probe_distance,
     commutator,
     normal_form_distance,
     operator_equal,
@@ -13,8 +15,11 @@ from twistkit.operator_algebra import (
     twisted_commutator,
 )
 from twistkit.torus_fields import (
+    ZERO_MODE,
     FourierScalar,
     Section,
+    add_modes,
+    negate_mode,
     random_scalar,
     random_section,
 )
@@ -183,6 +188,56 @@ class TestAdjoint:
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
 
+    @given(seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_antilinear_involution(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, 2, antilinear=True)
+        assert normal_form_distance(a.adjoint().adjoint(), a) < 1e-12
+
+    @given(seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_antihomomorphism_any_linearity(self, seed):
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, 2, antilinear=rng.integers(0, 2) == 1)
+        b = random_operator(rng, 2, antilinear=rng.integers(0, 2) == 1)
+        lhs = (a @ b).adjoint()
+        rhs = b.adjoint() @ a.adjoint()
+        assert lhs.antilinear == rhs.antilinear
+        assert normal_form_distance(lhs, rhs) < 1e-10
+
+    @given(seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_antilinear_adjoint_is_conjugated_linear_adjoint(self, seed):
+        # A = L K with K the conjugation, so A^+ = K L^+
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, 3, n_terms=5, antilinear=True)
+        linear = FieldOperator(3, a.terms)
+        expected = FieldOperator.conjugation(3) @ linear.adjoint()
+        assert normal_form_distance(a.adjoint(), expected) < 1e-12
+
+    def test_many_terms_match_termwise_adjoints(self):
+        """A 168-term adjoint equals the sum of its terms' adjoints."""
+        rng = np.random.default_rng(168)
+        derivs = [()] + [(mu,) for mu in range(4)] + [
+            (mu, nu) for mu in range(4) for nu in range(mu, 4)
+        ]
+        keys = [
+            (tuple(int(v) for v in rng.integers(-1, 2, size=4)), derivs[i])
+            for i in rng.integers(0, len(derivs), size=400)
+        ]
+        keys = list(dict.fromkeys(keys))[:168]
+        assert len(keys) == 168
+        a = FieldOperator(
+            2, {key: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for key in keys}
+        )
+        termwise = FieldOperator.zero(2)
+        for key, g in a.terms.items():
+            termwise = termwise + FieldOperator(2, {key: g}).adjoint()
+        assert len(a.terms) == 168
+        assert normal_form_distance(a.adjoint(), termwise) == 0.0
+
+
 class TestConjugateBy:
     @given(seeds)
     @settings(max_examples=15, deadline=None)
@@ -242,3 +297,88 @@ class TestOperatorEqual:
         cmp = operator_equal(a, b, probe_cutoff=2)
         assert cmp.normal_form_error > 1e-12
         assert cmp.probe_error > 1e-12
+
+
+def _probe_distance_reference(diff, probe_cutoff):
+    """The probe route one plane wave at a time: the oracle for ``_probe_distance``."""
+    rng = range(-probe_cutoff, probe_cutoff + 1)
+    best = 0.0
+    for k0 in rng:
+        for k1 in rng:
+            for k2 in rng:
+                for k3 in rng:
+                    m = (k0, k1, k2, k3)
+                    m_eff = negate_mode(m) if diff.antilinear else m
+                    acc = {}
+                    for (k, d), g in diff.terms.items():
+                        factor = 1.0 + 0.0j
+                        for mu in d:
+                            factor *= 1j * m_eff[mu]
+                        if factor == 0:
+                            continue
+                        target = add_modes(m_eff, k)
+                        if target in acc:
+                            acc[target] = acc[target] + factor * g
+                        else:
+                            acc[target] = factor * g
+                    for mat in acc.values():
+                        best = max(best, float(np.max(np.abs(mat))))
+    return best
+
+
+def shared_mode_operator(rng, n, antilinear):
+    """Terms of derivative order 0-2 on three phase modes, several per mode."""
+    modes = [ZERO_MODE] + [
+        tuple(int(v) for v in rng.integers(-2, 3, size=4)) for _ in range(2)
+    ]
+    terms = {}
+    for i in range(9):
+        order = i % 3
+        d = tuple(sorted(int(v) for v in rng.integers(0, 4, size=order)))
+        mode = modes[int(rng.integers(0, len(modes)))]
+        terms[(mode, d)] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return FieldOperator(n, terms, antilinear)
+
+
+class TestProbeDistance:
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_probe_reference(self, seed, antilinear, cutoff):
+        rng = np.random.default_rng(1000 * seed + 10 * cutoff + antilinear)
+        op = shared_mode_operator(rng, int(rng.integers(1, 4)), antilinear)
+        modes = [k for k, _ in op.terms]
+        assert len(set(modes)) < len(modes)  # some terms share a phase mode
+        assert {len(d) for _, d in op.terms} == {0, 1, 2}
+        expected = _probe_distance_reference(op, cutoff)
+        assert expected > 0.0
+        assert abs(_probe_distance(op, cutoff) - expected) <= 1e-13 * max(1.0, expected)
+
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_cancelling_difference(self, antilinear):
+        rng = np.random.default_rng(5)
+        op = shared_mode_operator(rng, 2, antilinear)
+        twice = op + op
+        diff = twice - op.scale(2.0)
+        assert _probe_distance(diff, 2) == _probe_distance_reference(diff, 2) == 0.0
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_maximum_at_one_corner(self, antilinear, cutoff):
+        # i + d_0 + d_1 maps e^{im.x} to i (1 + m_0 + m_1) e^{im.x}, of modulus
+        # 1 + 2c only at m_0 = m_1 = c (at -c when conjugation flips the wave)
+        one = np.eye(1, dtype=complex)
+        op = FieldOperator(
+            1,
+            {(ZERO_MODE, ()): 1j * one, (ZERO_MODE, (0,)): one, (ZERO_MODE, (1,)): one},
+            antilinear,
+        )
+        assert _probe_distance(op, cutoff) == 1.0 + 2 * cutoff
+        assert _probe_distance_reference(op, cutoff) == 1.0 + 2 * cutoff
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_empty_operator(self, cutoff):
+        for antilinear in (False, True):
+            empty = FieldOperator.zero(3, antilinear)
+            assert _probe_distance(empty, cutoff) == 0.0
+            assert _probe_distance_reference(empty, cutoff) == 0.0
