@@ -26,13 +26,7 @@ from twistkit.dynamics import (
     boosted_dirac_reduction_residual,
     boosted_weyl_reduction_residual,
 )
-from twistkit.geometries import (
-    DoubledGeometry,
-    ElectrodynamicsGeometry,
-    ManifoldGeometry,
-    chiral_vector_operator,
-)
-from twistkit.torus_fields import FourierScalar
+from twistkit.geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 
 
 def _fixtures(seed: int):
@@ -40,14 +34,8 @@ def _fixtures(seed: int):
     rng = np.random.default_rng(seed)
     out = []
     for geo in (ManifoldGeometry(), DoubledGeometry(), ElectrodynamicsGeometry(0.6 - 0.9j)):
-        n = 2 if geo.n_sectors == 1 else geo.n_sectors
-        w, f, g = overlapping_action_inputs(rng, n, cutoff=2)
-        if geo.n_sectors == 1:
-            op = geo.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
-        elif geo.n_sectors == 2:
-            op = geo.dirac + geo.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
-        else:
-            op = geo.dirac + geo.selfadjoint_fluctuation(f, g)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=2)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         out.append((geo, op, pro, fermionic_action(geo, op, pro)))
     return out

@@ -30,7 +30,7 @@ import numpy as np
 
 from .clifford import PAULI, SpinBoost
 from .grassmann import GrassmannNumber, antisymmetric_pair_form
-from .operator_algebra import FieldOperator
+from .operator_algebra import FieldOperator, function_matrix_sum
 from .torus_fields import (
     CELL_VOLUME,
     ZERO_MODE,
@@ -39,10 +39,8 @@ from .torus_fields import (
     Section,
     add_modes,
     negate_mode,
-    random_scalar,
     random_section,
 )
-from .geometries import function_matrix_sum
 
 _S2 = PAULI[1]
 
@@ -201,14 +199,12 @@ def _assemblers(geometry, promoted: PromotedWeyl):
     the first slot, field 1 in the second); the sectored geometries place
     the same multi-sector section in both slots.
     """
+    if len(promoted.fields) != geometry.n_weyl_fields:
+        raise ValueError(f"{geometry.n_weyl_fields} Weyl fields required")
     if geometry.n_sectors == 1:
-        if len(promoted.fields) != 2:
-            raise ValueError("two Weyl fields required for the two-slot form")
         first = lambda fl: geometry.h_r_section([fl[0]])  # noqa: E731
         second = lambda fl: geometry.h_r_section([fl[1]])  # noqa: E731
     else:
-        if len(promoted.fields) != geometry.n_sectors:
-            raise ValueError("one Weyl field per sector required")
         first = second = lambda fl: geometry.h_r_section(list(fl))  # noqa: E731
     return first, second
 
@@ -489,16 +485,7 @@ def random_weyl_fields(
     ]
 
 
-def random_real_potential(
-    rng, cutoff: int = 1, n_modes: int = 2, scale: float = 0.5
-) -> list[FourierScalar]:
-    return [
-        random_scalar(rng, cutoff=cutoff, n_modes=n_modes, real=True, scale=scale)
-        for _ in range(4)
-    ]
-
-
-def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1):
+def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1, fiber: int = 2):
     """Weyl fields and potentials whose Fourier modes actually pair up.
 
     The integral of a product of fields only sees mode combinations summing
@@ -507,7 +494,9 @@ def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1):
     modes, and the potentials combine a constant with a harmonic at a pool
     difference, which keeps every term of the action populated.
 
-    Returns ``(weyl_fields, f, g)`` with four real potential components each.
+    Returns ``(weyl_fields, f, g)`` with four real potential components each;
+    the fields have ``fiber`` components (two for Weyl fields, four for
+    whole spinors).
     """
     while True:
         a = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=4))
@@ -517,10 +506,10 @@ def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1):
     pool = {a, negate_mode(a), b, negate_mode(b)}
     fields = []
     for _ in range(n_fields):
-        s = Section(2)
+        s = Section(fiber)
         for k in pool:
             s.coeffs[k] = 0.5 * (
-                rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                rng.standard_normal(fiber) + 1j * rng.standard_normal(fiber)
             )
         fields.append(s)
     diff = add_modes(a, negate_mode(b))

@@ -58,6 +58,7 @@ from .clifford import (
     SIGMA_M_BAR,
     SIGMA_TILDE,
     IDENTITY_BOOST,
+    MAX_RAPIDITY,
     SpinBoost,
     anticommutator,
     boost_covector,
@@ -83,7 +84,6 @@ from .geometries import (
     ElectrodynamicsGeometry,
     ManifoldGeometry,
     chiral_vector_operator,
-    function_matrix_sum,
     random_element,
     selfadjoint_defect_parameters,
     wave_phase,
@@ -97,6 +97,7 @@ from .operator_algebra import (
     MAX_PROBE_CUTOFF,
     FieldOperator,
     commutator as op_commutator,
+    function_matrix_sum,
     normal_form_distance,
     operator_equal,
 )
@@ -154,6 +155,8 @@ class RunConfig:
             raise ValueError(f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}")
         if not (np.isfinite(self.rapidity_max) and self.rapidity_max >= 0):
             raise ValueError("rapidity_max must be finite and non-negative")
+        if self.rapidity_max > MAX_RAPIDITY:
+            raise ValueError(f"rapidity_max must be at most {MAX_RAPIDITY}")
         self.groups = tuple(self.groups)
         unknown = [g for g in self.groups if g not in GROUPS]
         if unknown:
@@ -219,15 +222,6 @@ def _half_cap(cfg: RunConfig) -> float:
     return min(1.0, 0.5 * cfg.rapidity_max)
 
 
-def _dressed_operator(geo, f, g) -> FieldOperator:
-    if geo.n_sectors == 1:
-        return geo.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
-    if geo.n_sectors == 2:
-        zeros = [FourierScalar.zero()] * 4
-        return geo.dirac + geo.selfadjoint_fluctuation(f, zeros)
-    return geo.dirac + geo.selfadjoint_fluctuation(f, g)
-
-
 def _grassmann_stack4(upper: Section, lower: Section) -> Section:
     """Glue two promoted fiber-2 sections into one fiber-4 section."""
     out = Section(4)
@@ -239,45 +233,6 @@ def _grassmann_stack4(upper: Section, lower: Section) -> Section:
             arr[2:4] = lower.coeffs[mode]
         out.coeffs[mode] = arr
     return out
-
-
-def _pool_sections_and_potentials(rng, cfg: RunConfig, n_sections: int, fiber: int):
-    """Sections on a negation-symmetric mode pool plus matching potentials.
-
-    Same pairing-friendly layout as the action inputs, but for arbitrary
-    fiber dimension.  Draws: 8 mode integers (redrawn on collisions),
-    ``n_sections * 4 * pool`` normals for the sections, 24 normals for the
-    two real potentials.
-    """
-    from .torus_fields import add_modes, negate_mode, ZERO_MODE
-
-    cut = cfg.mode_cutoff
-    while True:
-        a = tuple(int(x) for x in rng.integers(-cut, cut + 1, size=4))
-        b = tuple(int(x) for x in rng.integers(-cut, cut + 1, size=4))
-        if a != b and a != negate_mode(b):
-            break
-    pool = {a, negate_mode(a), b, negate_mode(b)}
-    sections = []
-    for _ in range(n_sections):
-        s = Section(fiber)
-        for k in pool:
-            s.coeffs[k] = 0.5 * (
-                rng.standard_normal(fiber) + 1j * rng.standard_normal(fiber)
-            )
-        sections.append(s)
-    diff = add_modes(a, negate_mode(b))
-
-    def _potential() -> FourierScalar:
-        out = FourierScalar.constant(0.5 * float(rng.standard_normal()))
-        if diff != ZERO_MODE:
-            c = 0.25 * (rng.standard_normal() + 1j * rng.standard_normal())
-            out = out + FourierScalar({diff: c, negate_mode(diff): np.conj(c)})
-        return out
-
-    f = [_potential() for _ in range(4)]
-    g = [_potential() for _ in range(4)]
-    return sections, f, g
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +657,7 @@ def _chk_manifold_action_closed_form(rng, cfg):
     man = ManifoldGeometry()
     for _ in range(2):
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(man, f, None)
+        op = man.dressed_dirac(f, None)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(man, op, pro)
         lag = manifold_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
@@ -756,12 +711,12 @@ def _chk_doubled_action_closed_form(rng, cfg):
     dbl = DoubledGeometry()
     for _ in range(2):
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(dbl, f, None)
+        op = dbl.dressed_dirac(f, None)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(dbl, op, pro)
         lag = doubled_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
         quad = fermionic_action_quadratic(dbl, op, pro)
-        single = fermionic_action(man, _dressed_operator(man, f, None), pro)
+        single = fermionic_action(man, man.dressed_dirac(f, None), pro)
         err = max(err, abs(eng - lag), abs(eng - quad), abs(eng - 2 * single))
         err = max(err, _fail_unless(abs(eng) > 1e-6))
     return err
@@ -878,7 +833,7 @@ def _chk_electro_action_closed_form(rng, cfg):
             d = complex(rng.standard_normal(), rng.standard_normal())
         geo = ElectrodynamicsGeometry(d)
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(geo, op, pro)
         lag = electro_lagrangian_action(pro.fields, f, g, geo.d)
@@ -910,7 +865,7 @@ def _chk_graded_commutativity(rng, cfg):
     err = max(err, abs((t1 + t2) * (t1 - t2) + 2 * (t1 * t2)))
     dbl = DoubledGeometry()
     w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-    op = _dressed_operator(dbl, f, None)
+    op = dbl.dressed_dirac(f, None)
     pro = promote_weyl_fields(w)
     eng = fermionic_action(dbl, op, pro)
     err = max(err, abs(eng - eng.degree_part(2)))
@@ -987,7 +942,9 @@ def _chk_term_symmetry_split(rng, cfg):
     man = ManifoldGeometry()
     j = man.real_structure
     for _ in range(2):
-        sections, f, g = _pool_sections_and_potentials(rng, cfg, 2, 4)
+        sections, f, g = overlapping_action_inputs(
+            rng, 2, cutoff=cfg.mode_cutoff, fiber=4
+        )
         phi, xi = sections
         halves = [Section.from_components([s.component(0), s.component(1)]) for s in sections]
         halves += [Section.from_components([s.component(2), s.component(3)]) for s in sections]
@@ -1023,8 +980,8 @@ def _chk_printed_factor_conventions(rng, cfg):
     dbl = DoubledGeometry()
     w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
     pro2 = promote_weyl_fields(w[:2])
-    man_eng = fermionic_action(man, _dressed_operator(man, f, None), pro2)
-    dbl_eng = fermionic_action(dbl, _dressed_operator(dbl, f, None), pro2)
+    man_eng = fermionic_action(man, man.dressed_dirac(f, None), pro2)
+    dbl_eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro2)
     err = max(err, abs(dbl_eng - 2 * man_eng))
     err = max(err, _fail_unless(abs(man_eng) > 1e-6))
     lag = manifold_lagrangian_action(pro2.fields[0], pro2.fields[1], f[0])
@@ -1055,7 +1012,7 @@ def _chk_twisted_pairing_antisymmetry(rng, cfg):
     for geo in _geometries(rng):
         n = geo.n_sectors
         w, f, g = overlapping_action_inputs(rng, 2 * n, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         u = geo.h_r_section(list(w[:n]))
         v = geo.h_r_section(list(w[n:]))
         err = max(err, geo.r_defect(u), geo.r_defect(v))
@@ -1182,11 +1139,9 @@ def _chk_adjoint_action(rng, cfg):
                 + [c.conjugate() for c in block]
                 + [c.conjugate() for c in block_swap]
             )
-        expected = FieldOperator.from_function_matrix(
-            [
-                [entries[i] if i == j else None for j in range(geo.fiber_dim)]
-                for i in range(geo.fiber_dim)
-            ]
+        expected = function_matrix_sum(
+            geo.fiber_dim,
+            [(np.diag(u), c) for u, c in zip(np.eye(geo.fiber_dim), entries)],
         )
         err = max(err, normal_form_distance(geo.adjoint_action(u2), expected))
         matched = geo.element(
@@ -1247,9 +1202,8 @@ def _chk_boost_action_invariance(rng, cfg):
         return None
     err = 0.0
     for geo in _geometries(rng):
-        n = 2 if geo.n_sectors == 1 else geo.n_sectors
-        w, f, g = overlapping_action_inputs(rng, n, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(geo, f, g)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=cfg.mode_cutoff)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
         err = max(err, _fail_unless(abs(plain) > 1e-6))
@@ -1278,7 +1232,7 @@ def _chk_boosted_manifold_closed_form(rng, cfg):
     for _ in range(2):
         boost = _draw_boost(rng, cfg)
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(man, f, None)
+        op = man.dressed_dirac(f, None)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(man, op, pro, boost=boost)
         lag = boosted_manifold_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)
@@ -1300,7 +1254,7 @@ def _chk_boosted_doubled_closed_form(rng, cfg):
     for _ in range(2):
         boost = _draw_boost(rng, cfg)
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(dbl, f, None)
+        op = dbl.dressed_dirac(f, None)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(dbl, op, pro, boost=boost)
         lag = boosted_doubled_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)
@@ -1324,7 +1278,7 @@ def _chk_boosted_electro_closed_form(rng, cfg):
         d = complex(rng.standard_normal(), rng.standard_normal())
         geo = ElectrodynamicsGeometry(d)
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
-        op = _dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(geo, op, pro, boost=boost)
         lag = boosted_electro_lagrangian_action(pro.fields, f, g, geo.d, boost)

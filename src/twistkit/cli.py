@@ -44,14 +44,9 @@ from .actions import (
     route_spread,
 )
 from .checks import GROUPS, RunConfig, report_json, run_checks
-from .clifford import SpinBoost
+from .clifford import MAX_RAPIDITY, SpinBoost
 from .dynamics import PROBLEM_KINDS, PlaneWaveProblem
-from .geometries import (
-    DoubledGeometry,
-    ElectrodynamicsGeometry,
-    ManifoldGeometry,
-    chiral_vector_operator,
-)
+from .geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 from .grassmann import pair_coefficient_matrix
 from .torus_fields import FourierScalar, Section
 
@@ -226,16 +221,6 @@ def _geometry_for(name: str, d: complex):
     return ElectrodynamicsGeometry(d)
 
 
-def _dressed(geo, f, g):
-    """Geometry operator plus the self-adjoint dressing built from (f, g)."""
-    if geo.n_sectors == 1:
-        return geo.dirac + chiral_vector_operator(f, [-1.0 * c for c in f])
-    if geo.n_sectors == 2:
-        zeros = [FourierScalar.zero()] * 4
-        return geo.dirac + geo.selfadjoint_fluctuation(f, zeros)
-    return geo.dirac + geo.selfadjoint_fluctuation(f, g)
-
-
 def _scalar_from_terms(terms, label: str) -> FourierScalar:
     out = FourierScalar.zero()
     if not isinstance(terms, list):
@@ -320,7 +305,7 @@ def _load_weyl_file(path: str, n_fields: int):
 def cmd_action(args) -> int:
     d = _parse_complex(args.d, "--d")
     geo = _geometry_for(args.geometry, d)
-    n_fields = 2 if geo.n_sectors == 1 else geo.n_sectors
+    n_fields = geo.n_weyl_fields
     cfg = _resolve_run_config(args)
     if args.weyl_file:
         fields, f, g = _load_weyl_file(args.weyl_file, n_fields)
@@ -332,7 +317,7 @@ def cmd_action(args) -> int:
         )
         source = f"seeded draw (seed={cfg.seed})"
 
-    op = _dressed(geo, f, g)
+    op = geo.dressed_dirac(f, g)
     promoted = promote_weyl_fields(fields)
     engine = fermionic_action(geo, op, promoted)
     quadratic = fermionic_action_quadratic(geo, op, promoted)
@@ -398,6 +383,8 @@ def cmd_dispersion(args) -> int:
         if float(np.linalg.norm(axis)) == 0.0:
             raise UsageError("--axis must be a nonzero 3-vector")
         rapidity = _finite(float(args.rapidity), "--rapidity")
+        if abs(rapidity) > MAX_RAPIDITY:
+            raise UsageError(f"|--rapidity| must be at most {MAX_RAPIDITY}")
         boost = SpinBoost(0.5 * rapidity, axis)
     problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)
     result = problem.solve()

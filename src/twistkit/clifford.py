@@ -142,6 +142,11 @@ class SpinBoost:
 
 IDENTITY_BOOST = SpinBoost(0.0, (0.0, 0.0, 1.0))
 
+#: Largest full rapidity a run or a plane-wave solve may ask for.  Boosted
+#: blocks grow like e^{rapidity}, and from rapidity 14 on the two extraction
+#: routes of :func:`lorentz_matrix` part by more than their absolute gate.
+MAX_RAPIDITY = 12
+
 _IMAG_RESIDUE_TOL = 1e-10
 
 

@@ -36,12 +36,11 @@ from .clifford import (
     GAMMA0,
     GAMMA5,
     I2,
-    I4,
     PAULI,
     SpinBoost,
     _pauli_components,
 )
-from .operator_algebra import FieldOperator, twist_by, twisted_commutator
+from .operator_algebra import FieldOperator, function_matrix_sum, twisted_commutator
 from .torus_fields import FourierScalar, Mode, Section, random_scalar
 
 _P_UPPER = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
@@ -106,21 +105,6 @@ def random_element(rng, n_slots: int, cutoff: int = 2, n_modes: int = 3) -> Elem
 def wave_phase(mode: Mode, alpha: float = 0.0) -> FourierScalar:
     """The unit-modulus function e^{i alpha} e^{i k.x} (an exact unitary)."""
     return np.exp(1j * alpha) * FourierScalar.wave(mode)
-
-
-def function_matrix_sum(
-    n: int, pairs: Sequence[tuple[np.ndarray, FourierScalar]]
-) -> FieldOperator:
-    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i."""
-    terms: dict = {}
-    for g, f in pairs:
-        g = np.asarray(g, dtype=complex)
-        for k, c in f.coeffs.items():
-            key = (k, ())
-            if key not in terms:
-                terms[key] = np.zeros((n, n), dtype=complex)
-            terms[key] += c * g
-    return FieldOperator(n, terms)
 
 
 def embed_sector(op4: FieldOperator, n_sectors: int, sector: int) -> FieldOperator:
@@ -199,6 +183,9 @@ class _GeometryBase:
     fiber_dim: int
     n_sectors: int
     n_slots: int
+    #: Weyl fields an action input takes: two slots on the single sector,
+    #: one field per sector otherwise.
+    n_weyl_fields: int
 
     @property
     def ko_signs(self) -> tuple[int, int, int, int]:
@@ -213,6 +200,20 @@ class _GeometryBase:
         return (-1, 1, eps_gamma, -1)
 
     # ----- constant structures (subclasses fill the raw matrices) --------
+    def _free_dirac(self) -> FieldOperator:
+        """-i gamma^mu d_mu on every sector."""
+        return FieldOperator(
+            self.fiber_dim,
+            {
+                ((0, 0, 0, 0), (mu,)): np.kron(np.eye(self.n_sectors), -1j * GAMMA[mu])
+                for mu in range(4)
+            },
+        )
+
+    @cached_property
+    def dirac(self) -> FieldOperator:
+        return self._free_dirac()
+
     @cached_property
     def r_matrix(self) -> np.ndarray:
         return np.kron(np.eye(self.n_sectors), GAMMA0)
@@ -256,20 +257,18 @@ class _GeometryBase:
         return e
 
     def represent(self, e: Element) -> FieldOperator:
-        diag = self._diagonal_functions(e)
-        n = self.fiber_dim
-        terms: dict = {}
-        for i, f in enumerate(diag):
-            for k, c in f.coeffs.items():
-                key = (k, ())
-                if key not in terms:
-                    terms[key] = np.zeros((n, n), dtype=complex)
-                terms[key][i, i] += c
-        return FieldOperator(n, terms)
+        # entries holding the same function share one diagonal mask, so the
+        # builder scales one matrix per function rather than one per entry
+        masks: dict = {}
+        for i, f in enumerate(self._diagonal_functions(e)):
+            masks.setdefault(id(f), (f, np.zeros(self.fiber_dim)))[1][i] = 1.0
+        return function_matrix_sum(
+            self.fiber_dim, [(np.diag(m), f) for f, m in masks.values()]
+        )
 
     def twist(self, op: FieldOperator) -> FieldOperator:
         """The automorphism on operators: conjugation by R."""
-        return twist_by(op, self.r_matrix)
+        return op.conjugate_by(self.r_matrix)
 
     def twisted_commutator(self, e: Element) -> FieldOperator:
         return twisted_commutator(
@@ -294,8 +293,12 @@ class _GeometryBase:
     def fluctuation(self, omega: FieldOperator) -> FieldOperator:
         return omega + self.real_conjugate(omega)
 
-    def fluctuated_dirac(self, omega: FieldOperator) -> FieldOperator:
-        return self.dirac + self.fluctuation(omega)
+    def vector_potentials(self, fluct: FieldOperator):
+        """Real potentials (f_mu, g_mu) of a self-adjoint sectored fluctuation."""
+        z, zp = self.fluctuation_parameters(fluct)
+        f = [(z[mu] + z[mu].conjugate()) * 0.5 for mu in range(4)]
+        g = [(z[mu] - z[mu].conjugate()) * (-0.5j) for mu in range(4)]
+        return f, g
 
     # ----- gauge ---------------------------------------------------------
     def gauge_transformed(
@@ -364,12 +367,11 @@ class ManifoldGeometry(_GeometryBase):
     fiber_dim = 4
     n_sectors = 1
     n_slots = 1
+    n_weyl_fields = 2
 
-    @cached_property
-    def dirac(self) -> FieldOperator:
-        return FieldOperator(
-            4, {((0, 0, 0, 0), (mu,)): -1j * GAMMA[mu] for mu in range(4)}
-        )
+    def dressed_dirac(self, f, g) -> FieldOperator:
+        """D plus the self-adjoint chiral one-form h = f, h' = -f; g is not read."""
+        return self.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
 
     @cached_property
     def _j_linear(self) -> np.ndarray:
@@ -414,16 +416,11 @@ class DoubledGeometry(_GeometryBase):
     fiber_dim = 8
     n_sectors = 2
     n_slots = 2
+    n_weyl_fields = 2
 
-    @cached_property
-    def dirac(self) -> FieldOperator:
-        return FieldOperator(
-            8,
-            {
-                ((0, 0, 0, 0), (mu,)): np.kron(I2, -1j * GAMMA[mu])
-                for mu in range(4)
-            },
-        )
+    def dressed_dirac(self, f, g) -> FieldOperator:
+        """D plus the self-adjoint fluctuation of (f, 0); g is not read."""
+        return self.dirac + self.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
 
     @cached_property
     def _j_linear(self) -> np.ndarray:
@@ -461,13 +458,6 @@ class DoubledGeometry(_GeometryBase):
             pairs.append((np.kron(np.diag([1.0, -1.0]), GAMMA[mu]), g[mu]))
         return function_matrix_sum(8, pairs)
 
-    def vector_potentials(self, fluct: FieldOperator):
-        """Real potentials (f_mu, g_mu) of a self-adjoint fluctuation."""
-        z, zp = self.fluctuation_parameters(fluct)
-        f = [(z[mu] + z[mu].conjugate()) * 0.5 for mu in range(4)]
-        g = [(z[mu] - z[mu].conjugate()) * (-0.5j) for mu in range(4)]
-        return f, g
-
 
 class ElectrodynamicsGeometry(_GeometryBase):
     """Four internal states {e_L, e_R, ebar_L, ebar_R} with coupling d."""
@@ -475,6 +465,7 @@ class ElectrodynamicsGeometry(_GeometryBase):
     fiber_dim = 16
     n_sectors = 4
     n_slots = 2
+    n_weyl_fields = 4
 
     def __init__(self, d: complex = -1j):
         self.d = complex(d)
@@ -495,18 +486,15 @@ class ElectrodynamicsGeometry(_GeometryBase):
 
     @cached_property
     def dirac(self) -> FieldOperator:
-        terms = {
-            ((0, 0, 0, 0), (mu,)): np.kron(I4, -1j * GAMMA[mu])
-            for mu in range(4)
-        }
-        free = FieldOperator(16, terms)
-        return free + FieldOperator.from_matrix(
-            np.kron(self.internal_dirac, GAMMA5)
-        )
+        return self._free_dirac() + self.dirac_finite_part
 
     @cached_property
     def dirac_finite_part(self) -> FieldOperator:
         return FieldOperator.from_matrix(np.kron(self.internal_dirac, GAMMA5))
+
+    def dressed_dirac(self, f, g) -> FieldOperator:
+        """D plus the self-adjoint fluctuation of (f, g)."""
+        return self.dirac + self.selfadjoint_fluctuation(f, g)
 
     @cached_property
     def _j_linear(self) -> np.ndarray:
@@ -558,12 +546,6 @@ class ElectrodynamicsGeometry(_GeometryBase):
             pairs.append((np.kron(x_signs, -1j * (GAMMA[mu] @ GAMMA5)), f[mu]))
             pairs.append((np.kron(y_signs, GAMMA[mu]), g[mu]))
         return function_matrix_sum(16, pairs)
-
-    def vector_potentials(self, fluct: FieldOperator):
-        z, zp = self.fluctuation_parameters(fluct)
-        f = [(z[mu] + z[mu].conjugate()) * 0.5 for mu in range(4)]
-        g = [(z[mu] - z[mu].conjugate()) * (-0.5j) for mu in range(4)]
-        return f, g
 
 
 MANIFOLD = ManifoldGeometry()

@@ -149,9 +149,6 @@ class GrassmannNumber:
             return 0.0
         return max(abs(c) for c in self.coeffs.values())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self) <= tol
-
     def __eq__(self, other):
         if isinstance(other, numbers.Number):
             other = GrassmannNumber.scalar(other)

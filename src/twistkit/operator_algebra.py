@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .torus_fields import (
+    FourierScalar,
     Mode,
     Section,
     ZERO_MODE,
@@ -103,24 +104,6 @@ class FieldOperator:
     @staticmethod
     def conjugation(n: int) -> "FieldOperator":
         return FieldOperator(n, {(ZERO_MODE, ()): np.eye(n, dtype=complex)}, antilinear=True)
-
-    @staticmethod
-    def from_function_matrix(entries) -> "FieldOperator":
-        """Multiplication operator by a matrix of torus functions."""
-        entries = np.asarray(entries, dtype=object)
-        n = entries.shape[0]
-        terms: dict[TermKey, np.ndarray] = {}
-        for i in range(n):
-            for j in range(n):
-                f = entries[i, j]
-                if f is None:
-                    continue
-                for k, c in f.coeffs.items():
-                    key = (k, ())
-                    if key not in terms:
-                        terms[key] = np.zeros((n, n), dtype=complex)
-                    terms[key][i, j] += c
-        return FieldOperator(n, terms)
 
     # ----- linear structure ---------------------------------------------
     def __add__(self, other: "FieldOperator") -> "FieldOperator":
@@ -238,9 +221,6 @@ class FieldOperator:
             return 0.0
         return max(float(np.max(np.abs(g))) for g in self.terms.values())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
-
     def max_deriv_order(self) -> int:
         return max((len(d) for _, d in self.terms), default=0)
 
@@ -251,6 +231,21 @@ class FieldOperator:
 
 # ----- derived constructions ------------------------------------------------
 
+def function_matrix_sum(
+    n: int, pairs: Sequence[tuple[np.ndarray, FourierScalar]]
+) -> FieldOperator:
+    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i."""
+    terms: dict[TermKey, np.ndarray] = {}
+    for g, f in pairs:
+        g = np.asarray(g, dtype=complex)
+        for k, c in f.coeffs.items():
+            key = (k, ())
+            if key not in terms:
+                terms[key] = np.zeros((n, n), dtype=complex)
+            terms[key] += c * g
+    return FieldOperator(n, terms)
+
+
 def twisted_commutator(
     d_op: FieldOperator, a: FieldOperator, a_twisted: FieldOperator
 ) -> FieldOperator:
@@ -260,11 +255,6 @@ def twisted_commutator(
 
 def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
     return a.compose(b) - b.compose(a)
-
-
-def twist_by(o: FieldOperator, r: np.ndarray) -> FieldOperator:
-    """The inner twist R O R^dagger."""
-    return o.conjugate_by(r)
 
 
 def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:

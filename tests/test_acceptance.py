@@ -45,7 +45,6 @@ from twistkit.geometries import (
     DoubledGeometry,
     ElectrodynamicsGeometry,
     ManifoldGeometry,
-    chiral_vector_operator,
     random_element,
     selfadjoint_defect_parameters,
     wave_phase,
@@ -53,6 +52,7 @@ from twistkit.geometries import (
 from twistkit.operator_algebra import (
     FieldOperator,
     commutator,
+    function_matrix_sum,
     normal_form_distance,
     operator_equal,
 )
@@ -77,14 +77,6 @@ def _three_geometries(d: complex = 0.45 - 0.8j):
         ("doubled", DoubledGeometry()),
         ("electro", ElectrodynamicsGeometry(d)),
     )
-
-
-def _dressed(geo, f, g) -> FieldOperator:
-    if geo.n_sectors == 1:
-        return geo.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
-    if geo.n_sectors == 2:
-        return geo.dirac + geo.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
-    return geo.dirac + geo.selfadjoint_fluctuation(f, g)
 
 
 def _axis(rng) -> tuple:
@@ -284,9 +276,7 @@ def test_criterion_05_gauge_laws():
     )
     theta = wave_phase(ka) * wave_phase(kb).conjugate()
     entries = [theta] * 8 + [theta.conjugate()] * 8
-    expected = FieldOperator.from_function_matrix(
-        [[entries[i] if i == j else None for j in range(16)] for i in range(16)]
-    )
+    expected = function_matrix_sum(16, [(np.diag(u), c) for u, c in zip(np.eye(16), entries)])
     err = max(err, normal_form_distance(elec.adjoint_action(matched), expected))
     fields = random_weyl_fields(rng, 4, cutoff=1)
     s = elec.h_r_section(fields)
@@ -303,7 +293,7 @@ def test_criterion_06_action_closed_forms():
     for _ in range(10):
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(man, _dressed(man, f, None), pro)
+        eng = fermionic_action(man, man.dressed_dirac(f, None), pro)
         err = max(err, abs(eng - manifold_lagrangian_action(pro.fields[0], pro.fields[1], f[0])))
         err = max(err, _must(abs(eng) > 1e-6))
     worst["manifold"] = err
@@ -311,7 +301,7 @@ def test_criterion_06_action_closed_forms():
     for _ in range(10):
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(dbl, _dressed(dbl, f, None), pro)
+        eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro)
         err = max(err, abs(eng - doubled_lagrangian_action(pro.fields[0], pro.fields[1], f[0])))
         err = max(err, _must(abs(eng) > 1e-6))
     worst["doubled"] = err
@@ -320,7 +310,7 @@ def test_criterion_06_action_closed_forms():
         geo = ElectrodynamicsGeometry(1j * (abs(rng.standard_normal()) + 0.2))
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(geo, _dressed(geo, f, g), pro)
+        eng = fermionic_action(geo, geo.dressed_dirac(f, g), pro)
         err = max(err, abs(eng - electro_lagrangian_action(pro.fields, f, g, geo.d)))
         err = max(err, _must(abs(eng) > 1e-6))
     worst["electro"] = err
@@ -329,7 +319,7 @@ def test_criterion_06_action_closed_forms():
         boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng))
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(man, _dressed(man, f, None), pro, boost=boost)
+        eng = fermionic_action(man, man.dressed_dirac(f, None), pro, boost=boost)
         err = max(
             err,
             abs(eng - boosted_manifold_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)),
@@ -341,7 +331,7 @@ def test_criterion_06_action_closed_forms():
         boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng))
         w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(dbl, _dressed(dbl, f, None), pro, boost=boost)
+        eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro, boost=boost)
         err = max(
             err,
             abs(eng - boosted_doubled_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)),
@@ -354,7 +344,7 @@ def test_criterion_06_action_closed_forms():
         geo = ElectrodynamicsGeometry(complex(rng.standard_normal(), rng.standard_normal()))
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=2)
         pro = promote_weyl_fields(w)
-        eng = fermionic_action(geo, _dressed(geo, f, g), pro, boost=boost)
+        eng = fermionic_action(geo, geo.dressed_dirac(f, g), pro, boost=boost)
         err = max(
             err,
             abs(eng - boosted_electro_lagrangian_action(pro.fields, f, g, geo.d, boost)),
@@ -377,7 +367,7 @@ def test_criterion_07_fixed_subspace_pairing():
         u = geo.h_r_section(list(w[:n]))
         v = geo.h_r_section(list(w[n:]))
         err = max(err, _must(geo.r_defect(u) == 0.0), _must(geo.r_defect(v) == 0.0))
-        op = _dressed(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         p_uv = complex(twisted_pairing(geo, op, u, v).coefficient(()))
         p_vu = complex(twisted_pairing(geo, op, v, u).coefficient(()))
         err = max(err, abs(p_uv + p_vu))
@@ -434,9 +424,8 @@ def test_criterion_09_boost_invariance():
     per = {}
     for name, geo in _three_geometries(d=complex(0.8, -0.5)):
         err = 0.0
-        n = 2 if geo.n_sectors == 1 else geo.n_sectors
-        w, f, g = overlapping_action_inputs(rng, n, cutoff=2)
-        op = _dressed(geo, f, g)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=2)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
         err = max(err, _must(abs(plain) > 1e-6))

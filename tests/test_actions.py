@@ -33,10 +33,9 @@ from twistkit.geometries import (
     DOUBLED,
     MANIFOLD,
     ElectrodynamicsGeometry,
-    chiral_vector_operator,
 )
 from twistkit.grassmann import GrassmannNumber, pair_coefficient_matrix
-from twistkit.torus_fields import FourierScalar, Section
+from twistkit.torus_fields import ZERO_MODE, FourierScalar, Section, negate_mode
 
 TOL = 1e-10
 BOOST_TOL = 1e-9
@@ -47,16 +46,6 @@ def random_boost(rng, max_half_rapidity=1.0):
     while np.linalg.norm(axis) < 1e-3:
         axis = rng.standard_normal(3)
     return SpinBoost(float(rng.uniform(0.1, max_half_rapidity)), tuple(axis))
-
-
-def dressed_operator(geo, f, g):
-    """Geometry operator plus the self-adjoint dressing built from (f, g)."""
-    if geo.n_sectors == 1:
-        return geo.dirac + chiral_vector_operator(f, [-1.0 * c for c in f])
-    if geo.n_sectors == 2:
-        zeros = [FourierScalar.zero()] * 4
-        return geo.dirac + geo.selfadjoint_fluctuation(f, zeros)
-    return geo.dirac + geo.selfadjoint_fluctuation(f, g)
 
 
 def geometry_instance(name, rng):
@@ -79,7 +68,7 @@ class TestPairingLemmas:
         geo, n_fields = geometry_instance(geo_name, rng)
         for _ in range(5):
             w, f, g = overlapping_action_inputs(rng, 2 * geo.n_sectors)
-            op = dressed_operator(geo, f, g)
+            op = geo.dressed_dirac(f, g)
             phi = geo.h_r_section(w[: geo.n_sectors])
             xi = geo.h_r_section(w[geo.n_sectors :])
             fwd = untwisted_pairing(geo, op, phi, xi)
@@ -93,7 +82,7 @@ class TestPairingLemmas:
         rng = np.random.default_rng(42)
         geo, n_fields = geometry_instance(geo_name, rng)
         w, f, g = overlapping_action_inputs(rng, n_fields)
-        op = dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         eta = geo.h_r_section(w[: geo.n_sectors])
         assert abs(untwisted_pairing(geo, op, eta, eta)) < TOL
 
@@ -104,7 +93,7 @@ class TestPairingLemmas:
         geo, n_fields = geometry_instance(geo_name, rng)
         for _ in range(3):
             w, f, g = overlapping_action_inputs(rng, 2 * geo.n_sectors)
-            op = dressed_operator(geo, f, g)
+            op = geo.dressed_dirac(f, g)
             phi = geo.h_r_section(w[: geo.n_sectors])
             xi = geo.h_r_section(w[geo.n_sectors :])
             twisted = twisted_pairing(geo, op, phi, xi)
@@ -117,7 +106,7 @@ class TestPairingLemmas:
         rng = np.random.default_rng(44)
         geo, n_fields = geometry_instance("electro", rng)
         w, f, g = overlapping_action_inputs(rng, n_fields)
-        op = dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         eta = geo.h_r_section(list(pro.fields))
         twisted = twisted_pairing(geo, op, eta, eta)
@@ -134,7 +123,7 @@ class TestPairingCoefficients:
         rng = np.random.default_rng(45)
         geo, n_fields = geometry_instance(geo_name, rng)
         w, f, g = overlapping_action_inputs(rng, n_fields)
-        op = dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         boost = random_boost(rng) if boosted else None
 
@@ -189,7 +178,7 @@ class TestPromotion:
     def test_action_is_pure_degree_two(self):
         rng = np.random.default_rng(7)
         w, f, g = overlapping_action_inputs(rng, 2)
-        op = dressed_operator(DOUBLED, f, g)
+        op = DOUBLED.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         val = fermionic_action(DOUBLED, op, pro)
         assert val.max_degree() == 2
@@ -198,7 +187,7 @@ class TestPromotion:
     def test_coefficient_matrix_antisymmetric(self):
         rng = np.random.default_rng(8)
         w, f, g = overlapping_action_inputs(rng, 2)
-        op = dressed_operator(DOUBLED, f, g)
+        op = DOUBLED.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         val = fermionic_action(DOUBLED, op, pro)
         m = pair_coefficient_matrix(val, pro.n_generators)
@@ -219,12 +208,39 @@ class TestPromotion:
         assert abs(bil - vol * (2 + 1j) * 0.5j) < 1e-9
 
 
+class TestOverlappingInputs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fiber_four_sections_share_one_pool(self, seed):
+        rng = np.random.default_rng(seed)
+        sections, f, g = overlapping_action_inputs(rng, 3, fiber=4)
+        pool = set(sections[0].coeffs)
+        assert pool == {negate_mode(k) for k in pool}
+        # two carrier modes and their negatives; only the zero mode is its own
+        assert len(pool) == (3 if ZERO_MODE in pool else 4)
+        for s in sections:
+            assert s.fiber_dim == 4
+            assert set(s.coeffs) == pool
+            assert all(v.shape == (4,) and np.all(v != 0) for v in s.coeffs.values())
+        assert len(f) == len(g) == 4
+        assert all(c.is_real() for c in f + g)
+
+    @pytest.mark.parametrize("name", ["manifold", "doubled", "electro"])
+    def test_weyl_field_count_fits_the_action(self, name):
+        rng = np.random.default_rng(13)
+        geo, _ = geometry_instance(name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields + 1)
+        op = geo.dressed_dirac(f, g)
+        assert abs(fermionic_action(geo, op, promote_weyl_fields(w[:-1]))) > 1e-6
+        with pytest.raises(ValueError):
+            fermionic_action(geo, op, promote_weyl_fields(w))
+
+
 class TestManifoldAction:
     def test_engine_matches_density(self):
         rng = np.random.default_rng(100)
         for _ in range(10):
             w, f, _ = overlapping_action_inputs(rng, 2)
-            op = dressed_operator(MANIFOLD, f, None)
+            op = MANIFOLD.dressed_dirac(f, None)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(MANIFOLD, op, pro)
             lag = manifold_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
@@ -238,9 +254,9 @@ class TestManifoldAction:
         w, f, _ = overlapping_action_inputs(rng, 2)
         pro = promote_weyl_fields(w)
         zero = FourierScalar.zero()
-        full = fermionic_action(MANIFOLD, dressed_operator(MANIFOLD, f, None), pro)
+        full = fermionic_action(MANIFOLD, MANIFOLD.dressed_dirac(f, None), pro)
         time_only = fermionic_action(
-            MANIFOLD, dressed_operator(MANIFOLD, [f[0], zero, zero, zero], None), pro
+            MANIFOLD, MANIFOLD.dressed_dirac([f[0], zero, zero, zero], None), pro
         )
         assert abs(full - time_only) < TOL
 
@@ -250,7 +266,7 @@ class TestDoubledAction:
         rng = np.random.default_rng(200)
         for _ in range(10):
             w, f, _ = overlapping_action_inputs(rng, 2)
-            op = dressed_operator(DOUBLED, f, None)
+            op = DOUBLED.dressed_dirac(f, None)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(DOUBLED, op, pro)
             lag = doubled_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
@@ -263,8 +279,8 @@ class TestDoubledAction:
         rng = np.random.default_rng(201)
         w, f, _ = overlapping_action_inputs(rng, 2)
         pro = promote_weyl_fields(w)
-        single = fermionic_action(MANIFOLD, dressed_operator(MANIFOLD, f, None), pro)
-        double = fermionic_action(DOUBLED, dressed_operator(DOUBLED, f, None), pro)
+        single = fermionic_action(MANIFOLD, MANIFOLD.dressed_dirac(f, None), pro)
+        double = fermionic_action(DOUBLED, DOUBLED.dressed_dirac(f, None), pro)
         assert abs(double - 2 * single) < TOL
 
 
@@ -274,7 +290,7 @@ class TestElectroAction:
         for _ in range(10):
             geo, n_fields = geometry_instance("electro", rng)
             w, f, g = overlapping_action_inputs(rng, n_fields)
-            op = dressed_operator(geo, f, g)
+            op = geo.dressed_dirac(f, g)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(geo, op, pro)
             lag = electro_lagrangian_action(pro.fields, f, g, geo.d)
@@ -286,7 +302,7 @@ class TestElectroAction:
         rng = np.random.default_rng(301)
         geo = ElectrodynamicsGeometry(0.0)
         w, f, g = overlapping_action_inputs(rng, 4)
-        op = dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         eng = fermionic_action(geo, op, pro)
         lag = electro_lagrangian_action(pro.fields, f, g, 0.0)
@@ -303,7 +319,7 @@ class TestElectroAction:
             p1, p2, z1, z2 = pro.fields
             pieces = electro_operator_pieces(geo, f, g)
             vals = {k: fermionic_action(geo, op, pro) for k, op in pieces.items()}
-            total = fermionic_action(geo, dressed_operator(geo, f, g), pro)
+            total = fermionic_action(geo, geo.dressed_dirac(f, g), pro)
             assert abs(sum(vals.values(), start=0) - total) < TOL
 
             expected = {
@@ -326,7 +342,7 @@ class TestBoostedActions:
         rng = np.random.default_rng(400)
         geo, n_fields = geometry_instance(geo_name, rng)
         w, f, g = overlapping_action_inputs(rng, n_fields)
-        op = dressed_operator(geo, f, g)
+        op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
         for _ in range(5):
@@ -339,7 +355,7 @@ class TestBoostedActions:
         for _ in range(10):
             boost = random_boost(rng)
             w, f, _ = overlapping_action_inputs(rng, 2)
-            op = dressed_operator(MANIFOLD, f, None)
+            op = MANIFOLD.dressed_dirac(f, None)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(MANIFOLD, op, pro, boost=boost)
             lag = boosted_manifold_lagrangian_action(
@@ -353,7 +369,7 @@ class TestBoostedActions:
         for _ in range(10):
             boost = random_boost(rng)
             w, f, _ = overlapping_action_inputs(rng, 2)
-            op = dressed_operator(DOUBLED, f, None)
+            op = DOUBLED.dressed_dirac(f, None)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(DOUBLED, op, pro, boost=boost)
             lag = boosted_doubled_lagrangian_action(
@@ -368,7 +384,7 @@ class TestBoostedActions:
             boost = random_boost(rng)
             geo, n_fields = geometry_instance("electro", rng)
             w, f, g = overlapping_action_inputs(rng, n_fields)
-            op = dressed_operator(geo, f, g)
+            op = geo.dressed_dirac(f, g)
             pro = promote_weyl_fields(w)
             eng = fermionic_action(geo, op, pro, boost=boost)
             lag = boosted_electro_lagrangian_action(pro.fields, f, g, geo.d, boost)

@@ -17,6 +17,7 @@ from twistkit.checks import (
     report_json,
     run_checks,
 )
+from twistkit.clifford import MAX_RAPIDITY
 from twistkit.operator_algebra import MAX_PROBE_CUTOFF
 
 EXPECTED_CHECK_IDS = (
@@ -154,6 +155,8 @@ class TestRunner:
             {"rapidity_max": float("inf")},
             {"tolerances": {"boost": float("inf")}},
             {"tolerances": {"boost": float("nan")}},
+            {"rapidity_max": MAX_RAPIDITY + 1},
+            {"rapidity_max": 1e3},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -256,6 +259,7 @@ class TestVerifyCommand:
             ("tolerance.actions = nan", "must be finite and positive"),
             (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
              f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
+            ("rapidity_max = 13", f"rapidity_max must be at most {MAX_RAPIDITY}"),
         ],
     )
     def test_bad_config_value_usage_error(self, tmp_path, line, message):
@@ -264,6 +268,24 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--config", str(cfg))
         assert proc.returncode == 2
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("value", ["12.5", "15", "20", "1e3"])
+    def test_rapidity_above_cap_usage_error(self, value):
+        proc = run_cli("verify", "--groups", "boost", "--rapidity", value)
+        assert proc.returncode == 2
+        assert f"rapidity_max must be at most {MAX_RAPIDITY}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rapidity_at_cap_runs_without_traceback(self, seed):
+        # boosted quantities outgrow their absolute gates long before the
+        # cap, so checks may fail here; the run itself must not crash
+        proc = run_cli(
+            "verify", "--groups", "clifford,dynamics,boost",
+            "--rapidity", str(MAX_RAPIDITY), "--seed", str(seed),
+        )
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
 
     def test_bad_config_key_usage_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -382,6 +404,31 @@ class TestDispersionCommand:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "boosted-weyl", "--rapidity", "1e3"),
+            ("--kind", "boosted-dirac", "--rapidity", "1e3"),
+            ("--kind", "boosted-weyl", "--rapidity", "-13"),
+            ("--kind", "boosted-dirac", "--rapidity", "12.5"),
+        ],
+    )
+    def test_rapidity_above_cap_usage_error(self, argv):
+        proc = run_cli("dispersion", *argv)
+        assert proc.returncode == 2
+        assert f"|--rapidity| must be at most {MAX_RAPIDITY}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["boosted-weyl", "boosted-dirac"])
+    @pytest.mark.parametrize("rapidity", [MAX_RAPIDITY, -MAX_RAPIDITY])
+    def test_rapidity_at_cap_solves(self, kind, rapidity):
+        proc = run_cli(
+            "dispersion", "--kind", kind, "--rapidity", str(rapidity),
+            "--f0", "1", "--p", "0,0,0,1", "--d", "1j",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "determinant:" in proc.stdout
 
     def test_malformed_vector_usage_error(self):
         proc = run_cli("dispersion", "--kind", "weyl-left", "--p", "1,2")

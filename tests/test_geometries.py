@@ -11,19 +11,19 @@ from twistkit.geometries import (
     ManifoldGeometry,
     chiral_vector_operator,
     chiral_vector_parameters,
-    function_matrix_sum,
     random_element,
     sector_block,
     selfadjoint_defect_parameters,
     wave_phase,
 )
+from twistkit.actions import electro_operator_pieces
 from twistkit.clifford import SpinBoost
 from twistkit.operator_algebra import (
     FieldOperator,
     commutator,
+    function_matrix_sum,
     normal_form_distance,
     operator_equal,
-    twist_by,
 )
 from twistkit.torus_fields import FourierScalar, random_scalar, random_section
 
@@ -299,6 +299,55 @@ class TestSectoredFluctuations:
         assert selfadjoint_defect_parameters(zs, zps) < 1e-12
 
 
+def _random_operator(rng, n, antilinear, n_terms=3):
+    """Terms with random phase modes, derivatives of order 0-2 and matrices."""
+    terms = {}
+    for _ in range(n_terms):
+        mode = tuple(int(v) for v in rng.integers(-1, 2, size=4))
+        d = tuple(sorted(int(v) for v in rng.integers(0, 4, size=rng.integers(0, 3))))
+        terms[(mode, d)] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return FieldOperator(n, terms, antilinear)
+
+
+class TestRealConjugate:
+    @GEO_PARAMS
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_real_conjugation_is_an_involution(self, geo_name, antilinear, seed):
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        op = _random_operator(np.random.default_rng(seed), geo.fiber_dim, antilinear)
+        twice = geo.real_conjugate(geo.real_conjugate(op))
+        assert twice.antilinear == antilinear
+        assert normal_form_distance(twice, op) <= 1e-12
+
+
+class TestDressedDirac:
+    @GEO_PARAMS
+    @given(seeds)
+    @settings(max_examples=5, deadline=None)
+    def test_is_selfadjoint(self, geo_name, seed):
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        rng = np.random.default_rng(seed)
+        f = [random_scalar(rng, real=True) for _ in range(4)]
+        g = [random_scalar(rng, real=True) for _ in range(4)]
+        dressed = geo.dressed_dirac(f, g)
+        assert (dressed - geo.dirac).max_abs() > 0.0
+        assert (dressed - dressed.adjoint()).max_abs() <= 1e-12
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_electro_vector_piece(self, seed):
+        geo = GEOMETRY_FACTORIES["electro"]()
+        rng = np.random.default_rng(seed)
+        f = [random_scalar(rng, real=True) for _ in range(4)]
+        g = [random_scalar(rng, real=True) for _ in range(4)]
+        zeros = [FourierScalar.zero()] * 4
+        vector = geo.dressed_dirac(f, g) - geo.dressed_dirac(f, zeros)
+        expected = electro_operator_pieces(geo, f, g)["vector"]
+        assert normal_form_distance(vector, expected) <= 1e-12
+
+
 class TestElectroFinitePart:
     def test_finite_commutator_vanishes_exactly(self):
         rng = np.random.default_rng(42)
@@ -416,11 +465,9 @@ class TestGauge:
                     + [c.conjugate() for c in block]
                     + [c.conjugate() for c in block_swap]
                 )
-            expected = FieldOperator.from_function_matrix(
-                [
-                    [entries[i] if i == j else None for j in range(geo.fiber_dim)]
-                    for i in range(geo.fiber_dim)
-                ]
+            expected = function_matrix_sum(
+                geo.fiber_dim,
+                [(np.diag(u), c) for u, c in zip(np.eye(geo.fiber_dim), entries)],
             )
             assert normal_form_distance(geo.adjoint_action(u), expected) < 1e-12
 

@@ -10,8 +10,8 @@ from twistkit.operator_algebra import (
     _probe_distance,
     commutator,
     normal_form_distance,
+    function_matrix_sum,
     operator_equal,
-    twist_by,
     twisted_commutator,
 )
 from twistkit.torus_fields import (
@@ -84,9 +84,9 @@ class TestComposition:
         rng = np.random.default_rng(seed)
         f = random_scalar(rng)
         g = random_scalar(rng)
-        mf = FieldOperator.from_function_matrix([[f]])
-        mg = FieldOperator.from_function_matrix([[g]])
-        mfg = FieldOperator.from_function_matrix([[f * g]])
+        mf = function_matrix_sum(1, [(np.eye(1), f)])
+        mg = function_matrix_sum(1, [(np.eye(1), g)])
+        mfg = function_matrix_sum(1, [(np.eye(1), f * g)])
         assert normal_form_distance(mf @ mg, mfg) < 1e-12
 
     @given(seeds)
@@ -97,10 +97,30 @@ class TestComposition:
         f = random_scalar(rng)
         mu = int(rng.integers(0, 4))
         d_op = FieldOperator.derivative(1, mu)
-        mf = FieldOperator.from_function_matrix([[f]])
+        mf = function_matrix_sum(1, [(np.eye(1), f)])
         lhs = commutator(d_op, mf)
-        rhs = FieldOperator.from_function_matrix([[f.derivative(mu)]])
+        rhs = function_matrix_sum(1, [(np.eye(1), f.derivative(mu))])
         assert normal_form_distance(lhs, rhs) < 1e-12
+
+
+class TestFunctionMatrixSum:
+    @given(seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_off_diagonal_matrix_of_functions(self, seed):
+        rng = np.random.default_rng(seed)
+        f = random_scalar(rng)
+        g = random_scalar(rng)
+        upper = np.array([[0, 1], [0, 0]])
+        built = function_matrix_sum(2, [(upper, f), (upper.T, g)])
+        by_hand = {}
+        for (row, col), h in (((0, 1), f), ((1, 0), g)):
+            for k, c in h.coeffs.items():
+                by_hand.setdefault((k, ()), np.zeros((2, 2), dtype=complex))[row, col] += c
+        assert normal_form_distance(built, FieldOperator(2, by_hand)) == 0.0
+        # (s_0, s_1) -> (f s_1, g s_0), pointwise on a random section
+        s = random_section(rng, 2)
+        swapped = Section.from_components([f * s.component(1), g * s.component(0)])
+        assert (built.apply(s) - swapped).max_abs() < 1e-12
 
 
 class TestAntilinear:
@@ -257,9 +277,9 @@ class TestConjugateBy:
         r = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         d_op = FieldOperator.derivative(n, 0)
         f = FourierScalar.wave((1, 0, 0, 0))
-        a = FieldOperator.from_function_matrix([[f, None], [None, f.conjugate()]])
-        lhs = twisted_commutator(d_op, a, twist_by(a, r))
-        rhs = d_op @ a - twist_by(a, r) @ d_op
+        a = function_matrix_sum(2, [(np.diag([1, 0]), f), (np.diag([0, 1]), f.conjugate())])
+        lhs = twisted_commutator(d_op, a, a.conjugate_by(r))
+        rhs = d_op @ a - a.conjugate_by(r) @ d_op
         assert normal_form_distance(lhs, rhs) == 0.0
 
 
