@@ -21,6 +21,7 @@ from twistkit.actions import (
     overlapping_action_inputs,
     promote_weyl_fields,
 )
+from twistkit.cli import UsageError, parse_axis, parse_rapidity
 from twistkit.clifford import SpinBoost
 from twistkit.dynamics import (
     boosted_dirac_reduction_residual,
@@ -48,8 +49,16 @@ def main() -> int:
     parser.add_argument("--axis", default="1,0,0", help="boost axis, three comma floats")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    try:
+        axis = parse_axis(args.axis)
+        parse_rapidity(args.max, "--max")
+    except UsageError as exc:
+        parser.error(str(exc))
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
 
-    axis = tuple(float(v) for v in args.axis.split(","))
     fixtures = _fixtures(args.seed)
     rng = np.random.default_rng(args.seed + 1)
     f4 = rng.standard_normal(4)

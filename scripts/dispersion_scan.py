@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from twistkit.cli import UsageError, parse_axis, parse_complex, parse_rapidity, parse_vector
 from twistkit.clifford import SpinBoost
 from twistkit.dynamics import (
     boosted_dirac_system,
@@ -57,11 +58,15 @@ def main() -> int:
     parser.add_argument("--axis", default="0,0,1")
     parser.add_argument("--steps", type=int, default=21)
     args = parser.parse_args()
-
-    sp = [float(v) for v in args.p.split(",")][1:4]
-    g3 = np.array([float(v) for v in args.g.split(",")])
-    d = complex(args.d)
-    boost = SpinBoost(0.5 * args.rapidity, tuple(float(v) for v in args.axis.split(",")))
+    try:
+        sp = list(parse_vector(args.p, 4, "--p")[1:])
+        g3 = np.array(parse_vector(args.g, 3, "--g"))
+        d = parse_complex(args.d, "--d")
+        boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), parse_axis(args.axis))
+    except UsageError as exc:
+        parser.error(str(exc))
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
 
     probe = _system(args.kind, 0.0, sp, g3, d, boost)
     roots = [r for r in probe.roots if abs(complex(r).imag) < 1e-12]

@@ -22,16 +22,24 @@ def main() -> int:
     parser.add_argument("--groups", default=None, help="comma-separated group subset")
     parser.add_argument("--rapidity", type=float, default=2.0, help="boost rapidity cap")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     groups = tuple(args.groups.split(",")) if args.groups else GROUPS
+    try:
+        configs = [
+            RunConfig(seed=seed, groups=groups, rapidity_max=args.rapidity)
+            for seed in range(args.start, args.start + args.seeds)
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     worst: dict[str, float] = {}
     gates: dict[str, float] = {}
     failures = []
-    for seed in range(args.start, args.start + args.seeds):
-        cfg = RunConfig(seed=seed, groups=groups, rapidity_max=args.rapidity)
+    for cfg in configs:
         for rec in run_checks(cfg):
             if rec.status == "fail":
-                failures.append((seed, rec.check_id, rec.max_abs_error))
+                failures.append((cfg.seed, rec.check_id, rec.max_abs_error))
             if rec.status != "pass":
                 continue
             gates[rec.check_id] = rec.tolerance

@@ -18,7 +18,8 @@ Both routes pair through the slot maps of :func:`pairing_slots`.
 
 The ``*_lagrangian_action`` functions are closed-form integrands written
 directly in terms of the Weyl components; they are the hand-derived targets
-the operator engine is checked against.
+the operator engine is checked against.  Each geometry's
+``closed_form_action`` picks the plain or boosted one that belongs to it.
 """
 
 from __future__ import annotations

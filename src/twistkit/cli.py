@@ -33,12 +33,9 @@ import sys
 import numpy as np
 
 from .actions import (
-    doubled_lagrangian_action,
-    electro_lagrangian_action,
     electro_operator_pieces,
     fermionic_action,
     fermionic_action_quadratic,
-    manifold_lagrangian_action,
     overlapping_action_inputs,
     promote_weyl_fields,
     route_spread,
@@ -146,7 +143,7 @@ def _finite(value, label: str):
     return value
 
 
-def _parse_complex(text: str, flag: str) -> complex:
+def parse_complex(text: str, flag: str) -> complex:
     try:
         value = complex(text.replace(" ", ""))
     except ValueError as exc:
@@ -154,7 +151,7 @@ def _parse_complex(text: str, flag: str) -> complex:
     return _finite(value, flag)
 
 
-def _parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
+def parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != length:
         raise UsageError(f"{flag} expects {length} comma-separated numbers")
@@ -163,6 +160,22 @@ def _parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
     except ValueError as exc:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from exc
     return _finite(values, flag)
+
+
+def parse_axis(text: str) -> tuple[float, ...]:
+    """The ``--axis`` of a boost: three finite numbers, not all zero."""
+    axis = parse_vector(text, 3, "--axis")
+    if float(np.linalg.norm(axis)) == 0.0:
+        raise UsageError("--axis must be a nonzero 3-vector")
+    return axis
+
+
+def parse_rapidity(value: float, flag: str) -> float:
+    """A finite rapidity of magnitude at most ``MAX_RAPIDITY``."""
+    rapidity = _finite(float(value), flag)
+    if abs(rapidity) > MAX_RAPIDITY:
+        raise UsageError(f"|{flag}| must be at most {MAX_RAPIDITY}")
+    return rapidity
 
 
 def _fmt_complex(z: complex) -> str:
@@ -303,7 +316,7 @@ def _load_weyl_file(path: str, n_fields: int):
 
 
 def cmd_action(args) -> int:
-    d = _parse_complex(args.d, "--d")
+    d = parse_complex(args.d, "--d")
     geo = _geometry_for(args.geometry, d)
     n_fields = geo.n_weyl_fields
     cfg = _resolve_run_config(args)
@@ -321,16 +334,7 @@ def cmd_action(args) -> int:
     promoted = promote_weyl_fields(fields)
     engine = fermionic_action(geo, op, promoted)
     quadratic = fermionic_action_quadratic(geo, op, promoted)
-    if geo.n_sectors == 1:
-        closed = manifold_lagrangian_action(
-            promoted.fields[0], promoted.fields[1], f[0]
-        )
-    elif geo.n_sectors == 2:
-        closed = doubled_lagrangian_action(
-            promoted.fields[0], promoted.fields[1], f[0]
-        )
-    else:
-        closed = electro_lagrangian_action(promoted.fields, f, g, geo.d)
+    closed = geo.closed_form_action(promoted.fields, f, g)
     spread = route_spread(engine, closed, quadratic)
 
     n = promoted.n_generators
@@ -371,21 +375,16 @@ def cmd_action(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    p = _parse_vector(args.p, 4, "--p")
-    f = _parse_vector(args.f, 4, "--f")
+    p = parse_vector(args.p, 4, "--p")
+    f = parse_vector(args.f, 4, "--f")
     if args.f0 is not None:
         f = (_finite(float(args.f0), "--f0"),) + f[1:]
-    g = _parse_vector(args.g, 4, "--g")
-    d = _parse_complex(args.d, "--d")
+    g = parse_vector(args.g, 4, "--g")
+    d = parse_complex(args.d, "--d")
     boost = None
     if args.kind.startswith("boosted"):
-        axis = _parse_vector(args.axis, 3, "--axis")
-        if float(np.linalg.norm(axis)) == 0.0:
-            raise UsageError("--axis must be a nonzero 3-vector")
-        rapidity = _finite(float(args.rapidity), "--rapidity")
-        if abs(rapidity) > MAX_RAPIDITY:
-            raise UsageError(f"|--rapidity| must be at most {MAX_RAPIDITY}")
-        boost = SpinBoost(0.5 * rapidity, axis)
+        axis = parse_axis(args.axis)
+        boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), axis)
     problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)
     result = problem.solve()
     print(f"kind: {args.kind}")

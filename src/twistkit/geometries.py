@@ -20,7 +20,9 @@ spinor)``.
 Representations are diagonal multiplication operators; twisted commutators,
 fluctuations, gauge transforms and the adjoint action are assembled from
 ``FieldOperator`` primitives so every claimed closed form can be checked
-against the operator route.
+against the operator route.  Each geometry also names its dressed Dirac
+operator (``dressed_dirac``) and the hand-derived density of its fermionic
+action (``closed_form_action``, plain or boosted).
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .actions import (
+    boosted_doubled_lagrangian_action,
+    boosted_electro_lagrangian_action,
+    boosted_manifold_lagrangian_action,
+    doubled_lagrangian_action,
+    electro_lagrangian_action,
+    manifold_lagrangian_action,
+)
 from .clifford import (
     GAMMA,
     GAMMA0,
@@ -373,6 +383,12 @@ class ManifoldGeometry(_GeometryBase):
         """D plus the self-adjoint chiral one-form h = f, h' = -f; g is not read."""
         return self.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
 
+    def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
+        """The hand-derived Weyl density of the action on ``fields``; g is not read."""
+        if boost is None:
+            return manifold_lagrangian_action(fields[0], fields[1], f[0])
+        return boosted_manifold_lagrangian_action(fields[0], fields[1], f, boost)
+
     @cached_property
     def _j_linear(self) -> np.ndarray:
         return _J_SPINOR
@@ -421,6 +437,12 @@ class DoubledGeometry(_GeometryBase):
     def dressed_dirac(self, f, g) -> FieldOperator:
         """D plus the self-adjoint fluctuation of (f, 0); g is not read."""
         return self.dirac + self.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
+
+    def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
+        """Twice the single-sheet density on ``fields``; g is not read."""
+        if boost is None:
+            return doubled_lagrangian_action(fields[0], fields[1], f[0])
+        return boosted_doubled_lagrangian_action(fields[0], fields[1], f, boost)
 
     @cached_property
     def _j_linear(self) -> np.ndarray:
@@ -495,6 +517,13 @@ class ElectrodynamicsGeometry(_GeometryBase):
     def dressed_dirac(self, f, g) -> FieldOperator:
         """D plus the self-adjoint fluctuation of (f, g)."""
         return self.dirac + self.selfadjoint_fluctuation(f, g)
+
+    def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
+        """The hand-derived Dirac density with mass coupling ``d`` on the four
+        sector fields."""
+        if boost is None:
+            return electro_lagrangian_action(fields, f, g, self.d)
+        return boosted_electro_lagrangian_action(fields, f, g, self.d, boost)
 
     @cached_property
     def _j_linear(self) -> np.ndarray:

@@ -19,13 +19,7 @@ import time
 import numpy as np
 
 from twistkit.actions import (
-    boosted_doubled_lagrangian_action,
-    boosted_electro_lagrangian_action,
-    boosted_manifold_lagrangian_action,
-    doubled_lagrangian_action,
-    electro_lagrangian_action,
     fermionic_action,
-    manifold_lagrangian_action,
     overlapping_action_inputs,
     promote_weyl_fields,
     random_weyl_fields,
@@ -286,71 +280,35 @@ def test_criterion_05_gauge_laws():
 
 def test_criterion_06_action_closed_forms():
     rng = np.random.default_rng(206)
-    worst = {}
     man = ManifoldGeometry()
     dbl = DoubledGeometry()
-    err = 0.0
-    for _ in range(10):
-        w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(man, man.dressed_dirac(f, None), pro)
-        err = max(err, abs(eng - manifold_lagrangian_action(pro.fields[0], pro.fields[1], f[0])))
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["manifold"] = err
-    err = 0.0
-    for _ in range(10):
-        w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro)
-        err = max(err, abs(eng - doubled_lagrangian_action(pro.fields[0], pro.fields[1], f[0])))
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["doubled"] = err
-    err = 0.0
-    for _ in range(10):
-        geo = ElectrodynamicsGeometry(1j * (abs(rng.standard_normal()) + 0.2))
-        w, f, g = overlapping_action_inputs(rng, 4, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(geo, geo.dressed_dirac(f, g), pro)
-        err = max(err, abs(eng - electro_lagrangian_action(pro.fields, f, g, geo.d)))
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["electro"] = err
-    err = 0.0
-    for _ in range(10):
-        boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng))
-        w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(man, man.dressed_dirac(f, None), pro, boost=boost)
-        err = max(
-            err,
-            abs(eng - boosted_manifold_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)),
-        )
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["boosted manifold"] = err
-    err = 0.0
-    for _ in range(10):
-        boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng))
-        w, f, _ = overlapping_action_inputs(rng, 2, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro, boost=boost)
-        err = max(
-            err,
-            abs(eng - boosted_doubled_lagrangian_action(pro.fields[0], pro.fields[1], f, boost)),
-        )
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["boosted doubled"] = err
-    err = 0.0
-    for _ in range(10):
-        boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng))
-        geo = ElectrodynamicsGeometry(complex(rng.standard_normal(), rng.standard_normal()))
-        w, f, g = overlapping_action_inputs(rng, 4, cutoff=2)
-        pro = promote_weyl_fields(w)
-        eng = fermionic_action(geo, geo.dressed_dirac(f, g), pro, boost=boost)
-        err = max(
-            err,
-            abs(eng - boosted_electro_lagrangian_action(pro.fields, f, g, geo.d, boost)),
-        )
-        err = max(err, _must(abs(eng) > 1e-6))
-    worst["boosted electro"] = err
+
+    def imaginary_mass(rng):
+        return ElectrodynamicsGeometry(1j * (abs(rng.standard_normal()) + 0.2))
+
+    def complex_mass(rng):
+        return ElectrodynamicsGeometry(complex(rng.standard_normal(), rng.standard_normal()))
+
+    cases = (
+        ("manifold", lambda rng: man, False),
+        ("doubled", lambda rng: dbl, False),
+        ("electro", imaginary_mass, False),
+        ("boosted manifold", lambda rng: man, True),
+        ("boosted doubled", lambda rng: dbl, True),
+        ("boosted electro", complex_mass, True),
+    )
+    worst = {}
+    for label, draw_geometry, boosted in cases:
+        err = 0.0
+        for _ in range(10):
+            boost = SpinBoost(rng.uniform(0.05, 1.0), _axis(rng)) if boosted else None
+            geo = draw_geometry(rng)
+            w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=2)
+            pro = promote_weyl_fields(w)
+            eng = fermionic_action(geo, geo.dressed_dirac(f, g), pro, boost=boost)
+            err = max(err, abs(eng - geo.closed_form_action(pro.fields, f, g, boost)))
+            err = max(err, _must(abs(eng) > 1e-6))
+        worst[label] = err
     detail = "10 instances per closed form: " + ", ".join(
         f"{k} {v:.1e}" for k, v in worst.items()
     )

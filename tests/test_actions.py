@@ -6,11 +6,9 @@ import pytest
 from twistkit.clifford import IDENTITY_BOOST, SpinBoost
 from twistkit.actions import (
     bilinear_integral,
-    boosted_doubled_lagrangian_action,
     boosted_pairing,
     boosted_electro_lagrangian_action,
     boosted_manifold_lagrangian_action,
-    doubled_lagrangian_action,
     electro_lagrangian_action,
     electro_operator_pieces,
     fermionic_action,
@@ -49,12 +47,13 @@ def random_boost(rng, max_half_rapidity=1.0):
 
 
 def geometry_instance(name, rng):
+    """The named space; the four-sector mass costs two normals from ``rng``."""
     if name == "manifold":
-        return MANIFOLD, 2
+        return MANIFOLD
     if name == "doubled":
-        return DOUBLED, 2
+        return DOUBLED
     d = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    return ElectrodynamicsGeometry(d), 4
+    return ElectrodynamicsGeometry(d)
 
 
 GEO_NAMES = ["manifold", "doubled", "electro"]
@@ -65,7 +64,7 @@ class TestPairingLemmas:
     def test_plain_antisymmetry(self, geo_name):
         """<J phi, D xi> = -<J xi, D phi> on the invariant subspace."""
         rng = np.random.default_rng(41)
-        geo, n_fields = geometry_instance(geo_name, rng)
+        geo = geometry_instance(geo_name, rng)
         for _ in range(5):
             w, f, g = overlapping_action_inputs(rng, 2 * geo.n_sectors)
             op = geo.dressed_dirac(f, g)
@@ -80,8 +79,8 @@ class TestPairingLemmas:
     def test_diagonal_vanishes(self, geo_name):
         """The untwisted pairing of a plain section with itself is zero."""
         rng = np.random.default_rng(42)
-        geo, n_fields = geometry_instance(geo_name, rng)
-        w, f, g = overlapping_action_inputs(rng, n_fields)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
         op = geo.dressed_dirac(f, g)
         eta = geo.h_r_section(w[: geo.n_sectors])
         assert abs(untwisted_pairing(geo, op, eta, eta)) < TOL
@@ -90,7 +89,7 @@ class TestPairingLemmas:
     def test_twisted_is_minus_untwisted(self, geo_name):
         """Inserting R flips the sign of the pairing on R-invariant vectors."""
         rng = np.random.default_rng(43)
-        geo, n_fields = geometry_instance(geo_name, rng)
+        geo = geometry_instance(geo_name, rng)
         for _ in range(3):
             w, f, g = overlapping_action_inputs(rng, 2 * geo.n_sectors)
             op = geo.dressed_dirac(f, g)
@@ -104,8 +103,8 @@ class TestPairingLemmas:
     def test_twisted_is_minus_untwisted_grassmann(self):
         """Same sign flip for the promoted (anticommuting) evaluation."""
         rng = np.random.default_rng(44)
-        geo, n_fields = geometry_instance("electro", rng)
-        w, f, g = overlapping_action_inputs(rng, n_fields)
+        geo = geometry_instance("electro", rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
         op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         eta = geo.h_r_section(list(pro.fields))
@@ -121,8 +120,8 @@ class TestPairingCoefficients:
     def test_matrix_matches_pairwise_pairings(self, geo_name, boosted):
         """The hoisted slot maps give the matrix of one pairing per (i, j)."""
         rng = np.random.default_rng(45)
-        geo, n_fields = geometry_instance(geo_name, rng)
-        w, f, g = overlapping_action_inputs(rng, n_fields)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
         op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         boost = random_boost(rng) if boosted else None
@@ -227,7 +226,7 @@ class TestOverlappingInputs:
     @pytest.mark.parametrize("name", ["manifold", "doubled", "electro"])
     def test_weyl_field_count_fits_the_action(self, name):
         rng = np.random.default_rng(13)
-        geo, _ = geometry_instance(name, rng)
+        geo = geometry_instance(name, rng)
         w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields + 1)
         op = geo.dressed_dirac(f, g)
         assert abs(fermionic_action(geo, op, promote_weyl_fields(w[:-1]))) > 1e-6
@@ -235,19 +234,35 @@ class TestOverlappingInputs:
             fermionic_action(geo, op, promote_weyl_fields(w))
 
 
-class TestManifoldAction:
-    def test_engine_matches_density(self):
-        rng = np.random.default_rng(100)
+class TestClosedForms:
+    @pytest.mark.parametrize(
+        "geo_name, boosted, seed",
+        [
+            ("manifold", False, 100),
+            ("doubled", False, 200),
+            ("electro", False, 300),
+            ("manifold", True, 401),
+            ("doubled", True, 402),
+            ("electro", True, 403),
+        ],
+    )
+    def test_engine_matches_density(self, geo_name, boosted, seed):
+        """Engine, quadratic route and the geometry's closed density agree."""
+        rng = np.random.default_rng(seed)
         for _ in range(10):
-            w, f, _ = overlapping_action_inputs(rng, 2)
-            op = MANIFOLD.dressed_dirac(f, None)
+            boost = random_boost(rng) if boosted else None
+            geo = geometry_instance(geo_name, rng)
+            w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+            op = geo.dressed_dirac(f, g)
             pro = promote_weyl_fields(w)
-            eng = fermionic_action(MANIFOLD, op, pro)
-            lag = manifold_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
-            quad = fermionic_action_quadratic(MANIFOLD, op, pro)
+            eng = fermionic_action(geo, op, pro, boost=boost)
+            lag = geo.closed_form_action(pro.fields, f, g, boost)
+            quad = fermionic_action_quadratic(geo, op, pro, boost=boost)
             assert route_spread(eng, lag, quad) < TOL
             assert abs(eng) > 1.0
 
+
+class TestManifoldAction:
     def test_spatial_potential_is_silent(self):
         """The density only sees f0: zeroing the spatial f changes nothing."""
         rng = np.random.default_rng(101)
@@ -262,18 +277,6 @@ class TestManifoldAction:
 
 
 class TestDoubledAction:
-    def test_engine_matches_density(self):
-        rng = np.random.default_rng(200)
-        for _ in range(10):
-            w, f, _ = overlapping_action_inputs(rng, 2)
-            op = DOUBLED.dressed_dirac(f, None)
-            pro = promote_weyl_fields(w)
-            eng = fermionic_action(DOUBLED, op, pro)
-            lag = doubled_lagrangian_action(pro.fields[0], pro.fields[1], f[0])
-            quad = fermionic_action_quadratic(DOUBLED, op, pro)
-            assert route_spread(eng, lag, quad) < TOL
-            assert abs(eng) > 1.0
-
     def test_doubling_factor(self):
         """Each sheet contributes the single-sheet density once."""
         rng = np.random.default_rng(201)
@@ -285,19 +288,6 @@ class TestDoubledAction:
 
 
 class TestElectroAction:
-    def test_engine_matches_density(self):
-        rng = np.random.default_rng(300)
-        for _ in range(10):
-            geo, n_fields = geometry_instance("electro", rng)
-            w, f, g = overlapping_action_inputs(rng, n_fields)
-            op = geo.dressed_dirac(f, g)
-            pro = promote_weyl_fields(w)
-            eng = fermionic_action(geo, op, pro)
-            lag = electro_lagrangian_action(pro.fields, f, g, geo.d)
-            quad = fermionic_action_quadratic(geo, op, pro)
-            assert route_spread(eng, lag, quad) < TOL
-            assert abs(eng) > 1.0
-
     def test_massless_limit(self):
         rng = np.random.default_rng(301)
         geo = ElectrodynamicsGeometry(0.0)
@@ -312,9 +302,9 @@ class TestElectroAction:
         """The four operator summands map onto signed single-sheet densities."""
         rng = np.random.default_rng(302)
         for _ in range(3):
-            geo, n_fields = geometry_instance("electro", rng)
+            geo = geometry_instance("electro", rng)
             d = geo.d
-            w, f, g = overlapping_action_inputs(rng, n_fields)
+            w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
             pro = promote_weyl_fields(w)
             p1, p2, z1, z2 = pro.fields
             pieces = electro_operator_pieces(geo, f, g)
@@ -340,8 +330,8 @@ class TestBoostedActions:
     def test_boost_invariance(self, geo_name):
         """Boosting slots and operator together leaves the action unchanged."""
         rng = np.random.default_rng(400)
-        geo, n_fields = geometry_instance(geo_name, rng)
-        w, f, g = overlapping_action_inputs(rng, n_fields)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
         op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
@@ -349,47 +339,6 @@ class TestBoostedActions:
             boost = random_boost(rng)
             boosted = fermionic_action(geo, op, pro, boost=boost)
             assert abs(boosted - plain) < BOOST_TOL
-
-    def test_manifold_boosted_density(self):
-        rng = np.random.default_rng(401)
-        for _ in range(10):
-            boost = random_boost(rng)
-            w, f, _ = overlapping_action_inputs(rng, 2)
-            op = MANIFOLD.dressed_dirac(f, None)
-            pro = promote_weyl_fields(w)
-            eng = fermionic_action(MANIFOLD, op, pro, boost=boost)
-            lag = boosted_manifold_lagrangian_action(
-                pro.fields[0], pro.fields[1], f, boost
-            )
-            quad = fermionic_action_quadratic(MANIFOLD, op, pro, boost=boost)
-            assert route_spread(eng, lag, quad) < TOL
-
-    def test_doubled_boosted_density(self):
-        rng = np.random.default_rng(402)
-        for _ in range(10):
-            boost = random_boost(rng)
-            w, f, _ = overlapping_action_inputs(rng, 2)
-            op = DOUBLED.dressed_dirac(f, None)
-            pro = promote_weyl_fields(w)
-            eng = fermionic_action(DOUBLED, op, pro, boost=boost)
-            lag = boosted_doubled_lagrangian_action(
-                pro.fields[0], pro.fields[1], f, boost
-            )
-            quad = fermionic_action_quadratic(DOUBLED, op, pro, boost=boost)
-            assert route_spread(eng, lag, quad) < TOL
-
-    def test_electro_boosted_density(self):
-        rng = np.random.default_rng(403)
-        for _ in range(10):
-            boost = random_boost(rng)
-            geo, n_fields = geometry_instance("electro", rng)
-            w, f, g = overlapping_action_inputs(rng, n_fields)
-            op = geo.dressed_dirac(f, g)
-            pro = promote_weyl_fields(w)
-            eng = fermionic_action(geo, op, pro, boost=boost)
-            lag = boosted_electro_lagrangian_action(pro.fields, f, g, geo.d, boost)
-            quad = fermionic_action_quadratic(geo, op, pro, boost=boost)
-            assert route_spread(eng, lag, quad) < TOL
 
     def test_identity_boost_reduces_to_plain_density(self):
         """At zero rapidity the boosted densities collapse to the plain ones,

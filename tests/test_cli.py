@@ -84,10 +84,8 @@ class TestRegistry:
         ids = [s.check_id for s in REGISTRY]
         assert len(set(ids)) == len(ids) == 40
         for spec in REGISTRY:
-            group, _, name = spec.check_id.partition(".")
-            assert group == spec.group
-            assert group in GROUPS
-            assert name
+            assert spec.group in GROUPS
+            assert spec.check_id.partition(".")[2]
 
     def test_every_group_represented(self):
         present = {s.group for s in REGISTRY}
@@ -157,6 +155,7 @@ class TestRunner:
             {"tolerances": {"boost": float("nan")}},
             {"rapidity_max": MAX_RAPIDITY + 1},
             {"rapidity_max": 1e3},
+            {"seed": -1},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -285,6 +284,13 @@ class TestVerifyCommand:
             "--rapidity", str(MAX_RAPIDITY), "--seed", str(seed),
         )
         assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    def test_negative_seed_usage_error(self, command):
+        proc = run_cli(command, "--seed", "-1")
+        assert proc.returncode == 2
+        assert "seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_bad_config_key_usage_error(self, tmp_path):
