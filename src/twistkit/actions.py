@@ -1,18 +1,21 @@
 """Fermionic action functionals on the R-invariant subspace.
 
 The central object is the pairing ``A(phi, xi) = <J phi, R D xi>`` evaluated
-on Grassmann-valued sections.  Inputs are plain Weyl fields (fiber-two
-sections); :func:`promote_weyl_fields` replaces every amplitude ``a`` by
-``a * theta`` with a fresh anticommuting generator ``theta``, so the pairing
-collapses to a rank-two element of the exterior algebra.
+on sections linear in anticommuting generators.  Inputs are plain Weyl fields
+(fiber-two sections); :func:`promote_weyl_fields` replaces every nonzero
+amplitude ``a`` by ``a * theta_i`` with a fresh generator ``theta_i``.  A
+promoted section stores, per Fourier mode, a complex ``(fiber, n)`` block
+whose column i is the coefficient of ``theta_i``, so the pairing is the
+antisymmetric part of ``sum_k A_k^dagger B_k``: a rank-two element of the
+exterior algebra.
 
 Two independent evaluation routes are provided and must agree:
 
-* :func:`fermionic_action` pushes the promoted sections through the actual
-  operators (real structure, twist, Dirac) with Grassmann arithmetic;
+* :func:`fermionic_action` pushes the promoted blocks through the actual
+  operators (real structure, twist, Dirac) and pairs them once;
 * :func:`fermionic_action_quadratic` evaluates the same pairing on complex
-  unit sections, one per generator, and reassembles the result through the
-  antisymmetrised quadratic form.
+  unit sections, one per generator, with plain complex inner products, and
+  reassembles the result through the antisymmetrised quadratic form.
 
 Both routes pair through the slot maps of :func:`pairing_slots`.
 
@@ -51,38 +54,34 @@ _S2 = PAULI[1]
 # ---------------------------------------------------------------------------
 
 
-def grassmann_inner(first: Section, second: Section) -> GrassmannNumber:
-    """Integral of ``first^dagger second``; amplitude-conjugates slot one.
-
-    Works uniformly for complex and Grassmann-valued amplitudes; the result
-    is always wrapped as a :class:`GrassmannNumber`.
-    """
+def _mode_sum(first: Section, second: Section, conjugate: bool) -> GrassmannNumber:
+    """``CELL_VOLUME * sum_k a_k^T b_k``, pairing mode k with k (``conjugate``,
+    which conjugates ``a``) or with -k.  Complex ``(fiber,)`` sections give a
+    scalar; ``(fiber, n)`` Grassmann blocks give the ``(n, n)`` sum M read as
+    ``sum_ij M_ij theta_i theta_j`` (generators are self-conjugate)."""
     if first.fiber_dim != second.fiber_dim:
         raise ValueError("fiber dimensions differ")
-    acc: GrassmannNumber = GrassmannNumber.zero()
-    for mode, v in first.coeffs.items():
-        w = second.coeffs.get(mode)
-        if w is None:
+    acc = 0.0
+    for mode, a in first.coeffs.items():
+        b = second.coeffs.get(mode if conjugate else negate_mode(mode))
+        if b is None:
             continue
-        for c in range(first.fiber_dim):
-            a, b = v[c], w[c]
-            a_conj = a.conjugate() if isinstance(a, GrassmannNumber) else np.conj(a)
-            acc = acc + a_conj * b
-    return CELL_VOLUME * acc
+        if a.shape != b.shape:
+            raise ValueError("cannot pair sections of different amplitude shapes")
+        acc = acc + (np.conj(a) if conjugate else a).T @ b
+    if np.ndim(acc) == 0:
+        return GrassmannNumber.scalar(CELL_VOLUME * acc)
+    return antisymmetric_pair_form(CELL_VOLUME * acc)
+
+
+def grassmann_inner(first: Section, second: Section) -> GrassmannNumber:
+    """Integral of ``first^dagger second``; amplitude-conjugates slot one."""
+    return _mode_sum(first, second, conjugate=True)
 
 
 def bilinear_integral(first: Section, second: Section) -> GrassmannNumber:
     """Integral of ``first^T second`` with no conjugation anywhere."""
-    if first.fiber_dim != second.fiber_dim:
-        raise ValueError("fiber dimensions differ")
-    acc: GrassmannNumber = GrassmannNumber.zero()
-    for mode, v in first.coeffs.items():
-        w = second.coeffs.get(negate_mode(mode))
-        if w is None:
-            continue
-        for c in range(first.fiber_dim):
-            acc = acc + v[c] * w[c]
-    return CELL_VOLUME * acc
+    return _mode_sum(first, second, conjugate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,9 @@ class PromotedWeyl:
     """Weyl fields whose amplitudes have been tensored with generators.
 
     ``table[i]`` records which (field, component, mode) slot generator ``i``
-    occupies and ``amplitudes[i]`` the complex amplitude it multiplies.
+    occupies and ``amplitudes[i]`` the complex amplitude it multiplies.  Each
+    of ``fields`` has a ``(2, n_generators)`` block per mode; column i holds
+    ``amplitudes[i]`` at ``table[i]`` and zeros elsewhere.
     """
 
     fields: tuple[Section, ...]
@@ -158,28 +159,26 @@ class PromotedWeyl:
 
 
 def promote_weyl_fields(fields: Sequence[Section]) -> PromotedWeyl:
-    """Replace every amplitude ``a`` by ``a * theta_i`` with fresh generators."""
+    """Replace every nonzero amplitude ``a`` by ``a * theta_i``, numbering
+    generators by field, then mode in sorted order, then component."""
     table: list[tuple[int, int, Mode]] = []
     amplitudes: list[complex] = []
-    promoted: list[Section] = []
-    gen = 0
     for slot, field in enumerate(fields):
         if field.fiber_dim != 2:
             raise ValueError("expected fiber-two Weyl fields")
-        out = Section(2)
         for mode in sorted(field.coeffs):
-            arr = np.empty(2, dtype=object)
             for comp in range(2):
                 a = complex(field.coeffs[mode][comp])
-                if a == 0:
-                    arr[comp] = GrassmannNumber.zero()
-                    continue
-                arr[comp] = a * GrassmannNumber.generator(gen)
-                table.append((slot, comp, mode))
-                amplitudes.append(a)
-                gen += 1
-            out.coeffs[mode] = arr
-        promoted.append(out)
+                if a != 0:
+                    table.append((slot, comp, mode))
+                    amplitudes.append(a)
+    n = len(table)
+    promoted = [
+        Section(2, {k: np.zeros((2, n), dtype=complex) for k in sorted(field.coeffs)})
+        for field in fields
+    ]
+    for i, ((slot, comp, mode), a) in enumerate(zip(table, amplitudes)):
+        promoted[slot].coeffs[mode][comp, i] = a
     return PromotedWeyl(tuple(promoted), tuple(table), tuple(amplitudes))
 
 
@@ -228,21 +227,18 @@ def pairing_coefficients(
     """Matrix ``B_ij = a_i a_j pair(e_i, e_j)`` over complex unit sections.
 
     Each slot map is applied once per generator, so the n x n matrix costs
-    2n operator applications and n^2 inner products.
+    2n operator applications and n^2 complex inner products.
     """
     first, second = _assemblers(geometry, promoted)
     left, right = pairing_slots(geometry, op, boost)
     units = [unit_weyl_fields(promoted, i) for i in range(promoted.n_generators)]
     lefts = [left(first(u)) for u in units]
     rights = [right(second(u)) for u in units]
+    a = promoted.amplitudes
     out = np.zeros((len(units), len(units)), dtype=complex)
     for i, lhs in enumerate(lefts):
         for j, rhs in enumerate(rights):
-            out[i, j] = (
-                promoted.amplitudes[i]
-                * promoted.amplitudes[j]
-                * grassmann_inner(lhs, rhs).coefficient(())
-            )
+            out[i, j] = a[i] * a[j] * complex(lhs.inner(rhs))
     return out
 
 

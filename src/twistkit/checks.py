@@ -239,19 +239,6 @@ def _half_cap(cfg: RunConfig) -> float:
     return min(1.0, 0.5 * cfg.rapidity_max)
 
 
-def _grassmann_stack4(upper: Section, lower: Section) -> Section:
-    """Glue two promoted fiber-2 sections into one fiber-4 section."""
-    out = Section(4)
-    for mode in set(upper.coeffs) | set(lower.coeffs):
-        arr = np.array([GrassmannNumber.zero()] * 4, dtype=object)
-        if mode in upper.coeffs:
-            arr[0:2] = upper.coeffs[mode]
-        if mode in lower.coeffs:
-            arr[2:4] = lower.coeffs[mode]
-        out.coeffs[mode] = arr
-    return out
-
-
 # ---------------------------------------------------------------------------
 # clifford group
 # ---------------------------------------------------------------------------
@@ -915,12 +902,11 @@ def _chk_operator_composition(rng, cfg):
         pro = promote_weyl_fields([w])
         applied = op.apply(pro.fields[0])
         rebuilt = Section(2)
-        for i in range(pro.n_generators):
-            unit = unit_weyl_fields(pro, i)[0]
-            piece = op.apply(unit).scale(
-                pro.amplitudes[i] * GrassmannNumber.generator(i)
+        for i, column in enumerate(np.diag(pro.amplitudes)):
+            piece = op.apply(unit_weyl_fields(pro, i)[0])
+            rebuilt = rebuilt + Section(
+                2, {k: np.outer(v, column) for k, v in piece.coeffs.items()}
             )
-            rebuilt = rebuilt + piece
         err = max(err, (applied - rebuilt).max_abs())
         op2 = FieldOperator.from_matrix(m2) + _deriv2(m1, 0)
         err = max(
@@ -950,8 +936,9 @@ def _chk_term_symmetry_split(rng, cfg):
         halves = [Section.from_components([s.component(0), s.component(1)]) for s in sections]
         halves += [Section.from_components([s.component(2), s.component(3)]) for s in sections]
         pro = promote_weyl_fields(halves)
-        phi_g = _grassmann_stack4(pro.fields[0], pro.fields[2])
-        xi_g = _grassmann_stack4(pro.fields[1], pro.fields[3])
+        upper, lower = np.eye(4, 2), np.eye(4, 2, k=-2)
+        phi_g = pro.fields[0].matmul(upper) + pro.fields[2].matmul(lower)
+        xi_g = pro.fields[1].matmul(upper) + pro.fields[3].matmul(lower)
         ops = (
             ("derivative", man.dirac, -1.0),
             ("chiral", chiral_vector_operator(f, [(-1.0) * c for c in f]), -1.0),

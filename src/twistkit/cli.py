@@ -55,6 +55,10 @@ ACTION_TOL = 1e-10
 #: truncating (the full matrix still decides the comparison error).
 MAX_PRINTED_COEFFS = 24
 
+#: A degree-two coefficient counts as nonzero only above this fraction of the
+#: largest one; structurally zero pairings leave rounding residues far below.
+RELATIVE_COEFF_FLOOR = 1e-12
+
 GEOMETRY_NAMES = ("manifold", "doubled", "electro")
 
 _CONFIG_KEYS = {"seed", "mode_cutoff", "probe_cutoff", "rapidity_max", "groups"}
@@ -165,7 +169,7 @@ def parse_vector(text: str, length: int, flag: str) -> tuple[float, ...]:
 def parse_axis(text: str) -> tuple[float, ...]:
     """The ``--axis`` of a boost: three finite numbers, not all zero."""
     axis = parse_vector(text, 3, "--axis")
-    if float(np.linalg.norm(axis)) == 0.0:
+    if not any(axis):
         raise UsageError("--axis must be a nonzero 3-vector")
     return axis
 
@@ -339,12 +343,13 @@ def cmd_action(args) -> int:
 
     n = promoted.n_generators
     matrix = pair_coefficient_matrix(engine, n)
+    floor = RELATIVE_COEFF_FLOOR * np.max(np.abs(matrix), initial=0.0)
     print(f"geometry: {args.geometry}  inputs: {source}  generators: {n}")
     entries = [
         (i, j, matrix[i, j])
         for i in range(n)
         for j in range(i + 1, n)
-        if abs(matrix[i, j]) > 0
+        if abs(matrix[i, j]) > floor
     ]
     if not entries:
         print("action: 0 (no degree-two coefficients)")

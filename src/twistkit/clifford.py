@@ -96,9 +96,13 @@ class SpinBoost:
 
     def __post_init__(self) -> None:
         n = np.asarray(self.axis, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("boost axis must be nonzero")
+        if not np.all(np.isfinite(n)) or not n.any():
+            raise ValueError("boost axis must be finite and nonzero")
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(n)
+        if not 1e-150 < norm < 1e150:  # the squares lose bits or overflow
+            n = n / np.max(np.abs(n))
+            norm = np.linalg.norm(n)
         object.__setattr__(self, "axis", tuple(n / norm))
 
     @cached_property

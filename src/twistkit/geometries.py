@@ -332,11 +332,9 @@ class _GeometryBase:
                 raise ValueError("sector fields must have two components")
             for k, v in w.coeffs.items():
                 if k not in out.coeffs:
-                    out.coeffs[k] = np.zeros(self.fiber_dim, dtype=v.dtype)
+                    shape = (self.fiber_dim,) + v.shape[1:]
+                    out.coeffs[k] = np.zeros(shape, dtype=complex)
                 blk = out.coeffs[k]
-                if blk.dtype != v.dtype:
-                    blk = blk.astype(object)
-                    out.coeffs[k] = blk
                 blk[4 * s : 4 * s + 2] = blk[4 * s : 4 * s + 2] + v
                 blk[4 * s + 2 : 4 * s + 4] = blk[4 * s + 2 : 4 * s + 4] + v
         return out

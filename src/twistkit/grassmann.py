@@ -11,9 +11,11 @@ amplitudes and leaves monomials untouched (no order reversal).  This is the
 convention under which a quadratic form built from an antisymmetric matrix
 transforms the way sesquilinear pairings of field amplitudes do.
 
-``antisymmetric_pair_form`` is the closed-form oracle used to cross-check
-quadratic forms assembled by operator application: evaluating a bilinear map
-B on Grassmann-promoted vectors must equal sum_{i<j} (B_ij - B_ji) t_i t_j.
+``antisymmetric_pair_form`` reads a matrix B as the quadratic form
+sum_ij B_ij t_i t_j = sum_{i<j} (B_ij - B_ji) t_i t_j.  This is how the action
+engine turns the ``(n, n)`` pairing of two sections stored as complex
+(fiber x generators) blocks into an element of the algebra; the explicit
+generator arithmetic here is the exact oracle that reading is tested against.
 """
 
 from __future__ import annotations
@@ -130,8 +132,6 @@ class GrassmannNumber:
     def conjugate(self) -> "GrassmannNumber":
         return GrassmannNumber({k: np.conj(c) for k, c in self.coeffs.items()})
 
-    conj = conjugate
-
     # ----- inspection --------------------------------------------------------
     def coefficient(self, key: Monomial) -> complex:
         return self.coeffs.get(tuple(key), 0.0 + 0.0j)
@@ -172,14 +172,9 @@ class GrassmannNumber:
 def antisymmetric_pair_form(matrix: np.ndarray) -> GrassmannNumber:
     """sum_{i<j} (B_ij - B_ji) t_i t_j, the value of sum_ij B_ij t_i t_j."""
     b = np.asarray(matrix)
-    n = b.shape[0]
-    out: dict[Monomial, complex] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = complex(b[i, j] - b[j, i])
-            if c != 0:
-                out[(i, j)] = c
-    return GrassmannNumber(out)
+    rows, cols = np.triu_indices(b.shape[0], k=1)
+    pairs = zip(rows.tolist(), cols.tolist(), (b[rows, cols] - b[cols, rows]).tolist())
+    return GrassmannNumber({(i, j): c for i, j, c in pairs})
 
 
 def pair_coefficient_matrix(g: GrassmannNumber, n: int) -> np.ndarray:

@@ -15,9 +15,9 @@ finite Leibniz expansion, conjugation flips modes and conjugates matrices,
 and adjoints are built from the primitive rules (d_mu)^+ = -d_mu and
 (e^{ik.x})^+ = e^{-ik.x}.
 
-``apply`` is generic over the amplitude scalars of the section, so the same
-operator acts on numeric sections and on sections with anticommuting
-amplitudes.
+``apply`` multiplies each amplitude by the term matrices, so the same
+operator acts on vector amplitudes ``(n,)`` and on the ``(n, G)`` blocks of
+sections linear in G anticommuting generators.
 """
 
 from __future__ import annotations
@@ -190,9 +190,6 @@ class FieldOperator:
         src = section.conjugate() if self.antilinear else section
         out = Section(self.fiber_dim)
         for (k, d), g in self.terms.items():
-            # gamma-structure matrices are sparse; an explicit entry list keeps
-            # the object-dtype (Grassmann) path from touching zero entries
-            rows = cols = vals = None
             for m, v in src.coeffs.items():
                 factor = 1.0 + 0.0j
                 for mu in d:
@@ -200,15 +197,7 @@ class FieldOperator:
                 if factor == 0:
                     continue
                 target = add_modes(m, k)
-                if v.dtype == object:
-                    if rows is None:
-                        rows, cols = np.nonzero(g)
-                        vals = g[rows, cols]
-                    w = np.zeros(self.fiber_dim, dtype=object)
-                    for r, c, gv in zip(rows, cols, vals):
-                        w[r] = w[r] + (factor * gv) * v[c]
-                else:
-                    w = np.dot(g, factor * v)
+                w = np.dot(g, factor * v)
                 if target in out.coeffs:
                     out.coeffs[target] = out.coeffs[target] + w
                 else:

@@ -8,10 +8,10 @@ i k_mu, and the integral over the torus is (2 pi)^4 times the zero-mode
 coefficient.  Nothing is ever truncated, so identities that hold for smooth
 functions hold here to machine rounding only.
 
-Sections of a rank-n spinor bundle are finite sums of plane waves with
-vector amplitudes.  Amplitude entries are usually complex numbers but may be
-any scalar-like object supporting + and * (the action engine stores
-anticommuting amplitudes in the same container).
+Sections of a rank-n spinor bundle are finite sums of plane waves with complex
+amplitudes: ``(n,)`` vectors, or ``(n, G)`` blocks for a section linear in
+anticommuting generators theta_0 .. theta_{G-1}, column i holding the
+coefficient of theta_i.  ``inner`` and ``component`` refuse blocks.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class Section:
         if coeffs:
             for k, v in coeffs.items():
                 v = np.asarray(v)
-                if v.shape != (self.fiber_dim,):
+                if v.ndim not in (1, 2) or v.shape[0] != self.fiber_dim:
                     raise ValueError("amplitude shape does not match fiber dimension")
                 self.coeffs[tuple(k)] = v
 
@@ -186,7 +186,12 @@ class Section:
                 out[k][i] += v
         return Section(n, out)
 
+    def _require_vector(self) -> None:
+        if any(v.ndim != 1 for v in self.coeffs.values()):
+            raise ValueError("operation needs vector amplitudes, not a Grassmann block")
+
     def component(self, i: int) -> FourierScalar:
+        self._require_vector()
         return FourierScalar(
             _cleaned({k: v[i] for k, v in self.coeffs.items()})
         )
@@ -223,6 +228,8 @@ class Section:
         """Integral of psi^dagger phi; conjugate-linear in the first slot."""
         if self.fiber_dim != other.fiber_dim:
             raise ValueError("fiber dimensions differ")
+        self._require_vector()
+        other._require_vector()
         acc = 0.0 + 0.0j
         for k, v in self.coeffs.items():
             w = other.coeffs.get(k)
@@ -233,11 +240,8 @@ class Section:
     def max_abs(self) -> float:
         best = 0.0
         for v in self.coeffs.values():
-            if v.dtype == object:
-                best = max(best, max((abs(e) for e in v), default=0.0))
-            else:
-                m = np.max(np.abs(v)) if v.size else 0.0
-                best = max(best, float(m))
+            if v.size:
+                best = max(best, float(np.max(np.abs(v))))
         return best
 
     def matmul(self, matrix: np.ndarray) -> "Section":

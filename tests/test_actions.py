@@ -17,6 +17,7 @@ from twistkit.actions import (
     manifold_lagrangian_action,
     overlapping_action_inputs,
     pairing_coefficients,
+    pairing_slots,
     promote_weyl_fields,
     route_spread,
     twisted_pairing,
@@ -33,7 +34,13 @@ from twistkit.geometries import (
     ElectrodynamicsGeometry,
 )
 from twistkit.grassmann import GrassmannNumber, pair_coefficient_matrix
-from twistkit.torus_fields import ZERO_MODE, FourierScalar, Section, negate_mode
+from twistkit.torus_fields import (
+    CELL_VOLUME,
+    ZERO_MODE,
+    FourierScalar,
+    Section,
+    negate_mode,
+)
 
 TOL = 1e-10
 BOOST_TOL = 1e-9
@@ -155,12 +162,17 @@ class TestPromotion:
         rng = np.random.default_rng(5)
         fields, _, _ = overlapping_action_inputs(rng, 3)
         pro = promote_weyl_fields(fields)
-        assert pro.n_generators == sum(2 * len(f.coeffs) for f in fields)
-        # each promoted amplitude is a_i * theta_i
+        n = pro.n_generators
+        assert n == sum(2 * len(f.coeffs) for f in fields)
+        # column i of the blocks is a_i theta_i at table[i] and zero elsewhere
         for i, (slot, comp, mode) in enumerate(pro.table):
-            val = pro.fields[slot].coeffs[mode][comp]
-            expected = pro.amplitudes[i] * GrassmannNumber.generator(i)
-            assert abs(val - expected) == 0.0
+            for s, field in enumerate(pro.fields):
+                for k, block in field.coeffs.items():
+                    assert block.shape == (2, n)
+                    expected = np.zeros(2, dtype=complex)
+                    if (s, k) == (slot, mode):
+                        expected[comp] = pro.amplitudes[i]
+                    np.testing.assert_array_equal(block[:, i], expected)
 
     def test_unit_fields_reconstruct(self):
         rng = np.random.default_rng(6)
@@ -205,6 +217,63 @@ class TestPromotion:
         assert abs(inner - vol * np.conj(2 + 1j) * (3 - 1j)) < 1e-9
         bil = bilinear_integral(s, t)
         assert abs(bil - vol * (2 + 1j) * 0.5j) < 1e-9
+
+
+def explicit_rows(section):
+    """Each block row as the Grassmann sum ``sum_i block[r, i] theta_i``."""
+    return {
+        k: [
+            sum((GrassmannNumber({(i,): c}) for i, c in enumerate(row)),
+                GrassmannNumber.zero())
+            for row in block
+        ]
+        for k, block in section.coeffs.items()
+    }
+
+
+def explicit_integral(first, second, conjugate):
+    """The mode and fiber sum of ``first`` and ``second`` in Grassmann arithmetic."""
+    rows, others = explicit_rows(first), explicit_rows(second)
+    acc = GrassmannNumber.zero()
+    for k, row in rows.items():
+        other = others.get(k if conjugate else negate_mode(k))
+        if other is None:
+            continue
+        for x, y in zip(row, other):
+            acc = acc + (x.conjugate() if conjugate else x) * y
+    return CELL_VOLUME * acc
+
+
+class TestBlocksAgainstOracle:
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_integrals_match_explicit_grassmann_sums(self, geo_name):
+        """Block pairings equal the generator-by-generator expansion."""
+        rng = np.random.default_rng(46)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=1)
+        if geo.n_sectors == 4:  # one mode pair keeps four fields at 16 generators
+            k = next(iter(w[0].coeffs))
+            w = [Section(2, {m: s.coeffs[m] for m in (k, negate_mode(k))}) for s in w]
+        pro = promote_weyl_fields(w)
+        assert pro.n_generators <= 16
+        left, right = pairing_slots(geo, geo.dressed_dirac(f, g))
+        if geo.n_sectors == 1:
+            lhs = left(geo.h_r_section(pro.fields[:1]))
+            rhs = right(geo.h_r_section(pro.fields[1:]))
+        else:
+            lhs = left(geo.h_r_section(list(pro.fields)))
+            rhs = right(geo.h_r_section(list(pro.fields)))
+        for integral, conjugate in ((grassmann_inner, True), (bilinear_integral, False)):
+            value = integral(lhs, rhs)
+            oracle = explicit_integral(lhs, rhs, conjugate)
+            assert abs(oracle) > 1.0
+            assert abs(value - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    def test_vector_and_block_do_not_pair(self):
+        pro = promote_weyl_fields([Section.plane_wave((1, 0, 0, 0), [1.0, 2.0])])
+        vector = Section.plane_wave((1, 0, 0, 0), np.ones(2, dtype=complex))
+        with pytest.raises(ValueError, match="amplitude shapes"):
+            grassmann_inner(vector, pro.fields[0])
 
 
 class TestOverlappingInputs:

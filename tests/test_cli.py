@@ -317,6 +317,13 @@ class TestActionCommand:
         error = float(proc.stdout.rsplit("comparison error:", 1)[1])
         assert error <= 1e-10
 
+    def test_listed_count_ignores_rounding_residues(self):
+        """Structurally zero pairings are not listed as nonzero coefficients."""
+        proc = run_cli("action", "--geometry", "manifold", "--seed", "1")
+        assert proc.returncode == 0
+        assert "generators: 16" in proc.stdout
+        assert "degree-two coefficients (24 nonzero):" in proc.stdout
+
     def test_electro_four_term_decomposition(self):
         proc = run_cli("action", "--geometry", "electro", "--d", "1j", "--seed", "3")
         assert proc.returncode == 0
@@ -435,6 +442,16 @@ class TestDispersionCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "determinant:" in proc.stdout
+
+    @pytest.mark.parametrize("axis", ["1e200,1e200,0", "1e-200,1e-200,0"])
+    def test_extreme_axis_scale_solves_like_unit_axis(self, axis):
+        argv = ("dispersion", "--kind", "boosted-weyl", "--rapidity", "1",
+                "--p", "0,0.4,0,1")
+        unit = run_cli(*argv, "--axis", "1,1,0")
+        scaled = run_cli(*argv, "--axis", axis)
+        assert unit.returncode == scaled.returncode == 0, scaled.stderr
+        assert "determinant: -1.16" in unit.stdout
+        assert scaled.stdout.split("\n", 1)[1] == unit.stdout.split("\n", 1)[1]
 
     def test_malformed_vector_usage_error(self):
         proc = run_cli("dispersion", "--kind", "weyl-left", "--p", "1,2")

@@ -76,6 +76,18 @@ class TestSpinBoost:
         with pytest.raises(ValueError):
             cl.SpinBoost(1.0, (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    def test_extreme_axis_scale_keeps_direction(self, scale):
+        """Axes whose squares overflow, go subnormal or underflow normalise
+        like (1, 1, 0)."""
+        s = cl.SpinBoost(0.5, (scale, scale, 0.0))
+        assert s.axis == cl.SpinBoost(0.5, (1.0, 1.0, 0.0)).axis
+
+    @pytest.mark.parametrize("axis", [(np.inf, 0.0, 0.0), (np.nan, 1.0, 0.0)])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="finite"):
+            cl.SpinBoost(0.5, axis)
+
     @given(rapidities, axes)
     @settings(max_examples=60, deadline=None)
     def test_self_adjoint_not_unitary(self, a, axis):

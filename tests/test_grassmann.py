@@ -124,12 +124,14 @@ class TestNumpyInterop:
         assert np.conj(arr)[0] == GrassmannNumber({(0,): 1.0 - 2.0j})
 
     def test_field_operator_acts_on_grassmann_section(self):
+        """The block ``[[1, 0], [0, 1]]`` is the amplitude ``(t0, t1)``."""
         t0, t1 = GrassmannNumber.generator(0), GrassmannNumber.generator(1)
-        sec = Section(2)
-        sec.coeffs[(1, 0, 0, 0)] = np.array([t0, t1], dtype=object)
+        sec = Section(2, {(1, 0, 0, 0): np.eye(2, dtype=complex)})
         d_op = FieldOperator.derivative(2, 0)
         out = d_op.apply(sec)
         v = out.coeffs[(1, 0, 0, 0)]
-        assert v[0] == 1j * t0
-        assert v[1] == 1j * t1
+        assert v.shape == (2, 2)
+        rows = [GrassmannNumber({(i,): c for i, c in enumerate(row)}) for row in v]
+        assert rows[0] == 1j * t0
+        assert rows[1] == 1j * t1
         assert out.max_abs() == 1.0

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,19 @@ class TestSections:
         t = s.matmul(m)
         for k, v in s.coeffs.items():
             np.testing.assert_allclose(t.coeffs[k], m @ v)
+
+    def test_block_refused_where_a_vector_is_needed(self):
+        """A Grassmann block has no complex L2 pairing and no scalar component."""
+        block = Section(2, {(1, 0, 0, 0): np.ones((2, 3), dtype=complex)})
+        vector = Section.plane_wave((1, 0, 0, 0), np.ones(2, dtype=complex))
+        for call in (
+            lambda: block.inner(vector),
+            lambda: vector.inner(block),
+            lambda: block.component(0),
+        ):
+            with pytest.raises(ValueError, match="Grassmann block"):
+                call()
+        assert block.max_abs() == 1.0
 
     def test_conjugate_flips_modes(self):
         s = Section.plane_wave((1, 2, 0, -1), np.array([1.0 + 1j, 0.0]))
