@@ -250,12 +250,9 @@ def fermionic_action_quadratic(
 
 
 def route_spread(*values) -> float:
-    """Largest pairwise difference between evaluation routes."""
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, abs(values[i] - values[j]))
-    return worst
+    """Largest pairwise difference between evaluation routes; NaN if any is."""
+    diffs = [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]]
+    return float(np.max(diffs, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -444,19 +441,6 @@ def weyl_potential_form(phi_w: Section, zeta_w: Section, f0: FourierScalar):
     return -2j * bilinear_integral(phi_w, _mult2(_S2, f0).apply(zeta_w))
 
 
-def weyl_vector_form(phi_w: Section, zeta_w: Section, g: Sequence[FourierScalar]):
-    """``2i int phi^T s2 sigma_j g_j zeta`` - the vector-potential sub-density."""
-    op = FieldOperator.zero(2)
-    for j in (1, 2, 3):
-        op = op + _mult2(_S2 @ PAULI[j - 1], g[j])
-    return 2j * bilinear_integral(phi_w, op.apply(zeta_w))
-
-
-def weyl_mass_form(phi_w: Section, zeta_w: Section):
-    """``-2 int phi^T s2 zeta`` - the sector-mixing sub-density."""
-    return -2 * bilinear_integral(phi_w, zeta_w.matmul(_S2))
-
-
 def electro_operator_pieces(geometry, f, g) -> dict[str, FieldOperator]:
     """Split the dressed four-sector operator into its four summands."""
     zeros = [FourierScalar.zero()] * 4
@@ -473,13 +457,8 @@ def electro_operator_pieces(geometry, f, g) -> dict[str, FieldOperator]:
 # ---------------------------------------------------------------------------
 
 
-def random_weyl_fields(
-    rng, n_fields: int, cutoff: int = 1, n_modes: int = 2, scale: float = 1.0
-) -> list[Section]:
-    return [
-        random_section(rng, 2, cutoff=cutoff, n_modes=n_modes, scale=scale)
-        for _ in range(n_fields)
-    ]
+def random_weyl_fields(rng, n_fields: int, cutoff: int = 1) -> list[Section]:
+    return [random_section(rng, 2, cutoff=cutoff, n_modes=2) for _ in range(n_fields)]
 
 
 def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1, fiber: int = 2):

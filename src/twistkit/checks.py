@@ -1692,11 +1692,7 @@ REGISTRY: tuple[CheckSpec, ...] = (
 )
 
 
-def _registry_ids() -> list[str]:
-    return [spec.check_id for spec in REGISTRY]
-
-
-if len(set(_registry_ids())) != len(REGISTRY):
+if len({spec.check_id for spec in REGISTRY}) != len(REGISTRY):
     raise RuntimeError("duplicate check ids in registry")
 
 

@@ -339,6 +339,9 @@ def cmd_action(args) -> int:
     engine = fermionic_action(geo, op, promoted)
     quadratic = fermionic_action_quadratic(geo, op, promoted)
     closed = geo.closed_form_action(promoted.fields, f, g)
+    for label, value in (("engine", engine), ("closed-form", closed)):
+        if not np.isfinite(list(value.coeffs.values())).all():
+            raise UsageError(f"the {label} action is not finite: the input overflows")
     spread = route_spread(engine, closed, quadratic)
 
     n = promoted.n_generators

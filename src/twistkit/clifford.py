@@ -71,10 +71,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def twist_gamma(mu: int) -> np.ndarray:
     """Conjugation of gamma^mu by gamma^0; equals -gamma^j for spatial mu."""
     return GAMMA0 @ GAMMA[mu] @ GAMMA0

@@ -92,11 +92,6 @@ class Element:
             tuple(f * g for f, g in zip(self.primed, other.primed)),
         )
 
-    @staticmethod
-    def identity(n_slots: int) -> "Element":
-        one = FourierScalar.one()
-        return Element((one,) * n_slots, (one,) * n_slots)
-
     def unitarity_defect(self) -> float:
         one = FourierScalar.one()
         prod = self * self.star()
@@ -105,10 +100,10 @@ class Element:
         )
 
 
-def random_element(rng, n_slots: int, cutoff: int = 2, n_modes: int = 3) -> Element:
+def random_element(rng, n_slots: int, cutoff: int = 2) -> Element:
     return Element(
-        tuple(random_scalar(rng, cutoff, n_modes) for _ in range(n_slots)),
-        tuple(random_scalar(rng, cutoff, n_modes) for _ in range(n_slots)),
+        tuple(random_scalar(rng, cutoff, 3) for _ in range(n_slots)),
+        tuple(random_scalar(rng, cutoff, 3) for _ in range(n_slots)),
     )
 
 

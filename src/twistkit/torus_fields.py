@@ -136,13 +136,12 @@ def random_scalar(
     cutoff: int = 2,
     n_modes: int = 4,
     real: bool = False,
-    scale: float = 1.0,
 ) -> FourierScalar:
     """A random finite Fourier sum with modes in the box |k|_inf <= cutoff."""
     out: dict[Mode, complex] = {}
     for _ in range(n_modes):
         k = tuple(int(m) for m in rng.integers(-cutoff, cutoff + 1, size=4))
-        c = scale * (rng.normal() + 1j * rng.normal())
+        c = rng.normal() + 1j * rng.normal()
         out[k] = out.get(k, 0.0) + c
     f = FourierScalar(_cleaned(out))
     if real:
@@ -164,10 +163,6 @@ class Section:
                 if v.ndim not in (1, 2) or v.shape[0] != self.fiber_dim:
                     raise ValueError("amplitude shape does not match fiber dimension")
                 self.coeffs[tuple(k)] = v
-
-    @staticmethod
-    def zero(fiber_dim: int) -> "Section":
-        return Section(fiber_dim)
 
     @staticmethod
     def plane_wave(mode: Iterable[int], amplitude: np.ndarray) -> "Section":
@@ -238,11 +233,9 @@ class Section:
         return CELL_VOLUME * acc
 
     def max_abs(self) -> float:
-        best = 0.0
-        for v in self.coeffs.values():
-            if v.size:
-                best = max(best, float(np.max(np.abs(v))))
-        return best
+        """Largest amplitude modulus; NaN if any amplitude is NaN."""
+        peaks = [np.max(np.abs(v)) for v in self.coeffs.values() if v.size]
+        return float(np.max(peaks, initial=0.0))
 
     def matmul(self, matrix: np.ndarray) -> "Section":
         """Apply a constant fiber matrix to every amplitude."""
@@ -257,12 +250,11 @@ def random_section(
     fiber_dim: int,
     cutoff: int = 2,
     n_modes: int = 3,
-    scale: float = 1.0,
 ) -> Section:
     out = Section(fiber_dim)
     for _ in range(n_modes):
         k = tuple(int(m) for m in rng.integers(-cutoff, cutoff + 1, size=4))
-        v = scale * (rng.normal(size=fiber_dim) + 1j * rng.normal(size=fiber_dim))
+        v = rng.normal(size=fiber_dim) + 1j * rng.normal(size=fiber_dim)
         if k in out.coeffs:
             out.coeffs[k] = out.coeffs[k] + v
         else:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twistkit.clifford import IDENTITY_BOOST, SpinBoost
+from twistkit.clifford import IDENTITY_BOOST, PAULI, SpinBoost
 from twistkit.actions import (
     bilinear_integral,
     boosted_pairing,
@@ -24,9 +24,7 @@ from twistkit.actions import (
     unit_weyl_fields,
     untwisted_pairing,
     weyl_derivative_form,
-    weyl_mass_form,
     weyl_potential_form,
-    weyl_vector_form,
 )
 from twistkit.geometries import (
     DOUBLED,
@@ -34,6 +32,7 @@ from twistkit.geometries import (
     ElectrodynamicsGeometry,
 )
 from twistkit.grassmann import GrassmannNumber, pair_coefficient_matrix
+from twistkit.operator_algebra import FieldOperator, function_matrix_sum
 from twistkit.torus_fields import (
     CELL_VOLUME,
     ZERO_MODE,
@@ -330,6 +329,13 @@ class TestClosedForms:
             assert route_spread(eng, lag, quad) < TOL
             assert abs(eng) > 1.0
 
+    def test_route_spread_propagates_nan(self):
+        one = GrassmannNumber({(0, 1): 1.0})
+        nan = GrassmannNumber({(0, 1): complex("nan")})
+        assert np.isnan(route_spread(one, one, nan))
+        assert np.isnan(route_spread(nan, one, one))
+        assert route_spread(one, one) == 0.0
+
 
 class TestManifoldAction:
     def test_spatial_potential_is_silent(self):
@@ -354,6 +360,22 @@ class TestDoubledAction:
         single = fermionic_action(MANIFOLD, MANIFOLD.dressed_dirac(f, None), pro)
         double = fermionic_action(DOUBLED, DOUBLED.dressed_dirac(f, None), pro)
         assert abs(double - 2 * single) < TOL
+
+
+_S2 = PAULI[1]
+
+
+def weyl_vector_form(phi_w: Section, zeta_w: Section, g):
+    """``2i int phi^T s2 sigma_j g_j zeta`` - the vector-potential sub-density."""
+    op = FieldOperator.zero(2)
+    for j in (1, 2, 3):
+        op = op + function_matrix_sum(2, [(_S2 @ PAULI[j - 1], g[j])])
+    return 2j * bilinear_integral(phi_w, op.apply(zeta_w))
+
+
+def weyl_mass_form(phi_w: Section, zeta_w: Section):
+    """``-2 int phi^T s2 zeta`` - the sector-mixing sub-density."""
+    return -2 * bilinear_integral(phi_w, zeta_w.matmul(_S2))
 
 
 class TestElectroAction:

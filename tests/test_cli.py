@@ -111,10 +111,10 @@ class TestRunner:
         assert ids == sorted(ids)
         assert all(r.seed == 11 for r in records)
 
-    def test_group_filter_preserves_streams(self):
+    def test_group_filter_preserves_streams(self, seed11_run):
         """Filtering must not shift any check's random draws."""
-        full = {r.check_id: r.max_abs_error for r in run_checks(RunConfig(seed=4))}
-        part = run_checks(RunConfig(seed=4, groups=("dynamics",)))
+        full = {r.check_id: r.max_abs_error for r in seed11_run[1]}
+        part = run_checks(RunConfig(seed=11, groups=("dynamics",)))
         for rec in part:
             assert rec.max_abs_error == full[rec.check_id]
 
@@ -359,6 +359,20 @@ class TestActionCommand:
         proc = run_cli("action", "--weyl-file", str(data))
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
+
+    def test_overflowing_action_usage_error(self, tmp_path):
+        """Finite amplitudes whose action overflows are refused, not passed."""
+        data = tmp_path / "huge.json"
+        term = {"amplitude": [[1e200, 0], [1e200, 0]]}
+        data.write_text(
+            json.dumps(
+                {"fields": [[{"mode": [0, 0, 0, 1], **term}], [{"mode": [0, 0, 0, -1], **term}]]}
+            )
+        )
+        proc = run_cli("action", "--weyl-file", str(data))
+        assert proc.returncode == 2
+        assert "engine action is not finite" in proc.stderr
+        assert "coefficients" not in proc.stdout
 
     def test_malformed_file_usage_error(self, tmp_path):
         data = tmp_path / "broken.json"

@@ -125,6 +125,14 @@ class TestSections:
                 call()
         assert block.max_abs() == 1.0
 
+    def test_max_abs_propagates_nan_in_any_mode_order(self):
+        nan_mode = ((1, 0, 0, 0), np.array([np.nan, 0.0]))
+        finite_mode = ((0, 1, 0, 0), np.array([1.0, 0.0]))
+        for modes in ([nan_mode, finite_mode], [finite_mode, nan_mode], [nan_mode]):
+            assert np.isnan(Section(2, dict(modes)).max_abs())
+        assert Section(2, dict([finite_mode])).max_abs() == 1.0
+        assert Section(2).max_abs() == 0.0
+
     def test_conjugate_flips_modes(self):
         s = Section.plane_wave((1, 2, 0, -1), np.array([1.0 + 1j, 0.0]))
         t = s.conjugate()
