@@ -1,17 +1,27 @@
 """Seeded verification registry behind the command-line runner.
 
-Each check is a pure function of a dedicated random stream plus the run
-configuration and returns the largest absolute defect it measured, or
-``None`` when the configuration makes it inapplicable (which becomes a
-``skip`` record).  Streams are spawned from the root seed by fixed registry
-position, so filtering by group never changes what any individual check
-draws.
+A check is a generator of residuals, registered where it is defined::
 
-Two reporting conventions keep the JSON strict and reproducible:
+    @check("group.name", tolerance, "the paper's claim")
+    def _chk_name(rng, cfg):
+        ...
+        yield residual
 
-* boolean predicate failures and skipped checks report ``SENTINEL_ERROR``
-  instead of ``inf``/``nan``, preserving both serializability and the rule
-  that a record passes exactly when ``max_abs_error <= tolerance``;
+It draws from a dedicated random stream and reads the run configuration,
+and yields the absolute defects it measures, each of which should sit at
+machine epsilon.  A check that yields nothing (a bare ``return`` when the
+configuration makes it inapplicable) is a ``skip``.  Streams are spawned from
+the root seed by registry position, which is definition order, so filtering
+by group never changes what any individual check draws.
+
+One reduction, :func:`reduce_residuals`, turns the residuals into the
+record's error: their maximum, which propagates NaN.  Two reporting
+conventions keep the JSON strict and reproducible:
+
+* boolean predicate failures, skipped checks and NaN or infinite errors
+  report ``SENTINEL_ERROR`` instead of ``inf``/``nan``, preserving both
+  serializability and the rule that a record passes exactly when
+  ``max_abs_error <= tolerance``;
 * ``elapsed_ms`` in the JSON document is always ``0.0`` - wall-clock noise
   would break byte-level reproducibility - while the real per-check timing
   is kept on the in-memory records for the human-readable summary.
@@ -19,10 +29,11 @@ Two reporting conventions keep the JSON strict and reproducible:
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +138,7 @@ _I2 = np.eye(2)
 
 
 # ---------------------------------------------------------------------------
-# run configuration and records
+# run configuration, records and registration
 # ---------------------------------------------------------------------------
 
 
@@ -197,6 +208,38 @@ class CheckSpec:
         return self.check_id.partition(".")[0]
 
 
+# Definition order is registry order, and registry order is stream order.
+REGISTRY: tuple[CheckSpec, ...] = ()
+
+
+def check(check_id: str, tolerance: float, paper_ref: str):
+    """Register the decorated generator of residuals as check ``check_id``."""
+
+    def register(fn):
+        global REGISTRY
+        if any(spec.check_id == check_id for spec in REGISTRY):
+            raise ValueError(f"duplicate check id {check_id!r}")
+        if not inspect.isgeneratorfunction(fn):
+            raise TypeError(f"check {check_id!r} must be a generator of residuals")
+        REGISTRY += (CheckSpec(check_id, paper_ref, tolerance, fn),)
+        return fn
+
+    return register
+
+
+def reduce_residuals(residuals: Iterable[float]) -> Optional[float]:
+    """A check's error: its largest residual, or ``None`` when it yields none.
+
+    The maximum propagates NaN; a NaN or infinite maximum (and anything past
+    the sentinel) reports ``SENTINEL_ERROR``.
+    """
+    values = list(residuals)
+    if not values:
+        return None
+    error = float(np.max(values))
+    return min(error, SENTINEL_ERROR) if np.isfinite(error) else SENTINEL_ERROR
+
+
 # ---------------------------------------------------------------------------
 # shared draw helpers
 # ---------------------------------------------------------------------------
@@ -206,17 +249,31 @@ def _fail_unless(condition: bool) -> float:
     return 0.0 if condition else SENTINEL_ERROR
 
 
-def _closed_form_error(geo, pro, f, g, boost=None):
-    """(error, engine value) of the dressed action on promoted ``pro``.
+def _closed_form_residuals(geo, pro, f, g, boost=None):
+    """Yield the dressed action's residuals on promoted ``pro``; return its value.
 
-    The error is the engine's distance to the geometry's closed density and
-    to the quadratic route, or the sentinel when the engine value vanishes.
+    The residuals are the engine's distance to the geometry's closed density
+    and to the quadratic route, and the sentinel when the engine value vanishes.
     """
     op = geo.dressed_dirac(f, g)
     eng = fermionic_action(geo, op, pro, boost=boost)
     lag = geo.closed_form_action(pro.fields, f, g, boost)
     quad = fermionic_action_quadratic(geo, op, pro, boost=boost)
-    return max(abs(eng - lag), abs(eng - quad), _fail_unless(abs(eng) > 1e-6)), eng
+    yield abs(eng - lag)
+    yield abs(eng - quad)
+    yield _fail_unless(abs(eng) > 1e-6)
+    return eng
+
+
+def _random_one_form(rng, geo, cutoff: int):
+    """One product of two random elements: 2 x ``geo.n_slots`` x 2 scalars."""
+    a, b = (random_element(rng, geo.n_slots, cutoff=cutoff) for _ in range(2))
+    return geo.one_form([(a, b)])
+
+
+def _random_mode(rng, r: int) -> tuple[int, ...]:
+    """A Fourier mode with integer components in [-r, r]: 4 integers."""
+    return tuple(int(v) for v in rng.integers(-r, r + 1, size=4))
 
 
 def _geometries(rng):
@@ -244,70 +301,79 @@ def _half_cap(cfg: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "clifford.euclidean_anticommutators",
+    1e-14,
+    "gamma matrices pair to twice the Kronecker delta; the grading twist flips the "
+    "spatial ones",
+)
 def _chk_euclidean_anticommutators(rng, cfg):
     """Euclidean gamma table, chirality element, grading twist.  Draws: none."""
-    err = 0.0
     eye = np.eye(4)
     for mu in range(4):
         for nu in range(mu, 4):
             target = 2.0 * (mu == nu) * eye
-            err = max(err, np.abs(anticommutator(GAMMA[mu], GAMMA[nu]) - target).max())
-        err = max(err, np.abs(anticommutator(GAMMA5, GAMMA[mu])).max())
-    err = max(err, np.abs(GAMMA5 @ GAMMA5 - eye).max())
-    err = max(err, np.abs(GAMMA5 - GAMMA5.conj().T).max())
-    err = max(err, np.abs(twist_gamma(0) - GAMMA[0]).max())
+            yield np.abs(anticommutator(GAMMA[mu], GAMMA[nu]) - target).max()
+        yield np.abs(anticommutator(GAMMA5, GAMMA[mu])).max()
+    yield np.abs(GAMMA5 @ GAMMA5 - eye).max()
+    yield np.abs(GAMMA5 - GAMMA5.conj().T).max()
+    yield np.abs(twist_gamma(0) - GAMMA[0]).max()
     for j in (1, 2, 3):
-        err = max(err, np.abs(twist_gamma(j) + GAMMA[j]).max())
-    return err
+        yield np.abs(twist_gamma(j) + GAMMA[j]).max()
 
 
+@check(
+    "clifford.minkowski_anticommutators",
+    1e-14,
+    "flat-metric gamma matrices pair to twice the metric",
+)
 def _chk_minkowski_anticommutators(rng, cfg):
     """Flat-metric gamma table; shared time component.  Draws: none."""
-    err = 0.0
     eye = np.eye(4)
     for mu in range(4):
         for nu in range(mu, 4):
             target = 2.0 * ETA[mu, nu] * eye
-            err = max(
-                err, np.abs(anticommutator(GAMMA_M[mu], GAMMA_M[nu]) - target).max()
-            )
-    err = max(err, np.abs(GAMMA_M[0] - GAMMA[0]).max())
-    return err
+            yield np.abs(anticommutator(GAMMA_M[mu], GAMMA_M[nu]) - target).max()
+    yield np.abs(GAMMA_M[0] - GAMMA[0]).max()
 
 
+@check(
+    "clifford.sigma_pair_identities",
+    1e-14,
+    "two-by-two sigma blocks assemble the gammas and trace to the metric",
+)
 def _chk_sigma_pair_identities(rng, cfg):
     """Two-by-two blocks assemble the gammas and pair into the metric.
 
     Draws: none.
     """
-    err = 0.0
     zero2 = np.zeros((2, 2))
     for mu in range(4):
         for nu in range(4):
             de = 2.0 * (mu == nu) * _I2
             dm = 2.0 * ETA[mu, nu] * _I2
-            err = max(
-                err,
-                np.abs(
-                    SIGMA[mu] @ SIGMA_TILDE[nu] + SIGMA[nu] @ SIGMA_TILDE[mu] - de
-                ).max(),
-                np.abs(
-                    SIGMA_TILDE[mu] @ SIGMA[nu] + SIGMA_TILDE[nu] @ SIGMA[mu] - de
-                ).max(),
-                np.abs(
-                    SIGMA_M[mu] @ SIGMA_M_BAR[nu]
-                    + SIGMA_M[nu] @ SIGMA_M_BAR[mu]
-                    - dm
-                ).max(),
-                abs(np.trace(SIGMA_M[mu] @ SIGMA_M_BAR[nu]) - 2.0 * ETA[mu, nu]),
-            )
+            yield np.abs(
+                SIGMA[mu] @ SIGMA_TILDE[nu] + SIGMA[nu] @ SIGMA_TILDE[mu] - de
+            ).max()
+            yield np.abs(
+                SIGMA_TILDE[mu] @ SIGMA[nu] + SIGMA_TILDE[nu] @ SIGMA[mu] - de
+            ).max()
+            yield np.abs(
+                SIGMA_M[mu] @ SIGMA_M_BAR[nu] + SIGMA_M[nu] @ SIGMA_M_BAR[mu] - dm
+            ).max()
+            yield abs(np.trace(SIGMA_M[mu] @ SIGMA_M_BAR[nu]) - 2.0 * ETA[mu, nu])
         block = np.block([[zero2, SIGMA[mu]], [SIGMA_TILDE[mu], zero2]])
-        err = max(err, np.abs(GAMMA[mu] - block).max())
+        yield np.abs(GAMMA[mu] - block).max()
         block_m = np.block([[zero2, SIGMA_M[mu]], [SIGMA_M_BAR[mu], zero2]])
-        err = max(err, np.abs(GAMMA_M[mu] - block_m).max())
-    return err
+        yield np.abs(GAMMA_M[mu] - block_m).max()
 
 
+@check(
+    "clifford.spin_boost_structure",
+    1e-12,
+    "self-adjoint non-unitary spin boosts with mutually inverse half-blocks swapped "
+    "by conjugation",
+)
 def _chk_spin_boost_structure(rng, cfg):
     """Boost half-blocks: mutual inverses, self-adjoint, non-unitary, the
     grading twist inverts them and conjugation swaps them.
@@ -315,26 +381,30 @@ def _chk_spin_boost_structure(rng, cfg):
     Draws: 6 boosts x (1 uniform + 3 normals).  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     eye4 = np.eye(4)
     for _ in range(6):
         b = _draw_boost(rng, cfg)
         lp, lm = b.lambda_plus, b.lambda_minus
-        err = max(err, np.abs(lp @ lm - _I2).max())
-        err = max(err, np.abs(lp - lp.conj().T).max())
-        err = max(err, np.abs(lm - lm.conj().T).max())
-        err = max(err, abs(np.linalg.det(lp) - 1.0))
+        yield np.abs(lp @ lm - _I2).max()
+        yield np.abs(lp - lp.conj().T).max()
+        yield np.abs(lm - lm.conj().T).max()
+        yield abs(np.linalg.det(lp) - 1.0)
         s = b.matrix
         zero2 = np.zeros((2, 2))
-        err = max(err, np.abs(s - np.block([[lm, zero2], [zero2, lp]])).max())
-        err = max(err, np.abs(s - s.conj().T).max())
-        err = max(err, np.abs(GAMMA[0] @ s @ GAMMA[0] - b.inverse).max())
-        err = max(err, np.abs(_S2 @ np.conj(lp) @ _S2 - lm).max())
-        err = max(err, _fail_unless(np.abs(s.conj().T @ s - eye4).max() > 1e-6))
-    return err
+        yield np.abs(s - np.block([[lm, zero2], [zero2, lp]])).max()
+        yield np.abs(s - s.conj().T).max()
+        yield np.abs(GAMMA[0] @ s @ GAMMA[0] - b.inverse).max()
+        yield np.abs(_S2 @ np.conj(lp) @ _S2 - lm).max()
+        yield _fail_unless(np.abs(s.conj().T @ s - eye4).max() > 1e-6)
 
 
+@check(
+    "clifford.lorentz_extraction_routes",
+    1e-12,
+    "vector boost matrix from the spinor one: trace route, sigma decomposition, "
+    "metric preservation, rapidity additivity",
+)
 def _chk_lorentz_extraction_routes(rng, cfg):
     """Vector matrix from the spin boost: independent trace extraction,
     sigma-block decomposition, metric preservation, additivity, covectors.
@@ -343,15 +413,14 @@ def _chk_lorentz_extraction_routes(rng, cfg):
     3 probe covectors x 4 normals.  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     for _ in range(4):
         b = _draw_boost(rng, cfg)
         lam = lorentz_matrix(b)
-        err = max(err, np.abs(lam @ ETA @ lam.T - ETA).max())
-        err = max(err, np.abs(lam.T @ ETA @ lam - ETA).max())
-        err = max(err, abs(np.linalg.det(lam) - 1.0))
-        err = max(err, _fail_unless(lam[0, 0] >= 1.0 - 1e-12))
+        yield np.abs(lam @ ETA @ lam.T - ETA).max()
+        yield np.abs(lam.T @ ETA @ lam - ETA).max()
+        yield abs(np.linalg.det(lam) - 1.0)
+        yield _fail_unless(lam[0, 0] >= 1.0 - 1e-12)
         trace_route = np.zeros((4, 4), dtype=complex)
         for mu in range(4):
             phase = 1.0 if mu == 0 else 1j
@@ -359,27 +428,20 @@ def _chk_lorentz_extraction_routes(rng, cfg):
             y = phase * b.sigma_boosted(mu)
             for a in range(4):
                 trace_route[mu, a] = np.trace(SIGMA_M[a] @ x) / (2.0 * ETA[a, a])
-            err = max(
-                err,
-                np.abs(
-                    x - sum(lam[mu, nu] * SIGMA_M_BAR[nu] for nu in range(4))
-                ).max(),
-                np.abs(y - sum(lam[mu, nu] * SIGMA_M[nu] for nu in range(4))).max(),
-            )
-        err = max(err, np.abs(trace_route - lam).max())
+            yield np.abs(
+                x - sum(lam[mu, nu] * SIGMA_M_BAR[nu] for nu in range(4))
+            ).max()
+            yield np.abs(y - sum(lam[mu, nu] * SIGMA_M[nu] for nu in range(4))).max()
+        yield np.abs(trace_route - lam).max()
         for _ in range(3):
             p = rng.standard_normal(4)
-            err = max(err, np.abs(boost_covector(b, p) - lam.T @ p).max())
+            yield np.abs(boost_covector(b, p) - lam.T @ p).max()
     axis = tuple(rng.standard_normal(3))
     h1, h2 = rng.uniform(0.05, 0.5, size=2)
-    err = max(
-        err,
-        np.abs(
-            lorentz_matrix(SpinBoost(h1 + h2, axis))
-            - lorentz_matrix(SpinBoost(h1, axis)) @ lorentz_matrix(SpinBoost(h2, axis))
-        ).max(),
-    )
-    return err
+    yield np.abs(
+        lorentz_matrix(SpinBoost(h1 + h2, axis))
+        - lorentz_matrix(SpinBoost(h1, axis)) @ lorentz_matrix(SpinBoost(h2, axis))
+    ).max()
 
 
 # ---------------------------------------------------------------------------
@@ -387,185 +449,175 @@ def _chk_lorentz_extraction_routes(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "axioms.order_zero", 1e-12, "represented algebra commutes with its conjugated copy"
+)
 def _chk_order_zero(rng, cfg):
     """Represented elements commute with conjugated ones.
 
     Draws: 2 normals (mass) + per geometry 4 rounds x 2 elements.
     """
-    err = 0.0
     for geo in _geometries(rng):
         for _ in range(4):
             a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             b = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             opp = geo.real_conjugate(geo.represent(b))
-            err = max(err, op_commutator(geo.represent(a), opp).max_abs())
-    return err
+            yield op_commutator(geo.represent(a), opp).max_abs()
 
 
+@check(
+    "axioms.twisted_first_order",
+    1e-12,
+    "twisted commutators commute with the conjugated algebra up to the twist",
+)
 def _chk_twisted_first_order(rng, cfg):
     """Twisted commutators commute with the conjugated algebra up to twist.
 
     Draws: 2 normals + per geometry 4 rounds x 2 elements.
     """
-    err = 0.0
     for geo in _geometries(rng):
         for _ in range(4):
             a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             b = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             t = geo.twisted_commutator(a)
             opp = geo.real_conjugate(geo.represent(b))
-            err = max(err, (t @ opp - geo.twist(opp) @ t).max_abs())
-    return err
+            yield (t @ opp - geo.twist(opp) @ t).max_abs()
 
 
+@check(
+    "axioms.ko_signs",
+    1e-12,
+    "conjugation squares to minus one, commutes with the operator, carries the "
+    "per-geometry grading sign, anticommutes with the twist unitary",
+)
 def _chk_ko_signs(rng, cfg):
     """Sign table of the real structure against each geometry's data table,
     plus the unitary self-adjoint involution implementing the twist.
 
     Draws: 2 normals (mass).
     """
-    err = 0.0
     for geo in _geometries(rng):
         j = geo.real_structure
         dim = geo.fiber_dim
-        err = max(
-            err,
-            normal_form_distance(j @ j, FieldOperator.identity(dim).scale(-1.0)),
-        )
-        err = max(err, normal_form_distance(j @ geo.dirac, geo.dirac @ j))
+        yield normal_form_distance(j @ j, FieldOperator.identity(dim).scale(-1.0))
+        yield normal_form_distance(j @ geo.dirac, geo.dirac @ j)
         g = FieldOperator.from_matrix(geo.grading_matrix)
         sign = geo.ko_signs[2]
-        err = max(err, normal_form_distance(j @ g, (g @ j).scale(sign)))
+        yield normal_form_distance(j @ g, (g @ j).scale(sign))
         r = geo.r_operator
-        err = max(err, normal_form_distance(j @ r, (r @ j).scale(-1.0)))
+        yield normal_form_distance(j @ r, (r @ j).scale(-1.0))
         rm = geo.r_matrix
-        err = max(err, np.abs(rm @ rm - np.eye(dim)).max())
-        err = max(err, np.abs(rm - rm.conj().T).max())
-    return err
+        yield np.abs(rm @ rm - np.eye(dim)).max()
+        yield np.abs(rm - rm.conj().T).max()
 
 
+@check(
+    "axioms.rho_adjoint_involution",
+    1e-10,
+    "the flip is conjugation by the twist unitary and its adjoint is involutive, also "
+    "through the twisted product",
+)
 def _chk_rho_adjoint_involution(rng, cfg):
     """The flip is conjugation by the involution, squares to the identity,
     and its adjoint moves through the twisted product.
 
     Draws: 2 normals + per geometry 3 rounds x (3 elements + 2 sections).
     """
-    err = 0.0
     for geo in _geometries(rng):
         for _ in range(3):
             a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
-            err = max(
-                err,
-                normal_form_distance(
-                    geo.twist(geo.represent(a)), geo.represent(a.flip())
-                ),
+            yield normal_form_distance(
+                geo.twist(geo.represent(a)), geo.represent(a.flip())
             )
-            om = geo.one_form(
-                [
-                    (
-                        random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff),
-                        random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff),
-                    )
-                ]
-            )
-            err = max(err, normal_form_distance(geo.twist(geo.twist(om)), om))
+            om = _random_one_form(rng, geo, cfg.mode_cutoff)
+            yield normal_form_distance(geo.twist(geo.twist(om)), om)
             plus = geo.twist(om).adjoint()
-            err = max(err, normal_form_distance(geo.twist(plus).adjoint(), om))
+            yield normal_form_distance(geo.twist(plus).adjoint(), om)
             phi = random_section(rng, geo.fiber_dim, cutoff=1, n_modes=3)
             xi = random_section(rng, geo.fiber_dim, cutoff=1, n_modes=3)
             lhs = phi.inner(geo.r_operator.apply(om.apply(xi)))
             rhs = plus.apply(phi).inner(geo.r_operator.apply(xi))
-            err = max(err, abs(lhs - rhs))
-    return err
+            yield abs(lhs - rhs)
 
 
+@check(
+    "axioms.grading_relations",
+    1e-12,
+    "grading is a self-adjoint involution, odd for the operator, even for the algebra",
+)
 def _chk_grading_relations(rng, cfg):
     """Grading squares to one, is self-adjoint, anticommutes with the
     operator and commutes with the algebra.
 
     Draws: 2 normals + per geometry 2 elements.
     """
-    err = 0.0
     for geo in _geometries(rng):
         g = geo.grading_matrix
-        err = max(err, np.abs(g @ g - np.eye(geo.fiber_dim)).max())
-        err = max(err, np.abs(g - g.conj().T).max())
+        yield np.abs(g @ g - np.eye(geo.fiber_dim)).max()
+        yield np.abs(g - g.conj().T).max()
         g_op = FieldOperator.from_matrix(g)
-        err = max(
-            err, normal_form_distance(g_op @ geo.dirac, (geo.dirac @ g_op).scale(-1.0))
-        )
+        yield normal_form_distance(g_op @ geo.dirac, (geo.dirac @ g_op).scale(-1.0))
         for _ in range(2):
             pa = geo.represent(random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff))
-            err = max(err, op_commutator(g_op, pa).max_abs())
-    return err
+            yield op_commutator(g_op, pa).max_abs()
 
 
+@check(
+    "axioms.full_axiom_suite",
+    1e-12,
+    "star homomorphism, evenness, and both order conditions at volume",
+)
 def _chk_full_axiom_suite(rng, cfg):
     """Volume battery: homomorphism, star, evenness, order conditions.
 
     Draws: 2 normals + 20 rounds (7 + 7 + 6 across the geometries) x 2
     elements each.
     """
-    err = 0.0
     for geo, rounds in zip(_geometries(rng), (7, 7, 6)):
         g_op = FieldOperator.from_matrix(geo.grading_matrix)
         for _ in range(rounds):
             a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             b = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
             pa, pb = geo.represent(a), geo.represent(b)
-            err = max(err, normal_form_distance(geo.represent(a * b), pa @ pb))
-            err = max(err, normal_form_distance(geo.represent(a.star()), pa.adjoint()))
-            err = max(err, op_commutator(g_op, pa).max_abs())
+            yield normal_form_distance(geo.represent(a * b), pa @ pb)
+            yield normal_form_distance(geo.represent(a.star()), pa.adjoint())
+            yield op_commutator(g_op, pa).max_abs()
             opp = geo.real_conjugate(pb)
-            err = max(err, op_commutator(pa, opp).max_abs())
+            yield op_commutator(pa, opp).max_abs()
             t = geo.twisted_commutator(a)
-            err = max(err, (t @ opp - geo.twist(opp) @ t).max_abs())
-    return err
+            yield (t @ opp - geo.twist(opp) @ t).max_abs()
 
 
+@check(
+    "axioms.fluctuation_round_trip",
+    1e-12,
+    "potential extraction inverts fluctuation assembly on every geometry",
+)
 def _chk_fluctuation_round_trip(rng, cfg):
     """Potential extraction inverts assembly on every geometry.
 
     Draws: 2 normals + 2 manifold one-form pairs + per sectored geometry
     (2 one-form pairs + 8 real scalars).
     """
-    err = 0.0
     man, dbl, elec = _geometries(rng)
     for _ in range(2):
-        om = man.one_form(
-            [
-                (
-                    random_element(rng, 1, cutoff=cfg.mode_cutoff),
-                    random_element(rng, 1, cutoff=cfg.mode_cutoff),
-                )
-            ]
-        )
+        om = _random_one_form(rng, man, cfg.mode_cutoff)
         h, hp = man.one_form_parameters(om)
         rebuilt = man.one_form_from_parameters(h, hp)
-        err = max(err, operator_equal(om, rebuilt, probe_cutoff=cfg.probe_cutoff).max_abs_error)
+        yield operator_equal(om, rebuilt, probe_cutoff=cfg.probe_cutoff).max_abs_error
     for geo in (dbl, elec):
         for _ in range(2):
-            fl = geo.fluctuation(
-                geo.one_form(
-                    [
-                        (
-                            random_element(rng, 2, cutoff=cfg.mode_cutoff),
-                            random_element(rng, 2, cutoff=cfg.mode_cutoff),
-                        )
-                    ]
-                )
-            )
+            fl = geo.fluctuation(_random_one_form(rng, geo, cfg.mode_cutoff))
             z, zp = geo.fluctuation_parameters(fl)
             rebuilt = geo.fluctuation_from_z(z, zp)
-            err = max(
-                err, operator_equal(fl, rebuilt, probe_cutoff=cfg.probe_cutoff).max_abs_error
-            )
+            cmp_res = operator_equal(fl, rebuilt, probe_cutoff=cfg.probe_cutoff)
+            yield cmp_res.max_abs_error
         f = [random_scalar(rng, real=True) for _ in range(4)]
         g = [random_scalar(rng, real=True) for _ in range(4)]
         f2, g2 = geo.vector_potentials(geo.selfadjoint_fluctuation(f, g))
         for mu in range(4):
-            err = max(err, (f2[mu] - f[mu]).max_abs(), (g2[mu] - g[mu]).max_abs())
-    return err
+            yield (f2[mu] - f[mu]).max_abs()
+            yield (g2[mu] - g[mu]).max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -573,98 +625,107 @@ def _chk_fluctuation_round_trip(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "manifold.integration_by_parts",
+    1e-12,
+    "total derivatives integrate away and the flat operator is symmetric",
+)
 def _chk_integration_by_parts(rng, cfg):
     """Total derivatives integrate away; the flat operator is symmetric.
 
     Draws: 3 rounds x (2 scalars + 2 fiber-4 sections).
     """
-    err = 0.0
     man = ManifoldGeometry()
-    err = max(err, (man.dirac - man.dirac.adjoint()).max_abs())
+    yield (man.dirac - man.dirac.adjoint()).max_abs()
     for _ in range(3):
         f = random_scalar(rng, cutoff=cfg.mode_cutoff)
         g = random_scalar(rng, cutoff=cfg.mode_cutoff)
         for mu in range(4):
-            err = max(err, abs((f * g).derivative(mu).integral()))
+            yield abs((f * g).derivative(mu).integral())
         u = random_section(rng, 4, cutoff=1)
         v = random_section(rng, 4, cutoff=1)
-        err = max(err, abs(man.dirac.apply(u).inner(v) - u.inner(man.dirac.apply(v))))
-    return err
+        yield abs(man.dirac.apply(u).inner(v) - u.inner(man.dirac.apply(v)))
 
 
+@check(
+    "manifold.multiply_algebra",
+    1e-12,
+    "commutative associative function product with Leibniz derivative, pinned to "
+    "pointwise evaluation",
+)
 def _chk_multiply_algebra(rng, cfg):
     """Commutative associative product with Leibniz derivatives, pinned to
     pointwise evaluation.
 
     Draws: 3 rounds x (3 scalars + 5 sample points x 4 uniforms).
     """
-    err = 0.0
     for _ in range(3):
         f = random_scalar(rng, cutoff=cfg.mode_cutoff)
         g = random_scalar(rng, cutoff=cfg.mode_cutoff)
         h = random_scalar(rng, cutoff=cfg.mode_cutoff)
-        err = max(err, ((f * g) - (g * f)).max_abs())
-        err = max(err, (((f * g) * h) - (f * (g * h))).max_abs())
-        err = max(err, ((f * FourierScalar.one()) - f).max_abs())
+        yield ((f * g) - (g * f)).max_abs()
+        yield (((f * g) * h) - (f * (g * h))).max_abs()
+        yield ((f * FourierScalar.one()) - f).max_abs()
         for mu in range(4):
             leib = (f * g).derivative(mu) - f.derivative(mu) * g - f * g.derivative(mu)
-            err = max(err, leib.max_abs())
+            yield leib.max_abs()
         prod = f * g
         for _ in range(5):
             x = rng.uniform(0.0, 2.0 * np.pi, size=4)
-            err = max(err, abs(prod(x) - f(x) * g(x)))
-    return err
+            yield abs(prod(x) - f(x) * g(x))
 
 
+@check(
+    "manifold.real_closure",
+    1e-12,
+    "charge conjugation is antiunitary and conjugates one-form coefficients",
+)
 def _chk_real_closure(rng, cfg):
     """Antilinear structure: antiunitary on sections, conjugates one-form
     coefficients, fixes the identity.
 
     Draws: 2 rounds x (2 sections + 2 elements).
     """
-    err = 0.0
     man = ManifoldGeometry()
     j = man.real_structure
-    err = max(
-        err,
-        normal_form_distance(
-            man.real_conjugate(FieldOperator.identity(4)), FieldOperator.identity(4)
-        ),
+    yield normal_form_distance(
+        man.real_conjugate(FieldOperator.identity(4)), FieldOperator.identity(4)
     )
     for _ in range(2):
         u = random_section(rng, 4, cutoff=1)
         v = random_section(rng, 4, cutoff=1)
-        err = max(err, abs(j.apply(u).inner(j.apply(v)) - v.inner(u)))
-        om = man.one_form(
-            [
-                (
-                    random_element(rng, 1, cutoff=cfg.mode_cutoff),
-                    random_element(rng, 1, cutoff=cfg.mode_cutoff),
-                )
-            ]
-        )
+        yield abs(j.apply(u).inner(j.apply(v)) - v.inner(u))
+        om = _random_one_form(rng, man, cfg.mode_cutoff)
         h, hp = man.one_form_parameters(om)
         h2, hp2 = man.one_form_parameters(man.real_conjugate(om))
         for mu in range(4):
-            err = max(err, (h2[mu] - h[mu].conjugate()).max_abs())
-            err = max(err, (hp2[mu] - hp[mu].conjugate()).max_abs())
-    return err
+            yield (h2[mu] - h[mu].conjugate()).max_abs()
+            yield (hp2[mu] - hp[mu].conjugate()).max_abs()
 
 
+@check(
+    "manifold.action_closed_form",
+    1e-10,
+    "single-sheet engine equals the closed two-spinor density",
+)
 def _chk_manifold_action_closed_form(rng, cfg):
     """Engine, quadratic reassembly, and the closed density agree
     coefficient by coefficient.
 
     Draws: 2 instances of overlapping Weyl inputs.
     """
-    err = 0.0
     man = ManifoldGeometry()
     for _ in range(2):
         w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        err = max(err, _closed_form_error(man, promote_weyl_fields(w), f, g)[0])
-    return err
+        yield from _closed_form_residuals(man, promote_weyl_fields(w), f, g)
 
 
+@check(
+    "manifold.selfadjoint_edge_cases",
+    1e-12,
+    "imaginary chiral parameters: self-adjoint one-form, silent fluctuation; real "
+    "ones stay audible",
+)
 def _chk_selfadjoint_edge_cases(rng, cfg):
     """Imaginary chiral parameters give a self-adjoint one-form with a
     silent fluctuation; real ones keep it audible; mismatched conjugates
@@ -672,26 +733,24 @@ def _chk_selfadjoint_edge_cases(rng, cfg):
 
     Draws: 2 rounds x 8 real scalars.
     """
-    err = 0.0
     man = ManifoldGeometry()
     for _ in range(2):
         h_im = [1j * random_scalar(rng, real=True) for _ in range(4)]
         hp_im = [(-1.0) * c.conjugate() for c in h_im]
         om = man.one_form_from_parameters(h_im, hp_im)
-        err = max(err, (om - om.adjoint()).max_abs())
-        err = max(err, man.fluctuation(om).max_abs())
+        yield (om - om.adjoint()).max_abs()
+        yield man.fluctuation(om).max_abs()
 
         h_re = [random_scalar(rng, real=True) for _ in range(4)]
         hp_re = [(-1.0) * c.conjugate() for c in h_re]
         om2 = man.one_form_from_parameters(h_re, hp_re)
-        err = max(err, (om2 - om2.adjoint()).max_abs())
-        err = max(err, _fail_unless(man.fluctuation(om2).max_abs() > 1e-6))
+        yield (om2 - om2.adjoint()).max_abs()
+        yield _fail_unless(man.fluctuation(om2).max_abs() > 1e-6)
 
         hp_bad = [c + FourierScalar.one() for c in hp_re]
         om3 = man.one_form_from_parameters(h_re, hp_bad)
-        err = max(err, _fail_unless((om3 - om3.adjoint()).max_abs() > 1e-6))
-        err = max(err, _fail_unless(selfadjoint_defect_parameters(h_re, hp_bad) > 1e-6))
-    return err
+        yield _fail_unless((om3 - om3.adjoint()).max_abs() > 1e-6)
+        yield _fail_unless(selfadjoint_defect_parameters(h_re, hp_bad) > 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -699,23 +758,32 @@ def _chk_selfadjoint_edge_cases(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "doubled.action_closed_form",
+    1e-10,
+    "two-sheet engine equals the closed density and twice the single sheet",
+)
 def _chk_doubled_action_closed_form(rng, cfg):
     """Two-sheet engine vs closed density vs twice the single sheet.
 
     Draws: 2 instances of overlapping Weyl inputs.
     """
-    err = 0.0
     man = ManifoldGeometry()
     dbl = DoubledGeometry()
     for _ in range(2):
         w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
         pro = promote_weyl_fields(w)
-        route_err, eng = _closed_form_error(dbl, pro, f, g)
+        eng = yield from _closed_form_residuals(dbl, pro, f, g)
         single = fermionic_action(man, man.dressed_dirac(f, None), pro)
-        err = max(err, route_err, abs(eng - 2 * single))
-    return err
+        yield abs(eng - 2 * single)
 
 
+@check(
+    "doubled.selfadjoint_fluctuations",
+    1e-12,
+    "the conjugate-pair parameter test tracks operator self-adjointness in both "
+    "directions on the sectored spaces",
+)
 def _chk_selfadjoint_fluctuations(rng, cfg):
     """Parameter test `z' = -conj(z)` tracks operator self-adjointness in
     both directions on the sectored spaces, with the symmetrized completion
@@ -725,39 +793,29 @@ def _chk_selfadjoint_fluctuations(rng, cfg):
     Draws: 2 normals + per sectored geometry (20 one-form pairs + 10 x 4
     scalars + 4 real scalars).
     """
-    err = 0.0
     _, dbl, elec = _geometries(rng)
     for geo in (dbl, elec):
         for _ in range(20):
-            fl = geo.fluctuation(
-                geo.one_form(
-                    [
-                        (
-                            random_element(rng, 2, cutoff=1),
-                            random_element(rng, 2, cutoff=1),
-                        )
-                    ]
-                )
-            )
+            fl = geo.fluctuation(_random_one_form(rng, geo, 1))
             z, zp = geo.fluctuation_parameters(fl)
             op_defect = (fl - fl.adjoint()).max_abs()
             par_defect = selfadjoint_defect_parameters(z, zp)
-            err = max(err, _fail_unless((op_defect < 1e-9) == (par_defect < 1e-9)))
+            yield _fail_unless((op_defect < 1e-9) == (par_defect < 1e-9))
             sym = fl + fl.adjoint()
             zs, zps = geo.fluctuation_parameters(sym)
-            err = max(err, selfadjoint_defect_parameters(zs, zps))
+            yield selfadjoint_defect_parameters(zs, zps)
         for _ in range(10):
             z = [random_scalar(rng) for _ in range(4)]
             forced = geo.fluctuation_from_z(z, [(-1.0) * c.conjugate() for c in z])
-            err = max(err, (forced - forced.adjoint()).max_abs())
+            yield (forced - forced.adjoint()).max_abs()
         g = [random_scalar(rng, real=True) for _ in range(4)]
         z_im = [1j * c for c in g]
         purely = geo.fluctuation_from_z(z_im, z_im)
         f2, g2 = geo.vector_potentials(purely)
         for mu in range(4):
-            err = max(err, f2[mu].max_abs(), (g2[mu] - g[mu]).max_abs())
-        err = max(err, (purely - purely.adjoint()).max_abs())
-    return err
+            yield f2[mu].max_abs()
+            yield (g2[mu] - g[mu]).max_abs()
+        yield (purely - purely.adjoint()).max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -765,21 +823,30 @@ def _chk_selfadjoint_fluctuations(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "electrodynamics.finite_part_commutes",
+    1e-14,
+    "the constant mass block has exactly vanishing twisted commutators",
+)
 def _chk_finite_part_commutes(rng, cfg):
     """The constant mass block has exactly vanishing twisted commutators.
 
     Draws: 2 normals (mass) + 8 elements.
     """
-    err = 0.0
     d = complex(rng.standard_normal(), rng.standard_normal())
     geo = ElectrodynamicsGeometry(d)
     fp = geo.dirac_finite_part
     for _ in range(8):
         pa = geo.represent(random_element(rng, 2, cutoff=cfg.mode_cutoff))
-        err = max(err, (fp @ pa - geo.twist(pa) @ fp).max_abs())
-    return err
+        yield (fp @ pa - geo.twist(pa) @ fp).max_abs()
 
 
+@check(
+    "electrodynamics.finite_space_structure",
+    1e-14,
+    "hermitian mass block layout, its tensor assembly with the chirality element, and "
+    "the internal grading anticommutation",
+)
 def _chk_finite_space_structure(rng, cfg):
     """Mass block layout: the four-by-four internal matrix, its hermiticity,
     the tensor assembly with the chirality element, and its anticommutation
@@ -787,38 +854,36 @@ def _chk_finite_space_structure(rng, cfg):
 
     Draws: 2 normals (mass).
     """
-    err = 0.0
     d = complex(rng.standard_normal(), rng.standard_normal())
     geo = ElectrodynamicsGeometry(d)
     dc = np.conj(d)
     internal = np.array(
         [[0, d, 0, 0], [dc, 0, 0, 0], [0, 0, 0, dc], [0, 0, d, 0]], dtype=complex
     )
-    err = max(err, np.abs(geo.internal_dirac - internal).max())
-    err = max(err, np.abs(internal - internal.conj().T).max())
-    err = max(
-        err,
-        normal_form_distance(
-            geo.dirac_finite_part, FieldOperator.from_matrix(np.kron(internal, GAMMA5))
-        ),
+    yield np.abs(geo.internal_dirac - internal).max()
+    yield np.abs(internal - internal.conj().T).max()
+    yield normal_form_distance(
+        geo.dirac_finite_part, FieldOperator.from_matrix(np.kron(internal, GAMMA5))
     )
     gf = np.diag([1.0, -1.0, -1.0, 1.0])
-    err = max(err, np.abs(gf @ internal + internal @ gf).max())
-    err = max(err, np.abs(geo.grading_matrix - np.kron(gf, GAMMA5)).max())
+    yield np.abs(gf @ internal + internal @ gf).max()
+    yield np.abs(geo.grading_matrix - np.kron(gf, GAMMA5)).max()
     j = geo.real_structure
-    err = max(
-        err, normal_form_distance(j @ geo.dirac_finite_part, geo.dirac_finite_part @ j)
-    )
-    return err
+    yield normal_form_distance(j @ geo.dirac_finite_part, geo.dirac_finite_part @ j)
 
 
+@check(
+    "electrodynamics.action_closed_form",
+    1e-10,
+    "four-sector engine equals the closed covariant density and the four-piece split "
+    "is additive",
+)
 def _chk_electro_action_closed_form(rng, cfg):
     """Four-sector engine vs the closed density and the additive split of
     the four operator summands, including the imaginary-mass point.
 
     Draws: 3 instances x (2 normals for the mass + overlapping inputs).
     """
-    err = 0.0
     for k in range(3):
         if k == 2:
             d = 1j * (abs(rng.standard_normal()) + 0.2)
@@ -828,12 +893,11 @@ def _chk_electro_action_closed_form(rng, cfg):
         geo = ElectrodynamicsGeometry(d)
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
         pro = promote_weyl_fields(w)
-        route_err, eng = _closed_form_error(geo, pro, f, g)
+        eng = yield from _closed_form_residuals(geo, pro, f, g)
         total = GrassmannNumber.zero()
         for piece in electro_operator_pieces(geo, f, g).values():
             total = total + fermionic_action(geo, piece, pro)
-        err = max(err, route_err, abs(total - eng))
-    return err
+        yield abs(total - eng)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +905,12 @@ def _chk_electro_action_closed_form(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "actions.graded_commutativity",
+    1e-10,
+    "anticommuting generators square to zero; the pairing is pure degree two after "
+    "promotion and null on plain diagonal data",
+)
 def _chk_graded_commutativity(rng, cfg):
     """Generator algebra plus the plain-vs-promoted dichotomy: the engine
     output is pure degree two and vanishes on unpromoted diagonal data.
@@ -848,28 +918,32 @@ def _chk_graded_commutativity(rng, cfg):
     Draws: 1 overlapping input set.
     """
     t1, t2 = GrassmannNumber.generator(0), GrassmannNumber.generator(1)
-    err = abs(t1 * t2 + t2 * t1)
-    err = max(err, abs(t1 * t1))
-    err = max(err, abs((t1 + t2) * (t1 - t2) + 2 * (t1 * t2)))
+    yield abs(t1 * t2 + t2 * t1)
+    yield abs(t1 * t1)
+    yield abs((t1 + t2) * (t1 - t2) + 2 * (t1 * t2))
     dbl = DoubledGeometry()
     w, f, _ = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
     op = dbl.dressed_dirac(f, None)
     pro = promote_weyl_fields(w)
     eng = fermionic_action(dbl, op, pro)
-    err = max(err, abs(eng - eng.degree_part(2)))
-    err = max(err, _fail_unless(abs(eng) > 1e-6))
+    yield abs(eng - eng.degree_part(2))
+    yield _fail_unless(abs(eng) > 1e-6)
     plain = dbl.h_r_section(list(w))
-    err = max(err, abs(twisted_pairing(dbl, op, plain, plain)))
-    return err
+    yield abs(twisted_pairing(dbl, op, plain, plain))
 
 
+@check(
+    "actions.pair_form_oracle",
+    1e-12,
+    "quadratic form expansion equals the explicit generator double loop; coefficient "
+    "matrices round-trip antisymmetrized",
+)
 def _chk_pair_form_oracle(rng, cfg):
     """Quadratic form expansion against an explicit generator double loop
     and the coefficient-matrix round trip.
 
     Draws: 2 rounds x 72 normals.
     """
-    err = 0.0
     for _ in range(2):
         n = 6
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -880,18 +954,21 @@ def _chk_pair_form_oracle(rng, cfg):
                 oracle = oracle + b[i, j] * (
                     GrassmannNumber.generator(i) * GrassmannNumber.generator(j)
                 )
-        err = max(err, abs(form - oracle))
-        err = max(err, np.abs(pair_coefficient_matrix(form, n) - (b - b.T)).max())
-    return err
+        yield abs(form - oracle)
+        yield np.abs(pair_coefficient_matrix(form, n) - (b - b.T)).max()
 
 
+@check(
+    "actions.operator_composition",
+    1e-12,
+    "operators act generator-linearly on promoted sections and compose associatively",
+)
 def _chk_operator_composition(rng, cfg):
     """Operators act on promoted sections exactly as on their generator
     decomposition, and composition matches sequential application.
 
     Draws: 3 rounds x (1 Weyl field + 8 normals for matrices).
     """
-    err = 0.0
     from .actions import _deriv2
 
     for _ in range(3):
@@ -907,15 +984,18 @@ def _chk_operator_composition(rng, cfg):
             rebuilt = rebuilt + Section(
                 2, {k: np.outer(v, column) for k, v in piece.coeffs.items()}
             )
-        err = max(err, (applied - rebuilt).max_abs())
+        yield (applied - rebuilt).max_abs()
         op2 = FieldOperator.from_matrix(m2) + _deriv2(m1, 0)
-        err = max(
-            err,
-            ((op @ op2).apply(pro.fields[0]) - op.apply(op2.apply(pro.fields[0]))).max_abs(),
-        )
-    return err
+        yield ((op @ op2).apply(pro.fields[0]) - op.apply(op2.apply(pro.fields[0]))).max_abs()
 
 
+@check(
+    "actions.term_symmetry_split",
+    1e-10,
+    "the vector term form is symmetric on plain spinors, the derivative, chiral, and "
+    "chirality-block forms antisymmetric, with both characters exchanged after "
+    "promotion",
+)
 def _chk_term_symmetry_split(rng, cfg):
     """Single-sheet component forms sort by conjugation behaviour: the
     vector term is symmetric on plain spinors and antisymmetric after
@@ -925,7 +1005,6 @@ def _chk_term_symmetry_split(rng, cfg):
     Draws: 2 rounds x (pool construction + 2 fiber-4 sections + 8
     potentials + independently promoted copies).
     """
-    err = 0.0
     man = ManifoldGeometry()
     j = man.real_structure
     for _ in range(2):
@@ -948,14 +1027,19 @@ def _chk_term_symmetry_split(rng, cfg):
         for _name, op, sign in ops:
             p_uv = grassmann_inner(j.apply(phi), op.apply(xi)).coefficient(())
             p_vu = grassmann_inner(j.apply(xi), op.apply(phi)).coefficient(())
-            err = max(err, abs(p_uv - sign * p_vu))
-            err = max(err, _fail_unless(abs(p_uv) > 1e-6))
+            yield abs(p_uv - sign * p_vu)
+            yield _fail_unless(abs(p_uv) > 1e-6)
             g_uv = grassmann_inner(j.apply(phi_g), op.apply(xi_g))
             g_vu = grassmann_inner(j.apply(xi_g), op.apply(phi_g))
-            err = max(err, abs(g_uv + sign * g_vu))
-    return err
+            yield abs(g_uv + sign * g_vu)
 
 
+@check(
+    "actions.printed_factor_conventions",
+    1e-10,
+    "sheet doubling, the sub-density split, and the zero-rapidity collapse of the "
+    "boosted densities",
+)
 def _chk_printed_factor_conventions(rng, cfg):
     """Relative normalisations: sheet doubling, the density split of the
     single-sheet form, and the zero-rapidity collapse of the boosted
@@ -963,32 +1047,36 @@ def _chk_printed_factor_conventions(rng, cfg):
 
     Draws: 1 overlapping input set (4 fields) + 2 normals for the mass.
     """
-    err = 0.0
     man = ManifoldGeometry()
     dbl = DoubledGeometry()
     w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
     pro2 = promote_weyl_fields(w[:2])
     man_eng = fermionic_action(man, man.dressed_dirac(f, None), pro2)
     dbl_eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro2)
-    err = max(err, abs(dbl_eng - 2 * man_eng))
-    err = max(err, _fail_unless(abs(man_eng) > 1e-6))
+    yield abs(dbl_eng - 2 * man_eng)
+    yield _fail_unless(abs(man_eng) > 1e-6)
     lag = manifold_lagrangian_action(pro2.fields[0], pro2.fields[1], f[0])
     split = weyl_potential_form(
         pro2.fields[0], pro2.fields[1], f[0]
     ) + weyl_derivative_form(pro2.fields[0], pro2.fields[1])
-    err = max(err, abs(lag + split))
+    yield abs(lag + split)
     b_man = boosted_manifold_lagrangian_action(
         pro2.fields[0], pro2.fields[1], f, IDENTITY_BOOST
     )
-    err = max(err, abs(b_man - lag))
+    yield abs(b_man - lag)
     d = complex(rng.standard_normal(), rng.standard_normal())
     pro4 = promote_weyl_fields(w)
     b_el = boosted_electro_lagrangian_action(pro4.fields, f, g, d, IDENTITY_BOOST)
     p_el = electro_lagrangian_action(pro4.fields, f, g, d)
-    err = max(err, abs(b_el - p_el))
-    return err
+    yield abs(b_el - p_el)
 
 
+@check(
+    "actions.twisted_pairing_antisymmetry",
+    1e-10,
+    "dressed pairing is antisymmetric with null diagonal, equals minus the untwisted "
+    "one on the fixed subspace, and the chirality-positive fixed part is null",
+)
 def _chk_twisted_pairing_antisymmetry(rng, cfg):
     """Full dressed pairing on distinguished sections: antisymmetric with a
     vanishing diagonal, equal to minus the untwisted pairing, and the
@@ -996,30 +1084,26 @@ def _chk_twisted_pairing_antisymmetry(rng, cfg):
 
     Draws: 2 normals + per geometry 1 overlapping input set (2 x slots).
     """
-    err = 0.0
     for geo in _geometries(rng):
         n = geo.n_sectors
         w, f, g = overlapping_action_inputs(rng, 2 * n, cutoff=cfg.mode_cutoff)
         op = geo.dressed_dirac(f, g)
         u = geo.h_r_section(list(w[:n]))
         v = geo.h_r_section(list(w[n:]))
-        err = max(err, geo.r_defect(u), geo.r_defect(v))
+        yield geo.r_defect(u)
+        yield geo.r_defect(v)
         p_uv = complex(grassmann_inner(
             geo.real_structure.apply(u), geo.r_operator.apply(op.apply(v))
         ).coefficient(()))
         p_vu = complex(twisted_pairing(geo, op, v, u).coefficient(()))
-        err = max(err, abs(p_uv + p_vu))
-        err = max(err, _fail_unless(abs(p_uv) > 1e-6))
-        err = max(err, abs(twisted_pairing(geo, op, u, u).coefficient(())))
-        err = max(
-            err,
-            abs(
-                complex(twisted_pairing(geo, op, u, v).coefficient(()))
-                + complex(untwisted_pairing(geo, op, u, v).coefficient(()))
-            ),
+        yield abs(p_uv + p_vu)
+        yield _fail_unless(abs(p_uv) > 1e-6)
+        yield abs(twisted_pairing(geo, op, u, u).coefficient(()))
+        yield abs(
+            complex(twisted_pairing(geo, op, u, v).coefficient(()))
+            + complex(untwisted_pairing(geo, op, u, v).coefficient(()))
         )
-        err = max(err, geo.chirality_real_overlap())
-    return err
+        yield geo.chirality_real_overlap()
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1111,12 @@ def _chk_twisted_pairing_antisymmetry(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "gauge.potential_shift_laws",
+    1e-12,
+    "pure phases shift the chiral potentials by their gradient; matched sector phases "
+    "shift only the vector potential",
+)
 def _chk_potential_shift_laws(rng, cfg):
     """Pure-phase transforms shift the chiral potentials by the phase
     gradient; matched sector phases leave the chiral field alone and shift
@@ -1035,32 +1125,27 @@ def _chk_potential_shift_laws(rng, cfg):
     Draws: phase modes and one one-form per geometry, then 8 mode
     integers + 8 real scalars for the matched-phase split.
     """
-    err = 0.0
     man = ManifoldGeometry()
-    k = tuple(int(v) for v in rng.integers(-2, 3, size=4))
-    kp = tuple(int(v) for v in rng.integers(-2, 3, size=4))
+    k = _random_mode(rng, 2)
+    kp = _random_mode(rng, 2)
     u = man.element(wave_phase(k, 0.3), wave_phase(kp, -1.1))
-    err = max(err, u.unitarity_defect())
-    om = man.one_form([(random_element(rng, 1), random_element(rng, 1))])
+    yield u.unitarity_defect()
+    om = _random_one_form(rng, man, 2)
     h, hp = man.one_form_parameters(om)
     h2, hp2 = man.one_form_parameters(man.gauge_transformed(om, u))
     for mu in range(4):
-        err = max(
-            err, (h2[mu] - h[mu] - FourierScalar.constant(-1j * k[mu])).max_abs()
-        )
-        err = max(
-            err, (hp2[mu] - hp[mu] - FourierScalar.constant(-1j * kp[mu])).max_abs()
-        )
+        yield (h2[mu] - h[mu] - FourierScalar.constant(-1j * k[mu])).max_abs()
+        yield (hp2[mu] - hp[mu] - FourierScalar.constant(-1j * kp[mu])).max_abs()
     for geo in (DoubledGeometry(), ElectrodynamicsGeometry(d=0.5 + 0.2j)):
-        ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kap = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kbp = tuple(int(v) for v in rng.integers(-1, 2, size=4))
+        ka = _random_mode(rng, 1)
+        kb = _random_mode(rng, 1)
+        kap = _random_mode(rng, 1)
+        kbp = _random_mode(rng, 1)
         u2 = geo.element(
             (wave_phase(ka, 0.2), wave_phase(kb, 0.7)),
             (wave_phase(kap, -0.4), wave_phase(kbp, 1.5)),
         )
-        om2 = geo.one_form([(random_element(rng, 2), random_element(rng, 2))])
+        om2 = _random_one_form(rng, geo, 2)
         z, zp = geo.fluctuation_parameters(geo.fluctuation(om2))
         z2, zp2 = geo.fluctuation_parameters(
             geo.fluctuation(geo.gauge_transformed(om2, u2))
@@ -1068,11 +1153,11 @@ def _chk_potential_shift_laws(rng, cfg):
         for mu in range(4):
             shift = FourierScalar.constant(-1j * (ka[mu] - kbp[mu]))
             shift_p = FourierScalar.constant(-1j * (kap[mu] - kb[mu]))
-            err = max(err, (z2[mu] - z[mu] - shift).max_abs())
-            err = max(err, (zp2[mu] - zp[mu] - shift_p).max_abs())
+            yield (z2[mu] - z[mu] - shift).max_abs()
+            yield (zp2[mu] - zp[mu] - shift_p).max_abs()
     elec = ElectrodynamicsGeometry(d=-1j)
-    ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-    kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
+    ka = _random_mode(rng, 1)
+    kb = _random_mode(rng, 1)
     f = [random_scalar(rng, real=True) for _ in range(4)]
     g = [random_scalar(rng, real=True) for _ in range(4)]
     z, zp = elec.fluctuation_parameters(elec.selfadjoint_fluctuation(f, g))
@@ -1084,12 +1169,17 @@ def _chk_potential_shift_laws(rng, cfg):
     )
     f2, g2 = elec.vector_potentials(gauged)
     for mu in range(4):
-        err = max(err, (f2[mu] - f[mu]).max_abs())
+        yield (f2[mu] - f[mu]).max_abs()
         expected = g[mu] + FourierScalar.constant(-(ka[mu] - kb[mu]))
-        err = max(err, (g2[mu] - expected).max_abs())
-    return err
+        yield (g2[mu] - expected).max_abs()
 
 
+@check(
+    "gauge.adjoint_action",
+    1e-12,
+    "doubled-unitary conjugation: trivial single-sector, component phases sectored, "
+    "fixed subspace preserved for matched phases",
+)
 def _chk_adjoint_action(rng, cfg):
     """Doubled-unitary conjugation: trivial on the single-sector space,
     component phases on the sectored ones, and matched phases preserve the
@@ -1097,20 +1187,18 @@ def _chk_adjoint_action(rng, cfg):
 
     Draws: 16 mode integers + per geometry section fields.
     """
-    err = 0.0
     man = ManifoldGeometry()
-    k = tuple(int(v) for v in rng.integers(-2, 3, size=4))
-    kp = tuple(int(v) for v in rng.integers(-2, 3, size=4))
+    k = _random_mode(rng, 2)
+    kp = _random_mode(rng, 2)
     u = man.element(wave_phase(k, 0.9), wave_phase(kp))
-    cmp_res = operator_equal(
+    yield operator_equal(
         man.adjoint_action(u), FieldOperator.identity(4), probe_cutoff=cfg.probe_cutoff
-    )
-    err = max(err, cmp_res.max_abs_error)
+    ).max_abs_error
     for geo in (DoubledGeometry(), ElectrodynamicsGeometry(d=-1j)):
-        ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kap = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kbp = tuple(int(v) for v in rng.integers(-1, 2, size=4))
+        ka = _random_mode(rng, 1)
+        kb = _random_mode(rng, 1)
+        kap = _random_mode(rng, 1)
+        kbp = _random_mode(rng, 1)
         u2 = geo.element(
             (wave_phase(ka), wave_phase(kb)), (wave_phase(kap), wave_phase(kbp))
         )
@@ -1131,16 +1219,20 @@ def _chk_adjoint_action(rng, cfg):
             geo.fiber_dim,
             [(np.diag(u), c) for u, c in zip(np.eye(geo.fiber_dim), entries)],
         )
-        err = max(err, normal_form_distance(geo.adjoint_action(u2), expected))
+        yield normal_form_distance(geo.adjoint_action(u2), expected)
         matched = geo.element(
             (wave_phase(ka), wave_phase(kb)), (wave_phase(ka), wave_phase(kb))
         )
         fields = random_weyl_fields(rng, geo.n_sectors, cutoff=1)
         s = geo.h_r_section(fields)
-        err = max(err, geo.r_defect(geo.adjoint_action(matched).apply(s)))
-    return err
+        yield geo.r_defect(geo.adjoint_action(matched).apply(s))
 
 
+@check(
+    "gauge.action_phase_absorption",
+    1e-10,
+    "matched-phase gauge moves leave the four-sector pairing untouched",
+)
 def _chk_action_phase_absorption(rng, cfg):
     """Matched-phase gauge moves leave the four-sector pairing untouched
     when the operator and both distinguished slots transform together.
@@ -1148,17 +1240,16 @@ def _chk_action_phase_absorption(rng, cfg):
     Draws: 2 rounds x (2 normals + 8 overlapping fields + 2 one-form
     elements + 8 mode integers).
     """
-    err = 0.0
     for _ in range(2):
         d = complex(rng.standard_normal(), rng.standard_normal())
         geo = ElectrodynamicsGeometry(d)
         fields, _, _ = overlapping_action_inputs(rng, 8, cutoff=cfg.mode_cutoff)
         s = geo.h_r_section(fields[:4])
         t = geo.h_r_section(fields[4:])
-        om = geo.one_form([(random_element(rng, 2), random_element(rng, 2))])
+        om = _random_one_form(rng, geo, 2)
         op = geo.dirac + geo.fluctuation(om)
-        ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
+        ka = _random_mode(rng, 1)
+        kb = _random_mode(rng, 1)
         u = geo.element(
             (wave_phase(ka), wave_phase(kb)), (wave_phase(ka), wave_phase(kb))
         )
@@ -1168,10 +1259,9 @@ def _chk_action_phase_absorption(rng, cfg):
         moved = complex(
             twisted_pairing(geo, op_u, big_u.apply(s), big_u.apply(t)).coefficient(())
         )
-        err = max(err, abs(moved - base))
-        err = max(err, _fail_unless(abs(base) > 1e-6))
-        err = max(err, geo.r_defect(big_u.apply(s)))
-    return err
+        yield abs(moved - base)
+        yield _fail_unless(abs(base) > 1e-6)
+        yield geo.r_defect(big_u.apply(s))
 
 
 # ---------------------------------------------------------------------------
@@ -1179,6 +1269,12 @@ def _chk_action_phase_absorption(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "boost.action_invariance",
+    1e-9,
+    "boosting operator and slots together fixes the pairing; the twisted product is "
+    "boost-invariant",
+)
 def _chk_boost_action_invariance(rng, cfg):
     """Boosting the operator and both slots fixes the pairing; the twisted
     product itself is boost-invariant.
@@ -1187,59 +1283,68 @@ def _chk_boost_action_invariance(rng, cfg):
     sections).  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     for geo in _geometries(rng):
         w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=cfg.mode_cutoff)
         op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
-        err = max(err, _fail_unless(abs(plain) > 1e-6))
+        yield _fail_unless(abs(plain) > 1e-6)
         ident = FieldOperator.identity(geo.fiber_dim)
         for _ in range(2):
             boost = _draw_boost(rng, cfg)
             moved = fermionic_action(geo, op, pro, boost=boost)
-            err = max(err, abs(moved - plain))
+            yield abs(moved - plain)
             u = random_section(rng, geo.fiber_dim, cutoff=1)
             v = random_section(rng, geo.fiber_dim, cutoff=1)
             lhs = boosted_pairing(geo, ident, boost, u, v)
             rhs = twisted_pairing(geo, ident, u, v)
-            err = max(err, abs(complex(lhs.coefficient(())) - complex(rhs.coefficient(()))))
-    return err
+            yield abs(complex(lhs.coefficient(())) - complex(rhs.coefficient(())))
 
 
+@check(
+    "boost.manifold_closed_form",
+    1e-9,
+    "boosted single-sheet engine equals the boosted closed density",
+)
 def _chk_boosted_manifold_closed_form(rng, cfg):
     """Boosted single-sheet engine vs the boosted closed density.
 
     Draws: 2 boosts x 1 overlapping input set.  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     man = ManifoldGeometry()
     for _ in range(2):
         boost = _draw_boost(rng, cfg)
         w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        err = max(err, _closed_form_error(man, promote_weyl_fields(w), f, g, boost)[0])
-    return err
+        yield from _closed_form_residuals(man, promote_weyl_fields(w), f, g, boost)
 
 
+@check(
+    "boost.doubled_closed_form",
+    1e-9,
+    "boosted two-sheet engine equals the boosted closed density",
+)
 def _chk_boosted_doubled_closed_form(rng, cfg):
     """Boosted two-sheet engine vs the boosted closed density.
 
     Draws: 2 boosts x 1 overlapping input set.  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     dbl = DoubledGeometry()
     for _ in range(2):
         boost = _draw_boost(rng, cfg)
         w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        err = max(err, _closed_form_error(dbl, promote_weyl_fields(w), f, g, boost)[0])
-    return err
+        yield from _closed_form_residuals(dbl, promote_weyl_fields(w), f, g, boost)
 
 
+@check(
+    "boost.electro_closed_form",
+    1e-9,
+    "boosted four-sector engine equals the boosted closed density",
+)
 def _chk_boosted_electro_closed_form(rng, cfg):
     """Boosted four-sector engine vs the boosted closed density.
 
@@ -1247,15 +1352,13 @@ def _chk_boosted_electro_closed_form(rng, cfg):
     zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     for _ in range(2):
         boost = _draw_boost(rng, cfg)
         d = complex(rng.standard_normal(), rng.standard_normal())
         geo = ElectrodynamicsGeometry(d)
         w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
-        err = max(err, _closed_form_error(geo, promote_weyl_fields(w), f, g, boost)[0])
-    return err
+        yield from _closed_form_residuals(geo, promote_weyl_fields(w), f, g, boost)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,6 +1366,12 @@ def _chk_boosted_electro_closed_form(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
+@check(
+    "dynamics.determinant_kernel_duality",
+    1e-9,
+    "vanishing determinant coincides with a nontrivial kernel across all plane-wave "
+    "families",
+)
 def _chk_determinant_kernel_duality(rng, cfg):
     """Vanishing determinant coincides with a nontrivial kernel over every
     system family.
@@ -1273,26 +1382,28 @@ def _chk_determinant_kernel_duality(rng, cfg):
     kinds = PROBLEM_KINDS
     if cfg.rapidity_max == 0:
         kinds = tuple(k for k in kinds if not k.startswith("boosted"))
-    err = 0.0
     for kind in kinds:
         sweep = duality_sweep(
             rng, kind, n_samples=250, max_half_rapidity=_half_cap(cfg)
         )
-        err = max(err, sweep["worst_kernel_residual"])
-        err = max(err, _fail_unless(sweep["violations"] == 0))
-        err = max(err, _fail_unless(sweep["singular"] >= 25))
-        err = max(err, _fail_unless(sweep["min_generic_det"] > 1e-10))
-        err = max(err, _fail_unless(sweep["max_singular_det"] <= 1e-10))
-    return err
+        yield sweep["worst_kernel_residual"]
+        yield _fail_unless(sweep["violations"] == 0)
+        yield _fail_unless(sweep["singular"] >= 25)
+        yield _fail_unless(sweep["min_generic_det"] > 1e-10)
+        yield _fail_unless(sweep["max_singular_det"] <= 1e-10)
 
 
+@check(
+    "dynamics.dispersion_surfaces",
+    1e-9,
+    "closed determinant formulas and mass-shell roots for every family",
+)
 def _chk_dispersion_surfaces(rng, cfg):
     """Closed determinant formulas and mass-shell roots.
 
     Draws: 10 generic four-by-four draws x 2 + 10 two-by-two draws + 10
     imaginary-mass shell draws + 10 on-shell boosted problems.
     """
-    err = 0.0
     for _ in range(10):
         f0 = float(rng.standard_normal())
         g3 = rng.standard_normal(3)
@@ -1303,18 +1414,19 @@ def _chk_dispersion_surfaces(rng, cfg):
             mass = -1j * d
             big_p = p[1:] + g3
             closed = (f0**2 - big_p @ big_p - mass * mass) ** 2
-            err = max(err, abs(res.determinant - closed))
+            yield abs(res.determinant - closed)
     for _ in range(10):
         f0 = float(rng.standard_normal())
         p = rng.standard_normal(4)
         handed = "left" if rng.uniform() < 0.5 else "right"
         res = weyl_system(f0, p, handed)
         norm = float(np.linalg.norm(p[1:]))
-        err = max(err, abs(res.determinant - (f0**2 - norm**2)))
-        err = max(err, abs(abs(res.roots[0]) - norm), abs(abs(res.roots[1]) - norm))
+        yield abs(res.determinant - (f0**2 - norm**2))
+        yield abs(abs(res.roots[0]) - norm)
+        yield abs(abs(res.roots[1]) - norm)
         on_shell = weyl_system(float(res.roots[1]), p, handed)
-        err = max(err, abs(on_shell.determinant))
-        err = max(err, _fail_unless(on_shell.singular))
+        yield abs(on_shell.determinant)
+        yield _fail_unless(on_shell.singular)
     for _ in range(10):
         mass = abs(rng.standard_normal()) + 0.1
         g3 = rng.standard_normal(3)
@@ -1322,20 +1434,25 @@ def _chk_dispersion_surfaces(rng, cfg):
         primed = rng.uniform() < 0.5
         shell = float(np.sqrt((p[1:] + g3) @ (p[1:] + g3) + mass**2))
         res = dirac_system(shell, g3, 1j * mass, p, primed=primed)
-        err = max(err, abs(res.determinant))
-        err = max(err, _fail_unless(res.singular))
-        err = max(err, abs(res.roots[0] - shell), abs(res.roots[1] + shell))
+        yield abs(res.determinant)
+        yield _fail_unless(res.singular)
+        yield abs(res.roots[0] - shell)
+        yield abs(res.roots[1] + shell)
     boosted_kinds = ("boosted-dirac", "boosted-dirac-primed")
     if cfg.rapidity_max > 0:
         for _ in range(10):
             kind = boosted_kinds[int(rng.uniform() < 0.5)]
             problem = on_shell_problem(rng, kind, max_half_rapidity=_half_cap(cfg))
             res = problem.solve()
-            err = max(err, _fail_unless(res.singular))
-            err = max(err, abs(res.determinant))
-    return err
+            yield _fail_unless(res.singular)
+            yield abs(res.determinant)
 
 
+@check(
+    "dynamics.kernel_boost_covariance",
+    1e-9,
+    "on-shell kernels transport through the boost half-blocks",
+)
 def _chk_kernel_boost_covariance(rng, cfg):
     """On-shell kernels transport through the boost half-blocks.
 
@@ -1343,33 +1460,32 @@ def _chk_kernel_boost_covariance(rng, cfg):
     normals.  Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     for _ in range(3):
         boost = _draw_boost(rng, cfg)
         for handed in ("left", "right"):
-            err = max(err, weyl_kernel_covariance(boost, rng.standard_normal(3), handed))
+            yield weyl_kernel_covariance(boost, rng.standard_normal(3), handed)
         for primed in (False, True):
-            err = max(
-                err,
-                dirac_kernel_covariance(
-                    boost,
-                    rng.standard_normal(3),
-                    rng.standard_normal(4),
-                    abs(rng.standard_normal()) + 0.1,
-                    primed,
-                ),
+            yield dirac_kernel_covariance(
+                boost,
+                rng.standard_normal(3),
+                rng.standard_normal(4),
+                abs(rng.standard_normal()) + 0.1,
+                primed,
             )
-    return err
 
 
+@check(
+    "dynamics.euler_lagrange_consistency",
+    1e-12,
+    "variational matrices of the densities equal the dispersion systems",
+)
 def _chk_euler_lagrange_consistency(rng, cfg):
     """Variational matrices agree with the dispersion systems for every
     density family.
 
     Draws: 6 kinds x 3 rounds x (psi, p, f, g, d, mass normals + 1 boost).
     """
-    err = 0.0
     for kind in EL_KINDS:
         dim = 4 if kind in ("dirac", "dirac-primed", "boosted-weyl", "minkowski") else 2
         for _ in range(3):
@@ -1382,15 +1498,16 @@ def _chk_euler_lagrange_consistency(rng, cfg):
             boost = (
                 _draw_boost(rng, cfg) if cfg.rapidity_max > 0 else IDENTITY_BOOST
             )
-            err = max(
-                err,
-                euler_lagrange_check(
-                    kind, psi, p, f=fvec, g=gvec, d=d, boost=boost, mass=mass
-                ),
+            yield euler_lagrange_check(
+                kind, psi, p, f=fvec, g=gvec, d=d, boost=boost, mass=mass
             )
-    return err
 
 
+@check(
+    "dynamics.boosted_reduction",
+    1e-9,
+    "boosted systems reduce to scaled flat ones at identification momenta",
+)
 def _chk_boosted_reduction(rng, cfg):
     """Boosted systems reduce to scaled flat ones at identification momenta.
 
@@ -1398,302 +1515,16 @@ def _chk_boosted_reduction(rng, cfg):
     Skipped at zero rapidity cap.
     """
     if cfg.rapidity_max == 0:
-        return None
-    err = 0.0
+        return
     for _ in range(6):
         boost = _draw_boost(rng, cfg)
         f4 = rng.standard_normal(4)
         g4 = rng.standard_normal(4)
         d = complex(rng.standard_normal(), rng.standard_normal())
         for handed in ("left", "right"):
-            err = max(err, boosted_weyl_reduction_residual(boost, f4, handed))
+            yield boosted_weyl_reduction_residual(boost, f4, handed)
         for primed in (False, True):
-            err = max(err, boosted_dirac_reduction_residual(boost, f4, g4, d, primed))
-    return err
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-
-REGISTRY: tuple[CheckSpec, ...] = (
-    CheckSpec(
-        "clifford.euclidean_anticommutators",
-        "gamma matrices pair to twice the Kronecker delta; the grading "
-        "twist flips the spatial ones",
-        1e-14,
-        _chk_euclidean_anticommutators,
-    ),
-    CheckSpec(
-        "clifford.minkowski_anticommutators",
-        "flat-metric gamma matrices pair to twice the metric",
-        1e-14,
-        _chk_minkowski_anticommutators,
-    ),
-    CheckSpec(
-        "clifford.sigma_pair_identities",
-        "two-by-two sigma blocks assemble the gammas and trace to the metric",
-        1e-14,
-        _chk_sigma_pair_identities,
-    ),
-    CheckSpec(
-        "clifford.spin_boost_structure",
-        "self-adjoint non-unitary spin boosts with mutually inverse "
-        "half-blocks swapped by conjugation",
-        1e-12,
-        _chk_spin_boost_structure,
-    ),
-    CheckSpec(
-        "clifford.lorentz_extraction_routes",
-        "vector boost matrix from the spinor one: trace route, sigma "
-        "decomposition, metric preservation, rapidity additivity",
-        1e-12,
-        _chk_lorentz_extraction_routes,
-    ),
-    CheckSpec(
-        "axioms.order_zero",
-        "represented algebra commutes with its conjugated copy",
-        1e-12,
-        _chk_order_zero,
-    ),
-    CheckSpec(
-        "axioms.twisted_first_order",
-        "twisted commutators commute with the conjugated algebra up to the "
-        "twist",
-        1e-12,
-        _chk_twisted_first_order,
-    ),
-    CheckSpec(
-        "axioms.ko_signs",
-        "conjugation squares to minus one, commutes with the operator, "
-        "carries the per-geometry grading sign, anticommutes with the "
-        "twist unitary",
-        1e-12,
-        _chk_ko_signs,
-    ),
-    CheckSpec(
-        "axioms.rho_adjoint_involution",
-        "the flip is conjugation by the twist unitary and its adjoint is "
-        "involutive, also through the twisted product",
-        1e-10,
-        _chk_rho_adjoint_involution,
-    ),
-    CheckSpec(
-        "axioms.grading_relations",
-        "grading is a self-adjoint involution, odd for the operator, even "
-        "for the algebra",
-        1e-12,
-        _chk_grading_relations,
-    ),
-    CheckSpec(
-        "axioms.full_axiom_suite",
-        "star homomorphism, evenness, and both order conditions at volume",
-        1e-12,
-        _chk_full_axiom_suite,
-    ),
-    CheckSpec(
-        "axioms.fluctuation_round_trip",
-        "potential extraction inverts fluctuation assembly on every "
-        "geometry",
-        1e-12,
-        _chk_fluctuation_round_trip,
-    ),
-    CheckSpec(
-        "manifold.integration_by_parts",
-        "total derivatives integrate away and the flat operator is "
-        "symmetric",
-        1e-12,
-        _chk_integration_by_parts,
-    ),
-    CheckSpec(
-        "manifold.multiply_algebra",
-        "commutative associative function product with Leibniz derivative, "
-        "pinned to pointwise evaluation",
-        1e-12,
-        _chk_multiply_algebra,
-    ),
-    CheckSpec(
-        "manifold.real_closure",
-        "charge conjugation is antiunitary and conjugates one-form "
-        "coefficients",
-        1e-12,
-        _chk_real_closure,
-    ),
-    CheckSpec(
-        "manifold.action_closed_form",
-        "single-sheet engine equals the closed two-spinor density",
-        1e-10,
-        _chk_manifold_action_closed_form,
-    ),
-    CheckSpec(
-        "manifold.selfadjoint_edge_cases",
-        "imaginary chiral parameters: self-adjoint one-form, silent "
-        "fluctuation; real ones stay audible",
-        1e-12,
-        _chk_selfadjoint_edge_cases,
-    ),
-    CheckSpec(
-        "doubled.action_closed_form",
-        "two-sheet engine equals the closed density and twice the single "
-        "sheet",
-        1e-10,
-        _chk_doubled_action_closed_form,
-    ),
-    CheckSpec(
-        "doubled.selfadjoint_fluctuations",
-        "the conjugate-pair parameter test tracks operator self-adjointness "
-        "in both directions on the sectored spaces",
-        1e-12,
-        _chk_selfadjoint_fluctuations,
-    ),
-    CheckSpec(
-        "electrodynamics.finite_part_commutes",
-        "the constant mass block has exactly vanishing twisted commutators",
-        1e-14,
-        _chk_finite_part_commutes,
-    ),
-    CheckSpec(
-        "electrodynamics.finite_space_structure",
-        "hermitian mass block layout, its tensor assembly with the "
-        "chirality element, and the internal grading anticommutation",
-        1e-14,
-        _chk_finite_space_structure,
-    ),
-    CheckSpec(
-        "electrodynamics.action_closed_form",
-        "four-sector engine equals the closed covariant density and the "
-        "four-piece split is additive",
-        1e-10,
-        _chk_electro_action_closed_form,
-    ),
-    CheckSpec(
-        "actions.graded_commutativity",
-        "anticommuting generators square to zero; the pairing is pure "
-        "degree two after promotion and null on plain diagonal data",
-        1e-10,
-        _chk_graded_commutativity,
-    ),
-    CheckSpec(
-        "actions.pair_form_oracle",
-        "quadratic form expansion equals the explicit generator double "
-        "loop; coefficient matrices round-trip antisymmetrized",
-        1e-12,
-        _chk_pair_form_oracle,
-    ),
-    CheckSpec(
-        "actions.operator_composition",
-        "operators act generator-linearly on promoted sections and compose "
-        "associatively",
-        1e-12,
-        _chk_operator_composition,
-    ),
-    CheckSpec(
-        "actions.term_symmetry_split",
-        "the vector term form is symmetric on plain spinors, the "
-        "derivative, chiral, and chirality-block forms antisymmetric, "
-        "with both characters exchanged after promotion",
-        1e-10,
-        _chk_term_symmetry_split,
-    ),
-    CheckSpec(
-        "actions.printed_factor_conventions",
-        "sheet doubling, the sub-density split, and the zero-rapidity "
-        "collapse of the boosted densities",
-        1e-10,
-        _chk_printed_factor_conventions,
-    ),
-    CheckSpec(
-        "actions.twisted_pairing_antisymmetry",
-        "dressed pairing is antisymmetric with null diagonal, equals minus "
-        "the untwisted one on the fixed subspace, and the "
-        "chirality-positive fixed part is null",
-        1e-10,
-        _chk_twisted_pairing_antisymmetry,
-    ),
-    CheckSpec(
-        "gauge.potential_shift_laws",
-        "pure phases shift the chiral potentials by their gradient; "
-        "matched sector phases shift only the vector potential",
-        1e-12,
-        _chk_potential_shift_laws,
-    ),
-    CheckSpec(
-        "gauge.adjoint_action",
-        "doubled-unitary conjugation: trivial single-sector, component "
-        "phases sectored, fixed subspace preserved for matched phases",
-        1e-12,
-        _chk_adjoint_action,
-    ),
-    CheckSpec(
-        "gauge.action_phase_absorption",
-        "matched-phase gauge moves leave the four-sector pairing untouched",
-        1e-10,
-        _chk_action_phase_absorption,
-    ),
-    CheckSpec(
-        "boost.action_invariance",
-        "boosting operator and slots together fixes the pairing; the "
-        "twisted product is boost-invariant",
-        1e-9,
-        _chk_boost_action_invariance,
-    ),
-    CheckSpec(
-        "boost.manifold_closed_form",
-        "boosted single-sheet engine equals the boosted closed density",
-        1e-9,
-        _chk_boosted_manifold_closed_form,
-    ),
-    CheckSpec(
-        "boost.doubled_closed_form",
-        "boosted two-sheet engine equals the boosted closed density",
-        1e-9,
-        _chk_boosted_doubled_closed_form,
-    ),
-    CheckSpec(
-        "boost.electro_closed_form",
-        "boosted four-sector engine equals the boosted closed density",
-        1e-9,
-        _chk_boosted_electro_closed_form,
-    ),
-    CheckSpec(
-        "dynamics.determinant_kernel_duality",
-        "vanishing determinant coincides with a nontrivial kernel across "
-        "all plane-wave families",
-        1e-9,
-        _chk_determinant_kernel_duality,
-    ),
-    CheckSpec(
-        "dynamics.dispersion_surfaces",
-        "closed determinant formulas and mass-shell roots for every family",
-        1e-9,
-        _chk_dispersion_surfaces,
-    ),
-    CheckSpec(
-        "dynamics.kernel_boost_covariance",
-        "on-shell kernels transport through the boost half-blocks",
-        1e-9,
-        _chk_kernel_boost_covariance,
-    ),
-    CheckSpec(
-        "dynamics.euler_lagrange_consistency",
-        "variational matrices of the densities equal the dispersion "
-        "systems",
-        1e-12,
-        _chk_euler_lagrange_consistency,
-    ),
-    CheckSpec(
-        "dynamics.boosted_reduction",
-        "boosted systems reduce to scaled flat ones at identification "
-        "momenta",
-        1e-9,
-        _chk_boosted_reduction,
-    ),
-)
-
-
-if len({spec.check_id for spec in REGISTRY}) != len(REGISTRY):
-    raise RuntimeError("duplicate check ids in registry")
+            yield boosted_dirac_reduction_residual(boost, f4, g4, d, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -1718,12 +1549,11 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
         rng = np.random.default_rng(stream)
         tol = cfg.tolerances.get(spec.group, spec.tolerance)
         start = time.perf_counter()
-        error = spec.fn(rng, cfg)
+        error = reduce_residuals(spec.fn(rng, cfg))
         elapsed = (time.perf_counter() - start) * 1e3
         if error is None:
             status, error = "skip", SENTINEL_ERROR
         else:
-            error = float(min(error, SENTINEL_ERROR))
             status = "pass" if error <= tol else "fail"
         records.append(
             CheckRecord(

@@ -61,7 +61,6 @@ GAMMA = np.stack([_offdiag(SIGMA[mu], SIGMA_TILDE[mu]) for mu in range(4)])
 GAMMA5 = GAMMA[1] @ GAMMA[2] @ GAMMA[3] @ GAMMA[0]
 
 GAMMA_M = np.stack([_offdiag(SIGMA_M[mu], SIGMA_M_BAR[mu]) for mu in range(4)])
-GAMMA5_M = -1j * GAMMA5
 
 # gamma^0 doubles as the unitary implementing the twist on spinors.
 GAMMA0 = GAMMA[0]

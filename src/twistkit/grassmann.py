@@ -123,11 +123,6 @@ class GrassmannNumber:
             return GrassmannNumber({k: other * c for k, c in self.coeffs.items()})
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Number):
-            return self * (1.0 / other)
-        return NotImplemented
-
     # ----- involution ------------------------------------------------------
     def conjugate(self) -> "GrassmannNumber":
         return GrassmannNumber({k: np.conj(c) for k, c in self.coeffs.items()})
@@ -145,9 +140,9 @@ class GrassmannNumber:
         return max((len(k) for k in self.coeffs), default=0)
 
     def __abs__(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(c) for c in self.coeffs.values())
+        """Largest amplitude modulus; NaN if any amplitude is NaN."""
+        moduli = np.fromiter(map(abs, self.coeffs.values()), float, len(self.coeffs))
+        return float(moduli.max(initial=0.0))
 
     def __eq__(self, other):
         if isinstance(other, numbers.Number):

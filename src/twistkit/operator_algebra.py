@@ -206,9 +206,9 @@ class FieldOperator:
 
     # ----- diagnostics -----------------------------------------------------
     def max_abs(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(float(np.max(np.abs(g))) for g in self.terms.values())
+        """Largest matrix entry modulus; NaN if any entry is NaN."""
+        peaks = [np.max(np.abs(g)) for g in self.terms.values()]
+        return float(np.max(peaks, initial=0.0))
 
     def max_deriv_order(self) -> int:
         return max((len(d) for _, d in self.terms), default=0)
@@ -247,17 +247,14 @@ def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
 
 
 def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:
+    """Largest entry of the normal-form difference; NaN if any entry is NaN."""
     if o1.antilinear != o2.antilinear:
-        return max(o1.max_abs(), o2.max_abs())
+        return float(np.max([o1.max_abs(), o2.max_abs()]))
     keys = set(o1.terms) | set(o2.terms)
     n = o1.fiber_dim
     zero = np.zeros((n, n))
-    best = 0.0
-    for key in keys:
-        g1 = o1.terms.get(key, zero)
-        g2 = o2.terms.get(key, zero)
-        best = max(best, float(np.max(np.abs(g1 - g2))))
-    return best
+    peaks = [np.max(np.abs(o1.terms.get(k, zero) - o2.terms.get(k, zero))) for k in keys]
+    return float(np.max(peaks, initial=0.0))
 
 
 def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:
@@ -288,14 +285,13 @@ def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:
         for members in groups.values()
     ]
     block = len(axis) ** 2
-    best = 0.0
+    peaks = []
     for start in range(0, len(probes), block):
         i_m = 1j * probes[start : start + block]
         factors = np.stack([np.prod(i_m[:, list(d)], axis=1) for d in derivs], axis=1)
         for cols, mats in stacked:
-            out = factors[:, cols] @ mats
-            best = max(best, float(np.max(np.abs(out))))
-    return best
+            peaks.append(np.max(np.abs(factors[:, cols] @ mats)))
+    return float(np.max(peaks))
 
 
 @dataclass(frozen=True)
@@ -322,9 +318,7 @@ def operator_equal(
     """
     nf = normal_form_distance(o1, o2)
     if o1.antilinear != o2.antilinear:
-        pr = max(
-            _probe_distance(o1, probe_cutoff), _probe_distance(o2, probe_cutoff)
-        )
+        pr = float(np.max([_probe_distance(o, probe_cutoff) for o in (o1, o2)]))
     else:
         pr = _probe_distance(o1 - o2, probe_cutoff)
     order = max(o1.max_deriv_order(), o2.max_deriv_order())
@@ -335,4 +329,4 @@ def operator_equal(
         raise RuntimeError(
             f"equality routes disagree: normal-form {nf:.3e}, probe {pr:.3e}"
         )
-    return OperatorComparison(equal_nf, max(nf, pr), nf, pr)
+    return OperatorComparison(equal_nf, float(np.max([nf, pr])), nf, pr)

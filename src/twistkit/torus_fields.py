@@ -119,9 +119,9 @@ class FourierScalar:
         return (-0.5j) * (self - self.conjugate())
 
     def max_abs(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(v) for v in self.coeffs.values())
+        """Largest coefficient modulus; NaN if any coefficient is NaN."""
+        moduli = np.fromiter(map(abs, self.coeffs.values()), float, len(self.coeffs))
+        return float(moduli.max(initial=0.0))
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return (self - self.conjugate()).max_abs() <= tol

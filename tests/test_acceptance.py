@@ -20,11 +20,12 @@ KO-dimension 6, so KO-dimension 4 + 6 ≡ 2 (mod 8), where ``JΓ = −ΓJ``.
 """
 
 import time
+from itertools import chain
 
 import numpy as np
 
 from twistkit.actions import random_weyl_fields
-from twistkit.checks import REGISTRY, RunConfig, report_json, run_checks
+from twistkit.checks import REGISTRY, RunConfig, reduce_residuals, report_json, run_checks
 from twistkit.dynamics import weyl_identification
 from twistkit.geometries import (
     DoubledGeometry,
@@ -84,14 +85,16 @@ def _three_geometries():
 def _run_battery(num: int, rng, counts: str, extra: float = 0.0) -> None:
     """Run criterion ``num``'s registry checks and report them with ``extra``.
 
-    A check that skips counts as a failure.
+    The residuals of a check's runs are reduced together by the runner's own
+    reduction.  A check that skips counts as a failure.
     """
     gate, runs = BATTERY[num]
     cfg = RunConfig()
     worst = {}
     for check_id, n in runs.items():
-        errors = [SPECS[check_id].fn(rng, cfg) for _ in range(n)]
-        worst[check_id] = max(float("inf") if e is None else e for e in errors)
+        fn = SPECS[check_id].fn
+        error = reduce_residuals(chain.from_iterable(fn(rng, cfg) for _ in range(n)))
+        worst[check_id] = float("inf") if error is None else error
     listed = ", ".join(f"{cid} x{runs[cid]} {err:.1e}" for cid, err in worst.items())
     _report(num, max(extra, *worst.values()), gate, f"{counts}; {listed}")
 

@@ -1,5 +1,6 @@
 """Runner registry contract and command-line behaviour."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,11 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import twistkit.checks
 from twistkit.checks import (
     GROUPS,
     REGISTRY,
+    CheckSpec,
     RunConfig,
     SENTINEL_ERROR,
+    check,
     report_document,
     report_json,
     run_checks,
@@ -96,6 +100,58 @@ class TestRegistry:
 
     def test_paper_refs_filled(self):
         assert all(s.paper_ref.strip() for s in REGISTRY)
+
+    def test_checks_are_generators(self):
+        assert all(inspect.isgeneratorfunction(s.fn) for s in REGISTRY)
+
+    def test_registration_refuses_duplicates_and_plain_functions(self):
+        def residuals(rng, cfg):
+            yield 0.0
+
+        with pytest.raises(ValueError, match="duplicate"):
+            check(EXPECTED_CHECK_IDS[0], 1e-12, "registered twice")(residuals)
+        with pytest.raises(TypeError, match="generator"):
+            check("clifford.plain_function", 1e-12, "returns")(lambda rng, cfg: 0.0)
+        assert twistkit.checks.REGISTRY == REGISTRY
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestReduction:
+    """The runner reduces each check's residuals once, NaN-propagating."""
+
+    def _run(self, monkeypatch, residuals, **config):
+        def fixture(rng, cfg):
+            if cfg.rapidity_max == 0:
+                return
+            yield from residuals
+
+        spec = CheckSpec("clifford.fixture", "fixture residuals", 1e-12, fixture)
+        monkeypatch.setattr(twistkit.checks, "REGISTRY", (spec,))
+        cfg = RunConfig(groups=("clifford",), **config)
+        (rec,) = run_checks(cfg)
+        return rec, json.loads(report_json(cfg, [rec]), parse_constant=_refuse_constant)
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [[1e-15, float("nan")], [float("nan"), 1e-15], [1e-15, float("inf")]],
+    )
+    def test_non_finite_residual_fails_with_sentinel(self, monkeypatch, residuals):
+        rec, doc = self._run(monkeypatch, residuals)
+        assert rec.status == "fail"
+        assert rec.max_abs_error == 9.9e99 == SENTINEL_ERROR
+        assert doc["checks"][0]["max_abs_error"] == 9.9e99
+
+    def test_finite_residuals_reduce_to_their_maximum(self, monkeypatch):
+        rec, _ = self._run(monkeypatch, [1e-15, 3e-13, 0.0])
+        assert (rec.status, rec.max_abs_error) == ("pass", 3e-13)
+
+    def test_check_yielding_nothing_is_a_skip(self, monkeypatch):
+        rec, doc = self._run(monkeypatch, [1e-15], rapidity_max=0.0)
+        assert rec.status == doc["checks"][0]["status"] == "skip"
+        assert rec.max_abs_error == SENTINEL_ERROR
 
 
 class TestRunner:

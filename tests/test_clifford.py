@@ -62,9 +62,6 @@ class TestGammaMatrices:
                 np.testing.assert_allclose(s, 0 * cl.I2, atol=TOL)
                 np.testing.assert_allclose(d, -2j * cl.PAULI[mu - 1], atol=TOL)
 
-    def test_minkowski_gamma5(self):
-        np.testing.assert_allclose(cl.GAMMA5_M, -1j * cl.GAMMA5, atol=TOL)
-
 
 class TestSpinBoost:
     def test_identity(self):

@@ -78,6 +78,14 @@ class TestAlgebra:
         assert g.degree_part(2).coefficient((0, 1)) == 5.0
         assert g.max_degree() == 2
 
+    def test_abs_propagates_nan_in_any_insertion_order(self):
+        nan_term = ((0, 2), np.nan)
+        finite_term = ((0, 1), 3.0 + 4.0j)
+        for terms in ([nan_term, finite_term], [finite_term, nan_term]):
+            assert np.isnan(abs(GrassmannNumber(dict(terms))))
+        assert abs(GrassmannNumber(dict([finite_term]))) == 5.0
+        assert abs(GrassmannNumber.zero()) == 0.0
+
 
 class TestPairForm:
     @given(seeds)

@@ -306,6 +306,14 @@ class TestOperatorEqual:
         cmp = operator_equal(a, k, probe_cutoff=1)
         assert not cmp.equal
 
+    def test_nan_term_is_inequality(self):
+        nan_term = FieldOperator(2, {((1, 0, 0, 0), ()): [[np.nan, 0.0], [0.0, 0.0]]})
+        ident = FieldOperator.identity(2)
+        for a, b in ((ident, ident + nan_term), (ident + nan_term, ident)):
+            cmp = operator_equal(a, b, probe_cutoff=1)
+            assert not cmp.equal
+            assert np.isnan(cmp.max_abs_error)
+
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_routes_agree_on_random_pairs(self, seed):
@@ -358,6 +366,28 @@ def shared_mode_operator(rng, n, antilinear):
         mode = modes[int(rng.integers(0, len(modes)))]
         terms[(mode, d)] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return FieldOperator(n, terms, antilinear)
+
+
+class TestNanPropagation:
+    """Every reduction across terms or probes is NaN if any entry is NaN."""
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_reductions_in_either_insertion_order(self, nan_first):
+        nan_term = (((1, 0, 0, 0), ()), [[np.nan, 0.0], [0.0, 0.0]])
+        terms = [nan_term, ((ZERO_MODE, ()), np.eye(2))]
+        op = FieldOperator(2, dict(terms if nan_first else terms[::-1]))
+        ident = FieldOperator.identity(2)
+        assert np.isnan(op.max_abs())
+        assert np.isnan(normal_form_distance(op, ident))
+        assert np.isnan(normal_form_distance(ident, op))
+        assert np.isnan(normal_form_distance(FieldOperator.conjugation(2), op))
+        assert np.isnan(_probe_distance(op, 1))
+
+    def test_finite_values_unchanged(self):
+        op = FieldOperator(2, {((1, 0, 0, 0), ()): 3 * np.eye(2), (ZERO_MODE, ()): np.eye(2)})
+        assert op.max_abs() == 3.0
+        assert normal_form_distance(op, FieldOperator.identity(2)) == 3.0
+        assert FieldOperator.zero(2).max_abs() == 0.0
 
 
 class TestProbeDistance:

@@ -81,6 +81,14 @@ class TestScalarAlgebra:
         assert np.isclose(f.inner(g), direct)
         assert f.inner(f).real >= 0.0
 
+    def test_max_abs_propagates_nan_in_any_mode_order(self):
+        nan_mode = ((1, 0, 0, 0), np.nan)
+        finite_mode = ((0, 0, 0, 0), 1.0)
+        for modes in ([nan_mode, finite_mode], [finite_mode, nan_mode]):
+            assert np.isnan(FourierScalar(dict(modes)).max_abs())
+        assert FourierScalar(dict([finite_mode])).max_abs() == 1.0
+        assert FourierScalar().max_abs() == 0.0
+
     def test_derivative_kills_constant(self):
         c = FourierScalar.constant(4.2)
         for mu in range(4):
