@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from twistkit.checks import GROUPS, RunConfig, run_checks
+from twistkit.cli import split_groups
 
 
 def main() -> int:
@@ -25,7 +26,7 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    groups = tuple(args.groups.split(",")) if args.groups else GROUPS
+    groups = split_groups(args.groups) if args.groups else GROUPS
     try:
         configs = [
             RunConfig(seed=seed, groups=groups, rapidity_max=args.rapidity)

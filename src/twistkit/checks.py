@@ -76,7 +76,6 @@ from .clifford import (
 )
 from .dynamics import (
     EL_KINDS,
-    KERNEL_THRESHOLD,
     PROBLEM_KINDS,
     boosted_dirac_reduction_residual,
     boosted_weyl_reduction_residual,

@@ -91,7 +91,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _split_groups(text: str) -> tuple[str, ...]:
+def split_groups(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
@@ -114,7 +114,7 @@ def _resolve_run_config(args) -> RunConfig:
     probe_cutoff = file_cfg.get("probe_cutoff", 3)
     rapidity_max = pick("rapidity", "rapidity_max", 2.0)
     groups_raw = pick("groups", "groups", None)
-    groups = _split_groups(groups_raw) if isinstance(groups_raw, str) else GROUPS
+    groups = split_groups(groups_raw) if isinstance(groups_raw, str) else GROUPS
 
     tolerances: dict[str, float] = {}
     for key, value in file_cfg.items():

@@ -95,12 +95,12 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     return out
 
 
-def _kernel_basis(matrix: np.ndarray, threshold: float = KERNEL_THRESHOLD):
+def _kernel_basis(matrix: np.ndarray):
     """Smallest-singular-direction kernel extraction."""
     _, s, vh = np.linalg.svd(matrix)
     if s.size == 0:
         return ()
-    cut = threshold * max(1.0, float(s[0]))
+    cut = KERNEL_THRESHOLD * max(1.0, float(s[0]))
     return tuple(vh[i].conj() for i in range(len(s)) if s[i] <= cut)
 
 

@@ -3,19 +3,25 @@
 All three share the same pattern: the algebra is a direct sum of two copies
 of a function algebra, the twist flips the copies, and the flip is
 implemented on operators by conjugation with the grading-compatible unitary
-R (the time gamma matrix on the spinor factor).  The three concrete cases
-are
+R (the time gamma matrix on the spinor factor).
 
-* ``ManifoldGeometry``   -- fiber 4, one algebra slot (f, f');
-* ``DoubledGeometry``    -- fiber 8, two slots (f, g) and their primes, with
-                            a two-point internal space {e, ebar};
-* ``ElectrodynamicsGeometry`` -- fiber 16, two slots, internal basis
-                            {e_L, e_R, ebar_L, ebar_R} and an off-diagonal
-                            internal Dirac matrix with coupling d.
+The fiber holds one four-spinor per internal sector, with the internal index
+outermost and the spinor index innermost, i.e. "spinor x internal" is
+``np.kron(internal, spinor)``.  A geometry is declared by its sector tables,
+from which ``_GeometryBase`` builds the real structure, grading,
+representation and fluctuation maps:
 
-Tensor factors are laid out with the internal index outermost and the
-spinor index innermost, i.e. "spinor x internal" is ``np.kron(internal,
-spinor)``.
+* ``_j_swap`` -- the internal factor of the real structure J;
+* ``_sector_is_particle`` -- 1 where a sector carries (f, f') and the
+  fluctuation parameters (z, z'), 0 where it carries (g', g) and their
+  conjugates; boosts act inversely on the two kinds;
+* ``_sector_is_exchanged`` -- 1 where a sector's Weyl pair sits in exchanged
+  (right-handed) order.
+
+The internal grading is the particle sign times the exchange sign.
+``ManifoldGeometry`` has the one sector {e}, ``DoubledGeometry`` the two
+{e, ebar}, and ``ElectrodynamicsGeometry`` the four {e_L, e_R, ebar_L,
+ebar_R} with an off-diagonal internal Dirac matrix of coupling d.
 
 Representations are diagonal multiplication operators; twisted commutators,
 fluctuations, gauge transforms and the adjoint action are assembled from
@@ -45,7 +51,6 @@ from .clifford import (
     GAMMA,
     GAMMA0,
     GAMMA5,
-    I2,
     PAULI,
     SpinBoost,
     _pauli_components,
@@ -95,9 +100,7 @@ class Element:
     def unitarity_defect(self) -> float:
         one = FourierScalar.one()
         prod = self * self.star()
-        return max(
-            (c - one).max_abs() for c in prod.unprimed + prod.primed
-        )
+        return float(np.max([(c - one).max_abs() for c in prod.unprimed + prod.primed]))
 
 
 def random_element(rng, n_slots: int, cutoff: int = 2) -> Element:
@@ -114,41 +117,32 @@ def wave_phase(mode: Mode, alpha: float = 0.0) -> FourierScalar:
 
 def embed_sector(op4: FieldOperator, n_sectors: int, sector: int) -> FieldOperator:
     """Embed a spinor-fiber operator into one internal diagonal sector."""
-    sel = np.zeros((n_sectors, n_sectors), dtype=complex)
-    sel[sector, sector] = 1.0
+    block = slice(4 * sector, 4 * sector + 4)
     out = FieldOperator(4 * n_sectors, {}, op4.antilinear)
     for key, g in op4.terms.items():
-        out.terms[key] = np.kron(sel, g)
-    return out
-
-
-def sector_block(op: FieldOperator, n_sectors: int, sector: int) -> FieldOperator:
-    """Extract the diagonal 4x4 spinor block of one internal sector."""
-    lo, hi = 4 * sector, 4 * sector + 4
-    out = FieldOperator(4, {}, op.antilinear)
-    for (k, d), g in op.terms.items():
-        blk = g[lo:hi, lo:hi]
-        if np.any(blk != 0):
-            out.terms[(k, d)] = blk.copy()
+        out.terms[key] = np.zeros((4 * n_sectors, 4 * n_sectors), dtype=complex)
+        out.terms[key][block, block] = g
     return out
 
 
 def chiral_vector_parameters(
-    op4: FieldOperator,
+    op: FieldOperator,
 ) -> tuple[list[FourierScalar], list[FourierScalar]]:
-    """Read (h_mu, h'_mu) off a spinor-fiber one-form.
+    """Read (h_mu, h'_mu) off the first sector of a one-form.
 
     The operator is assumed to be of multiplication type with the chiral
     block structure produced by twisted commutators; h sits in the
-    lower-left Weyl block, h' in the upper-right.
+    lower-left Weyl block of the first four-spinor, h' in the upper-right.
     """
     h_coeffs: list[dict] = [{} for _ in range(4)]
     hp_coeffs: list[dict] = [{} for _ in range(4)]
-    for (k, d), g in op4.terms.items():
+    for (k, d), g in op.terms.items():
         if d:
             raise ValueError("operator has derivative terms; not a one-form")
         lower = g[2:4, 0:2]
         upper = g[0:2, 2:4]
+        if not (lower.any() or upper.any()):
+            continue
         c = _pauli_components(lower)
         cp = _pauli_components(upper)
         vals_h = (1j * c[0], c[1], c[2], c[3])
@@ -178,19 +172,24 @@ def chiral_vector_operator(
 def selfadjoint_defect_parameters(
     first: Sequence[FourierScalar], second: Sequence[FourierScalar]
 ) -> float:
-    """Parameter-level self-adjointness: second_mu = -conj(first_mu)."""
-    return max(
-        (second[mu] + first[mu].conjugate()).max_abs() for mu in range(4)
-    )
+    """Parameter-level self-adjointness: second_mu = -conj(first_mu); NaN if any
+    coefficient is NaN."""
+    defects = [(second[mu] + first[mu].conjugate()).max_abs() for mu in range(4)]
+    return float(np.max(defects))
 
 
 class _GeometryBase:
+    """A twisted geometry; subclasses declare the sector tables."""
+
     fiber_dim: int
     n_sectors: int
     n_slots: int
     #: Weyl fields an action input takes: two slots on the single sector,
     #: one field per sector otherwise.
     n_weyl_fields: int
+    _j_swap: np.ndarray
+    _sector_is_particle: np.ndarray
+    _sector_is_exchanged: np.ndarray
 
     @property
     def ko_signs(self) -> tuple[int, int, int, int]:
@@ -204,7 +203,21 @@ class _GeometryBase:
         eps_gamma = 1 if self.n_sectors == 1 else -1
         return (-1, 1, eps_gamma, -1)
 
-    # ----- constant structures (subclasses fill the raw matrices) --------
+    # ----- sector tables ---------------------------------------------------
+    @cached_property
+    def _sector_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(particle, exchange) signs: -1 off particle sectors, -1 on exchanged ones."""
+        particle, exchanged = self._sector_is_particle, self._sector_is_exchanged
+        return 2.0 * particle - 1.0, 1.0 - 2.0 * exchanged
+
+    def _sector_pairs(self, particle_pair, conjugate_pair):
+        """Per sector, the pair it carries, in the sector's Weyl order."""
+        tables = zip(self._sector_is_particle, self._sector_is_exchanged)
+        for particle, exchanged in tables:
+            pair = particle_pair if particle else conjugate_pair
+            yield pair[::-1] if exchanged else pair
+
+    # ----- constant structures ---------------------------------------------
     def _free_dirac(self) -> FieldOperator:
         """-i gamma^mu d_mu on every sector."""
         return FieldOperator(
@@ -231,13 +244,14 @@ class _GeometryBase:
     def real_structure(self) -> FieldOperator:
         return FieldOperator(
             self.fiber_dim,
-            {((0, 0, 0, 0), ()): self._j_linear},
+            {((0, 0, 0, 0), ()): np.kron(self._j_swap, _J_SPINOR)},
             antilinear=True,
         )
 
     @cached_property
     def grading_matrix(self) -> np.ndarray:
-        return np.kron(self._internal_grading, GAMMA5)
+        particle, exchange = self._sector_signs
+        return np.kron(np.diag(particle * exchange), GAMMA5)
 
     @cached_property
     def plus_projector(self) -> np.ndarray:
@@ -260,6 +274,17 @@ class _GeometryBase:
         if e.n_slots != self.n_slots:
             raise ValueError(f"expected {self.n_slots} components per copy")
         return e
+
+    def _diagonal_functions(self, e: Element) -> list[FourierScalar]:
+        """The function on each fiber entry: (f, f') on particle-type sectors
+        and (g', g) on the others, each in its sector's Weyl order."""
+        f, fp = e.unprimed[0], e.primed[0]
+        # g is the last slot; the single-slot manifold has no sector that reads it
+        g, gp = e.unprimed[-1], e.primed[-1]
+        out = []
+        for first, second in self._sector_pairs((f, fp), (gp, g)):
+            out += [first, first, second, second]
+        return out
 
     def represent(self, e: Element) -> FieldOperator:
         # entries holding the same function share one diagonal mask, so the
@@ -297,6 +322,33 @@ class _GeometryBase:
 
     def fluctuation(self, omega: FieldOperator) -> FieldOperator:
         return omega + self.real_conjugate(omega)
+
+    def fluctuation_parameters(self, fluct: FieldOperator):
+        """(z_mu, z'_mu) from the first (particle-type) sector of a fluctuation."""
+        return chiral_vector_parameters(fluct)
+
+    def fluctuation_from_z(self, z, zp) -> FieldOperator:
+        """Rebuild a fluctuation from (z, z'): the parameters on particle-type
+        sectors, their conjugates on the others, in each sector's Weyl order."""
+        conjugates = ([c.conjugate() for c in z], [c.conjugate() for c in zp])
+        out = FieldOperator.zero(self.fiber_dim)
+        for s, pair in enumerate(self._sector_pairs((z, zp), conjugates)):
+            out = out + embed_sector(chiral_vector_operator(*pair), self.n_sectors, s)
+        return out
+
+    def selfadjoint_fluctuation(self, f, g) -> FieldOperator:
+        """-i gamma^mu gamma5 f_mu, negated on exchanged sectors, plus
+        gamma^mu g_mu, negated off particle-type sectors."""
+        vector, chiral = map(np.diag, self._sector_signs)
+        pairs = []
+        for mu in range(4):
+            pairs.append((np.kron(chiral, -1j * (GAMMA[mu] @ GAMMA5)), f[mu]))
+            pairs.append((np.kron(vector, GAMMA[mu]), g[mu]))
+        return function_matrix_sum(self.fiber_dim, pairs)
+
+    def dressed_dirac(self, f, g) -> FieldOperator:
+        """D plus the self-adjoint fluctuation of (f, 0); g is not read."""
+        return self.dirac + self.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
 
     def vector_potentials(self, fluct: FieldOperator):
         """Real potentials (f_mu, g_mu) of a self-adjoint sectored fluctuation."""
@@ -371,39 +423,20 @@ class ManifoldGeometry(_GeometryBase):
     n_sectors = 1
     n_slots = 1
     n_weyl_fields = 2
+    _j_swap = np.eye(1)
+    _sector_is_particle = np.array([1.0])
+    _sector_is_exchanged = np.array([0.0])
 
-    def dressed_dirac(self, f, g) -> FieldOperator:
-        """D plus the self-adjoint chiral one-form h = f, h' = -f; g is not read."""
-        return self.dirac + chiral_vector_operator(f, [(-1.0) * c for c in f])
+    # on the one sector a one-form is read and rebuilt like a fluctuation, and
+    # the dressing -i gamma^mu gamma5 f_mu is the chiral one-form h = f, h' = -f
+    one_form_parameters = _GeometryBase.fluctuation_parameters
+    one_form_from_parameters = _GeometryBase.fluctuation_from_z
 
     def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
         """The hand-derived Weyl density of the action on ``fields``; g is not read."""
         if boost is None:
             return manifold_lagrangian_action(fields[0], fields[1], f[0])
         return boosted_manifold_lagrangian_action(fields[0], fields[1], f, boost)
-
-    @cached_property
-    def _j_linear(self) -> np.ndarray:
-        return _J_SPINOR
-
-    @cached_property
-    def _internal_grading(self) -> np.ndarray:
-        return np.eye(1)
-
-    @cached_property
-    def _sector_is_particle(self) -> np.ndarray:
-        return np.array([1.0])
-
-    def _diagonal_functions(self, e: Element) -> list[FourierScalar]:
-        (f,), (fp,) = e.unprimed, e.primed
-        return [f, f, fp, fp]
-
-    # parameter maps specific to the single-sector case
-    def one_form_parameters(self, omega: FieldOperator):
-        return chiral_vector_parameters(omega)
-
-    def one_form_from_parameters(self, h, hp) -> FieldOperator:
-        return chiral_vector_operator(h, hp)
 
     # the single-sector boost pairs an inverse-boosted first slot with a
     # boosted second slot instead of acting sectorwise
@@ -426,52 +459,15 @@ class DoubledGeometry(_GeometryBase):
     n_sectors = 2
     n_slots = 2
     n_weyl_fields = 2
-
-    def dressed_dirac(self, f, g) -> FieldOperator:
-        """D plus the self-adjoint fluctuation of (f, 0); g is not read."""
-        return self.dirac + self.selfadjoint_fluctuation(f, [FourierScalar.zero()] * 4)
+    _j_swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    _sector_is_particle = np.array([1.0, 0.0])
+    _sector_is_exchanged = np.array([0.0, 0.0])
 
     def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
         """Twice the single-sheet density on ``fields``; g is not read."""
         if boost is None:
             return doubled_lagrangian_action(fields[0], fields[1], f[0])
         return boosted_doubled_lagrangian_action(fields[0], fields[1], f, boost)
-
-    @cached_property
-    def _j_linear(self) -> np.ndarray:
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return np.kron(swap, _J_SPINOR)
-
-    @cached_property
-    def _internal_grading(self) -> np.ndarray:
-        return np.diag([1.0, -1.0])
-
-    @cached_property
-    def _sector_is_particle(self) -> np.ndarray:
-        return np.array([1.0, 0.0])
-
-    def _diagonal_functions(self, e: Element) -> list[FourierScalar]:
-        (f, g), (fp, gp) = e.unprimed, e.primed
-        return [f, f, fp, fp, gp, gp, g, g]
-
-    def fluctuation_parameters(self, fluct: FieldOperator):
-        """(z_mu, z'_mu) from the particle sector of a fluctuation."""
-        return chiral_vector_parameters(sector_block(fluct, 2, 0))
-
-    def fluctuation_from_z(self, z, zp) -> FieldOperator:
-        zbar = [c.conjugate() for c in z]
-        zpbar = [c.conjugate() for c in zp]
-        return embed_sector(chiral_vector_operator(z, zp), 2, 0) + embed_sector(
-            chiral_vector_operator(zbar, zpbar), 2, 1
-        )
-
-    def selfadjoint_fluctuation(self, f, g) -> FieldOperator:
-        """-i gamma^mu f_mu gamma5 on both sheets (+/-) i g_mu gamma^mu."""
-        pairs = []
-        for mu in range(4):
-            pairs.append((np.kron(I2, -1j * (GAMMA[mu] @ GAMMA5)), f[mu]))
-            pairs.append((np.kron(np.diag([1.0, -1.0]), GAMMA[mu]), g[mu]))
-        return function_matrix_sum(8, pairs)
 
 
 class ElectrodynamicsGeometry(_GeometryBase):
@@ -481,6 +477,9 @@ class ElectrodynamicsGeometry(_GeometryBase):
     n_sectors = 4
     n_slots = 2
     n_weyl_fields = 4
+    _j_swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    _sector_is_particle = np.array([1.0, 1.0, 0.0, 0.0])
+    _sector_is_exchanged = np.array([0.0, 1.0, 0.0, 1.0])
 
     def __init__(self, d: complex = -1j):
         self.d = complex(d)
@@ -517,57 +516,6 @@ class ElectrodynamicsGeometry(_GeometryBase):
         if boost is None:
             return electro_lagrangian_action(fields, f, g, self.d)
         return boosted_electro_lagrangian_action(fields, f, g, self.d, boost)
-
-    @cached_property
-    def _j_linear(self) -> np.ndarray:
-        swap = np.zeros((4, 4))
-        swap[0, 2] = swap[2, 0] = 1.0
-        swap[1, 3] = swap[3, 1] = 1.0
-        return np.kron(swap, _J_SPINOR)
-
-    @cached_property
-    def _internal_grading(self) -> np.ndarray:
-        return np.diag([1.0, -1.0, -1.0, 1.0])
-
-    @cached_property
-    def _sector_is_particle(self) -> np.ndarray:
-        return np.array([1.0, 1.0, 0.0, 0.0])
-
-    def _diagonal_functions(self, e: Element) -> list[FourierScalar]:
-        (f, g), (fp, gp) = e.unprimed, e.primed
-        return [
-            f, f, fp, fp,      # e_L
-            fp, fp, f, f,      # e_R
-            gp, gp, g, g,      # ebar_L
-            g, g, gp, gp,      # ebar_R
-        ]
-
-    def fluctuation_parameters(self, fluct: FieldOperator):
-        """(z_mu, z'_mu) from the e_L sector of a fluctuation."""
-        return chiral_vector_parameters(sector_block(fluct, 4, 0))
-
-    def fluctuation_from_z(self, z, zp) -> FieldOperator:
-        zbar = [c.conjugate() for c in z]
-        zpbar = [c.conjugate() for c in zp]
-        blocks = [
-            chiral_vector_operator(z, zp),
-            chiral_vector_operator(zp, z),
-            chiral_vector_operator(zbar, zpbar),
-            chiral_vector_operator(zpbar, zbar),
-        ]
-        out = FieldOperator.zero(16)
-        for s, blk in enumerate(blocks):
-            out = out + embed_sector(blk, 4, s)
-        return out
-
-    def selfadjoint_fluctuation(self, f, g) -> FieldOperator:
-        pairs = []
-        x_signs = np.diag([1.0, -1.0, 1.0, -1.0])
-        y_signs = np.diag([1.0, 1.0, -1.0, -1.0])
-        for mu in range(4):
-            pairs.append((np.kron(x_signs, -1j * (GAMMA[mu] @ GAMMA5)), f[mu]))
-            pairs.append((np.kron(y_signs, GAMMA[mu]), g[mu]))
-        return function_matrix_sum(16, pairs)
 
 
 MANIFOLD = ManifoldGeometry()

@@ -12,7 +12,6 @@ from twistkit.geometries import (
     chiral_vector_operator,
     chiral_vector_parameters,
     random_element,
-    sector_block,
     selfadjoint_defect_parameters,
     wave_phase,
 )
@@ -540,3 +539,28 @@ class TestBoostCompatibility:
             },
         )
         assert normal_form_distance(lhs, rhs) < 1e-12
+
+
+class TestNanPropagation:
+    """The defect folds are NaN if any coefficient is NaN, wherever it sits."""
+
+    @pytest.mark.parametrize("mu", [0, 1, 3])
+    def test_selfadjoint_defect_parameters(self, mu):
+        z = [FourierScalar.constant(1.0 + 2.0j) for _ in range(4)]
+        zp = [(-1.0) * c.conjugate() for c in z]
+        assert selfadjoint_defect_parameters(z, zp) == 0.0
+        zp[mu] = zp[mu] + FourierScalar({(1, 0, 0, 0): 0.5})
+        assert selfadjoint_defect_parameters(z, zp) == 0.5
+        zp[mu] = FourierScalar({(1, 0, 0, 0): np.nan})
+        assert np.isnan(selfadjoint_defect_parameters(z, zp))
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_unitarity_defect(self, primed):
+        phase = wave_phase((1, 0, 0, 0), 0.3)
+        assert Element((phase, phase), (phase, phase)).unitarity_defect() < 1e-15
+        nan = FourierScalar({(0, 1, 0, 0): np.nan})
+        slots = [[phase, phase], [phase, phase]]
+        slots[primed][1] = nan
+        assert np.isnan(Element(*map(tuple, slots)).unitarity_defect())
+        slots[primed][1] = 2.0 * phase
+        assert Element(*map(tuple, slots)).unitarity_defect() == 3.0

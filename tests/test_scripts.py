@@ -30,6 +30,7 @@ def run_script(name, *argv):
         ("boost_sweep.py", ("--max", "1", "--steps", "1"), "rapidity"),
         ("run_verification.py", ("--seeds", "1", "--groups", "clifford"), "no failures."),
         ("dispersion_scan.py", ("--steps", "3"), "exact root"),
+        ("run_verification.py", ("--seeds", "1", "--groups", "clifford, actions"), "no failures."),
     ],
 )
 def test_script_runs(name, argv, marker):
