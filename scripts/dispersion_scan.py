@@ -4,7 +4,8 @@ For fixed spatial momentum the determinant of the system matrix is a
 polynomial in p0 whose real zeros are the shell; the scan prints |det|
 and the smallest singular value on a grid so the crossing is visible,
 then solves exactly at the closed-form roots.  For the boosted families
-the same shell appears in the transported frame.
+the same shell appears in the transported frame.  Kinds and solver are
+those of ``twistkit dispersion`` (``PROBLEM_KINDS``, ``PlaneWaveProblem``).
 
     python3 scripts/dispersion_scan.py --kind weyl-left --p 0,0.4,-0.3,1.1
     python3 scripts/dispersion_scan.py --kind dirac --d 0+1.5j --g 0.2,0,0
@@ -18,39 +19,20 @@ import numpy as np
 
 from twistkit.cli import UsageError, parse_axis, parse_complex, parse_rapidity, parse_vector
 from twistkit.clifford import SpinBoost
-from twistkit.dynamics import (
-    boosted_dirac_system,
-    boosted_weyl_system,
-    dirac_system,
-    weyl_system,
-)
-
-FLAT_KINDS = ("weyl-left", "weyl-right", "dirac", "dirac-primed")
-BOOSTED_KINDS = tuple("boosted-" + k for k in FLAT_KINDS)
+from twistkit.dynamics import PROBLEM_KINDS, PlaneWaveProblem, weyl_identification
 
 
 def _system(kind, p0, sp, g3, d, boost):
-    """System matrix at trial frequency p0 under the kind's identification."""
-    p = np.array([p0, *sp])
-    handed = "right" if kind.endswith("right") else "left"
-    primed = kind.endswith("primed")
-    sign = 1.0 if handed == "right" or primed else -1.0
-    f0 = sign * p0
-    if kind in ("weyl-left", "weyl-right"):
-        return weyl_system(f0, p, handed)
-    if kind in ("dirac", "dirac-primed"):
-        return dirac_system(f0, g3, d, p, primed)
-    if kind in ("boosted-weyl-left", "boosted-weyl-right"):
-        f = np.array([f0, *(-sign * np.asarray(sp))])
-        return boosted_weyl_system(boost, f, p, handed)
-    f = np.array([f0, *(-sign * (np.asarray(sp) + g3))])
-    g4 = np.array([0.0, *g3])
-    return boosted_dirac_system(boost, f, g4, d, p, primed)
+    """Solve at trial frequency p0; the identification is its own inverse."""
+    big_p = np.asarray(sp) + g3 if "dirac" in kind else np.asarray(sp)
+    handed = "right" if kind.endswith(("right", "primed")) else "left"
+    f = tuple(weyl_identification([p0, *big_p], handed))
+    return PlaneWaveProblem(kind, (p0, *sp), f, (0.0, *g3), d, boost).solve()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kind", default="weyl-left", choices=FLAT_KINDS + BOOSTED_KINDS)
+    parser.add_argument("--kind", default="weyl-left", choices=PROBLEM_KINDS)
     parser.add_argument("--p", default="0,0.4,-0.3,1.1", help="trial momentum; p0 is scanned")
     parser.add_argument("--g", default="0,0,0", help="spatial gauge potential (dirac kinds)")
     parser.add_argument("--d", default="0+1j", help="coupling; mass is -i*d")

@@ -78,6 +78,23 @@ def minkowski_weyl_matrix(p: Sequence[float], handed: str = "left") -> np.ndarra
     return p[0] * _ID2 + sign * sigma_dot(p[1:4])
 
 
+def _chiral_blocks(upper: np.ndarray, lower: np.ndarray, off: complex = 0) -> np.ndarray:
+    """4x4 chiral-basis matrix: ``upper``/``lower`` on the diagonal, ``off * I``
+    coupling the two chiralities."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2], out[2:, 2:] = upper, lower
+    out[:2, 2:] = out[2:, :2] = off * _ID2
+    return out
+
+
+def _boosted_sum(sigma, coeff: np.ndarray) -> np.ndarray:
+    """``sum_mu sigma(mu) * coeff[mu]`` for a boosted sigma family."""
+    out = np.zeros((2, 2), dtype=complex)
+    for mu in range(4):
+        out = out + sigma(mu) * coeff[mu]
+    return out
+
+
 def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     """Massive flat-space block system, assembled from the Minkowski sigmas.
 
@@ -87,12 +104,7 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     upper = sum(SIGMA_M_BAR[mu] * p[mu] for mu in range(4))
     lower = sum(SIGMA_M[mu] * p[mu] for mu in range(4))
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = upper
-    out[2:, 2:] = lower
-    out[:2, 2:] = -m * _ID2
-    out[2:, :2] = -m * _ID2
-    return out
+    return _chiral_blocks(upper, lower, -m)
 
 
 def _kernel_basis(matrix: np.ndarray):
@@ -124,6 +136,12 @@ class DispersionResult:
         return len(self.kernel) > 0
 
 
+def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
+    """``matrix`` with its determinant and kernel."""
+    determinant = complex(np.linalg.det(matrix))
+    return DispersionResult(kind, matrix, determinant, roots, _kernel_basis(matrix))
+
+
 def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> DispersionResult:
     """Massless system ``f_0 +- sigma.p`` with the chirality-dependent sign.
 
@@ -135,13 +153,7 @@ def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> Dispersi
     sign = 1.0 if _require_handed(handed) == "left" else -1.0
     matrix = f0 * _ID2 + sign * sigma_dot(p[1:4])
     radius = float(np.linalg.norm(p[1:4]))
-    return DispersionResult(
-        kind=f"weyl-{handed}",
-        matrix=matrix,
-        determinant=complex(np.linalg.det(matrix)),
-        roots=(radius, -radius),
-        kernel=_kernel_basis(matrix),
-    )
+    return _solved(f"weyl-{handed}", matrix, (radius, -radius))
 
 
 def dirac_system(
@@ -167,23 +179,11 @@ def dirac_system(
     big_p = p[1:4] + g
     plus = f0 * _ID2 + sigma_dot(big_p)
     minus = f0 * _ID2 - sigma_dot(big_p)
-    matrix = np.zeros((4, 4), dtype=complex)
     if primed:
-        matrix[:2, :2] = minus
-        matrix[2:, 2:] = plus
-    else:
-        matrix[:2, :2] = plus
-        matrix[2:, 2:] = minus
-    matrix[:2, 2:] = -m * _ID2
-    matrix[2:, :2] = -m * _ID2
+        plus, minus = minus, plus
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
-    return DispersionResult(
-        kind="dirac-primed" if primed else "dirac",
-        matrix=matrix,
-        determinant=complex(np.linalg.det(matrix)),
-        roots=(shell, -shell),
-        kernel=_kernel_basis(matrix),
-    )
+    kind = "dirac-primed" if primed else "dirac"
+    return _solved(kind, _chiral_blocks(plus, minus, -m), (shell, -shell))
 
 
 def boosted_weyl_system(
@@ -202,21 +202,12 @@ def boosted_weyl_system(
     """
     p = _as_covector(p)
     f = _as_covector(f)
-    _require_handed(handed)
-    matrix = np.zeros((2, 2), dtype=complex)
-    for mu in range(4):
-        if handed == "left":
-            matrix = matrix + boost.sigma_tilde_boosted(mu) * (-1j * p[mu] + f[mu])
-        else:
-            matrix = matrix + boost.sigma_boosted(mu) * (-1j * p[mu] - f[mu])
+    if _require_handed(handed) == "left":
+        matrix = _boosted_sum(boost.sigma_tilde_boosted, -1j * p + f)
+    else:
+        matrix = _boosted_sum(boost.sigma_boosted, -1j * p - f)
     radius = float(np.linalg.norm(p[1:4]))
-    return DispersionResult(
-        kind=f"boosted-weyl-{handed}",
-        matrix=matrix,
-        determinant=complex(np.linalg.det(matrix)),
-        roots=(radius, -radius),
-        kernel=_kernel_basis(matrix),
-    )
+    return _solved(f"boosted-weyl-{handed}", matrix, (radius, -radius))
 
 
 def boosted_dirac_mass(d: complex, primed: bool = False) -> complex:
@@ -248,26 +239,13 @@ def boosted_dirac_system(
     g = _as_covector(g)
     big_p = p + g
     coeff = (-1j * big_p) + (-f if primed else f)
-    upper = np.zeros((2, 2), dtype=complex)
-    lower = np.zeros((2, 2), dtype=complex)
-    for mu in range(4):
-        upper = upper + boost.sigma_tilde_boosted(mu) * coeff[mu]
-        lower = lower + boost.sigma_boosted(mu) * coeff[mu]
+    upper = _boosted_sum(boost.sigma_tilde_boosted, coeff)
+    lower = _boosted_sum(boost.sigma_boosted, coeff)
     off = 1j * np.conj(complex(d)) if primed else -1j * complex(d)
-    matrix = np.zeros((4, 4), dtype=complex)
-    matrix[:2, :2] = upper
-    matrix[2:, 2:] = lower
-    matrix[:2, 2:] = off * _ID2
-    matrix[2:, :2] = off * _ID2
     m = boosted_dirac_mass(d, primed)
     shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
-    return DispersionResult(
-        kind="boosted-dirac-primed" if primed else "boosted-dirac",
-        matrix=matrix,
-        determinant=complex(np.linalg.det(matrix)),
-        roots=(-g[0] + shell, -g[0] - shell),
-        kernel=_kernel_basis(matrix),
-    )
+    kind = "boosted-dirac-primed" if primed else "boosted-dirac"
+    return _solved(kind, _chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +321,12 @@ def weyl_kernel_covariance(
     f_spatial = np.asarray(f_spatial, dtype=float)
     f = np.array([np.linalg.norm(f_spatial), *f_spatial])
     p = weyl_identification(f, handed)
-    result = boosted_weyl_system(boost, f, p, handed)
-    if not result.kernel:
-        raise ValueError("on-shell boosted system has empty kernel")
-    p_prime = boost_covector(boost, p)
-    flat_prime = minkowski_weyl_matrix(p_prime, handed)
-    flat = minkowski_weyl_matrix(p, handed)
-    lam = boost.lambda_plus if handed == "left" else boost.lambda_minus
-    worst = 0.0
-    for v in result.kernel:
-        worst = max(worst, float(np.abs(flat_prime @ v).max()))
-        worst = max(worst, float(np.abs(flat @ (lam @ v)).max()))
-    return worst
+    return _kernel_transport_residual(
+        boosted_weyl_system(boost, f, p, handed),
+        minkowski_weyl_matrix(boost_covector(boost, p), handed),
+        minkowski_weyl_matrix(p, handed),
+        boost.lambda_plus if handed == "left" else boost.lambda_minus,
+    )
 
 
 def dirac_kernel_covariance(
@@ -369,7 +341,7 @@ def dirac_kernel_covariance(
     ``mass`` is the positive physical mass; the coupling is
     ``d = mass * (i - 1)`` (unprimed) or ``mass * (i + 1)`` (primed), both
     of which extract a real mass.  Kernel vectors transport blockwise with
-    ``diag(Lambda_plus, Lambda_minus)``.
+    ``diag(Lambda_plus, Lambda_minus) = boost.inverse``.
     """
     f_spatial = np.asarray(f_spatial, dtype=float)
     d = mass * ((1j + 1) if primed else (1j - 1))
@@ -377,15 +349,20 @@ def dirac_kernel_covariance(
     f0 = np.sqrt(np.dot(f_spatial, f_spatial) + float(np.real(m)) ** 2)
     f = np.array([f0, *f_spatial])
     p = dirac_identification(f, g, primed)
-    result = boosted_dirac_system(boost, f, g, d, p, primed)
+    big_p = p + _as_covector(g)
+    return _kernel_transport_residual(
+        boosted_dirac_system(boost, f, g, d, p, primed),
+        minkowski_dirac_matrix(boost_covector(boost, big_p), m),
+        minkowski_dirac_matrix(big_p, m),
+        boost.inverse,
+    )
+
+
+def _kernel_transport_residual(result, flat_prime, flat, transport) -> float:
+    """Worst of ``|flat_prime @ v|`` and ``|flat @ (transport @ v)|`` over the
+    kernel vectors ``v`` of ``result``; raises if the kernel is empty."""
     if not result.kernel:
         raise ValueError("on-shell boosted system has empty kernel")
-    big_p = p + _as_covector(g)
-    flat_prime = minkowski_dirac_matrix(boost_covector(boost, big_p), m)
-    flat = minkowski_dirac_matrix(big_p, m)
-    transport = np.zeros((4, 4), dtype=complex)
-    transport[:2, :2] = boost.lambda_plus
-    transport[2:, 2:] = boost.lambda_minus
     worst = 0.0
     for v in result.kernel:
         worst = max(worst, float(np.abs(flat_prime @ v).max()))
@@ -397,25 +374,30 @@ def dirac_kernel_covariance(
 # problem wrapper
 
 
-PROBLEM_KINDS = (
-    "weyl-left",
-    "weyl-right",
-    "dirac",
-    "dirac-primed",
-    "boosted-weyl",
-    "boosted-weyl-right",
-    "boosted-dirac",
-    "boosted-dirac-primed",
+PROBLEM_KINDS = tuple(
+    prefix + kind
+    for prefix in ("", "boosted-")
+    for kind in ("weyl-left", "weyl-right", "dirac", "dirac-primed")
 )
+
+
+def _kind_parts(kind: str) -> tuple[bool, str, str]:
+    """``(boosted, family, variant)``, e.g. ``(True, "weyl", "right")``.
+
+    The family is ``weyl`` (variant ``left``/``right``) or ``dirac``
+    (variant ``""``/``primed``).
+    """
+    flat = kind.removeprefix("boosted-")
+    family, _, variant = flat.partition("-")
+    return flat != kind, family, variant
 
 
 @dataclass(frozen=True)
 class PlaneWaveProblem:
     """Constant-coefficient plane-wave problem, dispatched by ``kind``.
 
-    ``boosted-weyl`` means the left branch; append ``-right`` for the other
-    chirality.  Unboosted kinds ignore ``boost``; Weyl kinds ignore ``g``
-    and ``d``; the unboosted Dirac kinds use only the spatial part of ``g``.
+    Unboosted kinds ignore ``boost``; Weyl kinds ignore ``g`` and ``d``;
+    the unboosted Dirac kinds use only the spatial part of ``g``.
     """
 
     kind: str
@@ -430,22 +412,16 @@ class PlaneWaveProblem:
             raise ValueError(f"unknown system kind {self.kind!r}")
 
     def solve(self) -> DispersionResult:
+        boosted, family, variant = _kind_parts(self.kind)
         boost = self.boost if self.boost is not None else IDENTITY_BOOST
-        if self.kind == "weyl-left":
-            return weyl_system(self.f[0], self.p, "left")
-        if self.kind == "weyl-right":
-            return weyl_system(self.f[0], self.p, "right")
-        if self.kind == "dirac":
-            return dirac_system(self.f[0], self.g[1:4], self.d, self.p, False)
-        if self.kind == "dirac-primed":
-            return dirac_system(self.f[0], self.g[1:4], self.d, self.p, True)
-        if self.kind == "boosted-weyl":
-            return boosted_weyl_system(boost, self.f, self.p, "left")
-        if self.kind == "boosted-weyl-right":
-            return boosted_weyl_system(boost, self.f, self.p, "right")
-        if self.kind == "boosted-dirac":
-            return boosted_dirac_system(boost, self.f, self.g, self.d, self.p, False)
-        return boosted_dirac_system(boost, self.f, self.g, self.d, self.p, True)
+        if family == "weyl" and boosted:
+            return boosted_weyl_system(boost, self.f, self.p, variant)
+        if family == "weyl":
+            return weyl_system(self.f[0], self.p, variant)
+        primed = variant == "primed"
+        if boosted:
+            return boosted_dirac_system(boost, self.f, self.g, self.d, self.p, primed)
+        return dirac_system(self.f[0], self.g[1:4], self.d, self.p, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +449,23 @@ def random_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveP
 
 def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveProblem:
     """Constructed singular draw: identification momentum on the mass shell."""
-    boost = (
-        _random_boost(rng, max_half_rapidity) if kind.startswith("boosted") else None
-    )
+    boosted, family, variant = _kind_parts(kind)
+    boost = _random_boost(rng, max_half_rapidity) if boosted else None
     f_spatial = rng.normal(size=3)
     sign = rng.choice((-1.0, 1.0))
-    if kind in ("weyl-left", "weyl-right", "boosted-weyl", "boosted-weyl-right"):
-        handed = "right" if kind.endswith("right") else "left"
+    if family == "weyl":
         f = np.array([sign * np.linalg.norm(f_spatial), *f_spatial])
-        p = weyl_identification(f, handed)
+        p = weyl_identification(f, variant)
         return PlaneWaveProblem(kind=kind, p=tuple(p), f=tuple(f), boost=boost)
-    primed = kind.endswith("primed")
+    primed = variant == "primed"
     mass = abs(rng.normal()) + 0.1
     f = np.array([sign * np.sqrt(np.dot(f_spatial, f_spatial) + mass**2), *f_spatial])
     g = rng.normal(size=4)
-    if kind in ("dirac", "dirac-primed"):
+    if boosted:
+        d = mass * ((1j + 1) if primed else (1j - 1))
+    else:
         d = 1j * mass
         g[0] = 0.0
-    else:
-        d = mass * ((1j + 1) if primed else (1j - 1))
     p = dirac_identification(f, g, primed)
     return PlaneWaveProblem(
         kind=kind, p=tuple(p), f=tuple(f), g=tuple(g), d=d, boost=boost
@@ -608,15 +582,12 @@ def euler_lagrange_check(
     """
     p = _as_covector(p)
     psi = np.asarray(psi, dtype=complex)
-    if kind == "weyl-left":
+    if kind in ("weyl-left", "weyl-right"):
         op = weyl_density_operator(FourierScalar.constant(f[0]))
         el = _S2 @ _plane_wave_symbol(op, p)
-        system = 1j * weyl_system(f[0], p, "left").matrix
-    elif kind == "weyl-right":
-        op = weyl_density_operator(FourierScalar.constant(f[0]))
-        el = _S2 @ _plane_wave_symbol(op, p)
-        reflected = np.array([p[0], -p[1], -p[2], -p[3]])
-        system = 1j * weyl_system(f[0], reflected, "right").matrix
+        handed = kind.removeprefix("weyl-")
+        q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])
+        system = 1j * weyl_system(f[0], q, handed).matrix
     elif kind in ("dirac", "dirac-primed"):
         primed = kind == "dirac-primed"
         g_scalars = [FourierScalar.constant(component) for component in g]
@@ -625,30 +596,26 @@ def euler_lagrange_check(
         )
         if primed:
             op_minus, op_plus = op_plus, op_minus
-        m = -1j * complex(d)
-        el = np.zeros((4, 4), dtype=complex)
-        el[:2, :2] = 1j * (_S2 @ _plane_wave_symbol(op_minus, p))
-        el[2:, 2:] = 1j * (_S2 @ _plane_wave_symbol(op_plus, p))
-        el[:2, 2:] = m * _ID2
-        el[2:, :2] = m * _ID2
+        el = _chiral_blocks(
+            1j * (_S2 @ _plane_wave_symbol(op_minus, p)),
+            1j * (_S2 @ _plane_wave_symbol(op_plus, p)),
+            -1j * complex(d),
+        )
         system = -1.0 * dirac_system(f[0], g[1:4], d, p, primed).matrix
     elif kind == "boosted-weyl":
         boost = boost if boost is not None else IDENTITY_BOOST
         f_scalars = [FourierScalar.constant(component) for component in f]
         op_left, op_right = boosted_weyl_density_operators(f_scalars, boost)
-        el = np.zeros((4, 4), dtype=complex)
-        el[:2, :2] = _plane_wave_symbol(op_left, p)
-        el[2:, 2:] = _plane_wave_symbol(op_right, p)
-        system = np.zeros((4, 4), dtype=complex)
-        system[:2, :2] = boosted_weyl_system(boost, f, p, "left").matrix
-        system[2:, 2:] = boosted_weyl_system(boost, f, p, "right").matrix
+        el = _chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
+        system = _chiral_blocks(
+            boosted_weyl_system(boost, f, p, "left").matrix,
+            boosted_weyl_system(boost, f, p, "right").matrix,
+        )
     elif kind == "minkowski":
         el = minkowski_dirac_matrix(p, mass)
-        system = np.zeros((4, 4), dtype=complex)
-        system[:2, :2] = minkowski_weyl_matrix(p, "left")
-        system[2:, 2:] = minkowski_weyl_matrix(p, "right")
-        system[:2, 2:] = -mass * _ID2
-        system[2:, :2] = -mass * _ID2
+        system = _chiral_blocks(
+            minkowski_weyl_matrix(p, "left"), minkowski_weyl_matrix(p, "right"), -mass
+        )
     else:
         raise ValueError(f"unknown Euler-Lagrange kind {kind!r}")
     if psi.shape != (el.shape[0],):

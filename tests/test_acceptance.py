@@ -19,7 +19,6 @@ doubled and electrodynamics spaces are the manifold times a finite space of
 KO-dimension 6, so KO-dimension 4 + 6 ≡ 2 (mod 8), where ``JΓ = −ΓJ``.
 """
 
-import time
 from itertools import chain
 
 import numpy as np

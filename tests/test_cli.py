@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import twistkit.checks
@@ -21,7 +20,9 @@ from twistkit.checks import (
     report_json,
     run_checks,
 )
+from twistkit.cli import build_parser
 from twistkit.clifford import MAX_RAPIDITY
+from twistkit.dynamics import PROBLEM_KINDS
 from twistkit.operator_algebra import MAX_PROBE_CUTOFF
 
 EXPECTED_CHECK_IDS = (
@@ -467,7 +468,7 @@ class TestDispersionCommand:
             "dispersion", "--kind", "weyl-left", "--f0", "1", "--p", "0,0,0,1"
         )
         boosted = run_cli(
-            "dispersion", "--kind", "boosted-weyl", "--f0", "1", "--p", "0,0,0,1"
+            "dispersion", "--kind", "boosted-weyl-left", "--f0", "1", "--p", "0,0,0,1"
         )
         flat_body = flat.stdout.split("\n", 1)[1]
         boosted_body = boosted.stdout.split("\n", 1)[1]
@@ -479,7 +480,7 @@ class TestDispersionCommand:
             ("--kind", "dirac", "--d", "nan+0j"),
             ("--kind", "weyl-left", "--f0", "nan"),
             ("--kind", "weyl-left", "--p", "0,inf,0,0"),
-            ("--kind", "boosted-weyl", "--rapidity", "inf"),
+            ("--kind", "boosted-weyl-left", "--rapidity", "inf"),
         ],
     )
     def test_non_finite_usage_error(self, argv):
@@ -491,9 +492,9 @@ class TestDispersionCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--kind", "boosted-weyl", "--rapidity", "1e3"),
+            ("--kind", "boosted-weyl-left", "--rapidity", "1e3"),
             ("--kind", "boosted-dirac", "--rapidity", "1e3"),
-            ("--kind", "boosted-weyl", "--rapidity", "-13"),
+            ("--kind", "boosted-weyl-left", "--rapidity", "-13"),
             ("--kind", "boosted-dirac", "--rapidity", "12.5"),
         ],
     )
@@ -503,7 +504,7 @@ class TestDispersionCommand:
         assert f"|--rapidity| must be at most {MAX_RAPIDITY}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("kind", ["boosted-weyl", "boosted-dirac"])
+    @pytest.mark.parametrize("kind", ["boosted-weyl-left", "boosted-dirac"])
     @pytest.mark.parametrize("rapidity", [MAX_RAPIDITY, -MAX_RAPIDITY])
     def test_rapidity_at_cap_solves(self, kind, rapidity):
         proc = run_cli(
@@ -515,7 +516,7 @@ class TestDispersionCommand:
 
     @pytest.mark.parametrize("axis", ["1e200,1e200,0", "1e-200,1e-200,0"])
     def test_extreme_axis_scale_solves_like_unit_axis(self, axis):
-        argv = ("dispersion", "--kind", "boosted-weyl", "--rapidity", "1",
+        argv = ("dispersion", "--kind", "boosted-weyl-left", "--rapidity", "1",
                 "--p", "0,0.4,0,1")
         unit = run_cli(*argv, "--axis", "1,1,0")
         scaled = run_cli(*argv, "--axis", axis)
@@ -528,5 +529,12 @@ class TestDispersionCommand:
         assert proc.returncode == 2
 
     def test_unknown_kind_usage_error(self):
-        proc = run_cli("dispersion", "--kind", "tachyon")
-        assert proc.returncode == 2
+        for kind in ("tachyon", "boosted-weyl"):  # the left boosted kind has no alias
+            proc = run_cli("dispersion", "--kind", kind)
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+
+    def test_kind_choices_are_the_problem_kinds(self):
+        (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+        (kind,) = [a for a in sub.choices["dispersion"]._actions if a.dest == "kind"]
+        assert tuple(kind.choices) == PROBLEM_KINDS

@@ -254,7 +254,7 @@ class TestDeterminantKernelDuality:
             "weyl-right",
             "dirac",
             "dirac-primed",
-            "boosted-weyl",
+            "boosted-weyl-left",
             "boosted-weyl-right",
             "boosted-dirac",
             "boosted-dirac-primed",
@@ -342,6 +342,10 @@ class TestEulerLagrangeConsistency:
         rng = np.random.default_rng(75)
         psi = rng.normal(0.0, 1.0, 4) + 1j * rng.normal(0.0, 1.0, 4)
         assert dyn.euler_lagrange_check("minkowski", psi, rng.normal(0.0, 1.0, 4), mass=1.3) < EL_TOL
+        # (p_0 -+ sigma.p) psi = m psi_other: the mass couples the chiralities as -m
+        block = dyn.minkowski_dirac_matrix(rng.normal(0.0, 1.0, 4), 1.3)
+        assert np.array_equal(block[:2, 2:], -1.3 * np.eye(2))
+        assert np.array_equal(block[2:, :2], -1.3 * np.eye(2))
 
     def test_zero_field_trivial(self):
         psi = np.array([0.3 + 0.1j, -0.2j])
@@ -358,8 +362,9 @@ class TestEulerLagrangeConsistency:
 
 class TestPlaneWaveProblem:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            dyn.PlaneWaveProblem(kind="weyl")
+        for kind in ("weyl", "boosted-weyl"):  # the left boosted kind has no alias
+            with pytest.raises(ValueError):
+                dyn.PlaneWaveProblem(kind=kind)
 
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(81)
@@ -369,11 +374,13 @@ class TestPlaneWaveProblem:
             "weyl-right": 2,
             "dirac": 4,
             "dirac-primed": 4,
-            "boosted-weyl": 2,
+            "boosted-weyl-left": 2,
             "boosted-weyl-right": 2,
             "boosted-dirac": 4,
             "boosted-dirac-primed": 4,
         }
+        # the order is the random-stream order of every check that loops over kinds
+        assert tuple(sizes) == dyn.PROBLEM_KINDS
         for kind, n in sizes.items():
             problem = dyn.PlaneWaveProblem(
                 kind=kind,
@@ -385,6 +392,4 @@ class TestPlaneWaveProblem:
             )
             result = problem.solve()
             assert result.matrix.shape == (n, n)
-            # solver results label plain boosted-weyl with its handedness
-            expected = "boosted-weyl-left" if kind == "boosted-weyl" else kind
-            assert result.kind == expected
+            assert result.kind == kind

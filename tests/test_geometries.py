@@ -10,12 +10,12 @@ from twistkit.geometries import (
     Element,
     ManifoldGeometry,
     chiral_vector_operator,
-    chiral_vector_parameters,
     random_element,
     selfadjoint_defect_parameters,
     wave_phase,
 )
 from twistkit.actions import electro_operator_pieces
+from twistkit.checks import REGISTRY, RunConfig, reduce_residuals
 from twistkit.clifford import SpinBoost
 from twistkit.operator_algebra import (
     FieldOperator,
@@ -36,6 +36,8 @@ GEOMETRY_FACTORIES = {
 
 
 GEO_PARAMS = pytest.mark.parametrize("geo_name", sorted(GEOMETRY_FACTORIES))
+
+SPECS = {spec.check_id: spec for spec in REGISTRY}
 
 
 @pytest.fixture(params=sorted(GEOMETRY_FACTORIES), name="geo")
@@ -77,6 +79,14 @@ class TestAxioms:
         g_op = FieldOperator.from_matrix(g)
         d = geo.dirac
         assert normal_form_distance(g_op @ d, (d @ g_op).scale(-1.0)) < 1e-14
+
+    def test_sign_and_grading_checks_are_exact(self):
+        # J^2 = -1, JD = DJ, the KO grading sign, JR = -RJ, R a self-adjoint
+        # involution, Gamma^2 = 1 and Gamma D = -D Gamma on all three spaces.
+        rng = np.random.default_rng(46)
+        for check_id in ("axioms.ko_signs", "axioms.grading_relations"):
+            error = reduce_residuals(SPECS[check_id].fn(rng, RunConfig()))
+            assert error is not None and error <= 1e-14, (check_id, error)
 
     @GEO_PARAMS
     @given(seeds)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from twistkit.dynamics import PROBLEM_KINDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,6 +33,7 @@ def run_script(name, *argv):
         ("run_verification.py", ("--seeds", "1", "--groups", "clifford"), "no failures."),
         ("dispersion_scan.py", ("--steps", "3"), "exact root"),
         ("run_verification.py", ("--seeds", "1", "--groups", "clifford, actions"), "no failures."),
+        ("dispersion_scan.py", ("--kind", "boosted-weyl-left", "--steps", "3"), "exact root"),
     ],
 )
 def test_script_runs(name, argv, marker):
@@ -58,6 +61,7 @@ def test_script_runs(name, argv, marker):
         ("dispersion_scan.py", ("--p", "1,2")),
         ("dispersion_scan.py", ("--rapidity", "1e3")),
         ("dispersion_scan.py", ("--d", "nan")),
+        ("dispersion_scan.py", ("--kind", "boosted-weyl")),
     ],
 )
 def test_bad_argv_is_usage_error(name, argv):
@@ -65,3 +69,10 @@ def test_bad_argv_is_usage_error(name, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+def test_dispersion_scan_kinds_are_the_problem_kinds():
+    proc = run_script("dispersion_scan.py", "--kind", "tachyon")
+    assert proc.returncode == 2
+    listed = proc.stderr.split("choose from ", 1)[1].split(")", 1)[0]
+    assert tuple(k.strip(" '") for k in listed.split(",")) == PROBLEM_KINDS
