@@ -777,6 +777,17 @@ def _chk_doubled_action_closed_form(rng, cfg):
         yield abs(eng - 2 * single)
 
 
+def _selfadjoint_agreement(geo, fl) -> float:
+    """The sentinel unless the operator and parameter self-adjointness tests
+    of ``fl`` agree at 1e-9; a NaN defect on either side fails."""
+    z, zp = geo.fluctuation_parameters(fl)
+    op_defect = (fl - fl.adjoint()).max_abs()
+    par_defect = selfadjoint_defect_parameters(z, zp)
+    if np.isnan([op_defect, par_defect]).any():
+        return SENTINEL_ERROR
+    return _fail_unless((op_defect < 1e-9) == (par_defect < 1e-9))
+
+
 @check(
     "doubled.selfadjoint_fluctuations",
     1e-12,
@@ -796,10 +807,7 @@ def _chk_selfadjoint_fluctuations(rng, cfg):
     for geo in (dbl, elec):
         for _ in range(20):
             fl = geo.fluctuation(_random_one_form(rng, geo, 1))
-            z, zp = geo.fluctuation_parameters(fl)
-            op_defect = (fl - fl.adjoint()).max_abs()
-            par_defect = selfadjoint_defect_parameters(z, zp)
-            yield _fail_unless((op_defect < 1e-9) == (par_defect < 1e-9))
+            yield _selfadjoint_agreement(geo, fl)
             sym = fl + fl.adjoint()
             zs, zps = geo.fluctuation_parameters(sym)
             yield selfadjoint_defect_parameters(zs, zps)

@@ -76,10 +76,13 @@ def twist_gamma(mu: int) -> np.ndarray:
 
 
 def _pauli_components(x: np.ndarray) -> np.ndarray:
-    """Coefficients (c_0, c_1, c_2, c_3) of x = c_0 I + sum_j c_j sigma_j."""
-    c0 = np.trace(x) / 2.0
-    cj = [np.trace(PAULI[j] @ x) / 2.0 for j in range(3)]
-    return np.array([c0, *cj])
+    """Coefficients (c_0, c_1, c_2, c_3) of x = c_0 I + sum_j c_j sigma_j.
+
+    A stack of blocks (..., 2, 2) gives the coefficients along the last axis.
+    """
+    c0 = np.trace(x, axis1=-2, axis2=-1) / 2.0
+    cj = [np.trace(PAULI[j] @ x, axis1=-2, axis2=-1) / 2.0 for j in range(3)]
+    return np.stack([c0, *cj], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -133,28 +133,21 @@ def chiral_vector_parameters(
     The operator is assumed to be of multiplication type with the chiral
     block structure produced by twisted commutators; h sits in the
     lower-left Weyl block of the first four-spinor, h' in the upper-right.
+    The blocks of all terms are read in one batched pass; a mode enters a
+    component's coefficients where that component is nonzero, so a term
+    whose Weyl blocks vanish enters none.
     """
-    h_coeffs: list[dict] = [{} for _ in range(4)]
-    hp_coeffs: list[dict] = [{} for _ in range(4)]
-    for (k, d), g in op.terms.items():
-        if d:
-            raise ValueError("operator has derivative terms; not a one-form")
-        lower = g[2:4, 0:2]
-        upper = g[0:2, 2:4]
-        if not (lower.any() or upper.any()):
-            continue
-        c = _pauli_components(lower)
-        cp = _pauli_components(upper)
-        vals_h = (1j * c[0], c[1], c[2], c[3])
-        vals_hp = (1j * cp[0], -cp[1], -cp[2], -cp[3])
-        for mu in range(4):
-            if vals_h[mu] != 0:
-                h_coeffs[mu][k] = vals_h[mu]
-            if vals_hp[mu] != 0:
-                hp_coeffs[mu][k] = vals_hp[mu]
-    return (
-        [FourierScalar(c) for c in h_coeffs],
-        [FourierScalar(c) for c in hp_coeffs],
+    if any(d for _, d in op.terms):
+        raise ValueError("operator has derivative terms; not a one-form")
+    modes = [k for k, _ in op.terms]
+    blocks = np.stack(list(op.terms.values())) if modes else np.zeros((0, 4, 4))
+    c = _pauli_components(blocks[:, 2:4, 0:2])
+    cp = _pauli_components(blocks[:, 0:2, 2:4])
+    vals_h = (1j * c[:, 0], c[:, 1], c[:, 2], c[:, 3])
+    vals_hp = (1j * cp[:, 0], -cp[:, 1], -cp[:, 2], -cp[:, 3])
+    return tuple(
+        [FourierScalar({modes[t]: v[t] for t in np.flatnonzero(v != 0)}) for v in vals]
+        for vals in (vals_h, vals_hp)
     )
 
 

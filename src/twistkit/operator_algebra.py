@@ -11,9 +11,11 @@ of coordinate derivatives recorded as a sorted multi-index tuple.  This term
 dictionary is a *normal form*: two operators are equal on all sections if
 and only if their term dictionaries coincide, so zero-tests and equality
 checks are exact.  Composition pushes derivatives through phases with the
-finite Leibniz expansion, conjugation flips modes and conjugates matrices,
-and adjoints are built from the primitive rules (d_mu)^+ = -d_mu and
-(e^{ik.x})^+ = e^{-ik.x}.
+finite Leibniz expansion, and conjugation flips modes and conjugates
+matrices.  Adjoints are closed form per term: by (d_mu)^+ = -d_mu and
+(e^{ik.x})^+ = e^{-ik.x}, the adjoint of e^{ik.x} G d^alpha is
+(-1)^|alpha| G^+ d^alpha e^{-ik.x}, whose derivatives are pushed through the
+phase by the same cached Leibniz table that composition reads.
 
 ``apply`` multiplies each amplitude by the term matrices, so the same
 operator acts on vector amplitudes ``(n,)`` and on the ``(n, G)`` blocks of
@@ -23,6 +25,7 @@ sections linear in G anticommuting generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -50,7 +53,39 @@ def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarra
     return {(negate_mode(k), d): np.conj(g) for (k, d), g in terms.items()}
 
 
+def _accumulate(terms: dict, key, g: np.ndarray) -> None:
+    """Add g into terms[key]; a new key stores g itself, not a copy."""
+    if key in terms:
+        terms[key] = terms[key] + g
+    else:
+        terms[key] = g
+
+
+@lru_cache(maxsize=1024)
+def _leibniz(da: DerivIndex, db: DerivIndex) -> tuple[tuple[DerivIndex, DerivIndex], ...]:
+    """Expansion of d^{da} e^{i k.x} d^{db} = e^{i k.x} prod_mu (i k_mu + d_mu) d^{db}:
+    per subset of da's factors kept as derivatives (by size, then in order),
+    the axes whose i k_mu make up the coefficient and the merged index."""
+    positions = range(len(da))
+    table = []
+    for r in range(len(da) + 1):
+        for kept in combinations(positions, r):
+            axes = tuple(da[p] for p in positions if p not in kept)
+            table.append((axes, tuple(sorted(tuple(da[p] for p in kept) + db))))
+    return tuple(table)
+
+
+def _leibniz_coefficient(axes: DerivIndex, k: Mode) -> complex:
+    coeff = 1.0 + 0.0j
+    for mu in axes:
+        coeff *= 1j * k[mu]
+    return coeff
+
+
 class FieldOperator:
+    """Normal form; the constructor copies its matrices, and since no term
+    matrix is written after its operator is built, results share them."""
+
     __slots__ = ("fiber_dim", "antilinear", "terms")
 
     def __init__(
@@ -64,16 +99,10 @@ class FieldOperator:
         self.terms: dict[TermKey, np.ndarray] = {}
         if terms:
             for (k, d), g in terms.items():
-                g = np.asarray(g, dtype=complex)
+                g = np.array(g, dtype=complex, order="C")
                 if g.shape != (self.fiber_dim, self.fiber_dim):
                     raise ValueError("matrix shape does not match fiber dimension")
-                self._accumulate((tuple(k), tuple(sorted(d))), g)
-
-    def _accumulate(self, key: TermKey, g: np.ndarray) -> None:
-        if key in self.terms:
-            self.terms[key] = self.terms[key] + g
-        else:
-            self.terms[key] = g.copy()
+                _accumulate(self.terms, (tuple(k), tuple(sorted(d))), g)
 
     def _pruned(self) -> "FieldOperator":
         self.terms = {k: g for k, g in self.terms.items() if g.any()}
@@ -111,9 +140,10 @@ class FieldOperator:
             raise ValueError("fiber dimensions differ")
         if self.antilinear != other.antilinear:
             raise ValueError("cannot add linear and antilinear operators")
-        out = FieldOperator(self.fiber_dim, self.terms, self.antilinear)
+        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
+        out.terms = dict(self.terms)
         for key, g in other.terms.items():
-            out._accumulate(key, g)
+            _accumulate(out.terms, key, g)
         return out._pruned()
 
     def __sub__(self, other: "FieldOperator") -> "FieldOperator":
@@ -143,20 +173,10 @@ class FieldOperator:
             for (kb, db), gb in b_terms.items():
                 gab = ga @ gb
                 mode = add_modes(ka, kb)
-                # d^{da} e^{i kb.x} = e^{i kb.x} prod_mu (i kb_mu + d_mu):
-                # expand over which factors keep the derivative.
-                positions = range(len(da))
-                for r in range(len(da) + 1):
-                    for kept in combinations(positions, r):
-                        kept_set = set(kept)
-                        coeff = 1.0 + 0.0j
-                        for p in positions:
-                            if p not in kept_set:
-                                coeff *= 1j * kb[da[p]]
-                        if coeff == 0:
-                            continue
-                        d_new = tuple(sorted(tuple(da[p] for p in kept) + db))
-                        out._accumulate((mode, d_new), coeff * gab)
+                for axes, d_new in _leibniz(da, db):
+                    coeff = _leibniz_coefficient(axes, kb)
+                    if coeff != 0:
+                        _accumulate(out.terms, (mode, d_new), coeff * gab)
         return out._pruned()
 
     # ----- involutions ---------------------------------------------------
@@ -170,17 +190,26 @@ class FieldOperator:
         return out._pruned()
 
     def adjoint(self) -> "FieldOperator":
-        if self.antilinear:
-            lin = FieldOperator(self.fiber_dim, self.terms, False)
-            adj = lin.adjoint()
-            return FieldOperator(self.fiber_dim, _conj_pushed(adj.terms), True)
-        n = self.fiber_dim
-        out = FieldOperator(n, {}, False)
+        """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms, with the arithmetic of
+        composing each head with its phase: G^+ times the identity (stored in
+        C order, which later products round by, and NaN in the row of an inf
+        entry), and entries summed and pruned per term.  An antilinear
+        A = L K has A^+ = K L^+."""
+        eye = np.eye(self.fiber_dim, dtype=complex)
+        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
         for (k, d), g in self.terms.items():
-            head = FieldOperator(n, {(ZERO_MODE, d): ((-1.0) ** len(d)) * g.conj().T})
-            tail = FieldOperator.phase(n, negate_mode(k))
-            for key, h in head.compose(tail).terms.items():
-                out._accumulate(key, h)
+            mode = negate_mode(k)
+            gab = (((-1.0) ** len(d)) * g.conj().T) @ eye
+            pushed: dict[DerivIndex, np.ndarray] = {}
+            for axes, d_new in _leibniz(d, ()):
+                coeff = _leibniz_coefficient(axes, mode)
+                if coeff != 0:
+                    _accumulate(pushed, d_new, coeff * gab)
+            for d_new, h in pushed.items():
+                if h.any():
+                    _accumulate(out.terms, (mode, d_new), h)
+        if self.antilinear:
+            out.terms = _conj_pushed(out.terms)
         return out._pruned()
 
     # ----- action on sections ---------------------------------------------

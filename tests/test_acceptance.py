@@ -23,8 +23,16 @@ from itertools import chain
 
 import numpy as np
 
+from twistkit import checks
 from twistkit.actions import random_weyl_fields
-from twistkit.checks import REGISTRY, RunConfig, reduce_residuals, report_json, run_checks
+from twistkit.checks import (
+    REGISTRY,
+    SENTINEL_ERROR,
+    RunConfig,
+    reduce_residuals,
+    report_json,
+    run_checks,
+)
 from twistkit.dynamics import weyl_identification
 from twistkit.geometries import (
     DoubledGeometry,
@@ -33,7 +41,7 @@ from twistkit.geometries import (
     random_element,
     selfadjoint_defect_parameters,
 )
-from twistkit.torus_fields import random_scalar
+from twistkit.torus_fields import FourierScalar, random_scalar
 
 SPECS = {spec.check_id: spec for spec in REGISTRY}
 
@@ -135,6 +143,38 @@ def test_criterion_03_potential_round_trips():
     _run_battery(3, rng, counts, err)
 
 
+def _selfadjoint_agreement(op, z, zp):
+    """Whether (z, z') read self-adjoint, and the residuals that say the
+    operator agrees at 1e-10; a NaN defect on either side fails."""
+    op_defect = (op - op.adjoint()).max_abs()
+    par_defect = selfadjoint_defect_parameters(z, zp)
+    selfadjoint = par_defect <= 1e-10
+    numbers = not np.isnan([op_defect, par_defect]).any()
+    agreed = _must(numbers and (op_defect <= 1e-10) == selfadjoint)
+    return selfadjoint, [agreed, op_defect if selfadjoint else 0.0]
+
+
+def test_selfadjoint_predicates_fail_on_nan_defect():
+    """Criterion 04's agreement and the registry's both fail a fluctuation
+    whose operator and parameter defects are NaN."""
+    geo = DoubledGeometry()
+    z = [random_scalar(np.random.default_rng(mu)) for mu in range(4)]
+    z[2] = FourierScalar({**z[2].coeffs, (1, 0, 0, 0): complex(np.nan, 0.0)})
+    zp = [(-1.0) * c.conjugate() for c in z]
+    fl = geo.fluctuation_from_z(z, zp)
+    assert np.isnan((fl - fl.adjoint()).max_abs())
+    assert np.isnan(selfadjoint_defect_parameters(z, zp))
+    selfadjoint, found = _selfadjoint_agreement(fl, z, zp)
+    assert not selfadjoint and reduce_residuals(found) == SENTINEL_ERROR
+    assert checks._selfadjoint_agreement(geo, fl) == SENTINEL_ERROR
+    # the same predicates on the finite pair agree and read self-adjoint
+    z[2] = random_scalar(np.random.default_rng(2))
+    zp = [(-1.0) * c.conjugate() for c in z]
+    fl = geo.fluctuation_from_z(z, zp)
+    assert _selfadjoint_agreement(fl, z, zp)[0]
+    assert checks._selfadjoint_agreement(geo, fl) == 0.0
+
+
 def test_criterion_04_selfadjoint_predicates():
     rng = np.random.default_rng(204)
     residuals = []
@@ -151,12 +191,9 @@ def test_criterion_04_selfadjoint_predicates():
         return z, [(-1.0) * c.conjugate() for c in z]
 
     def agree(op, z, zp):
-        """Operator and parameter self-adjointness must agree at 1e-10."""
-        op_defect = (op - op.adjoint()).max_abs()
-        selfadjoint = selfadjoint_defect_parameters(z, zp) <= 1e-10
+        selfadjoint, found = _selfadjoint_agreement(op, z, zp)
         tally[selfadjoint] += 1
-        residuals.append(_must((op_defect <= 1e-10) == selfadjoint))
-        residuals.append(op_defect if selfadjoint else 0.0)
+        residuals.extend(found)
 
     man = ManifoldGeometry()
     for i in range(400):

@@ -10,13 +10,14 @@ from twistkit.geometries import (
     Element,
     ManifoldGeometry,
     chiral_vector_operator,
+    chiral_vector_parameters,
     random_element,
     selfadjoint_defect_parameters,
     wave_phase,
 )
 from twistkit.actions import electro_operator_pieces
 from twistkit.checks import REGISTRY, RunConfig, reduce_residuals
-from twistkit.clifford import SpinBoost
+from twistkit.clifford import PAULI, SpinBoost
 from twistkit.operator_algebra import (
     FieldOperator,
     commutator,
@@ -306,6 +307,89 @@ class TestSectoredFluctuations:
         sym = fluct + fluct.adjoint()
         zs, zps = geo.fluctuation_parameters(sym)
         assert selfadjoint_defect_parameters(zs, zps) < 1e-12
+
+
+def _pauli_components_reference(x):
+    c0 = np.trace(x) / 2.0
+    cj = [np.trace(PAULI[j] @ x) / 2.0 for j in range(3)]
+    return np.array([c0, *cj])
+
+
+def _chiral_vector_parameters_reference(op):
+    """One Pauli read per term: the oracle for the batched read."""
+    h_coeffs = [{} for _ in range(4)]
+    hp_coeffs = [{} for _ in range(4)]
+    for (k, d), g in op.terms.items():
+        if d:
+            raise ValueError("operator has derivative terms; not a one-form")
+        lower = g[2:4, 0:2]
+        upper = g[0:2, 2:4]
+        if not (lower.any() or upper.any()):
+            continue
+        c = _pauli_components_reference(lower)
+        cp = _pauli_components_reference(upper)
+        vals_h = (1j * c[0], c[1], c[2], c[3])
+        vals_hp = (1j * cp[0], -cp[1], -cp[2], -cp[3])
+        for mu in range(4):
+            if vals_h[mu] != 0:
+                h_coeffs[mu][k] = vals_h[mu]
+            if vals_hp[mu] != 0:
+                hp_coeffs[mu][k] = vals_hp[mu]
+    return [FourierScalar(c) for c in h_coeffs], [FourierScalar(c) for c in hp_coeffs]
+
+
+class TestChiralVectorParameters:
+    """The batched Pauli read repeats the per-term read exactly: the same
+    modes in the same order and equal coefficients, NaN included."""
+
+    @staticmethod
+    def _assert_same(got, expected):
+        for g_side, e_side in zip(got, expected, strict=True):
+            for g_mu, e_mu in zip(g_side, e_side, strict=True):
+                assert list(g_mu.coeffs) == list(e_mu.coeffs)
+                values = [np.array(list(c.coeffs.values()), dtype=complex) for c in (g_mu, e_mu)]
+                assert np.array_equal(*values, equal_nan=True)
+
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_matches_per_term_read(self, n, nonfinite):
+        rng = np.random.default_rng(10 * n + nonfinite)
+        terms = {}
+        for i in range(12):
+            mode = tuple(int(v) for v in rng.integers(-2, 3, size=4))
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            g[rng.random((n, n)) < 0.4] = 0.0
+            if i % 4 == 0:  # both Weyl blocks vanish: the term is not read
+                g[0:2, 2:4] = g[2:4, 0:2] = 0.0
+            if i % 4 == 1:  # one Pauli component vanishes
+                g[2:4, 0:2] = [[1.0, 2.0], [2.0, 1.0]]
+            terms[(mode, ())] = g
+        op = FieldOperator(n, terms)
+        if nonfinite:
+            keys = list(op.terms)
+            op.terms[keys[1]][2, 1] = np.nan
+            op.terms[keys[2]][0, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            expected = _chiral_vector_parameters_reference(op)
+            got = chiral_vector_parameters(op)
+        assert sum(len(c.coeffs) for c in expected[0]) > 0
+        self._assert_same(got, expected)
+
+    @pytest.mark.parametrize("geo_name", ["doubled", "electro"])
+    def test_matches_on_fluctuations(self, geo_name):
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            fl = geo.fluctuation(geo.one_form([(random_element(rng, 2), random_element(rng, 2))]))
+            self._assert_same(
+                geo.fluctuation_parameters(fl), _chiral_vector_parameters_reference(fl)
+            )
+
+    def test_empty_and_derivative_operators(self):
+        empty = chiral_vector_parameters(FieldOperator.zero(4))
+        assert all(not c.coeffs for side in empty for c in side)
+        with pytest.raises(ValueError, match="derivative terms"):
+            chiral_vector_parameters(FieldOperator.derivative(4, 1))
 
 
 def _random_operator(rng, n, antilinear, n_terms=3):

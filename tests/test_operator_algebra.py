@@ -1,5 +1,7 @@
 """Normal-form operator calculus: composition, adjoints, probes."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -432,3 +434,130 @@ class TestProbeDistance:
             empty = FieldOperator.zero(3, antilinear)
             assert _probe_distance(empty, cutoff) == 0.0
             assert _probe_distance_reference(empty, cutoff) == 0.0
+
+
+def _compose_reference(a, b):
+    """The term-pair loop expanding each Leibniz product in place: the oracle
+    for ``compose`` and its cached Leibniz table."""
+    if a.antilinear:
+        b_terms = {(negate_mode(k), d): np.conj(g) for (k, d), g in b.terms.items()}
+    else:
+        b_terms = b.terms
+    terms = {}
+    for (ka, da), ga in a.terms.items():
+        for (kb, db), gb in b_terms.items():
+            gab = ga @ gb
+            mode = add_modes(ka, kb)
+            positions = range(len(da))
+            for r in range(len(da) + 1):
+                for kept in combinations(positions, r):
+                    kept_set = set(kept)
+                    coeff = 1.0 + 0.0j
+                    for p in positions:
+                        if p not in kept_set:
+                            coeff *= 1j * kb[da[p]]
+                    if coeff == 0:
+                        continue
+                    key = (mode, tuple(sorted(tuple(da[p] for p in kept) + db)))
+                    h = coeff * gab
+                    terms[key] = terms[key] + h if key in terms else h
+    out = FieldOperator(a.fiber_dim, {}, a.antilinear != b.antilinear)
+    out.terms = {k: g for k, g in terms.items() if g.any()}
+    return out
+
+
+def _adjoint_reference(op):
+    """Per-term adjoint composing (-1)^|d| G^+ d^d with the phase e^{-ik.x}:
+    the oracle for the closed-form ``adjoint``."""
+    n = op.fiber_dim
+    if op.antilinear:
+        adj = _adjoint_reference(FieldOperator(n, op.terms))
+        conj = {(negate_mode(k), d): np.conj(g) for (k, d), g in adj.terms.items()}
+        return FieldOperator(n, conj, True)
+    terms = {}
+    for (k, d), g in op.terms.items():
+        head = FieldOperator(n, {(ZERO_MODE, d): ((-1.0) ** len(d)) * g.conj().T})
+        tail = FieldOperator.phase(n, negate_mode(k))
+        for key, h in _compose_reference(head, tail).terms.items():
+            terms[key] = terms[key] + h if key in terms else h
+    out = FieldOperator(n)
+    out.terms = {k: g for k, g in terms.items() if g.any()}
+    return out
+
+
+#: Modes with zero components on derivative axes, so that some Leibniz
+#: coefficients vanish, orders 0-2 and the repeated axis (mu, mu); the two
+#: entries of (2, 2) that keep one derivative meet the key (2,) already filled.
+ORACLE_KEYS = (
+    (ZERO_MODE, ()),
+    ((0, 1, 0, 2), (0,)),
+    ((1, 0, -1, 0), (1, 1)),
+    ((2, -1, 0, 1), (1, 3)),
+    ((0, 0, 3, 0), (2,)),
+    ((0, 0, 3, 0), (2, 2)),
+    ((-1, 2, 1, -2), (0, 3)),
+    ((1, 0, -1, 0), ()),
+    (ZERO_MODE, (3,)),
+)
+
+
+def oracle_operator(rng, n, antilinear, nonfinite):
+    """Nine terms on ORACLE_KEYS, some matrices sparse; with ``nonfinite``
+    one entry is NaN and one is inf."""
+    terms = {}
+    for key in ORACLE_KEYS:
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g[rng.random((n, n)) < 0.3] = 0.0
+        terms[key] = g
+    if nonfinite:
+        terms[ORACLE_KEYS[2]][0, n - 1] = np.nan
+        terms[ORACLE_KEYS[3]][n - 1, 0] = complex(0.5, np.inf)
+    return FieldOperator(n, terms, antilinear)
+
+
+def assert_same_normal_form(got, expected):
+    assert got.antilinear == expected.antilinear
+    assert list(got.terms) == list(expected.terms)
+    for key, g in expected.terms.items():
+        assert np.array_equal(got.terms[key], g, equal_nan=True), key
+
+
+class TestReferenceArithmetic:
+    """compose and adjoint repeat the reference loops' arithmetic exactly:
+    the same keys in the same order and equal matrices, NaN included."""
+
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_adjoint_matches_reference(self, n, antilinear, nonfinite):
+        rng = np.random.default_rng(100 * n + 10 * antilinear + nonfinite)
+        op = oracle_operator(rng, n, antilinear, nonfinite)
+        with np.errstate(invalid="ignore"):
+            expected = _adjoint_reference(op)
+            got = op.adjoint()
+        assert len(expected.terms) > len(op.terms)  # derivatives pushed through phases
+        assert_same_normal_form(got, expected)
+
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("linearity", ["ll", "la", "al", "aa"])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_compose_matches_reference(self, n, linearity, nonfinite):
+        rng = np.random.default_rng(1000 * n + 7 * len(linearity) + nonfinite)
+        a = oracle_operator(rng, n, linearity[0] == "a", nonfinite)
+        b = oracle_operator(rng, n, linearity[1] == "a", nonfinite)
+        with np.errstate(invalid="ignore"):
+            expected = _compose_reference(a, b)
+            got = a @ b
+        assert_same_normal_form(got, expected)
+
+    def test_nonfinite_entries_reach_the_result(self):
+        op = oracle_operator(np.random.default_rng(3), 4, False, True)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(op.adjoint().max_abs())
+            assert np.isnan((op @ op).max_abs())
+
+    def test_vanishing_leibniz_coefficients_are_skipped(self):
+        # d_0 e^{i k.x} with k_0 = 0 is e^{i k.x} d_0: no underived term
+        op = FieldOperator(2, {((0, 1, 0, 2), (0,)): np.eye(2)})
+        assert list(op.adjoint().terms) == [((0, -1, 0, -2), (0,))]
+        assert list((FieldOperator.derivative(2, 0) @ op).terms) == [((0, 1, 0, 2), (0, 0))]
