@@ -26,7 +26,7 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    groups = split_groups(args.groups) if args.groups else GROUPS
+    groups = split_groups(args.groups) if args.groups is not None else GROUPS
     try:
         configs = [
             RunConfig(seed=seed, groups=groups, rapidity_max=args.rapidity)

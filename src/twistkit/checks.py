@@ -168,6 +168,8 @@ class RunConfig:
         if self.rapidity_max > MAX_RAPIDITY:
             raise ValueError(f"rapidity_max must be at most {MAX_RAPIDITY}")
         self.groups = tuple(self.groups)
+        if not self.groups:
+            raise ValueError("no check groups selected")
         unknown = [g for g in self.groups if g not in GROUPS]
         if unknown:
             raise ValueError(f"unknown check groups: {', '.join(sorted(unknown))}")

@@ -44,13 +44,20 @@ DerivIndex = tuple[int, ...]
 TermKey = tuple[Mode, DerivIndex]
 
 #: Largest probe cutoff a run may ask for.  The probe route applies each
-#: difference to (2c+1)^4 plane waves, 28,561 at this cap.
+#: difference to at most (2c+1)^4 plane waves, 28,561 at this cap, and to
+#: (2c+1)^2 when no derivative acts on the first two axes.
 MAX_PROBE_CUTOFF = 6
 
 
 def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarray]:
     """Rewrite K . T as T' . K for the linear part T (K = conjugation)."""
     return {(negate_mode(k), d): np.conj(g) for (k, d), g in terms.items()}
+
+
+def _is_nonzero(g: np.ndarray) -> bool:
+    """Whether some entry of g is nonzero: NaN counts, +-0.0 does not, and a
+    complex entry is zero only when both of its parts are."""
+    return np.count_nonzero(g) > 0
 
 
 def _accumulate(terms: dict, key, g: np.ndarray) -> None:
@@ -105,7 +112,7 @@ class FieldOperator:
                 _accumulate(self.terms, (tuple(k), tuple(sorted(d))), g)
 
     def _pruned(self) -> "FieldOperator":
-        self.terms = {k: g for k, g in self.terms.items() if g.any()}
+        self.terms = {k: g for k, g in self.terms.items() if _is_nonzero(g)}
         return self
 
     # ----- constructors -------------------------------------------------
@@ -206,7 +213,7 @@ class FieldOperator:
                 if coeff != 0:
                     _accumulate(pushed, d_new, coeff * gab)
             for d_new, h in pushed.items():
-                if h.any():
+                if _is_nonzero(h):
                     _accumulate(out.terms, (mode, d_new), h)
         if self.antilinear:
             out.terms = _conj_pushed(out.terms)
@@ -295,12 +302,20 @@ def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:
     Terms sharing the phase mode k land on the same output mode and on no
     other, so each such group is one matrix product of the derivative
     factors F[probe, term] with the stacked term matrices (T, n^2).  Probes
-    are taken in blocks of (2c+1)^2 modes, which keeps the products small.
+    are taken in blocks of (2c+1)^2 modes, one per (m_0, m_1) with every
+    (m_2, m_3) in a fixed order, which keeps the products small.  F reads m
+    only along the active axes (those in some derivative index of diff), so
+    a block is taken once per distinct projection of (m_0, m_1) onto them,
+    an inactive component being 0: from (2c+1)^2 probes for a
+    multiplication operator to (2c+1)^4.  Rows are never deduplicated
+    within a block, since BLAS may round a row by its place in the block.
     """
     if not diff.terms:
         return 0.0
+    active = {mu for _, d in diff.terms for mu in d}
     axis = np.arange(-probe_cutoff, probe_cutoff + 1)
-    probes = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1)
+    outer = [axis if mu in active else np.zeros(1, axis.dtype) for mu in (0, 1)]
+    probes = np.stack(np.meshgrid(*outer, axis, axis, indexing="ij"), axis=-1)
     probes = probes.reshape(-1, 4)
     if diff.antilinear:
         probes = -probes

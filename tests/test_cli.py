@@ -213,6 +213,7 @@ class TestRunner:
             {"rapidity_max": MAX_RAPIDITY + 1},
             {"rapidity_max": 1e3},
             {"seed": -1},
+            {"groups": ()},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -262,6 +263,13 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--groups", "foo")
         assert proc.returncode == 2
         assert "unknown check groups" in proc.stderr
+
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_empty_group_selection_usage_error(self, value):
+        proc = run_cli("verify", "--groups", value)
+        assert proc.returncode == 2
+        assert "no check groups selected" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_group_run_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -316,6 +324,8 @@ class TestVerifyCommand:
             (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
              f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
             ("rapidity_max = 13", f"rapidity_max must be at most {MAX_RAPIDITY}"),
+            ("groups =", "no check groups selected"),
+            ("groups = ,", "no check groups selected"),
         ],
     )
     def test_bad_config_value_usage_error(self, tmp_path, line, message):

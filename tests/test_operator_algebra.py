@@ -370,6 +370,28 @@ def shared_mode_operator(rng, n, antilinear):
     return FieldOperator(n, terms, antilinear)
 
 
+#: Derivative indices of ``distinct_mode_operator`` terms: multiplication
+#: operators, each single active axis, and all four axes active.
+ACTIVE_AXIS_CASES = {
+    "order0": [(), (), ()],
+    **{f"axis{mu}": [(), (mu,), (mu, mu), (mu,)] for mu in range(4)},
+    "all_axes": [(0, 1), (2, 3), (0,), (3, 3), ()],
+}
+
+
+def distinct_mode_operator(rng, n, derivs, antilinear):
+    """One term per derivative index in ``derivs``, each on its own phase
+    mode, so both probe routes compute every output as one rounded product."""
+    modes = set()
+    while len(modes) < len(derivs):
+        modes.add(tuple(int(v) for v in rng.integers(-2, 3, size=4)))
+    terms = {
+        (mode, d): rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for mode, d in zip(sorted(modes), derivs)
+    }
+    return FieldOperator(n, terms, antilinear)
+
+
 class TestNanPropagation:
     """Every reduction across terms or probes is NaN if any entry is NaN."""
 
@@ -434,6 +456,42 @@ class TestProbeDistance:
             empty = FieldOperator.zero(3, antilinear)
             assert _probe_distance(empty, cutoff) == 0.0
             assert _probe_distance_reference(empty, cutoff) == 0.0
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @pytest.mark.parametrize("case", sorted(ACTIVE_AXIS_CASES))
+    def test_skipped_blocks_match_reference_exactly(self, case, antilinear, cutoff):
+        # the route takes one block per distinct (m_0, m_1) on the active
+        # axes; every skipped probe repeats a kept one, so the maximum is the
+        # same number as over the full grid
+        rng = np.random.default_rng(sorted(ACTIVE_AXIS_CASES).index(case) + 10 * cutoff)
+        op = distinct_mode_operator(rng, 2, ACTIVE_AXIS_CASES[case], antilinear)
+        expected = _probe_distance_reference(op, cutoff)
+        assert expected > 0.0
+        assert _probe_distance(op, cutoff) == expected
+
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    @pytest.mark.parametrize("mu", range(4))
+    def test_axis_no_other_term_touches_is_probed(self, mu, cutoff, antilinear):
+        # eps e^{ik.x} G d_mu maps e^{im.x} to i m_mu eps G e^{i(m+k).x}, of
+        # largest entry eps c max|G| at m_mu = +-c; eps a power of two and G
+        # small integers keep every product exact
+        eps = 2.0**-20
+        g = np.array([[1.0, -3.0], [2.0, 0.5]])
+        bump = FieldOperator(2, {((0, 1, -1, 0), (mu,)): eps * g}, antilinear)
+        assert _probe_distance(bump, cutoff) == eps * cutoff * 3.0
+        assert _probe_distance_reference(bump, cutoff) == eps * cutoff * 3.0
+        rest = [nu for nu in range(4) if nu != mu]
+        others = FieldOperator(
+            2,
+            {(ZERO_MODE, (rest[0], rest[1])): g, ((1, 0, 0, 0), (rest[2],)): 1j * g},
+            antilinear,
+        )
+        for a, b in ((bump, FieldOperator.zero(2, antilinear)), (others + bump, others)):
+            cmp = operator_equal(a, b, probe_cutoff=cutoff)
+            assert not cmp.equal
+            assert cmp.probe_error == eps * cutoff * 3.0
 
 
 def _compose_reference(a, b):
@@ -561,3 +619,28 @@ class TestReferenceArithmetic:
         op = FieldOperator(2, {((0, 1, 0, 2), (0,)): np.eye(2)})
         assert list(op.adjoint().terms) == [((0, -1, 0, -2), (0,))]
         assert list((FieldOperator.derivative(2, 0) @ op).terms) == [((0, 1, 0, 2), (0, 0))]
+
+    @pytest.mark.parametrize(
+        "entry, kept",
+        [
+            (0.0, False),
+            (-0.0, False),
+            (complex(-0.0, -0.0), False),
+            (complex(0.0, 5e-324), True),
+            (complex(-5e-324, 0.0), True),
+            (np.nan, True),
+            (complex(0.0, np.nan), True),
+            (np.inf, True),
+        ],
+    )
+    def test_zero_terms_are_pruned(self, entry, kept):
+        # a term is dropped only when every entry is +-0 in both parts
+        g = np.zeros((2, 2), dtype=complex)
+        g[1, 0] = entry
+        key = ((1, 0, 0, 0), ())
+        op = FieldOperator(2, {key: g, (ZERO_MODE, ()): np.eye(2)})
+        with np.errstate(invalid="ignore"):
+            scaled, adjoint = op.scale(2.0), op.adjoint()
+        assert (key in (op + FieldOperator.zero(2)).terms) == kept
+        assert (key in scaled.terms) == kept
+        assert ((negate_mode(key[0]), ()) in adjoint.terms) == kept

@@ -62,6 +62,7 @@ def test_script_runs(name, argv, marker):
         ("dispersion_scan.py", ("--rapidity", "1e3")),
         ("dispersion_scan.py", ("--d", "nan")),
         ("dispersion_scan.py", ("--kind", "boosted-weyl")),
+        ("run_verification.py", ("--groups", "", "--seeds", "1")),
     ],
 )
 def test_bad_argv_is_usage_error(name, argv):
@@ -69,6 +70,12 @@ def test_bad_argv_is_usage_error(name, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+def test_run_verification_refuses_empty_group_selection():
+    proc = run_script("run_verification.py", "--groups", ",", "--seeds", "1")
+    assert proc.returncode == 2
+    assert "error: no check groups selected" in proc.stderr
 
 
 def test_dispersion_scan_kinds_are_the_problem_kinds():
