@@ -394,7 +394,19 @@ def cmd_dispersion(args) -> int:
         axis = parse_axis(args.axis)
         boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), axis)
     problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)
-    result = problem.solve()
+    overflow = f"the {args.kind} system overflows double precision at these inputs"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = problem.solve()
+    except np.linalg.LinAlgError as exc:
+        raise UsageError(f"{overflow} ({exc})") from exc
+    for label, value in (
+        ("matrix", result.matrix),
+        ("determinant", result.determinant),
+        ("p0 roots", result.roots),
+    ):
+        if not np.all(np.isfinite(value)):
+            raise UsageError(f"{overflow} (non-finite {label})")
     print(f"kind: {args.kind}")
     print(f"determinant: {_fmt_complex(result.determinant)}")
     print("p0 roots: " + "  ".join(_fmt_complex(r) for r in result.roots))

@@ -87,7 +87,13 @@ def _pauli_components(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinBoost:
-    """Spinor representation of a boost: half_rapidity along a unit axis."""
+    """Spinor representation of a boost: half_rapidity along a unit axis.
+
+    The boosted families ``Lambda_minus SIGMA[mu] Lambda_minus`` and
+    ``Lambda_plus SIGMA_TILDE[mu] Lambda_plus`` are built once per boost, as
+    one (4, 2, 2) stack each; ``sigma_boosted(mu)`` and
+    ``sigma_tilde_boosted(mu)`` return read-only rows of those stacks.
+    """
 
     half_rapidity: float = 0.0
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
@@ -132,11 +138,23 @@ class SpinBoost:
         out[2:, 2:] = self.lambda_minus
         return out
 
+    @cached_property
+    def _sigma_boosted_stack(self) -> np.ndarray:
+        out = self.lambda_minus @ SIGMA @ self.lambda_minus
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _sigma_tilde_boosted_stack(self) -> np.ndarray:
+        out = self.lambda_plus @ SIGMA_TILDE @ self.lambda_plus
+        out.flags.writeable = False
+        return out
+
     def sigma_boosted(self, mu: int) -> np.ndarray:
-        return self.lambda_minus @ SIGMA[mu] @ self.lambda_minus
+        return self._sigma_boosted_stack[mu]
 
     def sigma_tilde_boosted(self, mu: int) -> np.ndarray:
-        return self.lambda_plus @ SIGMA_TILDE[mu] @ self.lambda_plus
+        return self._sigma_tilde_boosted_stack[mu]
 
     def gamma_boosted(self, mu: int) -> np.ndarray:
         return _offdiag(self.sigma_boosted(mu), self.sigma_tilde_boosted(mu))

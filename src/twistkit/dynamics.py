@@ -177,8 +177,9 @@ def dirac_system(
         raise ValueError("gauge potential must be a spatial 3-vector")
     m = -1j * complex(d)
     big_p = p[1:4] + g
-    plus = f0 * _ID2 + sigma_dot(big_p)
-    minus = f0 * _ID2 - sigma_dot(big_p)
+    spin = sigma_dot(big_p)
+    plus = f0 * _ID2 + spin
+    minus = f0 * _ID2 - spin
     if primed:
         plus, minus = minus, plus
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
@@ -430,6 +431,13 @@ class PlaneWaveProblem:
 
 def random_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveProblem:
     """Generic (off-shell) draw: redraws until comfortably nonsingular."""
+    return _random_solved(rng, kind, max_half_rapidity)[0]
+
+
+def _random_solved(
+    rng, kind: str, max_half_rapidity: float
+) -> tuple[PlaneWaveProblem, DispersionResult]:
+    """:func:`random_problem` with the solve its nonsingularity test made."""
     for _ in range(100):
         problem = PlaneWaveProblem(
             kind=kind,
@@ -441,9 +449,10 @@ def random_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveP
             if kind.startswith("boosted")
             else None,
         )
-        s_min = np.linalg.svd(problem.solve().matrix, compute_uv=False)[-1]
+        result = problem.solve()
+        s_min = np.linalg.svd(result.matrix, compute_uv=False)[-1]
         if s_min > 1e-4:
-            return problem
+            return problem, result
     raise RuntimeError("could not draw a generic off-shell sample")
 
 
@@ -482,9 +491,10 @@ def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
 def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: float = 1.0) -> dict:
     """Check `kernel nonempty <=> |det| <= 1e-10` over a random parameter sweep.
 
-    About 30 % of the samples are constructed on shell.  Returns counters
-    plus the worst determinant/kernel residuals seen on each side of the
-    dichotomy.
+    About 30 % of the samples are constructed on shell.  Each sample is
+    solved once: a generic draw reuses the solve that tested it for
+    nonsingularity.  Returns counters plus the worst determinant/kernel
+    residuals seen on each side of the dichotomy.
     """
     violations = 0
     singular_count = 0
@@ -492,13 +502,10 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
     max_singular_det = 0.0
     worst_kernel_residual = 0.0
     for _ in range(n_samples):
-        make_singular = rng.uniform() < 0.3
-        problem = (
-            on_shell_problem(rng, kind, max_half_rapidity=max_half_rapidity)
-            if make_singular
-            else random_problem(rng, kind, max_half_rapidity=max_half_rapidity)
-        )
-        result = problem.solve()
+        if rng.uniform() < 0.3:
+            result = on_shell_problem(rng, kind, max_half_rapidity).solve()
+        else:
+            result = _random_solved(rng, kind, max_half_rapidity)[1]
         small_det = abs(result.determinant) <= 1e-10
         if result.singular != small_det:
             violations += 1

@@ -502,6 +502,22 @@ class TestDispersionCommand:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("--kind", "dirac", "--p", "0,1.7e308,0,0", "--g", "0,1.7e308,0,0"),
+            ("--kind", "boosted-dirac", "--rapidity", "12",
+             "--p", "1e305,1e305,1e305,1e305"),
+            ("--kind", "weyl-left", "--p", "0,1e308,1e308,0"),
+        ],
+    )
+    def test_overflowing_system_usage_error(self, argv):
+        proc = run_cli("dispersion", *argv)
+        assert proc.returncode == 2
+        assert "overflows double precision" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("--kind", "boosted-weyl-left", "--rapidity", "1e3"),
             ("--kind", "boosted-dirac", "--rapidity", "1e3"),
             ("--kind", "boosted-weyl-left", "--rapidity", "-13"),

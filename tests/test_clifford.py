@@ -125,6 +125,40 @@ class TestSpinBoost:
             full = s.matrix @ cl.GAMMA[mu] @ s_inv
             np.testing.assert_allclose(full, s.gamma_boosted(mu), atol=1e-12)
 
+    @staticmethod
+    def _random_boosts(n):
+        """Boosts of full rapidity up to MAX_RAPIDITY along random axes."""
+        rng = np.random.default_rng(71)
+        half = cl.MAX_RAPIDITY / 2
+        for _ in range(n):
+            yield cl.SpinBoost(float(rng.uniform(-half, half)), tuple(rng.normal(size=3)))
+
+    def test_boosted_sigma_stacks_match_per_mu_products(self):
+        for s in self._random_boosts(500):
+            lm, lp = s.lambda_minus, s.lambda_plus
+            for mu in range(4):
+                assert s.sigma_boosted(mu).tobytes() == (lm @ cl.SIGMA[mu] @ lm).tobytes()
+                assert (
+                    s.sigma_tilde_boosted(mu).tobytes()
+                    == (lp @ cl.SIGMA_TILDE[mu] @ lp).tobytes()
+                )
+
+    def test_boosted_sigma_rows_are_read_only(self):
+        s = cl.SpinBoost(0.7, (0.3, -0.5, 0.8))
+        for family in (s.sigma_boosted, s.sigma_tilde_boosted):
+            for mu in range(4):
+                with pytest.raises(ValueError):
+                    family(mu)[0, 0] = 0.0
+
+    def test_gamma_boosted_unchanged(self):
+        for s in self._random_boosts(100):
+            lm, lp = s.lambda_minus, s.lambda_plus
+            for mu in range(4):
+                gamma = s.gamma_boosted(mu)
+                expected = cl._offdiag(lm @ cl.SIGMA[mu] @ lm, lp @ cl.SIGMA_TILDE[mu] @ lp)
+                assert gamma.tobytes() == expected.tobytes()
+                assert gamma.flags.writeable
+
     def test_conjugation_block_identity(self):
         # sigma_2 intertwines Lambda_+ with the conjugate of Lambda_-.
         s = cl.SpinBoost(0.7, (0.3, -0.5, 0.8))

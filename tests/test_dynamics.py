@@ -258,6 +258,59 @@ class TestDeterminantKernelDuality:
         assert report["max_singular_det"] <= 1e-10
         assert report["worst_kernel_residual"] < 1e-12
 
+    @staticmethod
+    def _two_solve_sweep(rng, kind, n_samples, max_half_rapidity):
+        """The sweep as it was before generic draws kept their solve: draw a
+        problem through the public constructors, then solve it again."""
+        violations = singular_count = 0
+        min_generic_det, max_singular_det, worst_kernel_residual = np.inf, 0.0, 0.0
+        for _ in range(n_samples):
+            make = dyn.on_shell_problem if rng.uniform() < 0.3 else dyn.random_problem
+            result = make(rng, kind, max_half_rapidity=max_half_rapidity).solve()
+            if result.singular != (abs(result.determinant) <= 1e-10):
+                violations += 1
+            if result.singular:
+                singular_count += 1
+                max_singular_det = max(max_singular_det, abs(result.determinant))
+                for v in result.kernel:
+                    residual = float(np.abs(result.matrix @ v).max())
+                    worst_kernel_residual = max(worst_kernel_residual, residual)
+            else:
+                min_generic_det = min(min_generic_det, abs(result.determinant))
+        return {
+            "kind": kind,
+            "samples": n_samples,
+            "singular": singular_count,
+            "violations": violations,
+            "min_generic_det": float(min_generic_det),
+            "max_singular_det": float(max_singular_det),
+            "worst_kernel_residual": worst_kernel_residual,
+        }
+
+    @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
+    @pytest.mark.parametrize("max_half_rapidity", [1.0, 6.0])
+    def test_sweep_matches_two_solve_loop(self, kind, max_half_rapidity):
+        seed = 80 + dyn.PROBLEM_KINDS.index(kind)
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = dyn.duality_sweep(rng_new, kind, 300, max_half_rapidity)
+        oracle = self._two_solve_sweep(rng_old, kind, 300, max_half_rapidity)
+        assert report == oracle
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
+    def test_sweep_solves_each_sample_once(self, kind, monkeypatch):
+        calls = []
+        solve = dyn.PlaneWaveProblem.solve
+
+        def counted(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(dyn.PlaneWaveProblem, "solve", counted)
+        rng = np.random.default_rng(90 + dyn.PROBLEM_KINDS.index(kind))
+        dyn.duality_sweep(rng, kind, n_samples=200)
+        assert len(calls) == 200
+
     def test_root_count_bounded_by_degree(self):
         rng = np.random.default_rng(51)
         for kind in ("weyl-left", "dirac", "boosted-dirac"):
