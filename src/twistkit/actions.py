@@ -293,17 +293,17 @@ def covariant_weyl_density_operators(
 
 
 def boosted_weyl_density_operators(
-    f: Sequence[FourierScalar], boost: SpinBoost
+    f: Sequence[FourierScalar], boost: SpinBoost, g: Sequence[FourierScalar]
 ) -> tuple[FieldOperator, FieldOperator]:
-    """``st_L^mu (d_mu + f_mu)`` and ``s_L^mu (d_mu - f_mu)`` (no s2 factor;
-    that lives in the first-slot row transformations)."""
+    """``st_L^mu (d_mu + f_mu - i g_mu)`` and ``s_L^mu (d_mu - f_mu - i g_mu)``
+    (no s2 factor; that lives in the first-slot row transformations)."""
     op_left = FieldOperator.zero(2)
     op_right = FieldOperator.zero(2)
     for mu in range(4):
         st = boost.sigma_tilde_boosted(mu)
         sb = boost.sigma_boosted(mu)
-        op_left = op_left + _deriv2(st, mu) + _mult2(st, f[mu])
-        op_right = op_right + _deriv2(sb, mu) - _mult2(sb, f[mu])
+        op_left = op_left + _deriv2(st, mu) + _mult2(st, f[mu] - 1j * g[mu])
+        op_right = op_right + _deriv2(sb, mu) + _mult2(sb, -f[mu] - 1j * g[mu])
     return op_left, op_right
 
 
@@ -361,7 +361,9 @@ def boosted_manifold_lagrangian_action(
     phi_right = phi_w.matmul((_S2 @ lp).T)
     zeta_left = zeta_w.matmul(lm)
     zeta_right = zeta_w.matmul(lp)
-    op_left, op_right = boosted_weyl_density_operators(f, boost)
+    op_left, op_right = boosted_weyl_density_operators(
+        f, boost, [FourierScalar.zero()] * 4
+    )
     return -1j * (
         bilinear_integral(phi_left, op_left.apply(zeta_left))
         + bilinear_integral(phi_right, op_right.apply(zeta_right))
@@ -400,22 +402,17 @@ def boosted_electro_lagrangian_action(
     p2l, p2r = phi2.matmul(row_left), phi2.matmul(row_right)
     z1l, z1r = zeta1.matmul(lm), zeta1.matmul(lp)
     z2l, z2r = zeta2.matmul(lm), zeta2.matmul(lp)
-
-    def wave(sig_fn, sign: float) -> FieldOperator:
-        op = FieldOperator.zero(2)
-        for mu in range(4):
-            s = sig_fn(mu)
-            op = op + _deriv2(s, mu) + _mult2(s, sign * f[mu] - 1j * g[mu])
-        return op
+    left1, right1 = boosted_weyl_density_operators(f, boost, g)
+    left2, right2 = boosted_weyl_density_operators([-c for c in f], boost, g)
 
     lag = 1j * (
-        bilinear_integral(p1l, wave(boost.sigma_tilde_boosted, 1.0).apply(z1l))
-        + bilinear_integral(p1r, wave(boost.sigma_boosted, -1.0).apply(z1r))
+        bilinear_integral(p1l, left1.apply(z1l))
+        + bilinear_integral(p1r, right1.apply(z1r))
     )
     lag = lag + d * (bilinear_integral(p2l, z1r) - bilinear_integral(p2r, z1l))
     lag = lag + 1j * (
-        bilinear_integral(p2l, wave(boost.sigma_tilde_boosted, -1.0).apply(z2l))
-        + bilinear_integral(p2r, wave(boost.sigma_boosted, 1.0).apply(z2r))
+        bilinear_integral(p2l, left2.apply(z2l))
+        + bilinear_integral(p2r, right2.apply(z2r))
     )
     lag = lag + np.conj(d) * (
         bilinear_integral(p1l, z2r) - bilinear_integral(p1r, z2l)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import inspect
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -167,7 +167,7 @@ class RunConfig:
             raise ValueError("rapidity_max must be finite and non-negative")
         if self.rapidity_max > MAX_RAPIDITY:
             raise ValueError(f"rapidity_max must be at most {MAX_RAPIDITY}")
-        self.groups = tuple(self.groups)
+        self.groups = tuple(dict.fromkeys(self.groups))
         if not self.groups:
             raise ValueError("no check groups selected")
         unknown = [g for g in self.groups if g not in GROUPS]
@@ -180,7 +180,7 @@ class RunConfig:
                 raise ValueError(
                     f"tolerance for group {key!r} must be finite and positive"
                 )
-            self.tolerances[key] = float(value)
+        self.tolerances = {key: float(value) for key, value in self.tolerances.items()}
 
 
 @dataclass(frozen=True)
@@ -1597,20 +1597,10 @@ def report_document(cfg: RunConfig, records: Sequence[CheckRecord]) -> dict:
     byte-identical across runs with the same seed and configuration, and
     wall-clock timings are not.
     """
-    checks = []
-    for rec in sorted(records, key=lambda r: r.check_id):
-        rec = replace(rec, elapsed_ms=0.0)
-        checks.append(
-            {
-                "check_id": rec.check_id,
-                "paper_ref": rec.paper_ref,
-                "status": rec.status,
-                "max_abs_error": rec.max_abs_error,
-                "tolerance": rec.tolerance,
-                "seed": rec.seed,
-                "elapsed_ms": rec.elapsed_ms,
-            }
-        )
+    checks = [
+        asdict(replace(rec, elapsed_ms=0.0))
+        for rec in sorted(records, key=lambda r: r.check_id)
+    ]
     return {"config": config_echo(cfg), "checks": checks}
 
 

@@ -57,6 +57,15 @@ def _offdiag(upper_right: np.ndarray, lower_left: np.ndarray) -> np.ndarray:
     return out
 
 
+def chiral_blocks(upper: np.ndarray, lower: np.ndarray, off: complex = 0) -> np.ndarray:
+    """4x4 chiral-basis matrix: ``upper``/``lower`` on the diagonal, ``off * I``
+    coupling the two chiralities."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2], out[2:, 2:] = upper, lower
+    out[:2, 2:] = out[2:, :2] = off * I2
+    return out
+
+
 GAMMA = np.stack([_offdiag(SIGMA[mu], SIGMA_TILDE[mu]) for mu in range(4)])
 GAMMA5 = GAMMA[1] @ GAMMA[2] @ GAMMA[3] @ GAMMA[0]
 
@@ -126,17 +135,11 @@ class SpinBoost:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = self.lambda_minus
-        out[2:, 2:] = self.lambda_plus
-        return out
+        return chiral_blocks(self.lambda_minus, self.lambda_plus)
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        out[:2, :2] = self.lambda_plus
-        out[2:, 2:] = self.lambda_minus
-        return out
+        return chiral_blocks(self.lambda_plus, self.lambda_minus)
 
     @cached_property
     def _sigma_boosted_stack(self) -> np.ndarray:

@@ -40,6 +40,7 @@ from .clifford import (
     SIGMA_M_BAR,
     SpinBoost,
     boost_covector,
+    chiral_blocks,
 )
 from .operator_algebra import FieldOperator
 from .torus_fields import ZERO_MODE, FourierScalar
@@ -78,15 +79,6 @@ def minkowski_weyl_matrix(p: Sequence[float], handed: str = "left") -> np.ndarra
     return p[0] * _ID2 + sign * sigma_dot(p[1:4])
 
 
-def _chiral_blocks(upper: np.ndarray, lower: np.ndarray, off: complex = 0) -> np.ndarray:
-    """4x4 chiral-basis matrix: ``upper``/``lower`` on the diagonal, ``off * I``
-    coupling the two chiralities."""
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2], out[2:, 2:] = upper, lower
-    out[:2, 2:] = out[2:, :2] = off * _ID2
-    return out
-
-
 def _boosted_sum(sigma, coeff: np.ndarray) -> np.ndarray:
     """``sum_mu sigma(mu) * coeff[mu]`` for a boosted sigma family."""
     out = np.zeros((2, 2), dtype=complex)
@@ -104,7 +96,7 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     upper = sum(SIGMA_M_BAR[mu] * p[mu] for mu in range(4))
     lower = sum(SIGMA_M[mu] * p[mu] for mu in range(4))
-    return _chiral_blocks(upper, lower, -m)
+    return chiral_blocks(upper, lower, -m)
 
 
 def _kernel_basis(matrix: np.ndarray):
@@ -184,7 +176,7 @@ def dirac_system(
         plus, minus = minus, plus
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
     kind = "dirac-primed" if primed else "dirac"
-    return _solved(kind, _chiral_blocks(plus, minus, -m), (shell, -shell))
+    return _solved(kind, chiral_blocks(plus, minus, -m), (shell, -shell))
 
 
 def boosted_weyl_system(
@@ -246,7 +238,7 @@ def boosted_dirac_system(
     m = boosted_dirac_mass(d, primed)
     shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
     kind = "boosted-dirac-primed" if primed else "boosted-dirac"
-    return _solved(kind, _chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell))
+    return _solved(kind, chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +595,7 @@ def euler_lagrange_check(
         )
         if primed:
             op_minus, op_plus = op_plus, op_minus
-        el = _chiral_blocks(
+        el = chiral_blocks(
             1j * (_S2 @ _plane_wave_symbol(op_minus, p)),
             1j * (_S2 @ _plane_wave_symbol(op_plus, p)),
             -1j * complex(d),
@@ -612,15 +604,17 @@ def euler_lagrange_check(
     elif kind == "boosted-weyl":
         boost = boost if boost is not None else IDENTITY_BOOST
         f_scalars = [FourierScalar.constant(component) for component in f]
-        op_left, op_right = boosted_weyl_density_operators(f_scalars, boost)
-        el = _chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
-        system = _chiral_blocks(
+        op_left, op_right = boosted_weyl_density_operators(
+            f_scalars, boost, [FourierScalar.zero()] * 4
+        )
+        el = chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
+        system = chiral_blocks(
             boosted_weyl_system(boost, f, p, "left").matrix,
             boosted_weyl_system(boost, f, p, "right").matrix,
         )
     elif kind == "minkowski":
         el = minkowski_dirac_matrix(p, mass)
-        system = _chiral_blocks(
+        system = chiral_blocks(
             minkowski_weyl_matrix(p, "left"), minkowski_weyl_matrix(p, "right"), -mass
         )
     else:

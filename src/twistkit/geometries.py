@@ -14,9 +14,10 @@ representation and fluctuation maps:
 * ``_j_swap`` -- the internal factor of the real structure J;
 * ``_sector_is_particle`` -- 1 where a sector carries (f, f') and the
   fluctuation parameters (z, z'), 0 where it carries (g', g) and their
-  conjugates; boosts act inversely on the two kinds;
+  conjugates; a boosted pairing's first slot takes the inverse boost on 1;
 * ``_sector_is_exchanged`` -- 1 where a sector's Weyl pair sits in exchanged
-  (right-handed) order.
+  (right-handed) order;
+* ``_slot2_inverted`` -- 1 where the operator's slot takes the inverse boost.
 
 The internal grading is the particle sign times the exchange sign.
 ``ManifoldGeometry`` has the one sector {e}, ``DoubledGeometry`` the two
@@ -183,6 +184,7 @@ class _GeometryBase:
     _j_swap: np.ndarray
     _sector_is_particle: np.ndarray
     _sector_is_exchanged: np.ndarray
+    _slot2_inverted: np.ndarray
 
     @property
     def ko_signs(self) -> tuple[int, int, int, int]:
@@ -383,28 +385,27 @@ class _GeometryBase:
         return (self.r_operator.apply(section) - section).max_abs()
 
     # ----- boosts ----------------------------------------------------------
-    def _sectorwise_boost(self, boost: SpinBoost, particle_inverse: bool) -> np.ndarray:
-        sel_e = np.diag(self._sector_is_particle)
-        sel_c = np.diag(1.0 - self._sector_is_particle)
-        on_e = boost.inverse if particle_inverse else boost.matrix
-        on_c = boost.matrix if particle_inverse else boost.inverse
-        return np.kron(sel_e, on_e) + np.kron(sel_c, on_c)
-
-    def boost_slot2_matrix(self, boost: SpinBoost) -> np.ndarray:
-        """Boost action on the vector the operator is applied to: inverse
-        spin boost on particle-type sectors, direct on conjugate-type."""
-        return self._sectorwise_boost(boost, particle_inverse=True)
+    def _sectorwise_boost(self, boost: SpinBoost, inverted: np.ndarray) -> np.ndarray:
+        """The inverse spin boost on sectors flagged 1, the boost on the rest."""
+        out = np.zeros((self.fiber_dim, self.fiber_dim), dtype=complex)
+        for s, flag in enumerate(inverted):
+            block = slice(4 * s, 4 * s + 4)
+            out[block, block] = boost.inverse if flag else boost.matrix
+        return out
 
     def boost_slot1_matrix(self, boost: SpinBoost) -> np.ndarray:
-        """Boost action on the pairing's first slot (same matrix here; the
-        single-sector geometry overrides this asymmetrically)."""
-        return self.boost_slot2_matrix(boost)
+        """Boost action on the pairing's first slot."""
+        return self._sectorwise_boost(boost, self._sector_is_particle)
+
+    def boost_slot2_matrix(self, boost: SpinBoost) -> np.ndarray:
+        """Boost action on the vector the operator is applied to."""
+        return self._sectorwise_boost(boost, self._slot2_inverted)
 
     def boosted_operator(self, op: FieldOperator, boost: SpinBoost) -> FieldOperator:
         """Conjugate an operator by the slot-2 boost action."""
         b = FieldOperator.from_matrix(self.boost_slot2_matrix(boost))
         b_inv = FieldOperator.from_matrix(
-            self._sectorwise_boost(boost, particle_inverse=False)
+            self._sectorwise_boost(boost, 1.0 - self._slot2_inverted)
         )
         return b @ op @ b_inv
 
@@ -419,6 +420,7 @@ class ManifoldGeometry(_GeometryBase):
     _j_swap = np.eye(1)
     _sector_is_particle = np.array([1.0])
     _sector_is_exchanged = np.array([0.0])
+    _slot2_inverted = np.array([0.0])  # the one sector's slots take S^-1 and S
 
     # on the one sector a one-form is read and rebuilt like a fluctuation, and
     # the dressing -i gamma^mu gamma5 f_mu is the chiral one-form h = f, h' = -f
@@ -431,19 +433,6 @@ class ManifoldGeometry(_GeometryBase):
             return manifold_lagrangian_action(fields[0], fields[1], f[0])
         return boosted_manifold_lagrangian_action(fields[0], fields[1], f, boost)
 
-    # the single-sector boost pairs an inverse-boosted first slot with a
-    # boosted second slot instead of acting sectorwise
-    def boost_slot2_matrix(self, boost: SpinBoost) -> np.ndarray:
-        return boost.matrix
-
-    def boost_slot1_matrix(self, boost: SpinBoost) -> np.ndarray:
-        return boost.inverse
-
-    def boosted_operator(self, op: FieldOperator, boost: SpinBoost) -> FieldOperator:
-        b = FieldOperator.from_matrix(boost.matrix)
-        b_inv = FieldOperator.from_matrix(boost.inverse)
-        return b @ op @ b_inv
-
 
 class DoubledGeometry(_GeometryBase):
     """Two-sheeted version: functions (f, g) on the sheets {e, ebar}."""
@@ -455,6 +444,7 @@ class DoubledGeometry(_GeometryBase):
     _j_swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     _sector_is_particle = np.array([1.0, 0.0])
     _sector_is_exchanged = np.array([0.0, 0.0])
+    _slot2_inverted = np.array([1.0, 0.0])
 
     def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
         """Twice the single-sheet density on ``fields``; g is not read."""
@@ -473,6 +463,7 @@ class ElectrodynamicsGeometry(_GeometryBase):
     _j_swap = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     _sector_is_particle = np.array([1.0, 1.0, 0.0, 0.0])
     _sector_is_exchanged = np.array([0.0, 1.0, 0.0, 1.0])
+    _slot2_inverted = np.array([1.0, 1.0, 0.0, 0.0])
 
     def __init__(self, d: complex = -1j):
         self.d = complex(d)

@@ -223,6 +223,16 @@ class TestRunner:
     def test_probe_cutoff_cap_is_accepted(self):
         assert RunConfig(probe_cutoff=MAX_PROBE_CUTOFF).probe_cutoff == MAX_PROBE_CUTOFF
 
+    def test_duplicate_groups_kept_once_in_first_seen_order(self):
+        cfg = RunConfig(groups=("gauge", "clifford", "gauge", "clifford"))
+        assert cfg.groups == ("gauge", "clifford")
+
+    def test_tolerances_are_a_fresh_dict(self):
+        caller = {"clifford": 1}
+        cfg = RunConfig(groups=("clifford",), tolerances=caller)
+        assert cfg.tolerances == {"clifford": 1.0} and cfg.tolerances is not caller
+        assert type(caller["clifford"]) is int
+
 
 class TestReport:
     def test_json_byte_identical(self):
@@ -278,6 +288,13 @@ class TestVerifyCommand:
         assert "5 checks: 5 passed, 0 failed, 0 skipped" in proc.stdout
         doc = json.loads(out.read_text())
         assert len(doc["checks"]) == 5
+
+    def test_duplicate_groups_write_the_single_group_report(self, tmp_path):
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert run_cli("verify", "--groups", "clifford", "--json", str(once)).returncode == 0
+        argv = ("verify", "--groups", "clifford,clifford", "--json", str(twice))
+        assert run_cli(*argv).returncode == 0
+        assert twice.read_bytes() == once.read_bytes()
 
     def test_json_reports_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -16,15 +16,6 @@ COVARIANCE_TOL = 1e-9
 coord = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
-def random_boost(rng, max_half_rapidity=1.0):
-    axis = rng.normal(0.0, 1.0, 3)
-    axis = axis / np.linalg.norm(axis)
-    return SpinBoost(
-        half_rapidity=float(rng.uniform(0.05, max_half_rapidity)),
-        axis=tuple(axis),
-    )
-
-
 def parallel_gap(u, v):
     """0 when u and v span the same line."""
     overlap = abs(np.vdot(u, v))
@@ -166,7 +157,7 @@ class TestBoostedWeylSystem:
     def test_reduction_to_transported_flat_system(self, handed):
         rng = np.random.default_rng(33)
         for _ in range(10):
-            boost = random_boost(rng)
+            boost = dyn._random_boost(rng)
             f = rng.normal(0.0, 1.0, 4)
             assert dyn.boosted_weyl_reduction_residual(boost, f, handed) < EL_TOL
 
@@ -190,7 +181,7 @@ class TestBoostedDiracSystem:
         rng = np.random.default_rng(41)
         for primed in (False, True):
             for _ in range(10):
-                boost = random_boost(rng)
+                boost = dyn._random_boost(rng)
                 f = rng.normal(0.0, 1.0, 4)
                 g = rng.normal(0.0, 1.0, 4)
                 d = complex(rng.normal(), rng.normal())
@@ -213,7 +204,7 @@ class TestBoostedDiracSystem:
 
     def test_gauge_potential_shifts_momentum(self):
         rng = np.random.default_rng(43)
-        boost = random_boost(rng)
+        boost = dyn._random_boost(rng)
         f = rng.normal(0.0, 1.0, 4)
         g = rng.normal(0.0, 1.0, 4)
         d = complex(rng.normal(), rng.normal())
@@ -235,7 +226,7 @@ class TestBoostedDiracSystem:
         for primed in (False, True):
             mass = abs(rng.normal()) + 0.3
             d = mass * ((1j + 1) if primed else (1j - 1))
-            boost = random_boost(rng)
+            boost = dyn._random_boost(rng)
             g = rng.normal(0.0, 1.0, 4)
             p = rng.normal(0.0, 1.0, 4)
             result = dyn.boosted_dirac_system(boost, rng.normal(0.0, 1.0, 4), g, d, p, primed)
@@ -323,7 +314,7 @@ class TestKernelBoostCovariance:
     def test_weyl_transport(self, handed):
         rng = np.random.default_rng(61)
         for _ in range(5):
-            boost = random_boost(rng)  # vector rapidity up to 2
+            boost = dyn._random_boost(rng)  # vector rapidity up to 2
             f_spatial = rng.normal(0.0, 1.0, 3)
             assert dyn.weyl_kernel_covariance(boost, f_spatial, handed) < COVARIANCE_TOL
 
@@ -331,7 +322,7 @@ class TestKernelBoostCovariance:
     def test_dirac_transport(self, primed):
         rng = np.random.default_rng(62)
         for _ in range(5):
-            boost = random_boost(rng)
+            boost = dyn._random_boost(rng)
             f_spatial = rng.normal(0.0, 1.0, 3)
             g = rng.normal(0.0, 1.0, 4)
             mass = abs(rng.normal()) + 0.3
@@ -363,7 +354,7 @@ class TestEulerLagrangeConsistency:
     def test_boosted_weyl(self):
         rng = np.random.default_rng(73)
         for _ in range(10):
-            boost = random_boost(rng)
+            boost = dyn._random_boost(rng)
             psi = rng.normal(0.0, 1.0, 4) + 1j * rng.normal(0.0, 1.0, 4)
             p = rng.normal(0.0, 1.0, 4)
             f = tuple(rng.normal(0.0, 1.0, 4))
@@ -410,7 +401,7 @@ class TestPlaneWaveProblem:
 
     def test_dispatch_shapes(self):
         rng = np.random.default_rng(81)
-        boost = random_boost(rng)
+        boost = dyn._random_boost(rng)
         sizes = {
             "weyl-left": 2,
             "weyl-right": 2,

@@ -621,6 +621,34 @@ class TestBoostCompatibility:
         s_inv = FieldOperator.from_matrix(boost.inverse)
         assert normal_form_distance(j @ s_op, s_inv @ j) < 1e-10
 
+    @pytest.mark.parametrize(
+        "geo_name, slot1, slot2",
+        [
+            ("manifold", ("inverse",), ("matrix",)),
+            ("doubled", ("inverse", "matrix"), ("inverse", "matrix")),
+            (
+                "electro",
+                ("inverse", "inverse", "matrix", "matrix"),
+                ("inverse", "inverse", "matrix", "matrix"),
+            ),
+        ],
+    )
+    def test_boost_slot_tables(self, geo_name, slot1, slot2):
+        """Slot by slot, the spin boost S ("matrix") or S^-1 ("inverse") on
+        each sector, and the boosted operator conjugates by an inverse pair."""
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        boost = SpinBoost(0.7, (0.6, 0.0, 0.8))
+        for actual, table in (
+            (geo.boost_slot1_matrix(boost), slot1),
+            (geo.boost_slot2_matrix(boost), slot2),
+        ):
+            expected = np.zeros((geo.fiber_dim, geo.fiber_dim), dtype=complex)
+            for s, name in enumerate(table):
+                expected[4 * s : 4 * s + 4, 4 * s : 4 * s + 4] = getattr(boost, name)
+            assert np.array_equal(actual, expected)
+        one = FieldOperator.identity(geo.fiber_dim)
+        assert normal_form_distance(geo.boosted_operator(one, boost), one) < 1e-12
+
     def test_boosted_dirac_uses_boosted_gammas(self):
         geo = ManifoldGeometry()
         boost = SpinBoost(0.7, (0.0, 0.0, 1.0))

@@ -1,8 +1,12 @@
-"""Every module-level import is used by the module that makes it.
+"""Every module-level import is used by the module that makes it, and every
+private helper of the package is read somewhere in the package.
 
 No linter ships with the package, so this parses each module of the package,
 its tests and its scripts with ``ast`` and lists the names that a module-level
-import binds but nothing in the module reads.
+import binds but nothing in the module reads.  It also lists the private
+(single-underscore) functions, classes and module- or class-level names that
+the package defines but nothing in the package reads; check generators, which
+the ``@check`` decorator registers, are exempt.
 """
 
 import ast
@@ -45,3 +49,55 @@ def test_scanner_binds_a_dotted_import_to_its_first_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_check_generator(node) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "check"
+        for d in node.decorator_list
+    )
+
+
+def unread_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Private names that ``sources`` define and none of ``sources`` reads."""
+    defined, read = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if not _is_check_generator(node):
+                        defined.setdefault(node.name, f"{name}:{node.lineno}")
+                targets = node.targets if isinstance(node, ast.Assign) else []
+                if isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets = [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined.setdefault(target.id, f"{name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{helper} ({where})"
+        for helper, where in defined.items()
+        if helper.startswith("_") and not helper.startswith("__") and helper not in read
+    ]
+
+
+def test_helper_scanner_finds_an_unread_helper():
+    sources = {
+        "a.py": "_used = 1\n_dead = 2\ndef _gone(): pass\nclass K:\n    _k = 3\n",
+        "b.py": "from a import _used\n"
+        "@check('x.y', 1e-12, 'ref')\ndef _registered(rng, cfg): yield 0.0\n"
+        "print(_used, K()._k)\n",
+    }
+    assert unread_private_helpers(sources) == ["_dead (a.py:2)", "_gone (a.py:3)"]
+
+
+def test_every_private_helper_is_read():
+    package = sorted((ROOT / "src/twistkit").glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package}
+    assert unread_private_helpers(sources) == []
