@@ -23,10 +23,7 @@ from twistkit.actions import (
 )
 from twistkit.cli import UsageError, parse_axis, parse_rapidity
 from twistkit.clifford import SpinBoost
-from twistkit.dynamics import (
-    boosted_dirac_reduction_residual,
-    boosted_weyl_reduction_residual,
-)
+from twistkit.dynamics import BOOSTED_KINDS, identified_problem, reduction_residual
 from twistkit.geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 
 
@@ -75,14 +72,11 @@ def main() -> int:
             abs(fermionic_action(geo, op, pro, boost=boost) - plain)
             for geo, op, pro, plain in fixtures
         ]
-        wred = max(
-            boosted_weyl_reduction_residual(boost, f4, handed)
-            for handed in ("left", "right")
-        )
-        dred = max(
-            boosted_dirac_reduction_residual(boost, f4, g4, d, primed)
-            for primed in (False, True)
-        )
+        red = [
+            reduction_residual(identified_problem(kind, f4, g4, d, boost))
+            for kind in BOOSTED_KINDS
+        ]
+        wred, dred = max(red[:2]), max(red[2:])
         cells = "  ".join(f"{v:10.3e}" for v in defects)
         print(f"{rap:8.3f}  {cells}  {wred:10.3e}  {dred:10.3e}")
     return 0

@@ -75,16 +75,18 @@ from .clifford import (
     twist_gamma,
 )
 from .dynamics import (
+    BOOSTED_KINDS,
     EL_KINDS,
+    FLAT_KINDS,
     PROBLEM_KINDS,
-    boosted_dirac_reduction_residual,
-    boosted_weyl_reduction_residual,
-    dirac_kernel_covariance,
     dirac_system,
     duality_sweep,
     euler_lagrange_check,
+    identified_problem,
+    kernel_covariance,
+    on_shell,
     on_shell_problem,
-    weyl_kernel_covariance,
+    reduction_residual,
     weyl_system,
 )
 from .geometries import (
@@ -102,6 +104,7 @@ from .grassmann import (
     pair_coefficient_matrix,
 )
 from .operator_algebra import (
+    MAX_MODE_CUTOFF,
     MAX_PROBE_CUTOFF,
     FieldOperator,
     commutator as op_commutator,
@@ -159,8 +162,8 @@ class RunConfig:
         self.rapidity_max = float(self.rapidity_max)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.mode_cutoff < 1:
-            raise ValueError("mode_cutoff must be at least 1")
+        if not 1 <= self.mode_cutoff <= MAX_MODE_CUTOFF:
+            raise ValueError(f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}")
         if not 1 <= self.probe_cutoff <= MAX_PROBE_CUTOFF:
             raise ValueError(f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}")
         if not (np.isfinite(self.rapidity_max) and self.rapidity_max >= 0):
@@ -1388,9 +1391,7 @@ def _chk_determinant_kernel_duality(rng, cfg):
     Draws: 250 samples per kind; boosted families drop out at zero rapidity
     cap and draw their own boosts within it otherwise.
     """
-    kinds = PROBLEM_KINDS
-    if cfg.rapidity_max == 0:
-        kinds = tuple(k for k in kinds if not k.startswith("boosted"))
+    kinds = FLAT_KINDS if cfg.rapidity_max == 0 else PROBLEM_KINDS
     for kind in kinds:
         sweep = duality_sweep(
             rng, kind, n_samples=250, max_half_rapidity=_half_cap(cfg)
@@ -1472,16 +1473,12 @@ def _chk_kernel_boost_covariance(rng, cfg):
         return
     for _ in range(3):
         boost = _draw_boost(rng, cfg)
-        for handed in ("left", "right"):
-            yield weyl_kernel_covariance(boost, rng.standard_normal(3), handed)
-        for primed in (False, True):
-            yield dirac_kernel_covariance(
-                boost,
-                rng.standard_normal(3),
-                rng.standard_normal(4),
-                abs(rng.standard_normal()) + 0.1,
-                primed,
-            )
+        for kind in BOOSTED_KINDS[:2]:  # Weyl: massless, no gauge potential
+            yield kernel_covariance(on_shell(kind, rng.standard_normal(3), boost=boost))
+        for kind in BOOSTED_KINDS[2:]:
+            f_spatial, g = rng.standard_normal(3), rng.standard_normal(4)
+            mass = abs(rng.standard_normal()) + 0.1
+            yield kernel_covariance(on_shell(kind, f_spatial, g=g, mass=mass, boost=boost))
 
 
 @check(
@@ -1530,10 +1527,8 @@ def _chk_boosted_reduction(rng, cfg):
         f4 = rng.standard_normal(4)
         g4 = rng.standard_normal(4)
         d = complex(rng.standard_normal(), rng.standard_normal())
-        for handed in ("left", "right"):
-            yield boosted_weyl_reduction_residual(boost, f4, handed)
-        for primed in (False, True):
-            yield boosted_dirac_reduction_residual(boost, f4, g4, d, primed)
+        for kind in BOOSTED_KINDS:
+            yield reduction_residual(identified_problem(kind, f4, g4, d, boost))
 
 
 # ---------------------------------------------------------------------------

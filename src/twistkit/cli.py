@@ -42,7 +42,7 @@ from .actions import (
 )
 from .checks import GROUPS, RunConfig, report_json, run_checks
 from .clifford import MAX_RAPIDITY, SpinBoost
-from .dynamics import PROBLEM_KINDS, PlaneWaveProblem
+from .dynamics import BOOSTED_KINDS, PROBLEM_KINDS, PlaneWaveProblem
 from .geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 from .grassmann import pair_coefficient_matrix
 from .torus_fields import FourierScalar, Section
@@ -390,7 +390,7 @@ def cmd_dispersion(args) -> int:
     g = parse_vector(args.g, 4, "--g")
     d = parse_complex(args.d, "--d")
     boost = None
-    if args.kind.startswith("boosted"):
+    if args.kind in BOOSTED_KINDS:
         axis = parse_axis(args.axis)
         boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), axis)
     problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)

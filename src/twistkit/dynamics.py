@@ -19,6 +19,11 @@ Conventions
   matrices (``SpinBoost.sigma_boosted`` / ``sigma_tilde_boosted``); under
   the momentum identification they reduce to ``-(1+i)`` times the flat
   reference at the transported momentum ``p' = boost_covector(boost, p)``.
+* Every claim takes the kind (``FLAT_KINDS``, ``BOOSTED_KINDS``) and
+  reads it through one parser: ``identified_problem`` places any kind at
+  its identification momentum, ``on_shell`` puts it on its mass shell, and
+  ``reduction_residual`` / ``kernel_covariance`` check a boosted problem
+  against its flat reference and its kernel transport.
 """
 
 from __future__ import annotations
@@ -256,108 +261,102 @@ def weyl_identification(f: Sequence[float], handed: str = "left") -> np.ndarray:
     return np.array([f[0], -f[1], -f[2], -f[3]])
 
 
-def dirac_identification(
-    f: Sequence[float], g: Sequence[float], primed: bool = False
-) -> np.ndarray:
-    """Momentum with ``P = p + g`` pinned to ``(-f_0, f_j)`` (or flipped)."""
-    f = _as_covector(f)
-    g = _as_covector(g)
-    big_p = weyl_identification(f, "right" if primed else "left")
-    return big_p - g
-
-
-# ---------------------------------------------------------------------------
-# reduction residuals (boosted system vs flat reference at p')
-
-
-def boosted_weyl_reduction_residual(
-    boost: SpinBoost, f: Sequence[float], handed: str = "left"
-) -> float:
-    """``max | system - (-(1+i)) * flat reference at p' |`` at identification."""
-    p = weyl_identification(f, handed)
-    system = boosted_weyl_system(boost, f, p, handed).matrix
-    target = -(1 + 1j) * minkowski_weyl_matrix(boost_covector(boost, p), handed)
-    return float(np.abs(system - target).max())
-
-
-def boosted_dirac_reduction_residual(
-    boost: SpinBoost,
+def identified_problem(
+    kind: str,
     f: Sequence[float],
-    g: Sequence[float],
-    d: complex,
-    primed: bool = False,
-) -> float:
-    """Same as the Weyl residual, against the massive flat reference."""
-    p = dirac_identification(f, g, primed)
-    system = boosted_dirac_system(boost, f, g, d, p, primed).matrix
-    big_p = _as_covector(p) + _as_covector(g)
-    m = boosted_dirac_mass(d, primed)
-    target = -(1 + 1j) * minkowski_dirac_matrix(boost_covector(boost, big_p), m)
-    return float(np.abs(system - target).max())
+    g: Sequence[float] = ZERO4,
+    d: complex = 0j,
+    boost: Optional[SpinBoost] = None,
+) -> PlaneWaveProblem:
+    """The ``kind`` problem at its identification momentum: Weyl kinds at
+    ``weyl_identification(f, variant)``, Dirac kinds with ``P = p + g`` at
+    ``(-f_0, f_j)`` (unprimed) or ``(f_0, -f_j)`` (primed)."""
+    _, family, variant = _kind_parts(kind)
+    if family == "weyl":
+        p = weyl_identification(f, variant)
+    else:
+        handed = "right" if variant == "primed" else "left"
+        p = weyl_identification(f, handed) - _as_covector(g)
+    return PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d, boost)
+
+
+def on_shell(
+    kind: str,
+    f_spatial: Sequence[float],
+    sign: float = 1.0,
+    g: Sequence[float] = ZERO4,
+    mass: float = 0.0,
+    boost: Optional[SpinBoost] = None,
+) -> PlaneWaveProblem:
+    """The identified ``kind`` problem with ``f_0 = sign * sqrt(|f|^2 + mass^2)``.
+
+    Weyl kinds are massless.  Boosted Dirac kinds couple through
+    ``d = mass * (i -+ 1)`` (unprimed/primed), which extracts the real mass;
+    flat Dirac kinds through ``d = i * mass`` with ``g_0 = 0``.
+    """
+    boosted, family, variant = _kind_parts(kind)
+    f_spatial = np.asarray(f_spatial, dtype=float)
+    if family == "weyl":
+        f = np.array([sign * np.linalg.norm(f_spatial), *f_spatial])
+        return identified_problem(kind, f, boost=boost)
+    f = np.array([sign * np.sqrt(np.dot(f_spatial, f_spatial) + mass**2), *f_spatial])
+    g = np.array(g, dtype=float)
+    if boosted:
+        d = mass * ((1j + 1) if variant == "primed" else (1j - 1))
+    else:
+        d = 1j * mass
+        g[0] = 0.0
+    return identified_problem(kind, f, g, d, boost)
 
 
 # ---------------------------------------------------------------------------
-# kernel covariance under boosts
+# boosted systems against their flat references
 
 
-def weyl_kernel_covariance(
-    boost: SpinBoost, f_spatial: Sequence[float], handed: str = "left"
-) -> float:
-    """Transport the boosted kernel to the flat systems at ``p'`` and ``p``.
+def _flat_reference(problem: PlaneWaveProblem, transported: bool) -> np.ndarray:
+    """Flat system of a boosted kind at ``p`` (Weyl) or ``P = p + g`` (Dirac),
+    carried to ``boost_covector(boost, .)`` when ``transported``."""
+    boosted, family, variant = _kind_parts(problem.kind)
+    if not boosted:
+        raise ValueError(f"{problem.kind!r} has no boost to reduce or transport")
+    momentum = _as_covector(problem.p)
+    if family == "dirac":
+        momentum = momentum + _as_covector(problem.g)
+    if transported:
+        momentum = boost_covector(problem.spin_boost, momentum)
+    if family == "weyl":
+        return minkowski_weyl_matrix(momentum, variant)
+    mass = boosted_dirac_mass(problem.d, variant == "primed")
+    return minkowski_dirac_matrix(momentum, mass)
 
-    Builds the on-shell potential ``f_0 = |f_spatial|``, takes every kernel
-    vector ``v`` of the boosted system at the identified momentum and
-    returns the worst residual of (a) ``v`` against the flat system at the
-    transported momentum and (b) ``Lambda v`` against the flat system at
-    the original momentum.  Raises if the kernel is empty.
+
+def reduction_residual(problem: PlaneWaveProblem) -> float:
+    """``max | system - (-(1+i)) * flat reference at p' |`` for a boosted
+    problem at its identification momentum (:func:`identified_problem`)."""
+    target = -(1 + 1j) * _flat_reference(problem, transported=True)
+    return float(np.abs(problem.solve().matrix - target).max())
+
+
+def kernel_covariance(problem: PlaneWaveProblem) -> float:
+    """Worst of ``|flat' v|`` and ``|flat (T v)|`` over the kernel vectors
+    ``v`` of an on-shell boosted problem (:func:`on_shell`).
+
+    ``flat'`` and ``flat`` are the flat references at the transported and
+    the original momentum; the kernel transport ``T`` is ``Lambda_plus``
+    (left), ``Lambda_minus`` (right) or ``boost.inverse`` (Dirac).  Raises
+    on a flat kind or an empty kernel.
     """
-    f_spatial = np.asarray(f_spatial, dtype=float)
-    f = np.array([np.linalg.norm(f_spatial), *f_spatial])
-    p = weyl_identification(f, handed)
-    return _kernel_transport_residual(
-        boosted_weyl_system(boost, f, p, handed),
-        minkowski_weyl_matrix(boost_covector(boost, p), handed),
-        minkowski_weyl_matrix(p, handed),
-        boost.lambda_plus if handed == "left" else boost.lambda_minus,
+    flat_prime = _flat_reference(problem, transported=True)
+    flat = _flat_reference(problem, transported=False)
+    boost = problem.spin_boost
+    transport = {"left": boost.lambda_plus, "right": boost.lambda_minus}.get(
+        _kind_parts(problem.kind)[2], boost.inverse
     )
-
-
-def dirac_kernel_covariance(
-    boost: SpinBoost,
-    f_spatial: Sequence[float],
-    g: Sequence[float],
-    mass: float,
-    primed: bool = False,
-) -> float:
-    """Massive analogue of :func:`weyl_kernel_covariance`.
-
-    ``mass`` is the positive physical mass; the coupling is
-    ``d = mass * (i - 1)`` (unprimed) or ``mass * (i + 1)`` (primed), both
-    of which extract a real mass.  Kernel vectors transport blockwise with
-    ``diag(Lambda_plus, Lambda_minus) = boost.inverse``.
-    """
-    f_spatial = np.asarray(f_spatial, dtype=float)
-    d = mass * ((1j + 1) if primed else (1j - 1))
-    m = boosted_dirac_mass(d, primed)
-    f0 = np.sqrt(np.dot(f_spatial, f_spatial) + float(np.real(m)) ** 2)
-    f = np.array([f0, *f_spatial])
-    p = dirac_identification(f, g, primed)
-    big_p = p + _as_covector(g)
-    return _kernel_transport_residual(
-        boosted_dirac_system(boost, f, g, d, p, primed),
-        minkowski_dirac_matrix(boost_covector(boost, big_p), m),
-        minkowski_dirac_matrix(big_p, m),
-        boost.inverse,
-    )
-
-
-def _kernel_transport_residual(result, flat_prime, flat, transport) -> float:
-    """Worst of ``|flat_prime @ v|`` and ``|flat @ (transport @ v)|`` over the
-    kernel vectors ``v`` of ``result``; raises if the kernel is empty."""
-    if not result.kernel:
+    kernel = problem.solve().kernel
+    if not kernel:
         raise ValueError("on-shell boosted system has empty kernel")
     worst = 0.0
-    for v in result.kernel:
+    for v in kernel:
         worst = max(worst, float(np.abs(flat_prime @ v).max()))
         worst = max(worst, float(np.abs(flat @ (transport @ v)).max()))
     return worst
@@ -367,11 +366,9 @@ def _kernel_transport_residual(result, flat_prime, flat, transport) -> float:
 # problem wrapper
 
 
-PROBLEM_KINDS = tuple(
-    prefix + kind
-    for prefix in ("", "boosted-")
-    for kind in ("weyl-left", "weyl-right", "dirac", "dirac-primed")
-)
+FLAT_KINDS = ("weyl-left", "weyl-right", "dirac", "dirac-primed")
+BOOSTED_KINDS = tuple("boosted-" + kind for kind in FLAT_KINDS)
+PROBLEM_KINDS = FLAT_KINDS + BOOSTED_KINDS
 
 
 def _kind_parts(kind: str) -> tuple[bool, str, str]:
@@ -404,9 +401,14 @@ class PlaneWaveProblem:
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
 
+    @property
+    def spin_boost(self) -> SpinBoost:
+        """``boost``, or the identity when none is given."""
+        return self.boost if self.boost is not None else IDENTITY_BOOST
+
     def solve(self) -> DispersionResult:
         boosted, family, variant = _kind_parts(self.kind)
-        boost = self.boost if self.boost is not None else IDENTITY_BOOST
+        boost = self.spin_boost
         if family == "weyl" and boosted:
             return boosted_weyl_system(boost, self.f, self.p, variant)
         if family == "weyl":
@@ -438,7 +440,7 @@ def _random_solved(
             g=tuple(rng.normal(size=4)),
             d=complex(rng.normal(), rng.normal()),
             boost=_random_boost(rng, max_half_rapidity)
-            if kind.startswith("boosted")
+            if kind in BOOSTED_KINDS
             else None,
         )
         result = problem.solve()
@@ -450,27 +452,14 @@ def _random_solved(
 
 def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveProblem:
     """Constructed singular draw: identification momentum on the mass shell."""
-    boosted, family, variant = _kind_parts(kind)
+    boosted, family, _ = _kind_parts(kind)
     boost = _random_boost(rng, max_half_rapidity) if boosted else None
     f_spatial = rng.normal(size=3)
     sign = rng.choice((-1.0, 1.0))
     if family == "weyl":
-        f = np.array([sign * np.linalg.norm(f_spatial), *f_spatial])
-        p = weyl_identification(f, variant)
-        return PlaneWaveProblem(kind=kind, p=tuple(p), f=tuple(f), boost=boost)
-    primed = variant == "primed"
+        return on_shell(kind, f_spatial, sign, boost=boost)
     mass = abs(rng.normal()) + 0.1
-    f = np.array([sign * np.sqrt(np.dot(f_spatial, f_spatial) + mass**2), *f_spatial])
-    g = rng.normal(size=4)
-    if boosted:
-        d = mass * ((1j + 1) if primed else (1j - 1))
-    else:
-        d = 1j * mass
-        g[0] = 0.0
-    p = dirac_identification(f, g, primed)
-    return PlaneWaveProblem(
-        kind=kind, p=tuple(p), f=tuple(f), g=tuple(g), d=d, boost=boost
-    )
+    return on_shell(kind, f_spatial, sign, rng.normal(size=4), mass, boost)
 
 
 def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
@@ -584,7 +573,7 @@ def euler_lagrange_check(
     if kind in ("weyl-left", "weyl-right"):
         op = weyl_density_operator(FourierScalar.constant(f[0]))
         el = _S2 @ _plane_wave_symbol(op, p)
-        handed = kind.removeprefix("weyl-")
+        handed = _kind_parts(kind)[2]
         q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])
         system = 1j * weyl_system(f[0], q, handed).matrix
     elif kind in ("dirac", "dirac-primed"):

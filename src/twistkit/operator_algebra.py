@@ -48,6 +48,13 @@ TermKey = tuple[Mode, DerivIndex]
 #: (2c+1)^2 when no derivative acts on the first two axes.
 MAX_PROBE_CUTOFF = 6
 
+#: Largest mode cutoff a run may ask for.  Random fields draw their modes
+#: from the box |k|_inf <= c through numpy's int64 ``Generator.integers``,
+#: whose exclusive upper end c + 1 must not pass 2^63.  The absolute gates
+#: fail long before this cap (ROADMAP item 1); it only keeps the draws from
+#: raising.
+MAX_MODE_CUTOFF = 2**63 - 1
+
 
 def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarray]:
     """Rewrite K . T as T' . K for the linear part T (K = conjugation)."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twistkit.clifford import IDENTITY_BOOST, PAULI, SpinBoost
+from twistkit.clifford import IDENTITY_BOOST, PAULI
 from twistkit.actions import (
     bilinear_integral,
     boosted_pairing,
@@ -26,6 +26,7 @@ from twistkit.actions import (
     weyl_derivative_form,
     weyl_potential_form,
 )
+from twistkit.dynamics import _random_boost
 from twistkit.geometries import (
     DOUBLED,
     MANIFOLD,
@@ -43,13 +44,6 @@ from twistkit.torus_fields import (
 
 TOL = 1e-10
 BOOST_TOL = 1e-9
-
-
-def random_boost(rng, max_half_rapidity=1.0):
-    axis = rng.standard_normal(3)
-    while np.linalg.norm(axis) < 1e-3:
-        axis = rng.standard_normal(3)
-    return SpinBoost(float(rng.uniform(0.1, max_half_rapidity)), tuple(axis))
 
 
 def geometry_instance(name, rng):
@@ -130,7 +124,7 @@ class TestPairingCoefficients:
         w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
         op = geo.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
-        boost = random_boost(rng) if boosted else None
+        boost = _random_boost(rng) if boosted else None
 
         def slots(i):
             units = unit_weyl_fields(pro, i)
@@ -318,7 +312,7 @@ class TestClosedForms:
         """Engine, quadratic route and the geometry's closed density agree."""
         rng = np.random.default_rng(seed)
         for _ in range(10):
-            boost = random_boost(rng) if boosted else None
+            boost = _random_boost(rng) if boosted else None
             geo = geometry_instance(geo_name, rng)
             w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
             op = geo.dressed_dirac(f, g)
@@ -427,7 +421,7 @@ class TestBoostedActions:
         pro = promote_weyl_fields(w)
         plain = fermionic_action(geo, op, pro)
         for _ in range(5):
-            boost = random_boost(rng)
+            boost = _random_boost(rng)
             boosted = fermionic_action(geo, op, pro, boost=boost)
             assert abs(boosted - plain) < BOOST_TOL
 

@@ -23,7 +23,7 @@ from twistkit.checks import (
 from twistkit.cli import build_parser
 from twistkit.clifford import MAX_RAPIDITY
 from twistkit.dynamics import PROBLEM_KINDS
-from twistkit.operator_algebra import MAX_PROBE_CUTOFF
+from twistkit.operator_algebra import MAX_MODE_CUTOFF, MAX_PROBE_CUTOFF
 
 EXPECTED_CHECK_IDS = (
     "clifford.euclidean_anticommutators",
@@ -206,6 +206,7 @@ class TestRunner:
             {"tolerances": {"nope": 1e-9}},
             {"tolerances": {"boost": 0.0}},
             {"probe_cutoff": MAX_PROBE_CUTOFF + 1},
+            {"mode_cutoff": MAX_MODE_CUTOFF + 1},
             {"rapidity_max": float("nan")},
             {"rapidity_max": float("inf")},
             {"tolerances": {"boost": float("inf")}},
@@ -341,6 +342,8 @@ class TestVerifyCommand:
             (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
              f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
             ("rapidity_max = 13", f"rapidity_max must be at most {MAX_RAPIDITY}"),
+            (f"mode_cutoff = {MAX_MODE_CUTOFF + 1}",
+             f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}"),
             ("groups =", "no check groups selected"),
             ("groups = ,", "no check groups selected"),
         ],
@@ -367,6 +370,20 @@ class TestVerifyCommand:
             "verify", "--groups", "clifford,dynamics,boost",
             "--rapidity", str(MAX_RAPIDITY), "--seed", str(seed),
         )
+        assert proc.returncode in (0, 1)
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    @pytest.mark.parametrize("value", [str(MAX_MODE_CUTOFF + 1), "100000000000000000000"])
+    def test_mode_cutoff_above_cap_usage_error(self, command, value):
+        proc = run_cli(command, "--mode-cutoff", value)
+        assert proc.returncode == 2
+        assert f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_mode_cutoff_at_cap_runs_without_traceback(self):
+        # the absolute gates fail far below the cap; the draws must not raise
+        proc = run_cli("verify", "--groups", "axioms", "--mode-cutoff", str(MAX_MODE_CUTOFF))
         assert proc.returncode in (0, 1)
         assert "Traceback" not in proc.stderr
 

@@ -127,7 +127,8 @@ class TestDiracSystem:
         f_spatial = rng.normal(0.0, 1.0, 3)
         f0 = np.sqrt(f_spatial @ f_spatial + mass**2)
         g = rng.normal(0.0, 1.0, 3)
-        p = dyn.dirac_identification((f0, *f_spatial), (0.0, *g), primed)
+        kind = "dirac-primed" if primed else "dirac"
+        p = dyn.identified_problem(kind, (f0, *f_spatial), (0.0, *g)).p
         assert abs(p[0] - (f0 if primed else -f0)) < 1e-14
         result = dyn.dirac_system(f0, g, 1j * mass, p, primed)
         assert result.singular
@@ -159,7 +160,8 @@ class TestBoostedWeylSystem:
         for _ in range(10):
             boost = dyn._random_boost(rng)
             f = rng.normal(0.0, 1.0, 4)
-            assert dyn.boosted_weyl_reduction_residual(boost, f, handed) < EL_TOL
+            problem = dyn.identified_problem(f"boosted-weyl-{handed}", f, boost=boost)
+            assert dyn.reduction_residual(problem) < EL_TOL
 
     def test_z_boost_kernel_matches_transported_frame(self):
         rng = np.random.default_rng(34)
@@ -179,14 +181,14 @@ class TestBoostedWeylSystem:
 class TestBoostedDiracSystem:
     def test_reduction_to_transported_flat_system(self):
         rng = np.random.default_rng(41)
-        for primed in (False, True):
+        for kind in ("boosted-dirac", "boosted-dirac-primed"):
             for _ in range(10):
                 boost = dyn._random_boost(rng)
                 f = rng.normal(0.0, 1.0, 4)
                 g = rng.normal(0.0, 1.0, 4)
                 d = complex(rng.normal(), rng.normal())
-                residual = dyn.boosted_dirac_reduction_residual(boost, f, g, d, primed)
-                assert residual < EL_TOL
+                problem = dyn.identified_problem(kind, f, g, d, boost)
+                assert dyn.reduction_residual(problem) < EL_TOL
 
     def test_identity_boost_mass_bookkeeping(self):
         # at the identified momentum the identity-boost system is (1+i) times
@@ -195,7 +197,7 @@ class TestBoostedDiracSystem:
         for _ in range(10):
             f = rng.normal(0.0, 1.0, 4)
             d = complex(rng.normal(), rng.normal())
-            p = dyn.dirac_identification(f, (0, 0, 0, 0), False)
+            p = dyn.identified_problem("dirac", f).p
             boosted = dyn.boosted_dirac_system(
                 IDENTITY_BOOST, f, (0, 0, 0, 0), d, p, False
             ).matrix
@@ -309,6 +311,42 @@ class TestDeterminantKernelDuality:
             assert len(result.roots) <= result.matrix.shape[0]
 
 
+IDENTIFICATION_F = (0.5, -1.25, 2.0, 0.75)
+IDENTIFICATION_G = (0.125, 0.25, -0.5, 1.0)
+# left and unprimed kinds sit at (-f_0, f_j), right and primed at (f_0, -f_j);
+# the Dirac kinds subtract g, the Weyl kinds ignore it
+IDENTIFIED_MOMENTA = {
+    "weyl-left": (-0.5, -1.25, 2.0, 0.75),
+    "weyl-right": (0.5, 1.25, -2.0, -0.75),
+    "dirac": (-0.625, -1.5, 2.5, -0.25),
+    "dirac-primed": (0.375, 1.0, -1.5, -1.75),
+    "boosted-weyl-left": (-0.5, -1.25, 2.0, 0.75),
+    "boosted-weyl-right": (0.5, 1.25, -2.0, -0.75),
+    "boosted-dirac": (-0.625, -1.5, 2.5, -0.25),
+    "boosted-dirac-primed": (0.375, 1.0, -1.5, -1.75),
+}
+
+
+class TestIdentification:
+    def test_table_covers_the_kinds(self):
+        assert tuple(IDENTIFIED_MOMENTA) == dyn.PROBLEM_KINDS
+        assert dyn.PROBLEM_KINDS == dyn.FLAT_KINDS + dyn.BOOSTED_KINDS
+
+    @pytest.mark.parametrize("kind, momentum", IDENTIFIED_MOMENTA.items())
+    def test_identified_momentum(self, kind, momentum):
+        problem = dyn.identified_problem(kind, IDENTIFICATION_F, IDENTIFICATION_G)
+        assert np.array_equal(problem.p, momentum)
+
+    @pytest.mark.parametrize("kind", dyn.FLAT_KINDS)
+    def test_flat_kinds_refused(self, kind):
+        problem = dyn.on_shell(kind, (0.3, -0.4, 1.2), mass=0.7)
+        assert problem.solve().singular
+        with pytest.raises(ValueError):
+            dyn.reduction_residual(problem)
+        with pytest.raises(ValueError):
+            dyn.kernel_covariance(problem)
+
+
 class TestKernelBoostCovariance:
     @pytest.mark.parametrize("handed", ["left", "right"])
     def test_weyl_transport(self, handed):
@@ -316,7 +354,8 @@ class TestKernelBoostCovariance:
         for _ in range(5):
             boost = dyn._random_boost(rng)  # vector rapidity up to 2
             f_spatial = rng.normal(0.0, 1.0, 3)
-            assert dyn.weyl_kernel_covariance(boost, f_spatial, handed) < COVARIANCE_TOL
+            problem = dyn.on_shell(f"boosted-weyl-{handed}", f_spatial, boost=boost)
+            assert dyn.kernel_covariance(problem) < COVARIANCE_TOL
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_dirac_transport(self, primed):
@@ -326,8 +365,9 @@ class TestKernelBoostCovariance:
             f_spatial = rng.normal(0.0, 1.0, 3)
             g = rng.normal(0.0, 1.0, 4)
             mass = abs(rng.normal()) + 0.3
-            residual = dyn.dirac_kernel_covariance(boost, f_spatial, g, mass, primed)
-            assert residual < COVARIANCE_TOL
+            kind = "boosted-dirac-primed" if primed else "boosted-dirac"
+            problem = dyn.on_shell(kind, f_spatial, g=g, mass=mass, boost=boost)
+            assert dyn.kernel_covariance(problem) < COVARIANCE_TOL
 
 
 class TestEulerLagrangeConsistency:

@@ -74,6 +74,17 @@ class TestAxioms:
         assert np.allclose(r @ r, np.eye(geo.fiber_dim), atol=1e-14)
         assert np.allclose(r, r.conj().T, atol=1e-14)
 
+    def test_r_is_gamma0_in_every_sector(self, geo):
+        # gamma^0 of the chiral basis, written out: any other self-adjoint
+        # involution that anticommutes with J and Gamma passes the tests above
+        gamma0 = np.array(
+            [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
+        )
+        expected = np.kron(np.eye(geo.n_sectors), gamma0)
+        assert np.array_equal(geo.r_matrix, expected)
+        literal = FieldOperator.from_matrix(expected)
+        assert normal_form_distance(geo.r_operator, literal) == 0.0
+
     def test_grading_squares_to_one_and_anticommutes_with_dirac(self, geo):
         g = geo.grading_matrix
         assert np.allclose(g @ g, np.eye(geo.fiber_dim), atol=1e-14)

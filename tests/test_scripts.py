@@ -1,5 +1,6 @@
 """Smoke runs of the scripts in ``scripts/`` at their smallest settings."""
 
+import math
 import os
 import subprocess
 import sys
@@ -41,6 +42,17 @@ def test_script_runs(name, argv, marker):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert marker in proc.stdout
+
+
+def test_boost_sweep_reduction_columns_are_at_rounding_level():
+    proc = run_script("boost_sweep.py", "--max", "1", "--steps", "1")
+    assert proc.returncode == 0, proc.stderr
+    _, header, *rows = proc.stdout.splitlines()
+    assert len(rows) == 1
+    cells = dict(zip(header.split(), rows[0].split()))
+    for column in ("weyl-red", "dirac-red"):
+        value = float(cells[column])
+        assert math.isfinite(value) and value < 1e-9, (column, value)
 
 
 @pytest.mark.parametrize(
