@@ -39,20 +39,20 @@ def _fixtures(seed: int):
     return out
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max", type=float, default=3.0, help="largest rapidity")
     parser.add_argument("--steps", type=int, default=7, help="grid points (excluding 0)")
     parser.add_argument("--axis", default="1,0,0", help="boost axis, three comma floats")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     try:
         axis = parse_axis(args.axis)
         parse_rapidity(args.max, "--max")
     except UsageError as exc:
         parser.error(str(exc))
-    if args.steps < 1:
-        parser.error("--steps must be at least 1")
+    if not 1 <= args.steps <= 10_000:
+        parser.error("--steps must be between 1 and 10000")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
 

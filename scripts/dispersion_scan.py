@@ -30,7 +30,7 @@ def _system(kind, p0, sp, g3, d, boost):
     return PlaneWaveProblem(kind, (p0, *sp), f, (0.0, *g3), d, boost).solve()
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", default="weyl-left", choices=PROBLEM_KINDS)
     parser.add_argument("--p", default="0,0.4,-0.3,1.1", help="trial momentum; p0 is scanned")
@@ -39,7 +39,7 @@ def main() -> int:
     parser.add_argument("--rapidity", type=float, default=1.0)
     parser.add_argument("--axis", default="0,0,1")
     parser.add_argument("--steps", type=int, default=21)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     try:
         sp = list(parse_vector(args.p, 4, "--p")[1:])
         g3 = np.array(parse_vector(args.g, 3, "--g"))
@@ -47,8 +47,8 @@ def main() -> int:
         boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), parse_axis(args.axis))
     except UsageError as exc:
         parser.error(str(exc))
-    if args.steps < 1:
-        parser.error("--steps must be at least 1")
+    if not 1 <= args.steps <= 10_000:
+        parser.error("--steps must be between 1 and 10000")
 
     probe = _system(args.kind, 0.0, sp, g3, d, boost)
     roots = [r for r in probe.roots if abs(complex(r).imag) < 1e-12]

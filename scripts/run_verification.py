@@ -16,13 +16,13 @@ from twistkit.checks import GROUPS, RunConfig, run_checks
 from twistkit.cli import split_groups
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=8, help="number of consecutive seeds")
     parser.add_argument("--start", type=int, default=0, help="first seed")
     parser.add_argument("--groups", default=None, help="comma-separated group subset")
     parser.add_argument("--rapidity", type=float, default=2.0, help="boost rapidity cap")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 

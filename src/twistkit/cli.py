@@ -336,9 +336,10 @@ def cmd_action(args) -> int:
 
     op = geo.dressed_dirac(f, g)
     promoted = promote_weyl_fields(fields)
-    engine = fermionic_action(geo, op, promoted)
-    quadratic = fermionic_action_quadratic(geo, op, promoted)
-    closed = geo.closed_form_action(promoted.fields, f, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = fermionic_action(geo, op, promoted)
+        quadratic = fermionic_action_quadratic(geo, op, promoted)
+        closed = geo.closed_form_action(promoted.fields, f, g)
     for label, value in (("engine", engine), ("closed-form", closed)):
         if not np.isfinite(list(value.coeffs.values())).all():
             raise UsageError(f"the {label} action is not finite: the input overflows")

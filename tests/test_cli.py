@@ -2,9 +2,6 @@
 
 import inspect
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -67,18 +64,6 @@ EXPECTED_CHECK_IDS = (
     "dynamics.euler_lagrange_consistency",
     "dynamics.boosted_reduction",
 )
-
-
-def run_cli(*argv, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "TWISTKIT_SEED"}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "twistkit", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
 
 
 class TestRegistry:
@@ -270,19 +255,19 @@ class TestReport:
 
 
 class TestVerifyCommand:
-    def test_unknown_group_usage_error(self):
-        proc = run_cli("verify", "--groups", "foo")
+    def test_unknown_group_usage_error(self, run_cli):
+        proc = run_cli("verify", "--groups", "foo", spawn=True)
         assert proc.returncode == 2
         assert "unknown check groups" in proc.stderr
 
     @pytest.mark.parametrize("value", [",", "", " , "])
-    def test_empty_group_selection_usage_error(self, value):
+    def test_empty_group_selection_usage_error(self, run_cli, value):
         proc = run_cli("verify", "--groups", value)
         assert proc.returncode == 2
         assert "no check groups selected" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_group_run_exits_zero(self, tmp_path):
+    def test_group_run_exits_zero(self, run_cli, tmp_path):
         out = tmp_path / "report.json"
         proc = run_cli("verify", "--groups", "clifford", "--json", str(out))
         assert proc.returncode == 0
@@ -290,34 +275,35 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert len(doc["checks"]) == 5
 
-    def test_duplicate_groups_write_the_single_group_report(self, tmp_path):
+    def test_duplicate_groups_write_the_single_group_report(self, run_cli, tmp_path):
         once, twice = tmp_path / "once.json", tmp_path / "twice.json"
         assert run_cli("verify", "--groups", "clifford", "--json", str(once)).returncode == 0
         argv = ("verify", "--groups", "clifford,clifford", "--json", str(twice))
         assert run_cli(*argv).returncode == 0
         assert twice.read_bytes() == once.read_bytes()
 
-    def test_json_reports_byte_identical_across_runs(self, tmp_path):
+    def test_json_reports_byte_identical_across_runs(self, run_cli, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         argv = ("verify", "--groups", "gauge", "--seed", "6")
-        assert run_cli(*argv, "--json", str(out1)).returncode == 0
-        assert run_cli(*argv, "--json", str(out2)).returncode == 0
+        assert run_cli(*argv, "--json", str(out1), spawn=True).returncode == 0
+        assert run_cli(*argv, "--json", str(out2), spawn=True).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_precedence_flag_over_env(self):
+    def test_seed_precedence_flag_over_env(self, run_cli):
         proc = run_cli(
             "verify", "--groups", "clifford", "--seed", "5",
             env_extra={"TWISTKIT_SEED": "77"},
         )
         assert "seed=5" in proc.stdout.splitlines()[0]
 
-    def test_seed_from_environment(self):
+    def test_seed_from_environment(self, run_cli):
         proc = run_cli(
-            "verify", "--groups", "clifford", env_extra={"TWISTKIT_SEED": "77"}
+            "verify", "--groups", "clifford",
+            env_extra={"TWISTKIT_SEED": "77"}, spawn=True,
         )
         assert "seed=77" in proc.stdout.splitlines()[0]
 
-    def test_config_file_layer(self, tmp_path):
+    def test_config_file_layer(self, run_cli, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "seed = 9\ngroups = clifford\ntolerance.clifford = 1e-10\n# note\n"
@@ -328,7 +314,7 @@ class TestVerifyCommand:
         assert "seed=9" in head and "groups=clifford" in head
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_rapidity_usage_error(self, value):
+    def test_non_finite_rapidity_usage_error(self, run_cli, value):
         proc = run_cli("verify", "--rapidity", value)
         assert proc.returncode == 2
         assert "rapidity_max must be finite" in proc.stderr
@@ -348,7 +334,7 @@ class TestVerifyCommand:
             ("groups = ,", "no check groups selected"),
         ],
     )
-    def test_bad_config_value_usage_error(self, tmp_path, line, message):
+    def test_bad_config_value_usage_error(self, run_cli, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         proc = run_cli("verify", "--config", str(cfg))
@@ -356,14 +342,14 @@ class TestVerifyCommand:
         assert message in proc.stderr
 
     @pytest.mark.parametrize("value", ["12.5", "15", "20", "1e3"])
-    def test_rapidity_above_cap_usage_error(self, value):
+    def test_rapidity_above_cap_usage_error(self, run_cli, value):
         proc = run_cli("verify", "--groups", "boost", "--rapidity", value)
         assert proc.returncode == 2
         assert f"rapidity_max must be at most {MAX_RAPIDITY}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_rapidity_at_cap_runs_without_traceback(self, seed):
+    def test_rapidity_at_cap_runs_without_traceback(self, run_cli, seed):
         # boosted quantities outgrow their absolute gates long before the
         # cap, so checks may fail here; the run itself must not crash
         proc = run_cli(
@@ -375,26 +361,26 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("command", ["verify", "action"])
     @pytest.mark.parametrize("value", [str(MAX_MODE_CUTOFF + 1), "100000000000000000000"])
-    def test_mode_cutoff_above_cap_usage_error(self, command, value):
+    def test_mode_cutoff_above_cap_usage_error(self, run_cli, command, value):
         proc = run_cli(command, "--mode-cutoff", value)
         assert proc.returncode == 2
         assert f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_mode_cutoff_at_cap_runs_without_traceback(self):
+    def test_mode_cutoff_at_cap_runs_without_traceback(self, run_cli):
         # the absolute gates fail far below the cap; the draws must not raise
         proc = run_cli("verify", "--groups", "axioms", "--mode-cutoff", str(MAX_MODE_CUTOFF))
         assert proc.returncode in (0, 1)
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["verify", "action"])
-    def test_negative_seed_usage_error(self, command):
+    def test_negative_seed_usage_error(self, run_cli, command):
         proc = run_cli(command, "--seed", "-1")
         assert proc.returncode == 2
         assert "seed must be non-negative" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_bad_config_key_usage_error(self, tmp_path):
+    def test_bad_config_key_usage_error(self, run_cli, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("volume = 11\n")
         proc = run_cli("verify", "--config", str(cfg))
@@ -403,7 +389,7 @@ class TestVerifyCommand:
 
 
 class TestActionCommand:
-    def test_zero_input_zero_action(self, tmp_path):
+    def test_zero_input_zero_action(self, run_cli, tmp_path):
         data = tmp_path / "zero.json"
         data.write_text('{"fields": [[], []]}')
         proc = run_cli("action", "--weyl-file", str(data))
@@ -411,21 +397,21 @@ class TestActionCommand:
         assert "action: 0" in proc.stdout
         assert "comparison error: 0.000e+00" in proc.stdout
 
-    def test_seeded_manifold_within_tolerance(self):
+    def test_seeded_manifold_within_tolerance(self, run_cli):
         proc = run_cli("action", "--geometry", "manifold", "--seed", "5")
         assert proc.returncode == 0
         assert "degree-two coefficients" in proc.stdout
         error = float(proc.stdout.rsplit("comparison error:", 1)[1])
         assert error <= 1e-10
 
-    def test_listed_count_ignores_rounding_residues(self):
+    def test_listed_count_ignores_rounding_residues(self, run_cli):
         """Structurally zero pairings are not listed as nonzero coefficients."""
         proc = run_cli("action", "--geometry", "manifold", "--seed", "1")
         assert proc.returncode == 0
         assert "generators: 16" in proc.stdout
         assert "degree-two coefficients (24 nonzero):" in proc.stdout
 
-    def test_electro_four_term_decomposition(self):
+    def test_electro_four_term_decomposition(self, run_cli):
         proc = run_cli("action", "--geometry", "electro", "--d", "1j", "--seed", "3")
         assert proc.returncode == 0
         for name in ("derivative", "chiral", "vector", "mass"):
@@ -435,7 +421,7 @@ class TestActionCommand:
         )
         assert residual <= 1e-10
 
-    def test_explicit_weyl_file(self, tmp_path):
+    def test_explicit_weyl_file(self, run_cli, tmp_path):
         data = tmp_path / "pair.json"
         data.write_text(
             json.dumps(
@@ -452,7 +438,7 @@ class TestActionCommand:
         assert proc.returncode == 0
         assert "generators: 4" in proc.stdout
 
-    def test_non_finite_file_value_usage_error(self, tmp_path):
+    def test_non_finite_file_value_usage_error(self, run_cli, tmp_path):
         data = tmp_path / "nan.json"
         data.write_text(
             '{"fields": [[{"mode": [0,0,0,1], "amplitude": [[NaN, 0], [1, 0]]}], []]}'
@@ -461,7 +447,7 @@ class TestActionCommand:
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
 
-    def test_overflowing_action_usage_error(self, tmp_path):
+    def test_overflowing_action_usage_error(self, run_cli, tmp_path):
         """Finite amplitudes whose action overflows are refused, not passed."""
         data = tmp_path / "huge.json"
         term = {"amplitude": [[1e200, 0], [1e200, 0]]}
@@ -475,13 +461,13 @@ class TestActionCommand:
         assert "engine action is not finite" in proc.stderr
         assert "coefficients" not in proc.stdout
 
-    def test_malformed_file_usage_error(self, tmp_path):
+    def test_malformed_file_usage_error(self, run_cli, tmp_path):
         data = tmp_path / "broken.json"
         data.write_text('{"fields": [[{"mode": [0,0,0]}], []]}')
-        proc = run_cli("action", "--weyl-file", str(data))
+        proc = run_cli("action", "--weyl-file", str(data), spawn=True)
         assert proc.returncode == 2
 
-    def test_wrong_field_count_usage_error(self, tmp_path):
+    def test_wrong_field_count_usage_error(self, run_cli, tmp_path):
         data = tmp_path / "short.json"
         data.write_text('{"fields": [[]]}')
         proc = run_cli("action", "--geometry", "electro", "--weyl-file", str(data))
@@ -490,7 +476,7 @@ class TestActionCommand:
 
 
 class TestDispersionCommand:
-    def test_weyl_left_contract_example(self):
+    def test_weyl_left_contract_example(self, run_cli):
         proc = run_cli(
             "dispersion", "--kind", "weyl-left", "--f0", "1", "--p", "0,0,0,1"
         )
@@ -502,12 +488,12 @@ class TestDispersionCommand:
                 kernel_line.strip(" []").replace("j,", "j|").split("|")]
         assert abs(a) < 1e-12 and abs(abs(b) - 1.0) < 1e-12
 
-    def test_rest_frame_massive_roots(self):
+    def test_rest_frame_massive_roots(self, run_cli):
         proc = run_cli("dispersion", "--kind", "dirac", "--d", "1j", "--p", "0,0,0,0")
         assert proc.returncode == 0
         assert "+1+0j" in proc.stdout and "-1-0j" in proc.stdout
 
-    def test_boosted_identity_matches_flat(self):
+    def test_boosted_identity_matches_flat(self, run_cli):
         flat = run_cli(
             "dispersion", "--kind", "weyl-left", "--f0", "1", "--p", "0,0,0,1"
         )
@@ -527,7 +513,7 @@ class TestDispersionCommand:
             ("--kind", "boosted-weyl-left", "--rapidity", "inf"),
         ],
     )
-    def test_non_finite_usage_error(self, argv):
+    def test_non_finite_usage_error(self, run_cli, argv):
         proc = run_cli("dispersion", *argv)
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
@@ -542,7 +528,7 @@ class TestDispersionCommand:
             ("--kind", "weyl-left", "--p", "0,1e308,1e308,0"),
         ],
     )
-    def test_overflowing_system_usage_error(self, argv):
+    def test_overflowing_system_usage_error(self, run_cli, argv):
         proc = run_cli("dispersion", *argv)
         assert proc.returncode == 2
         assert "overflows double precision" in proc.stderr
@@ -558,7 +544,7 @@ class TestDispersionCommand:
             ("--kind", "boosted-dirac", "--rapidity", "12.5"),
         ],
     )
-    def test_rapidity_above_cap_usage_error(self, argv):
+    def test_rapidity_above_cap_usage_error(self, run_cli, argv):
         proc = run_cli("dispersion", *argv)
         assert proc.returncode == 2
         assert f"|--rapidity| must be at most {MAX_RAPIDITY}" in proc.stderr
@@ -566,7 +552,7 @@ class TestDispersionCommand:
 
     @pytest.mark.parametrize("kind", ["boosted-weyl-left", "boosted-dirac"])
     @pytest.mark.parametrize("rapidity", [MAX_RAPIDITY, -MAX_RAPIDITY])
-    def test_rapidity_at_cap_solves(self, kind, rapidity):
+    def test_rapidity_at_cap_solves(self, run_cli, kind, rapidity):
         proc = run_cli(
             "dispersion", "--kind", kind, "--rapidity", str(rapidity),
             "--f0", "1", "--p", "0,0,0,1", "--d", "1j",
@@ -575,7 +561,7 @@ class TestDispersionCommand:
         assert "determinant:" in proc.stdout
 
     @pytest.mark.parametrize("axis", ["1e200,1e200,0", "1e-200,1e-200,0"])
-    def test_extreme_axis_scale_solves_like_unit_axis(self, axis):
+    def test_extreme_axis_scale_solves_like_unit_axis(self, run_cli, axis):
         argv = ("dispersion", "--kind", "boosted-weyl-left", "--rapidity", "1",
                 "--p", "0,0.4,0,1")
         unit = run_cli(*argv, "--axis", "1,1,0")
@@ -584,11 +570,11 @@ class TestDispersionCommand:
         assert "determinant: -1.16" in unit.stdout
         assert scaled.stdout.split("\n", 1)[1] == unit.stdout.split("\n", 1)[1]
 
-    def test_malformed_vector_usage_error(self):
-        proc = run_cli("dispersion", "--kind", "weyl-left", "--p", "1,2")
+    def test_malformed_vector_usage_error(self, run_cli):
+        proc = run_cli("dispersion", "--kind", "weyl-left", "--p", "1,2", spawn=True)
         assert proc.returncode == 2
 
-    def test_unknown_kind_usage_error(self):
+    def test_unknown_kind_usage_error(self, run_cli):
         for kind in ("tachyon", "boosted-weyl"):  # the left boosted kind has no alias
             proc = run_cli("dispersion", "--kind", kind)
             assert proc.returncode == 2

@@ -6,7 +6,8 @@ its tests and its scripts with ``ast`` and lists the names that a module-level
 import binds but nothing in the module reads.  It also lists the private
 (single-underscore) functions, classes and module- or class-level names that
 the package defines but nothing in the package reads; check generators, which
-the ``@check`` decorator registers, are exempt.
+the ``@check`` decorator registers, are exempt.  Last, it lists the test
+modules that import ``subprocess``: only ``conftest.py`` may start a process.
 """
 
 import ast
@@ -101,3 +102,29 @@ def test_every_private_helper_is_read():
     package = sorted((ROOT / "src/twistkit").glob("*.py"))
     sources = {path.name: path.read_text(encoding="utf-8") for path in package}
     assert unread_private_helpers(sources) == []
+
+
+def subprocess_imports(source: str) -> list[int]:
+    """Lines of ``source`` that import ``subprocess`` or one of its names."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        and any(alias.name.partition(".")[0] == "subprocess" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] == "subprocess"
+    ]
+
+
+def test_spawn_scanner_finds_every_subprocess_import():
+    source = "import os, subprocess\ndef f():\n    from subprocess import run\n"
+    assert subprocess_imports(source) == [1, 3]
+
+
+def test_only_conftest_starts_processes():
+    spawning = [
+        path.name
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if subprocess_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert spawning == ["conftest.py"]

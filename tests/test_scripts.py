@@ -1,30 +1,10 @@
 """Smoke runs of the scripts in ``scripts/`` at their smallest settings."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from twistkit.dynamics import PROBLEM_KINDS
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_script(name, *argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=ROOT,
-    )
 
 
 @pytest.mark.parametrize(
@@ -37,14 +17,14 @@ def run_script(name, *argv):
         ("dispersion_scan.py", ("--kind", "boosted-weyl-left", "--steps", "3"), "exact root"),
     ],
 )
-def test_script_runs(name, argv, marker):
+def test_script_runs(run_script, name, argv, marker):
     proc = run_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert marker in proc.stdout
 
 
-def test_boost_sweep_reduction_columns_are_at_rounding_level():
+def test_boost_sweep_reduction_columns_are_at_rounding_level(run_script):
     proc = run_script("boost_sweep.py", "--max", "1", "--steps", "1")
     assert proc.returncode == 0, proc.stderr
     _, header, *rows = proc.stdout.splitlines()
@@ -75,22 +55,38 @@ def test_boost_sweep_reduction_columns_are_at_rounding_level():
         ("dispersion_scan.py", ("--d", "nan")),
         ("dispersion_scan.py", ("--kind", "boosted-weyl")),
         ("run_verification.py", ("--groups", "", "--seeds", "1")),
+        ("dispersion_scan.py", ("--steps", "1000000000000")),
+        ("boost_sweep.py", ("--steps", "1000000000000")),
     ],
 )
-def test_bad_argv_is_usage_error(name, argv):
+def test_bad_argv_is_usage_error(run_script, name, argv):
     proc = run_script(name, *argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
 
 
-def test_run_verification_refuses_empty_group_selection():
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("boost_sweep.py", ("--steps", "0")),
+        ("dispersion_scan.py", ("--steps", "-1")),
+        ("run_verification.py", ("--seeds", "0")),
+    ],
+)
+def test_script_runs_as_a_program(run_script, name, argv):
+    proc = run_script(name, *argv, spawn=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_verification_refuses_empty_group_selection(run_script):
     proc = run_script("run_verification.py", "--groups", ",", "--seeds", "1")
     assert proc.returncode == 2
     assert "error: no check groups selected" in proc.stderr
 
 
-def test_dispersion_scan_kinds_are_the_problem_kinds():
+def test_dispersion_scan_kinds_are_the_problem_kinds(run_script):
     proc = run_script("dispersion_scan.py", "--kind", "tachyon")
     assert proc.returncode == 2
     listed = proc.stderr.split("choose from ", 1)[1].split(")", 1)[0]
