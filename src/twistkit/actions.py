@@ -270,18 +270,11 @@ def _deriv2(matrix: np.ndarray, mu: int) -> FieldOperator:
     )
 
 
-def weyl_density_operator(f0: FourierScalar) -> FieldOperator:
-    """``s2 (i f0 - sigma_j d_j)`` - the single-sheet density kernel."""
-    op = _mult2(1j * _S2, f0)
-    for j in (1, 2, 3):
-        op = op - _deriv2(_S2 @ PAULI[j - 1], j)
-    return op
-
-
 def covariant_weyl_density_operators(
     f0: FourierScalar, g: Sequence[FourierScalar]
 ) -> tuple[FieldOperator, FieldOperator]:
-    """``s2 (i f0 -+ sigma_j (d_j - i g_j))`` for the two chirality branches."""
+    """``s2 (i f0 -+ sigma_j (d_j - i g_j))`` for the two chirality branches;
+    at ``g = 0`` the first is the single-sheet density kernel."""
     op_minus = _mult2(1j * _S2, f0)
     op_plus = _mult2(1j * _S2, f0)
     for j in (1, 2, 3):
@@ -314,7 +307,7 @@ def manifold_lagrangian_action(phi_w: Section, zeta_w: Section, f0: FourierScala
     R-invariant subspace; the spatial components cancel between the two
     chirality blocks.
     """
-    op = weyl_density_operator(f0)
+    op = covariant_weyl_density_operators(f0, [FourierScalar.zero()] * 4)[0]
     return 2 * bilinear_integral(phi_w, op.apply(zeta_w))
 
 
@@ -344,6 +337,17 @@ def electro_lagrangian_action(
     return 4 * (t1 - t2 + np.conj(d) * t3 + d * t4)
 
 
+def _chirality_rows(phi: Section, boost: SpinBoost) -> tuple[Section, Section]:
+    """The first-slot rows ``-phi^T s2 L-`` and ``+phi^T s2 L+``."""
+    lm, lp = boost.lambda_minus, boost.lambda_plus
+    return phi.matmul(-(_S2 @ lm).T), phi.matmul((_S2 @ lp).T)
+
+
+def _chirality_halves(zeta: Section, boost: SpinBoost) -> tuple[Section, Section]:
+    """The boosted chirality halves ``L- zeta`` and ``L+ zeta``."""
+    return zeta.matmul(boost.lambda_minus), zeta.matmul(boost.lambda_plus)
+
+
 def boosted_manifold_lagrangian_action(
     phi_w: Section,
     zeta_w: Section,
@@ -356,11 +360,8 @@ def boosted_manifold_lagrangian_action(
     ``zeta_r = L+ zeta``, and the first-slot rows are ``-phi^T s2 L-`` and
     ``+phi^T s2 L+``.  All four potential components appear.
     """
-    lm, lp = boost.lambda_minus, boost.lambda_plus
-    phi_left = phi_w.matmul(-(_S2 @ lm).T)
-    phi_right = phi_w.matmul((_S2 @ lp).T)
-    zeta_left = zeta_w.matmul(lm)
-    zeta_right = zeta_w.matmul(lp)
+    phi_left, phi_right = _chirality_rows(phi_w, boost)
+    zeta_left, zeta_right = _chirality_halves(zeta_w, boost)
     op_left, op_right = boosted_weyl_density_operators(
         f, boost, [FourierScalar.zero()] * 4
     )
@@ -395,13 +396,10 @@ def boosted_electro_lagrangian_action(
     and chiralities.
     """
     phi1, phi2, zeta1, zeta2 = weyls
-    lm, lp = boost.lambda_minus, boost.lambda_plus
-    row_left = -(_S2 @ lm).T
-    row_right = (_S2 @ lp).T
-    p1l, p1r = phi1.matmul(row_left), phi1.matmul(row_right)
-    p2l, p2r = phi2.matmul(row_left), phi2.matmul(row_right)
-    z1l, z1r = zeta1.matmul(lm), zeta1.matmul(lp)
-    z2l, z2r = zeta2.matmul(lm), zeta2.matmul(lp)
+    p1l, p1r = _chirality_rows(phi1, boost)
+    p2l, p2r = _chirality_rows(phi2, boost)
+    z1l, z1r = _chirality_halves(zeta1, boost)
+    z2l, z2r = _chirality_halves(zeta2, boost)
     left1, right1 = boosted_weyl_density_operators(f, boost, g)
     left2, right2 = boosted_weyl_density_operators([-c for c in f], boost, g)
 

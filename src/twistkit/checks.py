@@ -9,17 +9,20 @@ A check is a generator of residuals, registered where it is defined::
 
 It draws from a dedicated random stream and reads the run configuration,
 and yields the absolute defects it measures, each of which should sit at
-machine epsilon.  A check that yields nothing (a bare ``return`` when the
-configuration makes it inapplicable) is a ``skip``.  Streams are spawned from
-the root seed by registry position, which is definition order, so filtering
-by group never changes what any individual check draws.
+machine epsilon.  A check that draws boosts declares it with
+``@check(..., needs_boost=True)``; at a zero rapidity cap the runner records
+it as a ``skip`` without calling it.  No other check is ever skipped: one
+that yields nothing fails.  Streams are spawned from the root seed by
+registry position, which is definition order, so filtering by group never
+changes what any individual check draws.
 
 One reduction, :func:`reduce_residuals`, turns the residuals into the
 record's error: their maximum, which propagates NaN.  Two reporting
 conventions keep the JSON strict and reproducible:
 
-* boolean predicate failures, skipped checks and NaN or infinite errors
-  report ``SENTINEL_ERROR`` instead of ``inf``/``nan``, preserving both
+* boolean predicate failures, skipped checks, checks that yield nothing and
+  NaN or infinite errors report ``SENTINEL_ERROR`` instead of
+  ``inf``/``nan``, preserving both
   serializability and the rule that a record passes exactly when
   ``max_abs_error <= tolerance``;
 * ``elapsed_ms`` in the JSON document is always ``0.0`` - wall-clock noise
@@ -205,6 +208,7 @@ class CheckSpec:
     paper_ref: str
     tolerance: float
     fn: Callable
+    needs_boost: bool = False
 
     @property
     def group(self) -> str:
@@ -216,8 +220,9 @@ class CheckSpec:
 REGISTRY: tuple[CheckSpec, ...] = ()
 
 
-def check(check_id: str, tolerance: float, paper_ref: str):
-    """Register the decorated generator of residuals as check ``check_id``."""
+def check(check_id: str, tolerance: float, paper_ref: str, needs_boost: bool = False):
+    """Register the decorated generator of residuals as check ``check_id``;
+    ``needs_boost`` declares that it draws boosts (a zero cap skips it)."""
 
     def register(fn):
         global REGISTRY
@@ -225,22 +230,19 @@ def check(check_id: str, tolerance: float, paper_ref: str):
             raise ValueError(f"duplicate check id {check_id!r}")
         if not inspect.isgeneratorfunction(fn):
             raise TypeError(f"check {check_id!r} must be a generator of residuals")
-        REGISTRY += (CheckSpec(check_id, paper_ref, tolerance, fn),)
+        REGISTRY += (CheckSpec(check_id, paper_ref, tolerance, fn, needs_boost),)
         return fn
 
     return register
 
 
-def reduce_residuals(residuals: Iterable[float]) -> Optional[float]:
-    """A check's error: its largest residual, or ``None`` when it yields none.
+def reduce_residuals(residuals: Iterable[float]) -> float:
+    """A check's error: its largest residual.
 
-    The maximum propagates NaN; a NaN or infinite maximum (and anything past
-    the sentinel) reports ``SENTINEL_ERROR``.
+    The maximum propagates NaN; no residual at all, a NaN or infinite maximum
+    (and anything past the sentinel) reports ``SENTINEL_ERROR``.
     """
-    values = list(residuals)
-    if not values:
-        return None
-    error = float(np.max(values))
+    error = float(np.max(list(residuals), initial=-np.inf))
     return min(error, SENTINEL_ERROR) if np.isfinite(error) else SENTINEL_ERROR
 
 
@@ -269,6 +271,18 @@ def _closed_form_residuals(geo, pro, f, g, boost=None):
     return eng
 
 
+def _boosted_closed_form_residuals(rng, cfg, make_geo):
+    """Two rounds of :func:`_closed_form_residuals` under a boost; each round
+    draws the boost, then the geometry ``make_geo(rng)``, then its inputs."""
+    for _ in range(2):
+        boost = _draw_boost(rng, cfg)
+        geo = make_geo(rng)
+        w, f, g = overlapping_action_inputs(
+            rng, geo.n_weyl_fields, cutoff=cfg.mode_cutoff
+        )
+        yield from _closed_form_residuals(geo, promote_weyl_fields(w), f, g, boost)
+
+
 def _random_one_form(rng, geo, cutoff: int):
     """One product of two random elements: 2 x ``geo.n_slots`` x 2 scalars."""
     a, b = (random_element(rng, geo.n_slots, cutoff=cutoff) for _ in range(2))
@@ -280,10 +294,14 @@ def _random_mode(rng, r: int) -> tuple[int, ...]:
     return tuple(int(v) for v in rng.integers(-r, r + 1, size=4))
 
 
+def _electro_geometry(rng):
+    """The four-sector space; its mass parameter costs two normals."""
+    return ElectrodynamicsGeometry(complex(rng.standard_normal(), rng.standard_normal()))
+
+
 def _geometries(rng):
-    """The three spaces; the four-sector mass parameter costs two normals."""
-    d = complex(rng.standard_normal(), rng.standard_normal())
-    return (ManifoldGeometry(), DoubledGeometry(), ElectrodynamicsGeometry(d))
+    """The three spaces, drawing the four-sector mass parameter."""
+    return (ManifoldGeometry(), DoubledGeometry(), _electro_geometry(rng))
 
 
 def _draw_boost(rng, cfg: RunConfig) -> SpinBoost:
@@ -377,15 +395,14 @@ def _chk_sigma_pair_identities(rng, cfg):
     1e-12,
     "self-adjoint non-unitary spin boosts with mutually inverse half-blocks swapped "
     "by conjugation",
+    needs_boost=True,
 )
 def _chk_spin_boost_structure(rng, cfg):
     """Boost half-blocks: mutual inverses, self-adjoint, non-unitary, the
     grading twist inverts them and conjugation swaps them.
 
-    Draws: 6 boosts x (1 uniform + 3 normals).  Skipped at zero rapidity cap.
+    Draws: 6 boosts x (1 uniform + 3 normals).
     """
-    if cfg.rapidity_max == 0:
-        return
     eye4 = np.eye(4)
     for _ in range(6):
         b = _draw_boost(rng, cfg)
@@ -408,16 +425,15 @@ def _chk_spin_boost_structure(rng, cfg):
     1e-12,
     "vector boost matrix from the spinor one: trace route, sigma decomposition, "
     "metric preservation, rapidity additivity",
+    needs_boost=True,
 )
 def _chk_lorentz_extraction_routes(rng, cfg):
     """Vector matrix from the spin boost: independent trace extraction,
     sigma-block decomposition, metric preservation, additivity, covectors.
 
     Draws: 4 boosts x (1 uniform + 3 normals) + 2 half-rapidity uniforms +
-    3 probe covectors x 4 normals.  Skipped at zero rapidity cap.
+    3 probe covectors x 4 normals.
     """
-    if cfg.rapidity_max == 0:
-        return
     for _ in range(4):
         b = _draw_boost(rng, cfg)
         lam = lorentz_matrix(b)
@@ -1286,16 +1302,15 @@ def _chk_action_phase_absorption(rng, cfg):
     1e-9,
     "boosting operator and slots together fixes the pairing; the twisted product is "
     "boost-invariant",
+    needs_boost=True,
 )
 def _chk_boost_action_invariance(rng, cfg):
     """Boosting the operator and both slots fixes the pairing; the twisted
     product itself is boost-invariant.
 
     Draws: 2 normals + per geometry (1 input set + 2 boosts + 2 plain
-    sections).  Skipped at zero rapidity cap.
+    sections).
     """
-    if cfg.rapidity_max == 0:
-        return
     for geo in _geometries(rng):
         w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=cfg.mode_cutoff)
         op = geo.dressed_dirac(f, g)
@@ -1318,59 +1333,42 @@ def _chk_boost_action_invariance(rng, cfg):
     "boost.manifold_closed_form",
     1e-9,
     "boosted single-sheet engine equals the boosted closed density",
+    needs_boost=True,
 )
 def _chk_boosted_manifold_closed_form(rng, cfg):
     """Boosted single-sheet engine vs the boosted closed density.
 
-    Draws: 2 boosts x 1 overlapping input set.  Skipped at zero rapidity cap.
+    Draws: 2 boosts x 1 overlapping input set.
     """
-    if cfg.rapidity_max == 0:
-        return
-    man = ManifoldGeometry()
-    for _ in range(2):
-        boost = _draw_boost(rng, cfg)
-        w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        yield from _closed_form_residuals(man, promote_weyl_fields(w), f, g, boost)
+    yield from _boosted_closed_form_residuals(rng, cfg, lambda rng: ManifoldGeometry())
 
 
 @check(
     "boost.doubled_closed_form",
     1e-9,
     "boosted two-sheet engine equals the boosted closed density",
+    needs_boost=True,
 )
 def _chk_boosted_doubled_closed_form(rng, cfg):
     """Boosted two-sheet engine vs the boosted closed density.
 
-    Draws: 2 boosts x 1 overlapping input set.  Skipped at zero rapidity cap.
+    Draws: 2 boosts x 1 overlapping input set.
     """
-    if cfg.rapidity_max == 0:
-        return
-    dbl = DoubledGeometry()
-    for _ in range(2):
-        boost = _draw_boost(rng, cfg)
-        w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
-        yield from _closed_form_residuals(dbl, promote_weyl_fields(w), f, g, boost)
+    yield from _boosted_closed_form_residuals(rng, cfg, lambda rng: DoubledGeometry())
 
 
 @check(
     "boost.electro_closed_form",
     1e-9,
     "boosted four-sector engine equals the boosted closed density",
+    needs_boost=True,
 )
 def _chk_boosted_electro_closed_form(rng, cfg):
     """Boosted four-sector engine vs the boosted closed density.
 
-    Draws: 2 boosts x (2 normals + 1 overlapping input set).  Skipped at
-    zero rapidity cap.
+    Draws: 2 boosts x (2 normals + 1 overlapping input set).
     """
-    if cfg.rapidity_max == 0:
-        return
-    for _ in range(2):
-        boost = _draw_boost(rng, cfg)
-        d = complex(rng.standard_normal(), rng.standard_normal())
-        geo = ElectrodynamicsGeometry(d)
-        w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
-        yield from _closed_form_residuals(geo, promote_weyl_fields(w), f, g, boost)
+    yield from _boosted_closed_form_residuals(rng, cfg, _electro_geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -1462,15 +1460,14 @@ def _chk_dispersion_surfaces(rng, cfg):
     "dynamics.kernel_boost_covariance",
     1e-9,
     "on-shell kernels transport through the boost half-blocks",
+    needs_boost=True,
 )
 def _chk_kernel_boost_covariance(rng, cfg):
     """On-shell kernels transport through the boost half-blocks.
 
     Draws: 3 boosts x (2 Weyl chiralities + 2 Dirac branches) x field
-    normals.  Skipped at zero rapidity cap.
+    normals.
     """
-    if cfg.rapidity_max == 0:
-        return
     for _ in range(3):
         boost = _draw_boost(rng, cfg)
         for kind in BOOSTED_KINDS[:2]:  # Weyl: massless, no gauge potential
@@ -1492,8 +1489,7 @@ def _chk_euler_lagrange_consistency(rng, cfg):
 
     Draws: 6 kinds x 3 rounds x (psi, p, f, g, d, mass normals + 1 boost).
     """
-    for kind in EL_KINDS:
-        dim = 4 if kind in ("dirac", "dirac-primed", "boosted-weyl", "minkowski") else 2
+    for kind, dim in EL_KINDS.items():
         for _ in range(3):
             psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             p = rng.standard_normal(4)
@@ -1513,15 +1509,13 @@ def _chk_euler_lagrange_consistency(rng, cfg):
     "dynamics.boosted_reduction",
     1e-9,
     "boosted systems reduce to scaled flat ones at identification momenta",
+    needs_boost=True,
 )
 def _chk_boosted_reduction(rng, cfg):
     """Boosted systems reduce to scaled flat ones at identification momenta.
 
     Draws: 6 boosts x (2 chiralities + 2 branches) x field normals.
-    Skipped at zero rapidity cap.
     """
-    if cfg.rapidity_max == 0:
-        return
     for _ in range(6):
         boost = _draw_boost(rng, cfg)
         f4 = rng.standard_normal(4)
@@ -1553,12 +1547,12 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
         rng = np.random.default_rng(stream)
         tol = cfg.tolerances.get(spec.group, spec.tolerance)
         start = time.perf_counter()
-        error = reduce_residuals(spec.fn(rng, cfg))
-        elapsed = (time.perf_counter() - start) * 1e3
-        if error is None:
+        if spec.needs_boost and cfg.rapidity_max == 0:
             status, error = "skip", SENTINEL_ERROR
         else:
+            error = reduce_residuals(spec.fn(rng, cfg))
             status = "pass" if error <= tol else "fail"
+        elapsed = (time.perf_counter() - start) * 1e3
         records.append(
             CheckRecord(
                 check_id=spec.check_id,
@@ -1575,14 +1569,7 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "mode_cutoff": cfg.mode_cutoff,
-        "probe_cutoff": cfg.probe_cutoff,
-        "rapidity_max": cfg.rapidity_max,
-        "groups": sorted(cfg.groups),
-        "tolerances": {k: cfg.tolerances[k] for k in sorted(cfg.tolerances)},
-    }
+    return {**asdict(cfg), "groups": sorted(cfg.groups)}
 
 
 def report_document(cfg: RunConfig, records: Sequence[CheckRecord]) -> dict:

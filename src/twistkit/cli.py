@@ -45,6 +45,7 @@ from .clifford import MAX_RAPIDITY, SpinBoost
 from .dynamics import BOOSTED_KINDS, PROBLEM_KINDS, PlaneWaveProblem
 from .geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 from .grassmann import pair_coefficient_matrix
+from .operator_algebra import MAX_MODE_CUTOFF
 from .torus_fields import FourierScalar, Section
 
 #: The action subcommand reports failure when the engine and the closed
@@ -78,7 +79,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -194,6 +195,10 @@ def _fmt_complex(z: complex) -> str:
 
 def cmd_verify(args) -> int:
     cfg = _resolve_run_config(args)
+    try:
+        report = None if args.json is None else open(args.json, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write the JSON report: {exc}") from exc
     records = run_checks(cfg)
     print(
         f"seed={cfg.seed} mode_cutoff={cfg.mode_cutoff} "
@@ -218,9 +223,9 @@ def cmd_verify(args) -> int:
         f"{len(records)} checks: {n_pass} passed, {n_fail} failed, "
         f"{n_skip} skipped in {total:.1f} s"
     )
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_json(cfg, records))
+    if report is not None:
+        with report:
+            report.write(report_json(cfg, records))
         print(f"wrote {args.json}")
     return 1 if n_fail else 0
 
@@ -238,47 +243,32 @@ def _geometry_for(name: str, d: complex):
     return ElectrodynamicsGeometry(d)
 
 
-def _scalar_from_terms(terms, label: str) -> FourierScalar:
-    out = FourierScalar.zero()
+def _terms(terms, label: str, key: str, shape: tuple[int, ...]):
+    """Yield ``(mode, amplitude)`` for each ``{"mode": ..., key: ...}`` term.
+
+    A mode is four integers of size at most ``MAX_MODE_CUTOFF``; an integral
+    float counts as its integer, a bool does not.  ``key`` holds ``[re, im]``
+    pairs nested to ``shape``, read exactly as the complex array they spell.
+    """
     if not isinstance(terms, list):
-        raise UsageError(f"{label} must be a list of mode/value terms")
+        raise UsageError(f"{label} must be a list of mode/{key} terms")
     for term in terms:
         try:
-            mode = tuple(int(m) for m in term["mode"])
-            re, im = term["value"]
-            amplitude = complex(float(re), float(im))
-        except (KeyError, TypeError, ValueError) as exc:
+            mode = [
+                int(m) if isinstance(m, float) and m.is_integer() else m
+                for m in term["mode"]
+            ]
+            pairs = np.array(term[key], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"bad term in {label}: {term!r}") from exc
-        if len(mode) != 4:
-            raise UsageError(f"{label}: modes must have four integers")
-        _finite(amplitude, label)
-        out = out + FourierScalar.wave(mode, amplitude)
-    return out
-
-
-def _section_from_terms(terms, label: str) -> Section:
-    out = Section(2)
-    if not isinstance(terms, list):
-        raise UsageError(f"{label} must be a list of mode/amplitude terms")
-    for term in terms:
-        try:
-            mode = tuple(int(m) for m in term["mode"])
-            amp = term["amplitude"]
-            vec = np.array(
-                [complex(float(a[0]), float(a[1])) for a in amp], dtype=complex
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise UsageError(f"bad term in {label}: {term!r}") from exc
-        if len(mode) != 4 or vec.shape != (2,):
+        integral = all(type(m) is int and abs(m) <= MAX_MODE_CUTOFF for m in mode)
+        if len(mode) != 4 or not integral or pairs.shape != (*shape, 2):
             raise UsageError(
-                f"{label}: each term needs a 4-integer mode and two amplitudes"
+                f"{label}: a term needs four integers of size at most "
+                f"{MAX_MODE_CUTOFF} as its mode and [re, im] pairs of shape {shape} "
+                f"as its {key}, got {term!r}"
             )
-        _finite(vec, label)
-        if mode in out.coeffs:
-            out.coeffs[mode] = out.coeffs[mode] + vec
-        else:
-            out.coeffs[mode] = vec
-    return out
+        yield tuple(mode), _finite(pairs.view(complex)[..., 0], label)
 
 
 def _load_weyl_file(path: str, n_fields: int):
@@ -291,7 +281,7 @@ def _load_weyl_file(path: str, n_fields: int):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse Weyl data file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "fields" not in doc:
         raise UsageError(f"{path}: expected an object with a 'fields' entry")
@@ -300,21 +290,22 @@ def _load_weyl_file(path: str, n_fields: int):
         raise UsageError(
             f"{path}: this geometry needs exactly {n_fields} Weyl fields"
         )
-    fields = [
-        _section_from_terms(terms, f"fields[{i}]")
-        for i, terms in enumerate(raw_fields)
-    ]
+    fields = [Section(2) for _ in raw_fields]
+    for i, terms in enumerate(raw_fields):
+        for mode, vec in _terms(terms, f"fields[{i}]", "amplitude", (2,)):
+            fields[i] = fields[i] + Section.plane_wave(mode, vec)
 
     def potential(key: str):
         raw = doc.get(key)
         if raw is None:
-            return [FourierScalar.zero() for _ in range(4)]
+            raw = [[]] * 4
         if not isinstance(raw, list) or len(raw) != 4:
             raise UsageError(f"{path}: '{key}' must list four components")
-        return [
-            _scalar_from_terms(terms, f"{key}[{mu}]")
-            for mu, terms in enumerate(raw)
-        ]
+        out = [FourierScalar.zero() for _ in range(4)]
+        for mu, terms in enumerate(raw):
+            for mode, value in _terms(terms, f"{key}[{mu}]", "value", ()):
+                out[mu] = out[mu] + FourierScalar.wave(mode, value)
+        return out
 
     return fields, potential("f"), potential("g")
 

@@ -14,7 +14,8 @@ Conventions
   with ``-f_0`` (unprimed/left) or ``+f_0`` (primed/right).
 * Flat-space reference matrices: ``minkowski_weyl_matrix`` gives
   ``p_0 -+ sigma.p`` and ``minkowski_dirac_matrix`` couples the two with a
-  mass on the off-diagonal block.
+  mass on the off-diagonal block.  The unboosted systems are these
+  matrices with ``f_0`` in the place of ``p_0``.
 * Boosted systems carry the half-rapidity factors inside the sigma
   matrices (``SpinBoost.sigma_boosted`` / ``sigma_tilde_boosted``); under
   the momentum identification they reduce to ``-(1+i)`` times the flat
@@ -36,7 +37,6 @@ import numpy as np
 from .actions import (
     boosted_weyl_density_operators,
     covariant_weyl_density_operators,
-    weyl_density_operator,
 )
 from .clifford import (
     IDENTITY_BOOST,
@@ -61,7 +61,7 @@ _ID2 = np.eye(2, dtype=complex)
 
 def sigma_dot(v: Sequence[float]) -> np.ndarray:
     """``sigma . v`` for a spatial 3-vector ``v``."""
-    return sum((v[j] * PAULI[j] for j in range(3)), np.zeros((2, 2), complex))
+    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
 
 
 def _as_covector(p: Sequence[float]) -> np.ndarray:
@@ -99,8 +99,8 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     ``(p_0 + sigma.p) psi_r = m psi_l``.
     """
     p = np.asarray(p, dtype=complex)
-    upper = sum(SIGMA_M_BAR[mu] * p[mu] for mu in range(4))
-    lower = sum(SIGMA_M[mu] * p[mu] for mu in range(4))
+    upper = np.einsum("m,mij->ij", p, SIGMA_M_BAR)
+    lower = np.einsum("m,mij->ij", p, SIGMA_M)
     return chiral_blocks(upper, lower, -m)
 
 
@@ -140,15 +140,14 @@ def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
 
 
 def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> DispersionResult:
-    """Massless system ``f_0 +- sigma.p`` with the chirality-dependent sign.
+    """Massless system ``f_0 +- sigma.p``: the flat Weyl matrix at ``(f_0, -p_j)``.
 
     The matrix uses only the spatial part of ``p``; a plane wave at the full
     ``p`` solves the equation of motion exactly when ``p_0 = -f_0`` (left)
     or ``p_0 = f_0`` (right) and the matrix below is singular.
     """
     p = _as_covector(p)
-    sign = 1.0 if _require_handed(handed) == "left" else -1.0
-    matrix = f0 * _ID2 + sign * sigma_dot(p[1:4])
+    matrix = minkowski_weyl_matrix((f0, *-p[1:4]), handed)
     radius = float(np.linalg.norm(p[1:4]))
     return _solved(f"weyl-{handed}", matrix, (radius, -radius))
 
@@ -162,8 +161,9 @@ def dirac_system(
 ) -> DispersionResult:
     """Coupled pair ``(f_0 +- sigma.(p+g)) psi = m psi_other`` with ``m = -i d``.
 
-    ``g`` is the spatial gauge 3-vector (temporal gauge: no ``g_0``).  The
-    primed variant swaps the diagonal blocks and keeps the same mass.  The
+    The flat Dirac matrix at ``(f_0, -+P_j)`` with ``P = p + g``, where
+    ``g`` is the spatial gauge 3-vector (temporal gauge: no ``g_0``); the
+    primed variant (``+``) swaps the diagonal blocks and keeps the mass.  The
     4x4 determinant is ``(f_0^2 - |p+g|^2 - m^2)^2``, so the ``p_0`` roots
     satisfy ``p_0^2 - |p+g|^2 = m^2`` under either identification
     ``p_0 = -+ f_0``.
@@ -174,14 +174,10 @@ def dirac_system(
         raise ValueError("gauge potential must be a spatial 3-vector")
     m = -1j * complex(d)
     big_p = p[1:4] + g
-    spin = sigma_dot(big_p)
-    plus = f0 * _ID2 + spin
-    minus = f0 * _ID2 - spin
-    if primed:
-        plus, minus = minus, plus
+    matrix = minkowski_dirac_matrix((f0, *(big_p if primed else -big_p)), m)
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
     kind = "dirac-primed" if primed else "dirac"
-    return _solved(kind, chiral_blocks(plus, minus, -m), (shell, -shell))
+    return _solved(kind, matrix, (shell, -shell))
 
 
 def boosted_weyl_system(
@@ -531,14 +527,15 @@ def _plane_wave_symbol(op: FieldOperator, p: Sequence[float]) -> np.ndarray:
 
 _S2 = PAULI[1]
 
-EL_KINDS = (
-    "weyl-left",
-    "weyl-right",
-    "dirac",
-    "dirac-primed",
-    "boosted-weyl",
-    "minkowski",
-)
+#: Euler-Lagrange kinds and the length of the spinor each acts on.
+EL_KINDS = {
+    "weyl-left": 2,
+    "weyl-right": 2,
+    "dirac": 4,
+    "dirac-primed": 4,
+    "boosted-weyl": 4,
+    "minkowski": 4,
+}
 
 
 def euler_lagrange_check(
@@ -571,7 +568,9 @@ def euler_lagrange_check(
     p = _as_covector(p)
     psi = np.asarray(psi, dtype=complex)
     if kind in ("weyl-left", "weyl-right"):
-        op = weyl_density_operator(FourierScalar.constant(f[0]))
+        op = covariant_weyl_density_operators(
+            FourierScalar.constant(f[0]), [FourierScalar.zero()] * 4
+        )[0]
         el = _S2 @ _plane_wave_symbol(op, p)
         handed = _kind_parts(kind)[2]
         q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])

@@ -500,7 +500,3 @@ class ElectrodynamicsGeometry(_GeometryBase):
         if boost is None:
             return electro_lagrangian_action(fields, f, g, self.d)
         return boosted_electro_lagrangian_action(fields, f, g, self.d, boost)
-
-
-MANIFOLD = ManifoldGeometry()
-DOUBLED = DoubledGeometry()

@@ -28,9 +28,9 @@ from twistkit.actions import (
 )
 from twistkit.dynamics import _random_boost
 from twistkit.geometries import (
-    DOUBLED,
-    MANIFOLD,
+    DoubledGeometry,
     ElectrodynamicsGeometry,
+    ManifoldGeometry,
 )
 from twistkit.grassmann import GrassmannNumber, pair_coefficient_matrix
 from twistkit.operator_algebra import FieldOperator, function_matrix_sum
@@ -44,6 +44,8 @@ from twistkit.torus_fields import (
 
 TOL = 1e-10
 BOOST_TOL = 1e-9
+MANIFOLD = ManifoldGeometry()
+DOUBLED = DoubledGeometry()
 
 
 def geometry_instance(name, rng):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import twistkit.checks
+import twistkit.cli
 from twistkit.checks import (
     GROUPS,
     REGISTRY,
@@ -65,6 +66,17 @@ EXPECTED_CHECK_IDS = (
     "dynamics.boosted_reduction",
 )
 
+NEEDS_BOOST_IDS = {
+    "clifford.spin_boost_structure",
+    "clifford.lorentz_extraction_routes",
+    "boost.action_invariance",
+    "boost.manifold_closed_form",
+    "boost.doubled_closed_form",
+    "boost.electro_closed_form",
+    "dynamics.kernel_boost_covariance",
+    "dynamics.boosted_reduction",
+}
+
 
 class TestRegistry:
     def test_frozen_id_list(self):
@@ -87,6 +99,9 @@ class TestRegistry:
     def test_paper_refs_filled(self):
         assert all(s.paper_ref.strip() for s in REGISTRY)
 
+    def test_boost_drawing_checks_are_declared(self):
+        assert {s.check_id for s in REGISTRY if s.needs_boost} == NEEDS_BOOST_IDS
+
     def test_checks_are_generators(self):
         assert all(inspect.isgeneratorfunction(s.fn) for s in REGISTRY)
 
@@ -108,13 +123,16 @@ def _refuse_constant(name):
 class TestReduction:
     """The runner reduces each check's residuals once, NaN-propagating."""
 
-    def _run(self, monkeypatch, residuals, **config):
+    def _run(self, monkeypatch, residuals, needs_boost=False, **config):
+        self.entered = False
+
         def fixture(rng, cfg):
-            if cfg.rapidity_max == 0:
-                return
+            self.entered = True
             yield from residuals
 
-        spec = CheckSpec("clifford.fixture", "fixture residuals", 1e-12, fixture)
+        spec = CheckSpec(
+            "clifford.fixture", "fixture residuals", 1e-12, fixture, needs_boost
+        )
         monkeypatch.setattr(twistkit.checks, "REGISTRY", (spec,))
         cfg = RunConfig(groups=("clifford",), **config)
         (rec,) = run_checks(cfg)
@@ -134,10 +152,17 @@ class TestReduction:
         rec, _ = self._run(monkeypatch, [1e-15, 3e-13, 0.0])
         assert (rec.status, rec.max_abs_error) == ("pass", 3e-13)
 
-    def test_check_yielding_nothing_is_a_skip(self, monkeypatch):
-        rec, doc = self._run(monkeypatch, [1e-15], rapidity_max=0.0)
+    def test_declared_boost_check_skips_at_zero_cap_unentered(self, monkeypatch):
+        rec, doc = self._run(monkeypatch, [1e-15], needs_boost=True, rapidity_max=0.0)
         assert rec.status == doc["checks"][0]["status"] == "skip"
         assert rec.max_abs_error == SENTINEL_ERROR
+        assert not self.entered
+
+    def test_undeclared_check_yielding_nothing_fails(self, monkeypatch):
+        rec, doc = self._run(monkeypatch, [], rapidity_max=0.0)
+        assert rec.status == doc["checks"][0]["status"] == "fail"
+        assert rec.max_abs_error == SENTINEL_ERROR
+        assert self.entered
 
 
 class TestRunner:
@@ -169,7 +194,7 @@ class TestRunner:
         # the duality sweep still runs on the unboosted families
         assert by_status["dynamics.determinant_kernel_duality"] == "pass"
         skips = [r for r in records if r.status == "skip"]
-        assert len(skips) == 8
+        assert {r.check_id for r in skips} == NEEDS_BOOST_IDS
         assert all(r.max_abs_error == SENTINEL_ERROR for r in skips)
         assert not any(r.status == "fail" for r in records)
 
@@ -275,6 +300,16 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert len(doc["checks"]) == 5
 
+    @pytest.mark.parametrize("target", ["{tmp}", "{tmp}/missing/x.json", ""])
+    def test_unwritable_json_path_usage_error(self, run_cli, tmp_path, monkeypatch, target):
+        def refuse(cfg):
+            raise AssertionError("checks ran before the report path was opened")
+
+        monkeypatch.setattr(twistkit.cli, "run_checks", refuse)
+        proc = run_cli("verify", "--json", target.format(tmp=tmp_path))
+        assert proc.returncode == 2
+        assert "cannot write the JSON report" in proc.stderr
+
     def test_duplicate_groups_write_the_single_group_report(self, run_cli, tmp_path):
         once, twice = tmp_path / "once.json", tmp_path / "twice.json"
         assert run_cli("verify", "--groups", "clifford", "--json", str(once)).returncode == 0
@@ -332,11 +367,12 @@ class TestVerifyCommand:
              f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}"),
             ("groups =", "no check groups selected"),
             ("groups = ,", "no check groups selected"),
+            pytest.param("seed = 1\xff", "can't decode byte 0xff", id="not-utf8"),
         ],
     )
     def test_bad_config_value_usage_error(self, run_cli, tmp_path, line, message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_bytes((line + "\n").encode("latin-1"))
         proc = run_cli("verify", "--config", str(cfg))
         assert proc.returncode == 2
         assert message in proc.stderr
@@ -386,6 +422,13 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--config", str(cfg))
         assert proc.returncode == 2
         assert "unknown config key" in proc.stderr
+
+
+def _weyl_doc(mode=(0, 0, 0, 1), amplitude=((1, 0), (0, 1)), f=None) -> bytes:
+    """A two-field Weyl file whose first term has ``mode`` and ``amplitude``."""
+    first = {"mode": list(mode), "amplitude": amplitude}
+    second = {"mode": [0, 0, 0, -1], "amplitude": [[1, 0], [0, 1]]}
+    return json.dumps({"fields": [[first], [second]], "f": f}).encode()
 
 
 class TestActionCommand:
@@ -446,6 +489,41 @@ class TestActionCommand:
         proc = run_cli("action", "--weyl-file", str(data))
         assert proc.returncode == 2
         assert "must be finite" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (_weyl_doc(mode=[0, 0, 0.5, 1]), "four integers of size at most"),
+            (_weyl_doc(mode=[0, 0, True, 1]), "four integers of size at most"),
+            (b'{"fields": [[{"mode": [0, 0, 0, 1e400], "amplitude": [[1, 0], [0, 1]]}], []]}',
+             "four integers of size at most"),
+            (_weyl_doc(mode=[0, 0, 0, 10**400]), "four integers of size at most"),
+            (_weyl_doc(mode=[0, 0, 0, MAX_MODE_CUTOFF + 1]), "four integers of size at most"),
+            (_weyl_doc(amplitude=[[10**400, 0], [1, 0]]), "bad term in fields[0]"),
+            (_weyl_doc(f=[[{"mode": [0, 0, 0, 0], "value": [10**400, 0]}], [], [], []]),
+             "bad term in f[0]"),
+            (b'{"fields": [[], []]}\xff', "can't decode byte 0xff"),
+        ],
+        ids=[
+            "mode-half", "mode-true", "mode-1e400", "mode-10**400", "mode-above-cap",
+            "amplitude-10**400", "value-10**400", "not-utf8",
+        ],
+    )
+    def test_bad_weyl_file_number_usage_error(self, run_cli, tmp_path, body, message):
+        data = tmp_path / "bad.json"
+        data.write_bytes(body)
+        proc = run_cli("action", "--weyl-file", str(data))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+    def test_integral_float_mode_reads_as_its_integer(self, run_cli, tmp_path):
+        data = tmp_path / "modes.json"
+        runs = []
+        for mode in ([0, 0, 0, 1], [0, 0, 0, 1.0], [0, 0, 0, MAX_MODE_CUTOFF]):
+            data.write_bytes(_weyl_doc(mode=mode))
+            runs.append(run_cli("action", "--weyl-file", str(data)))
+        assert runs[1].stdout == runs[0].stdout
+        assert runs[2].returncode == 0
 
     def test_overflowing_action_usage_error(self, run_cli, tmp_path):
         """Finite amplitudes whose action overflows are refused, not passed."""

@@ -40,10 +40,10 @@ class TestWeylSystem:
             p_spatial = rng.normal(0.0, 1.0, 3)
             left = dyn.weyl_system(f0, (-f0, *p_spatial), "left").matrix
             flat_left = dyn.minkowski_weyl_matrix((-f0, *p_spatial), "left")
-            assert np.abs(left + flat_left).max() < 1e-14
+            assert np.array_equal(left, -flat_left)
             right = dyn.weyl_system(f0, (f0, *p_spatial), "right").matrix
             flat_right = dyn.minkowski_weyl_matrix((f0, *(-p_spatial)), "right")
-            assert np.abs(right - flat_right).max() < 1e-14
+            assert np.array_equal(right, flat_right)
 
     def test_roots_sit_on_determinant_zeros(self):
         rng = np.random.default_rng(12)

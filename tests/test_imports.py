@@ -6,8 +6,11 @@ its tests and its scripts with ``ast`` and lists the names that a module-level
 import binds but nothing in the module reads.  It also lists the private
 (single-underscore) functions, classes and module- or class-level names that
 the package defines but nothing in the package reads; check generators, which
-the ``@check`` decorator registers, are exempt.  Last, it lists the test
-modules that import ``subprocess``: only ``conftest.py`` may start a process.
+the ``@check`` decorator registers, are exempt.  It lists the test modules
+that import ``subprocess``: only ``conftest.py`` may start a process.  Last,
+it lists the bare ``return`` statements in check generators: a check that
+cannot run at some configuration declares it (``needs_boost``) instead of
+returning early.
 """
 
 import ast
@@ -128,3 +131,29 @@ def test_only_conftest_starts_processes():
         if subprocess_imports(path.read_text(encoding="utf-8"))
     ]
     assert spawning == ["conftest.py"]
+
+
+def bare_returns_in_checks(source: str) -> list[str]:
+    """``name:line`` of each bare ``return`` in a function registered with ``@check``."""
+    return [
+        f"{node.name}:{ret.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and _is_check_generator(node)
+        for ret in ast.walk(node)
+        if isinstance(ret, ast.Return) and ret.value is None
+    ]
+
+
+def test_return_scanner_finds_a_bare_return_in_a_check():
+    source = (
+        "@check('x.y', 1e-12, 'ref')\ndef _skips(rng, cfg):\n"
+        "    if cfg.rapidity_max == 0:\n        return\n    yield 0.0\n"
+        "@check('x.z', 1e-12, 'ref')\ndef _ends(rng, cfg):\n    yield 0.0\n    return 0.0\n"
+        "def _helper():\n    return\n"
+    )
+    assert bare_returns_in_checks(source) == ["_skips:4"]
+
+
+def test_check_skips_are_declared():
+    source = (ROOT / "src/twistkit/checks.py").read_text(encoding="utf-8")
+    assert bare_returns_in_checks(source) == []
