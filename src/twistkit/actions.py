@@ -14,7 +14,8 @@ Two independent evaluation routes are provided and must agree:
 * :func:`fermionic_action` pushes the promoted blocks through the actual
   operators (real structure, twist, Dirac) and pairs them once;
 * :func:`fermionic_action_quadratic` evaluates the same pairing on complex
-  unit sections, one per generator, with plain complex inner products, and
+  unit sections, one per generator: it applies each slot map once per unit,
+  sums ``vdot`` over the modes a left and a right image share, and
   reassembles the result through the antisymmetrised quadratic form.
 
 Both routes pair through the slot maps of :func:`pairing_slots`.
@@ -226,20 +227,29 @@ def pairing_coefficients(
 ) -> np.ndarray:
     """Matrix ``B_ij = a_i a_j pair(e_i, e_j)`` over complex unit sections.
 
-    Each slot map is applied once per generator, so the n x n matrix costs
-    2n operator applications and n^2 complex inner products.
+    Each slot map is applied once per generator (2n operator applications).
+    The right images are indexed by mode once; each left image then walks
+    its own modes and adds ``vdot`` into one accumulator per column, so only
+    pairs that share a mode cost an inner product.  Each entry sums in the
+    order and with the arithmetic of ``Section.inner``, bit for bit.
     """
     first, second = _assemblers(geometry, promoted)
     left, right = pairing_slots(geometry, op, boost)
     units = [unit_weyl_fields(promoted, i) for i in range(promoted.n_generators)]
     lefts = [left(first(u)) for u in units]
-    rights = [right(second(u)) for u in units]
+    by_mode: dict[Mode, list[tuple[int, np.ndarray]]] = {}
+    for j, u in enumerate(units):
+        for mode, w in right(second(u)).coeffs.items():
+            by_mode.setdefault(mode, []).append((j, w))
     a = promoted.amplitudes
-    out = np.zeros((len(units), len(units)), dtype=complex)
-    for i, lhs in enumerate(lefts):
-        for j, rhs in enumerate(rights):
-            out[i, j] = a[i] * a[j] * complex(lhs.inner(rhs))
-    return out
+    rows = []
+    for ai, lhs in zip(a, lefts):
+        acc = [0.0 + 0.0j] * len(units)
+        for mode, v in lhs.coeffs.items():
+            for j, w in by_mode.get(mode, ()):
+                acc[j] += np.vdot(v, w)
+        rows.append([ai * aj * complex(CELL_VOLUME * s) for aj, s in zip(a, acc)])
+    return np.array(rows, dtype=complex).reshape(len(units), len(units))
 
 
 def fermionic_action_quadratic(

@@ -248,7 +248,8 @@ def _terms(terms, label: str, key: str, shape: tuple[int, ...]):
 
     A mode is four integers of size at most ``MAX_MODE_CUTOFF``; an integral
     float counts as its integer, a bool does not.  ``key`` holds ``[re, im]``
-    pairs nested to ``shape``, read exactly as the complex array they spell.
+    pairs of JSON numbers nested to ``shape``, read exactly as the complex
+    array they spell; a string or a bool is not a number.
     """
     if not isinstance(terms, list):
         raise UsageError(f"{label} must be a list of mode/{key} terms")
@@ -258,11 +259,13 @@ def _terms(terms, label: str, key: str, shape: tuple[int, ...]):
                 int(m) if isinstance(m, float) and m.is_integer() else m
                 for m in term["mode"]
             ]
-            pairs = np.array(term[key], dtype=float)
+            values = np.array(term[key], dtype=object)
+            pairs = values.astype(float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"bad term in {label}: {term!r}") from exc
         integral = all(type(m) is int and abs(m) <= MAX_MODE_CUTOFF for m in mode)
-        if len(mode) != 4 or not integral or pairs.shape != (*shape, 2):
+        numbers = all(type(x) in (int, float) for x in values.flat)
+        if len(mode) != 4 or not integral or not numbers or pairs.shape != (*shape, 2):
             raise UsageError(
                 f"{label}: a term needs four integers of size at most "
                 f"{MAX_MODE_CUTOFF} as its mode and [re, im] pairs of shape {shape} "

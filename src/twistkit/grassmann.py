@@ -21,6 +21,7 @@ generator arithmetic here is the exact oracle that reading is tested against.
 from __future__ import annotations
 
 import numbers
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,13 @@ class GrassmannNumber:
                 if c != 0:
                     self.coeffs[tuple(key)] = complex(c)
 
+    @classmethod
+    def _clean(cls, coeffs: dict[Monomial, complex]) -> "GrassmannNumber":
+        """Wrap ``coeffs`` as is: tuple keys, nonzero Python complex values."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     @staticmethod
     def scalar(c: complex) -> "GrassmannNumber":
         return GrassmannNumber({(): c})
@@ -84,7 +92,7 @@ class GrassmannNumber:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return GrassmannNumber(out)
+        return GrassmannNumber._clean(out)
 
     __radd__ = __add__
 
@@ -97,7 +105,7 @@ class GrassmannNumber:
         return (-self) + other
 
     def __neg__(self):
-        return GrassmannNumber({k: -c for k, c in self.coeffs.items()})
+        return GrassmannNumber._clean({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
@@ -164,12 +172,22 @@ class GrassmannNumber:
         return "GrassmannNumber(" + " + ".join(bits) + ")"
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, tuple[Monomial, ...]]:
+    """Read-only strict upper-triangle indices of an n x n matrix, and their
+    ``(i, j)`` monomials in the same order."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols, tuple(zip(rows.tolist(), cols.tolist()))
+
+
 def antisymmetric_pair_form(matrix: np.ndarray) -> GrassmannNumber:
     """sum_{i<j} (B_ij - B_ji) t_i t_j, the value of sum_ij B_ij t_i t_j."""
     b = np.asarray(matrix)
-    rows, cols = np.triu_indices(b.shape[0], k=1)
-    pairs = zip(rows.tolist(), cols.tolist(), (b[rows, cols] - b[cols, rows]).tolist())
-    return GrassmannNumber({(i, j): c for i, j, c in pairs})
+    rows, cols, keys = _upper_pairs(b.shape[0])
+    values = (b[rows, cols] - b[cols, rows]).astype(complex, copy=False).tolist()
+    return GrassmannNumber._clean({k: c for k, c in zip(keys, values) if c != 0})
 
 
 def pair_coefficient_matrix(g: GrassmannNumber, n: int) -> np.ndarray:

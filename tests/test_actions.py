@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import twistkit.actions as actions
 from twistkit.clifford import IDENTITY_BOOST, PAULI
 from twistkit.actions import (
     bilinear_integral,
@@ -150,6 +151,152 @@ class TestPairingCoefficients:
         got = pairing_coefficients(geo, op, pro, boost)
         assert np.max(np.abs(expected)) > 1.0
         assert np.max(np.abs(got - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_bit_identical_to_looped_inner_products(self, geo_name, boosted, seed):
+        rng = np.random.default_rng(1000 + seed)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+        op = geo.dressed_dirac(f, g)
+        boost = _random_boost(rng) if boosted else None
+        pro = promote_weyl_fields(w)
+        expected = looped_pairing_coefficients(geo, op, pro, boost)
+        assert np.max(np.abs(expected)) > 1.0
+        assert_same_bits(pairing_coefficients(geo, op, pro, boost), expected)
+
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_zero_generators(self, geo_name):
+        geo = geometry_instance(geo_name, np.random.default_rng(0))
+        pro = promote_weyl_fields([Section(2) for _ in range(geo.n_weyl_fields)])
+        got = pairing_coefficients(geo, geo.dirac, pro)
+        assert got.shape == (0, 0) and got.dtype == complex
+        assert_same_bits(got, looped_pairing_coefficients(geo, geo.dirac, pro))
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    def test_empty_first_slot_images(self, boosted):
+        """Manifold units of field 1 leave the first slot empty."""
+        rng = np.random.default_rng(47)
+        w, f, g = overlapping_action_inputs(rng, 2)
+        op = MANIFOLD.dressed_dirac(f, g)
+        boost = _random_boost(rng) if boosted else None
+        pro = promote_weyl_fields([Section(2), w[1]])
+        got = pairing_coefficients(MANIFOLD, op, pro, boost)
+        assert pro.n_generators > 0 and not np.any(got)
+        assert_same_bits(got, looped_pairing_coefficients(MANIFOLD, op, pro, boost))
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_multi_mode_left_images(self, n_modes, boosted):
+        """A real structure with phase terms at a - b and b - a, for carrier
+        modes a and b, gives every left image two or three modes that one
+        right image also carries, so entries sum that many products in the
+        left image's order."""
+        rng = np.random.default_rng(48)
+        w, f, g = overlapping_action_inputs(rng, 2)
+        a, *rest = w[0].coeffs
+        b = next(k for k in rest if k != negate_mode(a))
+        diff = tuple(x - y for x, y in zip(a, b))
+        geo = ManifoldGeometry()
+        j = geo.real_structure.terms[(ZERO_MODE, ())]
+        terms = {(ZERO_MODE, ()): j, (diff, ()): 0.5j * j, (negate_mode(diff), ()): -0.25 * j}
+        geo.real_structure = FieldOperator(
+            4, dict(list(terms.items())[:n_modes]), antilinear=True
+        )
+        op = geo.dressed_dirac(f, g)
+        boost = _random_boost(rng) if boosted else None
+        pro = promote_weyl_fields(w)
+        left, right = pairing_slots(geo, op, boost)
+        units = [unit_weyl_fields(pro, i) for i in range(pro.n_generators)]
+        lefts = [set(left(geo.h_r_section(u[:1])).coeffs) for u in units]
+        rights = [set(right(geo.h_r_section(u[1:])).coeffs) for u in units]
+        assert {len(modes) for modes in lefts if modes} == {n_modes}
+        assert any(lm <= rm for lm in lefts if lm for rm in rights)
+        assert_same_bits(
+            pairing_coefficients(geo, op, pro, boost),
+            looped_pairing_coefficients(geo, op, pro, boost),
+        )
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_overflowing_amplitudes_give_the_same_nans(self, geo_name, boosted):
+        rng = np.random.default_rng(49)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+        op = geo.dressed_dirac(f, g)
+        boost = _random_boost(rng) if boosted else None
+        pro = promote_weyl_fields([w[0].scale(1e200), *w[1:]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pairing_coefficients(geo, op, pro, boost)
+            expected = looped_pairing_coefficients(geo, op, pro, boost)
+        assert np.isnan(expected).any() and np.isfinite(expected).any()
+        assert_same_bits(got, expected)
+
+
+def looped_pairing_coefficients(geo, op, pro, boost=None):
+    """Route 2 as one ``Section.inner`` per generator pair:
+    ``a_i a_j <J first_i, R op second_j>``."""
+    left, right = pairing_slots(geo, op, boost)
+    n = pro.n_generators
+    lefts, rights = [], []
+    for i in range(n):
+        units = unit_weyl_fields(pro, i)
+        if geo.n_sectors == 1:
+            first, second = geo.h_r_section(units[:1]), geo.h_r_section(units[1:])
+        else:
+            first = second = geo.h_r_section(units)
+        lefts.append(left(first))
+        rights.append(right(second))
+    a = pro.amplitudes
+    out = np.zeros((n, n), dtype=complex)
+    for i, lhs in enumerate(lefts):
+        for j, rhs in enumerate(rights):
+            out[i, j] = a[i] * a[j] * complex(lhs.inner(rhs))
+    return out
+
+
+def assert_same_bits(got, expected):
+    """Equal entries, NaN where the other has NaN, and the same zero signs."""
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    for part in (np.real, np.imag):
+        np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+
+
+class TestRouteIndependence:
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_route_two_runs_no_route_one_code(self, monkeypatch, geo_name, boosted):
+        """Route 2 never integrates through ``_mode_sum``, and it applies J to
+        each left unit and op, then R, to each right unit: 3n applications."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("route 2 called route-1 code")
+
+        for name in ("_mode_sum", "grassmann_inner", "bilinear_integral"):
+            monkeypatch.setattr(actions, name, refuse)
+        calls = []
+        apply = FieldOperator.apply
+
+        def counted(self, section):
+            calls.append(self)
+            return apply(self, section)
+
+        monkeypatch.setattr(FieldOperator, "apply", counted)
+        rng = np.random.default_rng(50)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+        op = geo.dressed_dirac(f, g)
+        boost = _random_boost(rng) if boosted else None
+        pro = promote_weyl_fields(w)
+        value = fermionic_action_quadratic(geo, op, pro, boost)
+        assert abs(value) > 1.0
+        n = pro.n_generators
+        assert n == (32 if geo_name == "electro" else 16)
+        assert len(calls) == 3 * n
+        assert sum(c is geo.real_structure for c in calls) == n
+        assert sum(c is geo.r_operator for c in calls) == n
 
 
 class TestPromotion:

@@ -503,10 +503,21 @@ class TestActionCommand:
             (_weyl_doc(f=[[{"mode": [0, 0, 0, 0], "value": [10**400, 0]}], [], [], []]),
              "bad term in f[0]"),
             (b'{"fields": [[], []]}\xff', "can't decode byte 0xff"),
+            (_weyl_doc(amplitude=[["1", 0], [0, 1]]), "pairs of shape (2,) as its amplitude"),
+            (_weyl_doc(amplitude=[[" 2 ", 0], [0, 1]]), "pairs of shape (2,) as its amplitude"),
+            (_weyl_doc(amplitude=[[1, 0], [0, True]]), "pairs of shape (2,) as its amplitude"),
+            (_weyl_doc(f=[[{"mode": [0, 0, 0, 0], "value": ["1", 0]}], [], [], []]),
+             "pairs of shape () as its value"),
+            (_weyl_doc(f=[[{"mode": [0, 0, 0, 0], "value": [" 2 ", 0]}], [], [], []]),
+             "pairs of shape () as its value"),
+            (_weyl_doc(f=[[{"mode": [0, 0, 0, 0], "value": [True, 0]}], [], [], []]),
+             "pairs of shape () as its value"),
         ],
         ids=[
             "mode-half", "mode-true", "mode-1e400", "mode-10**400", "mode-above-cap",
             "amplitude-10**400", "value-10**400", "not-utf8",
+            "amplitude-string", "amplitude-padded-string", "amplitude-true",
+            "value-string", "value-padded-string", "value-true",
         ],
     )
     def test_bad_weyl_file_number_usage_error(self, run_cli, tmp_path, body, message):

@@ -1,10 +1,12 @@
 """Exterior-algebra arithmetic and the antisymmetric pair-form oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistkit.grassmann import (
     GrassmannNumber,
+    _upper_pairs,
     antisymmetric_pair_form,
     pair_coefficient_matrix,
 )
@@ -143,3 +145,74 @@ class TestNumpyInterop:
         assert rows[0] == 1j * t0
         assert rows[1] == 1j * t1
         assert out.max_abs() == 1.0
+
+
+def constructor_pair_form(matrix):
+    """``antisymmetric_pair_form`` through the validating constructor."""
+    b = np.asarray(matrix)
+    rows, cols = np.triu_indices(b.shape[0], k=1)
+    pairs = zip(rows.tolist(), cols.tolist(), (b[rows, cols] - b[cols, rows]).tolist())
+    return GrassmannNumber({(i, j): c for i, j, c in pairs})
+
+
+def coefficient_bits(g):
+    """Keys in insertion order with each value's type and exact parts."""
+    return [(k, type(c), c.real.hex(), c.imag.hex()) for k, c in g.coeffs.items()]
+
+
+def special_matrix(n, dtype=complex):
+    """Random entries, with exact zeros, -0.0, NaN and inf sprinkled in."""
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, n)).astype(dtype)
+    if dtype == complex:
+        b = b + 1j * rng.normal(size=(n, n))
+    if n > 1:
+        b[0, 1] = b[1, 0]  # an exact zero difference
+    if n > 3:
+        b[1, 2], b[2, 1] = -0.0, 0.0
+        b[0, 3] = np.nan
+        b[2, 3] = np.inf
+        b[3, 2] = np.inf  # inf - inf is NaN
+        b[1, 3] = -np.inf
+    return b
+
+
+class TestFastPaths:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_pair_form_matches_constructor(self, n, dtype):
+        b = special_matrix(n, dtype)
+        with np.errstate(invalid="ignore"):
+            got = antisymmetric_pair_form(b)
+            expected = constructor_pair_form(b)
+        assert coefficient_bits(got) == coefficient_bits(expected)
+        assert len(got.coeffs) == (n * (n - 1)) // 2 - (n > 1) - (n > 3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_cached_indices_survive_mutated_forms(self):
+        b = special_matrix(5)
+        first = antisymmetric_pair_form(b)
+        first.coeffs.clear()
+        first.coeffs[(0, 1)] = 7.0 + 0j
+        with pytest.raises(ValueError):
+            _upper_pairs(5)[0][0] = 3
+        assert coefficient_bits(antisymmetric_pair_form(b)) == coefficient_bits(
+            constructor_pair_form(b)
+        )
+        rows, cols, keys = _upper_pairs(5)
+        np.testing.assert_array_equal(rows, np.triu_indices(5, k=1)[0])
+        np.testing.assert_array_equal(cols, np.triu_indices(5, k=1)[1])
+        assert keys == tuple(zip(rows.tolist(), cols.tolist()))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_sum_and_negation_match_constructor(self, n):
+        x = antisymmetric_pair_form(special_matrix(n))
+        y = antisymmetric_pair_form(special_matrix(n).T)  # -x: cancels to zero
+        z = GrassmannNumber({(): -0.0, (0,): 1.0, (0, 1): np.inf, (1, 2): -2.0j})
+        for value in (x + y, x + z, z + x, y + z + 1.5, -x, -z, x - z, 2.0 - x):
+            rebuilt = GrassmannNumber(dict(value.coeffs))
+            assert coefficient_bits(value) == coefficient_bits(rebuilt)
+        # finite entries cancel exactly; NaN and inf - inf entries stay
+        assert bool((x + y).coeffs) == (n > 3)
+        assert list((-x).coeffs) == list(x.coeffs)
