@@ -17,17 +17,25 @@ import sys
 
 import numpy as np
 
-from twistkit.cli import UsageError, parse_axis, parse_complex, parse_rapidity, parse_vector
+from twistkit.cli import (
+    UsageError,
+    checked_solve,
+    parse_axis,
+    parse_complex,
+    parse_rapidity,
+    parse_vector,
+)
 from twistkit.clifford import SpinBoost
 from twistkit.dynamics import PROBLEM_KINDS, PlaneWaveProblem, weyl_identification
 
 
 def _system(kind, p0, sp, g3, d, boost):
-    """Solve at trial frequency p0; the identification is its own inverse."""
+    """Solve at trial frequency p0; the identification is its own inverse.
+    A system that overflows double precision raises ``UsageError``."""
     big_p = np.asarray(sp) + g3 if "dirac" in kind else np.asarray(sp)
     handed = "right" if kind.endswith(("right", "primed")) else "left"
     f = tuple(weyl_identification([p0, *big_p], handed))
-    return PlaneWaveProblem(kind, (p0, *sp), f, (0.0, *g3), d, boost).solve()
+    return checked_solve(PlaneWaveProblem(kind, (p0, *sp), f, (0.0, *g3), d, boost))
 
 
 def main(argv=None) -> int:
@@ -45,23 +53,31 @@ def main(argv=None) -> int:
         g3 = np.array(parse_vector(args.g, 3, "--g"))
         d = parse_complex(args.d, "--d")
         boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), parse_axis(args.axis))
+        if not 1 <= args.steps <= 10_000:
+            raise UsageError("--steps must be between 1 and 10000")
+        # every system is solved before anything is printed, so an overflow
+        # anywhere on the grid leaves only the error line
+        probe = _system(args.kind, 0.0, sp, g3, d, boost)
+        top = max(abs(complex(r).real) for r in probe.roots) if probe.roots else 1.0
+        grid = [
+            (p0, _system(args.kind, p0, sp, g3, d, boost))
+            for p0 in np.linspace(-1.6 * top, 1.6 * top, args.steps)
+        ]
+        exact = [
+            (r, _system(args.kind, float(complex(r).real), sp, g3, d, boost))
+            for r in probe.roots
+            if abs(complex(r).imag) < 1e-12
+        ]
     except UsageError as exc:
         parser.error(str(exc))
-    if not 1 <= args.steps <= 10_000:
-        parser.error("--steps must be between 1 and 10000")
 
-    probe = _system(args.kind, 0.0, sp, g3, d, boost)
-    roots = [r for r in probe.roots if abs(complex(r).imag) < 1e-12]
-    top = max(abs(complex(r).real) for r in probe.roots) if probe.roots else 1.0
     print(f"{args.kind}: spatial p {sp}, closed-form roots {[complex(r) for r in probe.roots]}")
     print(f"{'p0':>8}  {'|det|':>10}  {'sigma_min':>10}  kernel")
-    for p0 in np.linspace(-1.6 * top, 1.6 * top, args.steps):
-        res = _system(args.kind, p0, sp, g3, d, boost)
+    for p0, res in grid:
         smin = np.linalg.svd(res.matrix, compute_uv=False)[-1]
         mark = f"dim {len(res.kernel)}" if res.singular else "-"
         print(f"{p0:8.3f}  {abs(res.determinant):10.3e}  {smin:10.3e}  {mark}")
-    for r in roots:
-        res = _system(args.kind, float(complex(r).real), sp, g3, d, boost)
+    for r, res in exact:
         print(f"\nexact root p0 = {complex(r).real:+.6f}: |det| = {abs(res.determinant):.3e}, "
               f"kernel dim {len(res.kernel)}")
         for vec in res.kernel:

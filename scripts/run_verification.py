@@ -23,8 +23,8 @@ def main(argv=None) -> int:
     parser.add_argument("--groups", default=None, help="comma-separated group subset")
     parser.add_argument("--rapidity", type=float, default=2.0, help="boost rapidity cap")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
+    if not 1 <= args.seeds <= 10_000:
+        parser.error("--seeds must be between 1 and 10000")
 
     groups = split_groups(args.groups) if args.groups is not None else GROUPS
     try:

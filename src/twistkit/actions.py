@@ -18,7 +18,7 @@ Two independent evaluation routes are provided and must agree:
   sums ``vdot`` over the modes a left and a right image share, and
   reassembles the result through the antisymmetrised quadratic form.
 
-Both routes pair through the slot maps of :func:`pairing_slots`.
+Both routes pair the geometry's ``action_sections`` through :func:`pairing_slots`.
 
 The ``*_lagrangian_action`` functions are closed-form integrands written
 directly in terms of the Weyl components; they are the hand-derived targets
@@ -193,30 +193,11 @@ def unit_weyl_fields(promoted: PromotedWeyl, index: int) -> list[Section]:
     return fields
 
 
-def _assemblers(geometry, promoted: PromotedWeyl):
-    """Which promoted fields feed which slot of the pairing.
-
-    The single-sector geometry is a genuine two-argument form (field 0 in
-    the first slot, field 1 in the second); the sectored geometries place
-    the same multi-sector section in both slots.
-    """
-    if len(promoted.fields) != geometry.n_weyl_fields:
-        raise ValueError(f"{geometry.n_weyl_fields} Weyl fields required")
-    if geometry.n_sectors == 1:
-        first = lambda fl: geometry.h_r_section([fl[0]])  # noqa: E731
-        second = lambda fl: geometry.h_r_section([fl[1]])  # noqa: E731
-    else:
-        first = second = lambda fl: geometry.h_r_section(list(fl))  # noqa: E731
-    return first, second
-
-
 def fermionic_action(
     geometry, op: FieldOperator, promoted: PromotedWeyl, boost: SpinBoost | None = None
 ) -> GrassmannNumber:
     """Operator-engine evaluation of the twisted pairing on promoted fields."""
-    first, second = _assemblers(geometry, promoted)
-    lhs = first(promoted.fields)
-    rhs = second(promoted.fields)
+    lhs, rhs = geometry.action_sections(promoted.fields)
     if boost is None:
         return twisted_pairing(geometry, op, lhs, rhs)
     return boosted_pairing(geometry, op, boost, lhs, rhs)
@@ -233,23 +214,25 @@ def pairing_coefficients(
     pairs that share a mode cost an inner product.  Each entry sums in the
     order and with the arithmetic of ``Section.inner``, bit for bit.
     """
-    first, second = _assemblers(geometry, promoted)
     left, right = pairing_slots(geometry, op, boost)
-    units = [unit_weyl_fields(promoted, i) for i in range(promoted.n_generators)]
-    lefts = [left(first(u)) for u in units]
+    n = promoted.n_generators
+    if n == 0:
+        geometry.action_sections(promoted.fields)  # refuses a wrong field count
+    slots = [geometry.action_sections(unit_weyl_fields(promoted, i)) for i in range(n)]
+    lefts = [left(first) for first, _ in slots]
     by_mode: dict[Mode, list[tuple[int, np.ndarray]]] = {}
-    for j, u in enumerate(units):
-        for mode, w in right(second(u)).coeffs.items():
+    for j, (_, second) in enumerate(slots):
+        for mode, w in right(second).coeffs.items():
             by_mode.setdefault(mode, []).append((j, w))
     a = promoted.amplitudes
     rows = []
     for ai, lhs in zip(a, lefts):
-        acc = [0.0 + 0.0j] * len(units)
+        acc = [0.0 + 0.0j] * n
         for mode, v in lhs.coeffs.items():
             for j, w in by_mode.get(mode, ()):
                 acc[j] += np.vdot(v, w)
         rows.append([ai * aj * complex(CELL_VOLUME * s) for aj, s in zip(a, acc)])
-    return np.array(rows, dtype=complex).reshape(len(units), len(units))
+    return np.array(rows, dtype=complex).reshape(n, n)
 
 
 def fermionic_action_quadratic(

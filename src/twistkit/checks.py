@@ -956,8 +956,7 @@ def _chk_graded_commutativity(rng, cfg):
     eng = fermionic_action(dbl, op, pro)
     yield abs(eng - eng.degree_part(2))
     yield _fail_unless(abs(eng) > 1e-6)
-    plain = dbl.h_r_section(list(w))
-    yield abs(twisted_pairing(dbl, op, plain, plain))
+    yield abs(twisted_pairing(dbl, op, *dbl.action_sections(w)))
 
 
 @check(

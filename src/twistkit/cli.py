@@ -377,19 +377,9 @@ def cmd_action(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dispersion(args) -> int:
-    p = parse_vector(args.p, 4, "--p")
-    f = parse_vector(args.f, 4, "--f")
-    if args.f0 is not None:
-        f = (_finite(float(args.f0), "--f0"),) + f[1:]
-    g = parse_vector(args.g, 4, "--g")
-    d = parse_complex(args.d, "--d")
-    boost = None
-    if args.kind in BOOSTED_KINDS:
-        axis = parse_axis(args.axis)
-        boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), axis)
-    problem = PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost)
-    overflow = f"the {args.kind} system overflows double precision at these inputs"
+def checked_solve(problem: PlaneWaveProblem):
+    """``problem.solve()``; a system that overflows double precision is a usage error."""
+    overflow = f"the {problem.kind} system overflows double precision at these inputs"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             result = problem.solve()
@@ -402,6 +392,21 @@ def cmd_dispersion(args) -> int:
     ):
         if not np.all(np.isfinite(value)):
             raise UsageError(f"{overflow} (non-finite {label})")
+    return result
+
+
+def cmd_dispersion(args) -> int:
+    p = parse_vector(args.p, 4, "--p")
+    f = parse_vector(args.f, 4, "--f")
+    if args.f0 is not None:
+        f = (_finite(float(args.f0), "--f0"),) + f[1:]
+    g = parse_vector(args.g, 4, "--g")
+    d = parse_complex(args.d, "--d")
+    boost = None
+    if args.kind in BOOSTED_KINDS:
+        axis = parse_axis(args.axis)
+        boost = SpinBoost(0.5 * parse_rapidity(args.rapidity, "--rapidity"), axis)
+    result = checked_solve(PlaneWaveProblem(kind=args.kind, p=p, f=f, g=g, d=d, boost=boost))
     print(f"kind: {args.kind}")
     print(f"determinant: {_fmt_complex(result.determinant)}")
     print("p0 roots: " + "  ".join(_fmt_complex(r) for r in result.roots))

@@ -28,8 +28,9 @@ Representations are diagonal multiplication operators; twisted commutators,
 fluctuations, gauge transforms and the adjoint action are assembled from
 ``FieldOperator`` primitives so every claimed closed form can be checked
 against the operator route.  Each geometry also names its dressed Dirac
-operator (``dressed_dirac``) and the hand-derived density of its fermionic
-action (``closed_form_action``, plain or boosted).
+operator (``dressed_dirac``), the sections in its action's two slots
+(``action_sections``) and that action's hand-derived density, plain or
+boosted (``closed_form_action``).
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ class _GeometryBase:
     def h_r_section(self, weyl_fields: Sequence[Section]) -> Section:
         """Assemble the R-invariant section from one Weyl field per sector."""
         if len(weyl_fields) != self.n_sectors:
-            raise ValueError(f"expected {self.n_sectors} Weyl fields")
+            raise ValueError(f"{self.n_sectors} Weyl fields required")
         out = Section(self.fiber_dim)
         for s, w in enumerate(weyl_fields):
             if w.fiber_dim != 2:
@@ -380,6 +381,11 @@ class _GeometryBase:
                 blk[4 * s : 4 * s + 2] = blk[4 * s : 4 * s + 2] + v
                 blk[4 * s + 2 : 4 * s + 4] = blk[4 * s + 2 : 4 * s + 4] + v
         return out
+
+    def action_sections(self, fields: Sequence[Section]) -> tuple[Section, Section]:
+        """One R-invariant section, one field per sector, fills both action slots."""
+        section = self.h_r_section(fields)
+        return section, section
 
     def r_defect(self, section: Section) -> float:
         return (self.r_operator.apply(section) - section).max_abs()
@@ -426,6 +432,12 @@ class ManifoldGeometry(_GeometryBase):
     # the dressing -i gamma^mu gamma5 f_mu is the chiral one-form h = f, h' = -f
     one_form_parameters = _GeometryBase.fluctuation_parameters
     one_form_from_parameters = _GeometryBase.fluctuation_from_z
+
+    def action_sections(self, fields: Sequence[Section]) -> tuple[Section, Section]:
+        """Field 0 fills the action's first slot and field 1 its second."""
+        if len(fields) != self.n_weyl_fields:
+            raise ValueError(f"{self.n_weyl_fields} Weyl fields required")
+        return self.h_r_section(fields[:1]), self.h_r_section(fields[1:])
 
     def closed_form_action(self, fields, f, g, boost: SpinBoost | None = None):
         """The hand-derived Weyl density of the action on ``fields``; g is not read."""

@@ -32,6 +32,7 @@ from twistkit.geometries import (
     DoubledGeometry,
     ElectrodynamicsGeometry,
     ManifoldGeometry,
+    _GeometryBase,
 )
 from twistkit.grassmann import GrassmannNumber, pair_coefficient_matrix
 from twistkit.operator_algebra import FieldOperator, function_matrix_sum
@@ -264,18 +265,34 @@ def assert_same_bits(got, expected):
         np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(expected)))
 
 
+def counted_sections(monkeypatch):
+    """The geometries whose ``h_r_section`` is called, one entry per call."""
+    built = []
+    h_r_section = _GeometryBase.h_r_section
+
+    def counted(self, weyl_fields):
+        built.append(self)
+        return h_r_section(self, weyl_fields)
+
+    monkeypatch.setattr(_GeometryBase, "h_r_section", counted)
+    return built
+
+
 class TestRouteIndependence:
     @pytest.mark.parametrize("boosted", [False, True])
     @pytest.mark.parametrize("geo_name", GEO_NAMES)
     def test_route_two_runs_no_route_one_code(self, monkeypatch, geo_name, boosted):
         """Route 2 never integrates through ``_mode_sum``, and it applies J to
-        each left unit and op, then R, to each right unit: 3n applications."""
+        each left unit and op, then R, to each right unit: 3n applications.
+        It builds one section per unit on the sectored spaces, which put the
+        same section in both slots, and two on the manifold."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("route 2 called route-1 code")
 
         for name in ("_mode_sum", "grassmann_inner", "bilinear_integral"):
             monkeypatch.setattr(actions, name, refuse)
+        sections = counted_sections(monkeypatch)
         calls = []
         apply = FieldOperator.apply
 
@@ -297,6 +314,19 @@ class TestRouteIndependence:
         assert len(calls) == 3 * n
         assert sum(c is geo.real_structure for c in calls) == n
         assert sum(c is geo.r_operator for c in calls) == n
+        assert len(sections) == (2 * n if geo_name == "manifold" else n)
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_route_one_builds_each_slot_section_once(self, monkeypatch, geo_name, boosted):
+        sections = counted_sections(monkeypatch)
+        rng = np.random.default_rng(51)
+        geo = geometry_instance(geo_name, rng)
+        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+        boost = _random_boost(rng) if boosted else None
+        value = fermionic_action(geo, geo.dressed_dirac(f, g), promote_weyl_fields(w), boost)
+        assert abs(value) > 1.0
+        assert len(sections) == (2 if geo_name == "manifold" else 1)
 
 
 class TestPromotion:
@@ -399,12 +429,8 @@ class TestBlocksAgainstOracle:
         pro = promote_weyl_fields(w)
         assert pro.n_generators <= 16
         left, right = pairing_slots(geo, geo.dressed_dirac(f, g))
-        if geo.n_sectors == 1:
-            lhs = left(geo.h_r_section(pro.fields[:1]))
-            rhs = right(geo.h_r_section(pro.fields[1:]))
-        else:
-            lhs = left(geo.h_r_section(list(pro.fields)))
-            rhs = right(geo.h_r_section(list(pro.fields)))
+        first, second = geo.action_sections(pro.fields)
+        lhs, rhs = left(first), right(second)
         for integral, conjugate in ((grassmann_inner, True), (bilinear_integral, False)):
             value = integral(lhs, rhs)
             oracle = explicit_integral(lhs, rhs, conjugate)
@@ -436,13 +462,18 @@ class TestOverlappingInputs:
 
     @pytest.mark.parametrize("name", ["manifold", "doubled", "electro"])
     def test_weyl_field_count_fits_the_action(self, name):
+        """Both routes take ``n_weyl_fields`` fields and refuse one too few or
+        too many, also when the fields carry no generators."""
         rng = np.random.default_rng(13)
         geo = geometry_instance(name, rng)
-        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields + 1)
+        n = geo.n_weyl_fields
+        w, f, g = overlapping_action_inputs(rng, n + 1)
         op = geo.dressed_dirac(f, g)
-        assert abs(fermionic_action(geo, op, promote_weyl_fields(w[:-1]))) > 1e-6
-        with pytest.raises(ValueError):
-            fermionic_action(geo, op, promote_weyl_fields(w))
+        for route in (fermionic_action, fermionic_action_quadratic):
+            assert abs(route(geo, op, promote_weyl_fields(w[:-1]))) > 1e-6
+            for fields in (w[: n - 1], w, [Section(2)] * (n + 1)):
+                with pytest.raises(ValueError, match=f"^{n} Weyl fields required$"):
+                    route(geo, op, promote_weyl_fields(fields))
 
 
 class TestClosedForms:

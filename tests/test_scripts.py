@@ -56,6 +56,9 @@ def test_boost_sweep_reduction_columns_are_at_rounding_level(run_script):
         ("dispersion_scan.py", ("--kind", "boosted-weyl")),
         ("run_verification.py", ("--groups", "", "--seeds", "1")),
         ("dispersion_scan.py", ("--steps", "1000000000000")),
+        ("dispersion_scan.py", ("--p", "0,1e308,1e308,0", "--steps", "3")),
+        ("dispersion_scan.py", ("--kind", "dirac", "--d", "1e308", "--steps", "3")),
+        ("run_verification.py", ("--seeds", "1000000000000")),
         ("boost_sweep.py", ("--steps", "1000000000000")),
     ],
 )
