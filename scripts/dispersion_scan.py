@@ -74,9 +74,8 @@ def main(argv=None) -> int:
     print(f"{args.kind}: spatial p {sp}, closed-form roots {[complex(r) for r in probe.roots]}")
     print(f"{'p0':>8}  {'|det|':>10}  {'sigma_min':>10}  kernel")
     for p0, res in grid:
-        smin = np.linalg.svd(res.matrix, compute_uv=False)[-1]
         mark = f"dim {len(res.kernel)}" if res.singular else "-"
-        print(f"{p0:8.3f}  {abs(res.determinant):10.3e}  {smin:10.3e}  {mark}")
+        print(f"{p0:8.3f}  {abs(res.determinant):10.3e}  {res.singular_values[-1]:10.3e}  {mark}")
     for r, res in exact:
         print(f"\nexact root p0 = {complex(r).real:+.6f}: |det| = {abs(res.determinant):.3e}, "
               f"kernel dim {len(res.kernel)}")

@@ -861,8 +861,7 @@ def _chk_finite_part_commutes(rng, cfg):
 
     Draws: 2 normals (mass) + 8 elements.
     """
-    d = complex(rng.standard_normal(), rng.standard_normal())
-    geo = ElectrodynamicsGeometry(d)
+    geo = _electro_geometry(rng)
     fp = geo.dirac_finite_part
     for _ in range(8):
         pa = geo.represent(random_element(rng, 2, cutoff=cfg.mode_cutoff))
@@ -882,8 +881,8 @@ def _chk_finite_space_structure(rng, cfg):
 
     Draws: 2 normals (mass).
     """
-    d = complex(rng.standard_normal(), rng.standard_normal())
-    geo = ElectrodynamicsGeometry(d)
+    geo = _electro_geometry(rng)
+    d = geo.d
     dc = np.conj(d)
     internal = np.array(
         [[0, d, 0, 0], [dc, 0, 0, 0], [0, 0, 0, dc], [0, 0, d, 0]], dtype=complex
@@ -1268,8 +1267,7 @@ def _chk_action_phase_absorption(rng, cfg):
     elements + 8 mode integers).
     """
     for _ in range(2):
-        d = complex(rng.standard_normal(), rng.standard_normal())
-        geo = ElectrodynamicsGeometry(d)
+        geo = _electro_geometry(rng)
         fields, _, _ = overlapping_action_inputs(rng, 8, cutoff=cfg.mode_cutoff)
         s = geo.h_r_section(fields[:4])
         t = geo.h_r_section(fields[4:])

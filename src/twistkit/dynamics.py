@@ -104,22 +104,14 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     return chiral_blocks(upper, lower, -m)
 
 
-def _kernel_basis(matrix: np.ndarray):
-    """Smallest-singular-direction kernel extraction."""
-    _, s, vh = np.linalg.svd(matrix)
-    if s.size == 0:
-        return ()
-    cut = KERNEL_THRESHOLD * max(1.0, float(s[0]))
-    return tuple(vh[i].conj() for i in range(len(s)) if s[i] <= cut)
-
-
 @dataclass(frozen=True)
 class DispersionResult:
     """System matrix at a trial momentum plus its closed-form diagnostics.
 
     ``roots`` are the admissible ``p_0`` values for the supplied spatial
     data (the mass shell); ``kernel`` is the numerically extracted null
-    space of ``matrix``, empty when the trial momentum is off shell.
+    space of ``matrix``, empty when the trial momentum is off shell, and
+    ``singular_values`` are those of the one SVD it came from, descending.
     """
 
     kind: str
@@ -127,6 +119,7 @@ class DispersionResult:
     determinant: complex
     roots: tuple
     kernel: tuple
+    singular_values: np.ndarray
 
     @property
     def singular(self) -> bool:
@@ -134,9 +127,13 @@ class DispersionResult:
 
 
 def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
-    """``matrix`` with its determinant and kernel."""
+    """``matrix`` with its determinant and kernel: the right-singular
+    directions whose singular value is negligible against the largest."""
     determinant = complex(np.linalg.det(matrix))
-    return DispersionResult(kind, matrix, determinant, roots, _kernel_basis(matrix))
+    _, s, vh = np.linalg.svd(matrix)
+    cut = KERNEL_THRESHOLD * max(1.0, float(s[0]))
+    kernel = tuple(vh[i].conj() for i in range(len(s)) if s[i] <= cut)
+    return DispersionResult(kind, matrix, determinant, roots, kernel, s)
 
 
 def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> DispersionResult:
@@ -440,8 +437,7 @@ def _random_solved(
             else None,
         )
         result = problem.solve()
-        s_min = np.linalg.svd(result.matrix, compute_uv=False)[-1]
-        if s_min > 1e-4:
+        if result.singular_values[-1] > 1e-4:
             return problem, result
     raise RuntimeError("could not draw a generic off-shell sample")
 

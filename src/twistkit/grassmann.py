@@ -144,9 +144,6 @@ class GrassmannNumber:
             {k: c for k, c in self.coeffs.items() if len(k) == degree}
         )
 
-    def max_degree(self) -> int:
-        return max((len(k) for k in self.coeffs), default=0)
-
     def __abs__(self) -> float:
         """Largest amplitude modulus; NaN if any amplitude is NaN."""
         moduli = np.fromiter(map(abs, self.coeffs.values()), float, len(self.coeffs))

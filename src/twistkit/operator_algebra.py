@@ -204,16 +204,13 @@ class FieldOperator:
         return out._pruned()
 
     def adjoint(self) -> "FieldOperator":
-        """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms, with the arithmetic of
-        composing each head with its phase: G^+ times the identity (stored in
-        C order, which later products round by, and NaN in the row of an inf
-        entry), and entries summed and pruned per term.  An antilinear
-        A = L K has A^+ = K L^+."""
-        eye = np.eye(self.fiber_dim, dtype=complex)
+        """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms, with G^+ stored in C
+        order (later products round by it) and entries summed and pruned per
+        term.  An antilinear A = L K has A^+ = K L^+."""
         out = FieldOperator(self.fiber_dim, {}, self.antilinear)
         for (k, d), g in self.terms.items():
             mode = negate_mode(k)
-            gab = (((-1.0) ** len(d)) * g.conj().T) @ eye
+            gab = np.ascontiguousarray(((-1.0) ** len(d)) * g.conj().T)
             pushed: dict[DerivIndex, np.ndarray] = {}
             for axes, d_new in _leibniz(d, ()):
                 coeff = _leibniz_coefficient(axes, mode)

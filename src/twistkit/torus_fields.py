@@ -115,16 +115,10 @@ class FourierScalar:
     def real_part(self) -> "FourierScalar":
         return 0.5 * (self + self.conjugate())
 
-    def imag_part(self) -> "FourierScalar":
-        return (-0.5j) * (self - self.conjugate())
-
     def max_abs(self) -> float:
         """Largest coefficient modulus; NaN if any coefficient is NaN."""
         moduli = np.fromiter(map(abs, self.coeffs.values()), float, len(self.coeffs))
         return float(moduli.max(initial=0.0))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return (self - self.conjugate()).max_abs() <= tol
 
     def __call__(self, x: Iterable[float]) -> complex:
         x = np.asarray(x, dtype=float)

@@ -1,5 +1,6 @@
-"""Shared fixtures: one full-registry run serves every test that reads it, and
-one runner serves every test of the command line and of the scripts."""
+"""Shared fixtures: one full-registry run serves every test that reads it, one
+runner serves every test of the command line and of the scripts, and one
+helper runs a registry check wherever a test asserts that check's claim."""
 
 import functools
 import importlib.util
@@ -7,13 +8,14 @@ import subprocess
 import sys
 import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from twistkit import cli
-from twistkit.checks import RunConfig, run_checks
+from twistkit.checks import REGISTRY, RunConfig, reduce_residuals, run_checks
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -21,6 +23,20 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # fresh ones.
 settings.register_profile("replayable", derandomize=True, database=None)
 settings.load_profile("replayable")
+
+SPECS = {spec.check_id: spec for spec in REGISTRY}
+
+
+def check_error(check_id, gate, rng, runs=1):
+    """The error of ``runs`` runs of registry check ``check_id`` on the one
+    stream ``rng``, reduced by the runner's own reduction.  An unknown id is a
+    ``KeyError`` and a gate looser than the check's registry tolerance a
+    ``ValueError``."""
+    spec = SPECS[check_id]
+    if not gate <= spec.tolerance:
+        raise ValueError(f"gate {gate:g} is looser than {check_id}'s {spec.tolerance:g}")
+    cfg = RunConfig()
+    return reduce_residuals(chain.from_iterable(spec.fn(rng, cfg) for _ in range(runs)))
 
 
 @pytest.fixture(scope="session")

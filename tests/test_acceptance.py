@@ -19,20 +19,12 @@ doubled and electrodynamics spaces are the manifold times a finite space of
 KO-dimension 6, so KO-dimension 4 + 6 ≡ 2 (mod 8), where ``JΓ = −ΓJ``.
 """
 
-from itertools import chain
-
 import numpy as np
+import pytest
 
 from twistkit import checks
 from twistkit.actions import random_weyl_fields
-from twistkit.checks import (
-    REGISTRY,
-    SENTINEL_ERROR,
-    RunConfig,
-    reduce_residuals,
-    report_json,
-    run_checks,
-)
+from twistkit.checks import SENTINEL_ERROR, RunConfig, reduce_residuals, report_json, run_checks
 from twistkit.dynamics import weyl_identification
 from twistkit.geometries import (
     DoubledGeometry,
@@ -43,7 +35,7 @@ from twistkit.geometries import (
 )
 from twistkit.torus_fields import FourierScalar, random_scalar
 
-SPECS = {spec.check_id: spec for spec in REGISTRY}
+from conftest import SPECS, check_error
 
 #: criterion -> (gate, {registry check id: runs}).
 BATTERY = {
@@ -93,15 +85,10 @@ def _run_battery(num: int, rng, counts: str, extra: float = 0.0) -> None:
     """Run criterion ``num``'s registry checks and report them with ``extra``.
 
     The residuals of a check's runs are reduced together by the runner's own
-    reduction.  A check that skips counts as a failure.
+    reduction.  A check that yields nothing counts as a failure.
     """
     gate, runs = BATTERY[num]
-    cfg = RunConfig()
-    worst = {}
-    for check_id, n in runs.items():
-        fn = SPECS[check_id].fn
-        error = reduce_residuals(chain.from_iterable(fn(rng, cfg) for _ in range(n)))
-        worst[check_id] = float("inf") if error is None else error
+    worst = {check_id: check_error(check_id, gate, rng, n) for check_id, n in runs.items()}
     listed = ", ".join(f"{cid} x{runs[cid]} {err:.1e}" for cid, err in worst.items())
     _report(num, max(extra, *worst.values()), gate, f"{counts}; {listed}")
 
@@ -112,6 +99,19 @@ def test_battery_names_registered_checks_within_their_gates():
             assert check_id in SPECS
             assert n >= 1
             assert gate <= SPECS[check_id].tolerance, check_id
+
+
+def test_check_runner_refuses_unknown_ids_and_loose_gates():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    tol = SPECS["axioms.ko_signs"].tolerance
+    with pytest.raises(KeyError):
+        check_error("axioms.no_such_check", tol, rng)
+    for gate in (2 * tol, float("nan")):
+        with pytest.raises(ValueError, match="looser"):
+            check_error("axioms.ko_signs", gate, rng)
+    assert rng.bit_generator.state == state
+    assert check_error("axioms.ko_signs", tol, rng) <= tol
 
 
 def test_criterion_01_gamma_tables_and_flip():

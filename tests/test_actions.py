@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 import twistkit.actions as actions
-from twistkit.clifford import IDENTITY_BOOST, PAULI
+from twistkit.clifford import PAULI
 from twistkit.actions import (
     bilinear_integral,
     boosted_pairing,
-    boosted_electro_lagrangian_action,
-    boosted_manifold_lagrangian_action,
     electro_lagrangian_action,
     electro_operator_pieces,
     fermionic_action,
     fermionic_action_quadratic,
     grassmann_inner,
-    manifold_lagrangian_action,
     overlapping_action_inputs,
     pairing_coefficients,
     pairing_slots,
@@ -43,6 +40,8 @@ from twistkit.torus_fields import (
     Section,
     negate_mode,
 )
+
+from conftest import check_error
 
 TOL = 1e-10
 BOOST_TOL = 1e-9
@@ -89,21 +88,6 @@ class TestPairingLemmas:
         eta = geo.h_r_section(w[: geo.n_sectors])
         assert abs(untwisted_pairing(geo, op, eta, eta)) < TOL
 
-    @pytest.mark.parametrize("geo_name", GEO_NAMES)
-    def test_twisted_is_minus_untwisted(self, geo_name):
-        """Inserting R flips the sign of the pairing on R-invariant vectors."""
-        rng = np.random.default_rng(43)
-        geo = geometry_instance(geo_name, rng)
-        for _ in range(3):
-            w, f, g = overlapping_action_inputs(rng, 2 * geo.n_sectors)
-            op = geo.dressed_dirac(f, g)
-            phi = geo.h_r_section(w[: geo.n_sectors])
-            xi = geo.h_r_section(w[geo.n_sectors :])
-            twisted = twisted_pairing(geo, op, phi, xi)
-            plain = untwisted_pairing(geo, op, phi, xi)
-            assert abs(twisted + plain) < TOL
-            assert abs(twisted) > 1.0
-
     def test_twisted_is_minus_untwisted_grassmann(self):
         """Same sign flip for the promoted (anticommuting) evaluation."""
         rng = np.random.default_rng(44)
@@ -116,6 +100,19 @@ class TestPairingLemmas:
         plain = untwisted_pairing(geo, op, eta, eta)
         assert abs(twisted + plain) < TOL
         assert abs(twisted) > 1.0
+
+
+@pytest.mark.parametrize(
+    "check_id, gate, runs",
+    [
+        ("doubled.action_closed_form", TOL, 1),  # twice the single sheet, 2 instances
+        ("actions.printed_factor_conventions", TOL, 1),  # zero-rapidity collapse
+        ("actions.twisted_pairing_antisymmetry", TOL, 3),  # -untwisted, 3 pairs per space
+        ("boost.action_invariance", BOOST_TOL, 3),  # 6 boosts per space
+    ],
+)
+def test_registry_claims(check_id, gate, runs):
+    assert check_error(check_id, gate, np.random.default_rng(48), runs) <= gate
 
 
 class TestPairingCoefficients:
@@ -364,8 +361,8 @@ class TestPromotion:
         op = DOUBLED.dressed_dirac(f, g)
         pro = promote_weyl_fields(w)
         val = fermionic_action(DOUBLED, op, pro)
-        assert val.max_degree() == 2
-        assert abs(val.degree_part(0)) == 0.0
+        assert val.degree_part(2) == val
+        assert abs(val) > 1.0
 
     def test_coefficient_matrix_antisymmetric(self):
         rng = np.random.default_rng(8)
@@ -458,7 +455,7 @@ class TestOverlappingInputs:
             assert set(s.coeffs) == pool
             assert all(v.shape == (4,) and np.all(v != 0) for v in s.coeffs.values())
         assert len(f) == len(g) == 4
-        assert all(c.is_real() for c in f + g)
+        assert all((c - c.conjugate()).max_abs() <= 1e-12 for c in f + g)
 
     @pytest.mark.parametrize("name", ["manifold", "doubled", "electro"])
     def test_weyl_field_count_fits_the_action(self, name):
@@ -525,17 +522,6 @@ class TestManifoldAction:
         assert abs(full - time_only) < TOL
 
 
-class TestDoubledAction:
-    def test_doubling_factor(self):
-        """Each sheet contributes the single-sheet density once."""
-        rng = np.random.default_rng(201)
-        w, f, _ = overlapping_action_inputs(rng, 2)
-        pro = promote_weyl_fields(w)
-        single = fermionic_action(MANIFOLD, MANIFOLD.dressed_dirac(f, None), pro)
-        double = fermionic_action(DOUBLED, DOUBLED.dressed_dirac(f, None), pro)
-        assert abs(double - 2 * single) < TOL
-
-
 _S2 = PAULI[1]
 
 
@@ -588,37 +574,3 @@ class TestElectroAction:
             }
             for name in pieces:
                 assert abs(vals[name] - expected[name]) < TOL, name
-
-
-class TestBoostedActions:
-    @pytest.mark.parametrize("geo_name", GEO_NAMES)
-    def test_boost_invariance(self, geo_name):
-        """Boosting slots and operator together leaves the action unchanged."""
-        rng = np.random.default_rng(400)
-        geo = geometry_instance(geo_name, rng)
-        w, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
-        op = geo.dressed_dirac(f, g)
-        pro = promote_weyl_fields(w)
-        plain = fermionic_action(geo, op, pro)
-        for _ in range(5):
-            boost = _random_boost(rng)
-            boosted = fermionic_action(geo, op, pro, boost=boost)
-            assert abs(boosted - plain) < BOOST_TOL
-
-    def test_identity_boost_reduces_to_plain_density(self):
-        """At zero rapidity the boosted densities collapse to the plain ones,
-        including the cancellation of the spatial potential components."""
-        rng = np.random.default_rng(404)
-        w, f, g = overlapping_action_inputs(rng, 4)
-        pro2 = promote_weyl_fields(w[:2])
-        b_man = boosted_manifold_lagrangian_action(
-            pro2.fields[0], pro2.fields[1], f, IDENTITY_BOOST
-        )
-        p_man = manifold_lagrangian_action(pro2.fields[0], pro2.fields[1], f[0])
-        assert abs(b_man - p_man) < TOL
-
-        d = 0.4 + 0.9j
-        pro4 = promote_weyl_fields(w)
-        b_el = boosted_electro_lagrangian_action(pro4.fields, f, g, d, IDENTITY_BOOST)
-        p_el = electro_lagrangian_action(pro4.fields, f, g, d)
-        assert abs(b_el - p_el) < TOL

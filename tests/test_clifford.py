@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from twistkit import clifford as cl
 
+from conftest import check_error
+
 TOL = 1e-14
 
 rapidities = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -28,28 +30,9 @@ class TestGammaMatrices:
         alt = cl.GAMMA[1] @ cl.GAMMA[2] @ cl.GAMMA[3] @ cl.GAMMA[0]
         np.testing.assert_allclose(alt, cl.GAMMA5, atol=TOL)
 
-    def test_euclidean_anticommutators(self):
-        for mu in range(4):
-            for nu in range(mu, 4):
-                expected = 2.0 * (mu == nu) * cl.I4
-                got = cl.anticommutator(cl.GAMMA[mu], cl.GAMMA[nu])
-                np.testing.assert_allclose(got, expected, atol=TOL)
-
-    def test_minkowski_anticommutators(self):
-        for mu in range(4):
-            for nu in range(mu, 4):
-                expected = 2.0 * cl.ETA[mu, nu] * cl.I4
-                got = cl.anticommutator(cl.GAMMA_M[mu], cl.GAMMA_M[nu])
-                np.testing.assert_allclose(got, expected, atol=TOL)
-
     def test_gammas_self_adjoint(self):
         for mu in range(4):
             np.testing.assert_allclose(cl.GAMMA[mu], cl.GAMMA[mu].conj().T, atol=TOL)
-
-    def test_twist_flips_spatial_gammas(self):
-        np.testing.assert_allclose(cl.twist_gamma(0), cl.GAMMA[0], atol=TOL)
-        for j in (1, 2, 3):
-            np.testing.assert_allclose(cl.twist_gamma(j), -cl.GAMMA[j], atol=TOL)
 
     def test_block_sum_and_difference(self):
         for mu in range(4):
@@ -61,6 +44,14 @@ class TestGammaMatrices:
             else:
                 np.testing.assert_allclose(s, 0 * cl.I2, atol=TOL)
                 np.testing.assert_allclose(d, -2j * cl.PAULI[mu - 1], atol=TOL)
+
+
+@pytest.mark.parametrize(
+    "check_id", ["clifford.euclidean_anticommutators", "clifford.minkowski_anticommutators"]
+)
+def test_registry_claims(check_id):
+    # both gamma tables; the grading twist flips the spatial gammas
+    assert check_error(check_id, TOL, np.random.default_rng(50)) <= TOL
 
 
 class TestSpinBoost:

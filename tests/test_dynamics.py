@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from twistkit import dynamics as dyn
 from twistkit.clifford import IDENTITY_BOOST, SpinBoost, boost_covector
 
+from conftest import check_error
+
 EL_TOL = 1e-12
 DISPERSION_TOL = 1e-9
 COVARIANCE_TOL = 1e-9
@@ -347,60 +349,18 @@ class TestIdentification:
             dyn.kernel_covariance(problem)
 
 
-class TestKernelBoostCovariance:
-    @pytest.mark.parametrize("handed", ["left", "right"])
-    def test_weyl_transport(self, handed):
-        rng = np.random.default_rng(61)
-        for _ in range(5):
-            boost = dyn._random_boost(rng)  # vector rapidity up to 2
-            f_spatial = rng.normal(0.0, 1.0, 3)
-            problem = dyn.on_shell(f"boosted-weyl-{handed}", f_spatial, boost=boost)
-            assert dyn.kernel_covariance(problem) < COVARIANCE_TOL
-
-    @pytest.mark.parametrize("primed", [False, True])
-    def test_dirac_transport(self, primed):
-        rng = np.random.default_rng(62)
-        for _ in range(5):
-            boost = dyn._random_boost(rng)
-            f_spatial = rng.normal(0.0, 1.0, 3)
-            g = rng.normal(0.0, 1.0, 4)
-            mass = abs(rng.normal()) + 0.3
-            kind = "boosted-dirac-primed" if primed else "boosted-dirac"
-            problem = dyn.on_shell(kind, f_spatial, g=g, mass=mass, boost=boost)
-            assert dyn.kernel_covariance(problem) < COVARIANCE_TOL
+@pytest.mark.parametrize(
+    "check_id, gate, runs",
+    [
+        ("dynamics.kernel_boost_covariance", COVARIANCE_TOL, 2),  # 6 boosts per kind
+        ("dynamics.euler_lagrange_consistency", EL_TOL, 4),  # 12 spinors per kind
+    ],
+)
+def test_registry_claims(check_id, gate, runs):
+    assert check_error(check_id, gate, np.random.default_rng(49), runs) <= gate
 
 
 class TestEulerLagrangeConsistency:
-    def test_weyl_branches(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            psi = rng.normal(0.0, 1.0, 2) + 1j * rng.normal(0.0, 1.0, 2)
-            p = rng.normal(0.0, 1.0, 4)
-            f = (rng.normal(), 0.0, 0.0, 0.0)
-            assert dyn.euler_lagrange_check("weyl-left", psi, p, f=f) < EL_TOL
-            assert dyn.euler_lagrange_check("weyl-right", psi, p, f=f) < EL_TOL
-
-    @pytest.mark.parametrize("kind", ["dirac", "dirac-primed"])
-    def test_coupled_pair(self, kind):
-        rng = np.random.default_rng(72)
-        for _ in range(10):
-            psi = rng.normal(0.0, 1.0, 4) + 1j * rng.normal(0.0, 1.0, 4)
-            p = rng.normal(0.0, 1.0, 4)
-            f = (rng.normal(), 0.0, 0.0, 0.0)
-            g = (0.0, *rng.normal(0.0, 1.0, 3))
-            d = complex(rng.normal(), rng.normal())
-            assert dyn.euler_lagrange_check(kind, psi, p, f=f, g=g, d=d) < EL_TOL
-
-    def test_boosted_weyl(self):
-        rng = np.random.default_rng(73)
-        for _ in range(10):
-            boost = dyn._random_boost(rng)
-            psi = rng.normal(0.0, 1.0, 4) + 1j * rng.normal(0.0, 1.0, 4)
-            p = rng.normal(0.0, 1.0, 4)
-            f = tuple(rng.normal(0.0, 1.0, 4))
-            residual = dyn.euler_lagrange_check("boosted-weyl", psi, p, f=f, boost=boost)
-            assert residual < EL_TOL
-
     def test_massless_flat_system_is_weyl_pair(self):
         rng = np.random.default_rng(74)
         p = rng.normal(0.0, 1.0, 4)

@@ -16,16 +16,15 @@ from twistkit.geometries import (
     wave_phase,
 )
 from twistkit.actions import electro_operator_pieces
-from twistkit.checks import REGISTRY, RunConfig, reduce_residuals
 from twistkit.clifford import PAULI, SpinBoost
 from twistkit.operator_algebra import (
     FieldOperator,
-    commutator,
-    function_matrix_sum,
     normal_form_distance,
     operator_equal,
 )
 from twistkit.torus_fields import FourierScalar, random_scalar, random_section
+
+from conftest import check_error
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -38,8 +37,6 @@ GEOMETRY_FACTORIES = {
 
 GEO_PARAMS = pytest.mark.parametrize("geo_name", sorted(GEOMETRY_FACTORIES))
 
-SPECS = {spec.check_id: spec for spec in REGISTRY}
-
 
 @pytest.fixture(params=sorted(GEOMETRY_FACTORIES), name="geo")
 def _geo(request):
@@ -47,36 +44,9 @@ def _geo(request):
 
 
 class TestAxioms:
-    def test_real_structure_squares_to_minus_one(self, geo):
-        j = geo.real_structure
-        minus_id = FieldOperator.identity(geo.fiber_dim).scale(-1.0)
-        assert normal_form_distance(j @ j, minus_id) < 1e-14
-
-    def test_real_structure_commutes_with_dirac(self, geo):
-        j = geo.real_structure
-        d = geo.dirac
-        assert normal_form_distance(j @ d, d @ j) < 1e-14
-
-    def test_real_structure_grading_sign(self, geo):
-        # single sector commutes; an internal swap with odd grading flips it
-        sign = geo.ko_signs[2]
-        j = geo.real_structure
-        g = FieldOperator.from_matrix(geo.grading_matrix)
-        assert normal_form_distance(j @ g, (g @ j).scale(sign)) < 1e-14
-
-    def test_real_structure_anticommutes_with_r(self, geo):
-        j = geo.real_structure
-        r = geo.r_operator
-        assert normal_form_distance(j @ r, (r @ j).scale(-1.0)) < 1e-14
-
-    def test_r_is_selfadjoint_involution(self, geo):
-        r = geo.r_matrix
-        assert np.allclose(r @ r, np.eye(geo.fiber_dim), atol=1e-14)
-        assert np.allclose(r, r.conj().T, atol=1e-14)
-
     def test_r_is_gamma0_in_every_sector(self, geo):
         # gamma^0 of the chiral basis, written out: any other self-adjoint
-        # involution that anticommutes with J and Gamma passes the tests above
+        # involution that anticommutes with J and Gamma passes axioms.ko_signs
         gamma0 = np.array(
             [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
         )
@@ -85,31 +55,12 @@ class TestAxioms:
         literal = FieldOperator.from_matrix(expected)
         assert normal_form_distance(geo.r_operator, literal) == 0.0
 
-    def test_grading_squares_to_one_and_anticommutes_with_dirac(self, geo):
-        g = geo.grading_matrix
-        assert np.allclose(g @ g, np.eye(geo.fiber_dim), atol=1e-14)
-        g_op = FieldOperator.from_matrix(g)
-        d = geo.dirac
-        assert normal_form_distance(g_op @ d, (d @ g_op).scale(-1.0)) < 1e-14
-
     def test_sign_and_grading_checks_are_exact(self):
         # J^2 = -1, JD = DJ, the KO grading sign, JR = -RJ, R a self-adjoint
         # involution, Gamma^2 = 1 and Gamma D = -D Gamma on all three spaces.
         rng = np.random.default_rng(46)
         for check_id in ("axioms.ko_signs", "axioms.grading_relations"):
-            error = reduce_residuals(SPECS[check_id].fn(rng, RunConfig()))
-            assert error is not None and error <= 1e-14, (check_id, error)
-
-    @GEO_PARAMS
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_representation_is_even(self, geo_name, seed):
-        geo = GEOMETRY_FACTORIES[geo_name]()
-        rng = np.random.default_rng(seed)
-        a = random_element(rng, geo.n_slots)
-        g_op = FieldOperator.from_matrix(geo.grading_matrix)
-        pa = geo.represent(a)
-        assert normal_form_distance(g_op @ pa, pa @ g_op) < 1e-12
+            assert check_error(check_id, 1e-14, rng) <= 1e-14, check_id
 
     @GEO_PARAMS
     @given(seeds)
@@ -122,44 +73,21 @@ class TestAxioms:
         rhs = geo.twist(geo.represent(a))
         assert normal_form_distance(lhs, rhs) < 1e-12
 
-    @GEO_PARAMS
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_representation_homomorphism_and_star(self, geo_name, seed):
-        geo = GEOMETRY_FACTORIES[geo_name]()
-        rng = np.random.default_rng(seed)
-        a = random_element(rng, geo.n_slots)
-        b = random_element(rng, geo.n_slots)
-        assert normal_form_distance(
-            geo.represent(a * b), geo.represent(a) @ geo.represent(b)
-        ) < 1e-12
-        assert normal_form_distance(
-            geo.represent(a.star()), geo.represent(a).adjoint()
-        ) < 1e-12
 
-    @GEO_PARAMS
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_order_zero_condition(self, geo_name, seed):
-        geo = GEOMETRY_FACTORIES[geo_name]()
-        rng = np.random.default_rng(seed)
-        a = random_element(rng, geo.n_slots)
-        b = random_element(rng, geo.n_slots)
-        b_opp = geo.real_conjugate(geo.represent(b))
-        assert commutator(geo.represent(a), b_opp).max_abs() < 1e-12
-
-    @GEO_PARAMS
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_twisted_first_order_condition(self, geo_name, seed):
-        geo = GEOMETRY_FACTORIES[geo_name]()
-        rng = np.random.default_rng(seed)
-        a = random_element(rng, geo.n_slots)
-        b = random_element(rng, geo.n_slots)
-        t = geo.twisted_commutator(a)
-        b_opp = geo.real_conjugate(geo.represent(b))
-        resid = t @ b_opp - geo.twist(b_opp) @ t
-        assert resid.max_abs() < 1e-12
+@pytest.mark.parametrize(
+    "check_id, gate, runs",
+    [
+        ("axioms.grading_relations", 1e-12, 5),  # evenness: 10 elements per space
+        ("axioms.full_axiom_suite", 1e-12, 2),  # homomorphism, star: 12-14 pairs per space
+        ("axioms.order_zero", 1e-12, 3),  # 12 pairs per space
+        ("axioms.twisted_first_order", 1e-12, 3),  # 12 pairs per space
+        ("electrodynamics.finite_part_commutes", 0.0, 1),  # exactly, 8 elements
+        ("gauge.potential_shift_laws", 1e-12, 10),  # 10 phases per law
+        ("gauge.adjoint_action", 1e-12, 1),
+    ],
+)
+def test_registry_claims(check_id, gate, runs):
+    assert check_error(check_id, gate, np.random.default_rng(47), runs) <= gate
 
 
 class TestManifoldForms:
@@ -452,129 +380,7 @@ class TestDressedDirac:
         assert normal_form_distance(vector, expected) <= 1e-12
 
 
-class TestElectroFinitePart:
-    def test_finite_commutator_vanishes_exactly(self):
-        rng = np.random.default_rng(42)
-        geo = ElectrodynamicsGeometry(d=1.3 + 0.4j)
-        for _ in range(5):
-            a = random_element(rng, 2)
-            t = (
-                geo.dirac_finite_part @ geo.represent(a)
-                - geo.twist(geo.represent(a)) @ geo.dirac_finite_part
-            )
-            assert t.max_abs() == 0.0
-
-
 class TestGauge:
-    @given(seeds)
-    @settings(max_examples=10, deadline=None)
-    def test_manifold_gauge_law(self, seed):
-        geo = ManifoldGeometry()
-        rng = np.random.default_rng(seed)
-        k = tuple(int(v) for v in rng.integers(-2, 3, size=4))
-        kp = tuple(int(v) for v in rng.integers(-2, 3, size=4))
-        u = geo.element(wave_phase(k, 0.3), wave_phase(kp, -1.1))
-        assert u.unitarity_defect() < 1e-12
-        omega = geo.one_form([(random_element(rng, 1), random_element(rng, 1))])
-        h, hp = geo.one_form_parameters(omega)
-        h2, hp2 = geo.one_form_parameters(geo.gauge_transformed(omega, u))
-        for mu in range(4):
-            shift = FourierScalar.constant(-1j * k[mu])
-            shift_p = FourierScalar.constant(-1j * kp[mu])
-            assert (h2[mu] - h[mu] - shift).max_abs() < 1e-12
-            assert (hp2[mu] - hp[mu] - shift_p).max_abs() < 1e-12
-
-    @given(seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_sectored_gauge_law(self, seed):
-        rng = np.random.default_rng(seed)
-        for geo in (DoubledGeometry(), ElectrodynamicsGeometry(d=0.5 + 0.2j)):
-            ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-            kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-            kap = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-            kbp = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-            u = geo.element(
-                (wave_phase(ka, 0.2), wave_phase(kb, 0.7)),
-                (wave_phase(kap, -0.4), wave_phase(kbp, 1.5)),
-            )
-            omega = geo.one_form(
-                [(random_element(rng, 2), random_element(rng, 2))]
-            )
-            z, zp = geo.fluctuation_parameters(geo.fluctuation(omega))
-            gauged = geo.gauge_transformed(omega, u)
-            z2, zp2 = geo.fluctuation_parameters(geo.fluctuation(gauged))
-            for mu in range(4):
-                # theta = alpha - beta', theta' = alpha' - beta
-                shift = FourierScalar.constant(-1j * (ka[mu] - kbp[mu]))
-                shift_p = FourierScalar.constant(-1j * (kap[mu] - kb[mu]))
-                assert (z2[mu] - z[mu] - shift).max_abs() < 1e-12
-                assert (zp2[mu] - zp[mu] - shift_p).max_abs() < 1e-12
-
-    @given(seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_matched_phase_preserves_potential_f(self, seed):
-        # theta = theta' leaves f alone and shifts g by -dtheta
-        rng = np.random.default_rng(seed)
-        geo = ElectrodynamicsGeometry(d=-1j)
-        ka = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        kb = tuple(int(v) for v in rng.integers(-1, 2, size=4))
-        u = geo.element(
-            (wave_phase(ka), wave_phase(kb)),
-            (wave_phase(ka), wave_phase(kb)),
-        )
-        f = [random_scalar(rng, real=True) for _ in range(4)]
-        g = [random_scalar(rng, real=True) for _ in range(4)]
-        # build a one-form whose fluctuation realizes (f, g), then gauge it
-        fluct = geo.selfadjoint_fluctuation(f, g)
-        z, zp = geo.fluctuation_parameters(fluct)
-        gauged_z = [
-            z[mu] + FourierScalar.constant(-1j * (ka[mu] - kb[mu]))
-            for mu in range(4)
-        ]
-        gauged = geo.fluctuation_from_z(
-            gauged_z, [(-1.0) * c.conjugate() for c in gauged_z]
-        )
-        f2, g2 = geo.vector_potentials(gauged)
-        for mu in range(4):
-            assert (f2[mu] - f[mu]).max_abs() < 1e-12
-            expected = g[mu] + FourierScalar.constant(-(ka[mu] - kb[mu]))
-            assert (g2[mu] - expected).max_abs() < 1e-12
-
-    def test_manifold_adjoint_action_trivial(self):
-        geo = ManifoldGeometry()
-        u = geo.element(wave_phase((1, 0, -2, 0), 0.9), wave_phase((0, 3, 0, 1)))
-        cmp = operator_equal(
-            geo.adjoint_action(u), FieldOperator.identity(4), probe_cutoff=2
-        )
-        assert cmp.equal
-
-    def test_sectored_adjoint_action_phases(self):
-        for geo in (DoubledGeometry(), ElectrodynamicsGeometry(d=-1j)):
-            ka, kb = (1, 0, 0, -1), (0, 2, 0, 0)
-            kap, kbp = (0, 1, 1, 0), (-1, 0, 2, 0)
-            u = geo.element(
-                (wave_phase(ka), wave_phase(kb)),
-                (wave_phase(kap), wave_phase(kbp)),
-            )
-            theta = wave_phase(ka) * wave_phase(kbp).conjugate()
-            theta_p = wave_phase(kap) * wave_phase(kb).conjugate()
-            block = [theta, theta, theta_p, theta_p]
-            block_swap = [theta_p, theta_p, theta, theta]
-            if geo.n_sectors == 2:
-                entries = block + [c.conjugate() for c in block]
-            else:
-                entries = (
-                    block
-                    + block_swap
-                    + [c.conjugate() for c in block]
-                    + [c.conjugate() for c in block_swap]
-                )
-            expected = function_matrix_sum(
-                geo.fiber_dim,
-                [(np.diag(u), c) for u, c in zip(np.eye(geo.fiber_dim), entries)],
-            )
-            assert normal_form_distance(geo.adjoint_action(u), expected) < 1e-12
-
     def test_matched_adjoint_action_commutes_with_r(self):
         geo = DoubledGeometry()
         u = geo.element(

@@ -78,7 +78,7 @@ class TestAlgebra:
         assert g.degree_part(0).coefficient(()) == 3.0
         assert g.degree_part(1).coefficient((0,)) == 2.0
         assert g.degree_part(2).coefficient((0, 1)) == 5.0
-        assert g.max_degree() == 2
+        assert g.degree_part(0) + g.degree_part(1) + g.degree_part(2) == g
 
     def test_abs_propagates_nan_in_any_insertion_order(self):
         nan_term = ((0, 2), np.nan)

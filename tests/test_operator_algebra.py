@@ -588,13 +588,30 @@ class TestReferenceArithmetic:
     @pytest.mark.parametrize("antilinear", [False, True])
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_adjoint_matches_reference(self, n, antilinear, nonfinite):
+        """G^+ is copied, not multiplied by the identity as in the reference,
+        so a non-finite entry stays at its transposed place in every term it
+        reaches instead of spreading over its row.  Every other entry is the
+        reference's on the operator with the non-finite entries zeroed, and
+        the result is unequal to itself and to the reference's."""
         rng = np.random.default_rng(100 * n + 10 * antilinear + nonfinite)
         op = oracle_operator(rng, n, antilinear, nonfinite)
+        finite = {key: np.where(np.isfinite(g), g, 0.0) for key, g in op.terms.items()}
+        expected = _adjoint_reference(FieldOperator(n, finite, antilinear))
         with np.errstate(invalid="ignore"):
-            expected = _adjoint_reference(op)
             got = op.adjoint()
         assert len(expected.terms) > len(op.terms)  # derivatives pushed through phases
+        spread = np.zeros((n, n), dtype=bool)
+        spread[n - 1, 0] = spread[0, n - 1] = nonfinite
+        reached = np.zeros_like(spread)
+        for key, g in got.terms.items():
+            reached |= ~np.isfinite(g)
+            g[~np.isfinite(g)] = expected.terms[key][~np.isfinite(g)]
+        assert np.array_equal(reached, spread)
         assert_same_normal_form(got, expected)
+        if nonfinite:
+            with np.errstate(invalid="ignore"):
+                for other in (op.adjoint(), _adjoint_reference(op)):
+                    assert not operator_equal(op.adjoint(), other, probe_cutoff=1).equal
 
     @pytest.mark.parametrize("nonfinite", [False, True])
     @pytest.mark.parametrize("linearity", ["ll", "la", "al", "aa"])
