@@ -35,7 +35,7 @@ import numpy as np
 
 from .clifford import PAULI, SpinBoost
 from .grassmann import GrassmannNumber, antisymmetric_pair_form
-from .operator_algebra import FieldOperator, function_matrix_sum
+from .operator_algebra import FieldOperator
 from .torus_fields import (
     CELL_VOLUME,
     ZERO_MODE,
@@ -253,14 +253,43 @@ def route_spread(*values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mult2(matrix: np.ndarray, f: FourierScalar) -> FieldOperator:
-    return function_matrix_sum(2, [(matrix, f)])
+_EYE2 = np.eye(2, dtype=complex)
 
 
-def _deriv2(matrix: np.ndarray, mu: int) -> FieldOperator:
-    return FieldOperator.from_matrix(np.asarray(matrix, dtype=complex)) @ (
-        FieldOperator.derivative(2, mu)
-    )
+def _deriv_term(matrix: np.ndarray, mu: int):
+    """The term ``matrix d_mu``, rounded as ``from_matrix(matrix) @ derivative(2, mu)``."""
+    return (ZERO_MODE, (mu,)), (1.0 + 0.0j) * (matrix @ _EYE2)
+
+
+def _mult_terms(matrix: np.ndarray, f: FourierScalar):
+    """The terms of ``matrix f(x)``, rounded as ``function_matrix_sum`` rounds them."""
+    return [((k, ()), 0.0 + c * matrix) for k, c in f.coeffs.items()]
+
+
+#: Per spatial axis j: the term ``s2 sigma_j d_j`` and the matrix ``i s2 sigma_j``.
+_SPATIAL = tuple(
+    (_deriv_term(_S2 @ PAULI[j - 1], j), 1j * (_S2 @ PAULI[j - 1])) for j in (1, 2, 3)
+)
+
+
+def _summed(start, batches=()) -> FieldOperator:
+    """The fiber-two operator that ``+`` builds from the terms ``start``, then
+    each batch of ``(key, matrix)`` pieces: a new key stores its matrix, a
+    present one adds to its own, and each batch ends by dropping the exactly
+    zero keys touched since the last, so a key filled again sits at the end."""
+    terms = dict(start)
+    touched = list(terms)
+    for batch in batches:
+        for key, g in batch:
+            terms[key] = terms[key] + g if key in terms else g
+            touched.append(key)
+        for key in touched:
+            if key in terms and not np.count_nonzero(terms[key]):
+                del terms[key]
+        touched = []
+    op = FieldOperator(2)
+    op.terms = terms
+    return op
 
 
 def covariant_weyl_density_operators(
@@ -268,14 +297,13 @@ def covariant_weyl_density_operators(
 ) -> tuple[FieldOperator, FieldOperator]:
     """``s2 (i f0 -+ sigma_j (d_j - i g_j))`` for the two chirality branches;
     at ``g = 0`` the first is the single-sheet density kernel."""
-    op_minus = _mult2(1j * _S2, f0)
-    op_plus = _mult2(1j * _S2, f0)
-    for j in (1, 2, 3):
-        sj = _S2 @ PAULI[j - 1]
-        cov_j = _deriv2(sj, j) - _mult2(1j * sj, g[j])
-        op_minus = op_minus - cov_j
-        op_plus = op_plus + cov_j
-    return op_minus, op_plus
+    start = _mult_terms(1j * _S2, f0)
+    covariant = []  # per j, the nonzero terms of s2 sigma_j (d_j - i g_j)
+    for j, (deriv, isj) in enumerate(_SPATIAL, start=1):
+        pieces = [deriv] + [(key, -1.0 * m) for key, m in _mult_terms(isj, g[j])]
+        covariant.append([(key, m) for key, m in pieces if np.count_nonzero(m)])
+    op_minus = _summed(start, [[(key, -1.0 * m) for key, m in cov] for cov in covariant])
+    return op_minus, _summed(start, covariant)
 
 
 def boosted_weyl_density_operators(
@@ -283,14 +311,13 @@ def boosted_weyl_density_operators(
 ) -> tuple[FieldOperator, FieldOperator]:
     """``st_L^mu (d_mu + f_mu - i g_mu)`` and ``s_L^mu (d_mu - f_mu - i g_mu)``
     (no s2 factor; that lives in the first-slot row transformations)."""
-    op_left = FieldOperator.zero(2)
-    op_right = FieldOperator.zero(2)
+    left, right = [], []
     for mu in range(4):
         st = boost.sigma_tilde_boosted(mu)
         sb = boost.sigma_boosted(mu)
-        op_left = op_left + _deriv2(st, mu) + _mult2(st, f[mu] - 1j * g[mu])
-        op_right = op_right + _deriv2(sb, mu) + _mult2(sb, -f[mu] - 1j * g[mu])
-    return op_left, op_right
+        left.append([_deriv_term(st, mu), *_mult_terms(st, f[mu] - 1j * g[mu])])
+        right.append([_deriv_term(sb, mu), *_mult_terms(sb, -f[mu] - 1j * g[mu])])
+    return _summed((), left), _summed((), right)
 
 
 def manifold_lagrangian_action(phi_w: Section, zeta_w: Section, f0: FourierScalar):
@@ -418,15 +445,13 @@ def boosted_electro_lagrangian_action(
 
 def weyl_derivative_form(phi_w: Section, zeta_w: Section):
     """``2 int phi^T s2 sigma_j d_j zeta`` - the kinetic sub-density."""
-    op = FieldOperator.zero(2)
-    for j in (1, 2, 3):
-        op = op + _deriv2(_S2 @ PAULI[j - 1], j)
+    op = _summed((), [[deriv for deriv, _ in _SPATIAL]])
     return 2 * bilinear_integral(phi_w, op.apply(zeta_w))
 
 
 def weyl_potential_form(phi_w: Section, zeta_w: Section, f0: FourierScalar):
     """``-2i int f0 phi^T s2 zeta`` - the chiral-potential sub-density."""
-    return -2j * bilinear_integral(phi_w, _mult2(_S2, f0).apply(zeta_w))
+    return -2j * bilinear_integral(phi_w, _summed(_mult_terms(_S2, f0)).apply(zeta_w))
 
 
 def electro_operator_pieces(geometry, f, g) -> dict[str, FieldOperator]:

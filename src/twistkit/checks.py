@@ -798,11 +798,12 @@ def _chk_doubled_action_closed_form(rng, cfg):
         yield abs(eng - 2 * single)
 
 
-def _selfadjoint_agreement(geo, fl) -> float:
+def _selfadjoint_agreement(geo, fl, adjoint=None) -> float:
     """The sentinel unless the operator and parameter self-adjointness tests
-    of ``fl`` agree at 1e-9; a NaN defect on either side fails."""
+    of ``fl`` agree at 1e-9; a NaN defect on either side fails.  ``adjoint``
+    is ``fl.adjoint()`` when the caller has it already."""
     z, zp = geo.fluctuation_parameters(fl)
-    op_defect = (fl - fl.adjoint()).max_abs()
+    op_defect = (fl - (fl.adjoint() if adjoint is None else adjoint)).max_abs()
     par_defect = selfadjoint_defect_parameters(z, zp)
     if np.isnan([op_defect, par_defect]).any():
         return SENTINEL_ERROR
@@ -828,8 +829,9 @@ def _chk_selfadjoint_fluctuations(rng, cfg):
     for geo in (dbl, elec):
         for _ in range(20):
             fl = geo.fluctuation(_random_one_form(rng, geo, 1))
-            yield _selfadjoint_agreement(geo, fl)
-            sym = fl + fl.adjoint()
+            adjoint = fl.adjoint()
+            yield _selfadjoint_agreement(geo, fl, adjoint)
+            sym = fl + adjoint
             zs, zps = geo.fluctuation_parameters(sym)
             yield selfadjoint_defect_parameters(zs, zps)
         for _ in range(10):
@@ -995,13 +997,12 @@ def _chk_operator_composition(rng, cfg):
 
     Draws: 3 rounds x (1 Weyl field + 8 normals for matrices).
     """
-    from .actions import _deriv2
-
+    d_0, d_2 = FieldOperator.derivative(2, 0), FieldOperator.derivative(2, 2)
     for _ in range(3):
         w = random_weyl_fields(rng, 1, cutoff=1)[0]
         m1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        op = FieldOperator.from_matrix(m1) + _deriv2(m2, 2)
+        op = FieldOperator.from_matrix(m1) + FieldOperator.from_matrix(m2) @ d_2
         pro = promote_weyl_fields([w])
         applied = op.apply(pro.fields[0])
         rebuilt = Section(2)
@@ -1011,7 +1012,7 @@ def _chk_operator_composition(rng, cfg):
                 2, {k: np.outer(v, column) for k, v in piece.coeffs.items()}
             )
         yield (applied - rebuilt).max_abs()
-        op2 = FieldOperator.from_matrix(m2) + _deriv2(m1, 0)
+        op2 = FieldOperator.from_matrix(m2) + FieldOperator.from_matrix(m1) @ d_0
         yield ((op @ op2).apply(pro.fields[0]) - op.apply(op2.apply(pro.fields[0]))).max_abs()
 
 

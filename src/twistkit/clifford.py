@@ -84,7 +84,7 @@ def twist_gamma(mu: int) -> np.ndarray:
     return GAMMA0 @ GAMMA[mu] @ GAMMA0
 
 
-def _pauli_components(x: np.ndarray) -> np.ndarray:
+def pauli_components(x: np.ndarray) -> np.ndarray:
     """Coefficients (c_0, c_1, c_2, c_3) of x = c_0 I + sum_j c_j sigma_j.
 
     A stack of blocks (..., 2, 2) gives the coefficients along the last axis.
@@ -191,7 +191,7 @@ def lorentz_matrix(boost: SpinBoost) -> np.ndarray:
         x = boost.sigma_tilde_boosted(mu)
         if mu != 0:
             x = 1j * x
-        c = _pauli_components(x)
+        c = pauli_components(x)
         lam_tilde[mu, 0] = c[0]
         lam_tilde[mu, 1:] = -c[1:]
 
@@ -199,7 +199,7 @@ def lorentz_matrix(boost: SpinBoost) -> np.ndarray:
         y = boost.sigma_boosted(mu)
         if mu != 0:
             y = 1j * y
-        c = _pauli_components(y)
+        c = pauli_components(y)
         lam_sigma[mu, 0] = c[0]
         lam_sigma[mu, 1:] = c[1:]
 

@@ -55,7 +55,7 @@ from .clifford import (
     GAMMA5,
     PAULI,
     SpinBoost,
-    _pauli_components,
+    pauli_components,
 )
 from .operator_algebra import FieldOperator, function_matrix_sum, twisted_commutator
 from .torus_fields import FourierScalar, Mode, Section, random_scalar
@@ -143,8 +143,8 @@ def chiral_vector_parameters(
         raise ValueError("operator has derivative terms; not a one-form")
     modes = [k for k, _ in op.terms]
     blocks = np.stack(list(op.terms.values())) if modes else np.zeros((0, 4, 4))
-    c = _pauli_components(blocks[:, 2:4, 0:2])
-    cp = _pauli_components(blocks[:, 0:2, 2:4])
+    c = pauli_components(blocks[:, 2:4, 0:2])
+    cp = pauli_components(blocks[:, 0:2, 2:4])
     vals_h = (1j * c[:, 0], c[:, 1], c[:, 2], c[:, 3])
     vals_hp = (1j * cp[:, 0], -cp[:, 1], -cp[:, 2], -cp[:, 3])
     return tuple(
@@ -408,12 +408,21 @@ class _GeometryBase:
         return self._sectorwise_boost(boost, self._slot2_inverted)
 
     def boosted_operator(self, op: FieldOperator, boost: SpinBoost) -> FieldOperator:
-        """Conjugate an operator by the slot-2 boost action."""
-        b = FieldOperator.from_matrix(self.boost_slot2_matrix(boost))
-        b_inv = FieldOperator.from_matrix(
-            self._sectorwise_boost(boost, 1.0 - self._slot2_inverted)
-        )
-        return b @ op @ b_inv
+        """Conjugate an operator by the slot-2 boost action B, term by term:
+        ``G -> B G B^-1`` (``B G conj(B^-1)`` for an antilinear operator), with
+        the keys, order, pruning and bits of ``B @ op @ B^-1``."""
+        b = self.boost_slot2_matrix(boost)
+        b_inv = self._sectorwise_boost(boost, 1.0 - self._slot2_inverted)
+        if op.antilinear:
+            b_inv = np.conj(b_inv)
+        out = FieldOperator(self.fiber_dim, {}, op.antilinear)
+        for key, g in op.terms.items():
+            left = (1.0 + 0.0j) * (b @ g)
+            if np.count_nonzero(left):
+                conjugated = (1.0 + 0.0j) * (left @ b_inv)
+                if np.count_nonzero(conjugated):
+                    out.terms[key] = conjugated
+        return out
 
 
 class ManifoldGeometry(_GeometryBase):

@@ -313,6 +313,10 @@ def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:
     an inactive component being 0: from (2c+1)^2 probes for a
     multiplication operator to (2c+1)^4.  Rows are never deduplicated
     within a block, since BLAS may round a row by its place in the block.
+    An infinite entry of a derivative term times the zero factor of a probe
+    with m_mu = 0 gives NaN here, where ``apply`` skips a zero factor and a
+    probe-by-probe maximum reads inf; both read as unequal, so no verdict
+    changes.
     """
     if not diff.terms:
         return 0.0

@@ -8,6 +8,8 @@ from twistkit.clifford import PAULI
 from twistkit.actions import (
     bilinear_integral,
     boosted_pairing,
+    boosted_weyl_density_operators,
+    covariant_weyl_density_operators,
     electro_lagrangian_action,
     electro_operator_pieces,
     fermionic_action,
@@ -47,6 +49,7 @@ TOL = 1e-10
 BOOST_TOL = 1e-9
 MANIFOLD = ManifoldGeometry()
 DOUBLED = DoubledGeometry()
+_S2 = PAULI[1]
 
 
 def geometry_instance(name, rng):
@@ -508,6 +511,155 @@ class TestClosedForms:
         assert route_spread(one, one) == 0.0
 
 
+def chained_mult(matrix, f):
+    return function_matrix_sum(2, [(matrix, f)])
+
+
+def chained_deriv(matrix, mu):
+    return FieldOperator.from_matrix(np.asarray(matrix, dtype=complex)) @ (
+        FieldOperator.derivative(2, mu)
+    )
+
+
+def chained_covariant_densities(f0, g):
+    """The unboosted density builder as a chain of one-term operators
+    joined by ``+`` and ``-``: the oracle for the one-pass builder."""
+    op_minus = chained_mult(1j * _S2, f0)
+    op_plus = chained_mult(1j * _S2, f0)
+    for j in (1, 2, 3):
+        sj = _S2 @ PAULI[j - 1]
+        cov_j = chained_deriv(sj, j) - chained_mult(1j * sj, g[j])
+        op_minus = op_minus - cov_j
+        op_plus = op_plus + cov_j
+    return op_minus, op_plus
+
+
+def chained_boosted_densities(f, boost, g):
+    """The boosted density builder as the same kind of chain."""
+    op_left = FieldOperator.zero(2)
+    op_right = FieldOperator.zero(2)
+    for mu in range(4):
+        st = boost.sigma_tilde_boosted(mu)
+        sb = boost.sigma_boosted(mu)
+        op_left = op_left + chained_deriv(st, mu) + chained_mult(st, f[mu] - 1j * g[mu])
+        op_right = op_right + chained_deriv(sb, mu) + chained_mult(sb, -f[mu] - 1j * g[mu])
+    return op_left, op_right
+
+
+def assert_same_operator(got, expected):
+    """The same keys in the same insertion order, and matrices with the same bits."""
+    assert (got.fiber_dim, got.antilinear) == (expected.fiber_dim, expected.antilinear)
+    assert list(got.terms) == list(expected.terms)
+    for key, g in got.terms.items():
+        assert_same_bits(g, expected.terms[key])
+
+
+def assert_same_grassmann(got, expected):
+    assert list(got.coeffs) == list(expected.coeffs)
+    assert_same_bits(np.array(list(got.coeffs.values())), np.array(list(expected.coeffs.values())))
+
+
+def with_zero_coefficient(f, mode):
+    """``f`` with an explicit zero coefficient at ``mode``, which no
+    ``FourierScalar`` arithmetic keeps: the density term it makes is exactly zero."""
+    return FourierScalar({**f.coeffs, mode: 0j})
+
+
+class TestDensityBuilders:
+    def density_pairs(self, f, g, boost):
+        """(one-pass, chained) density operator pairs for one input set."""
+        if boost is None:
+            return [
+                (covariant_weyl_density_operators(f[0], g), chained_covariant_densities(f[0], g))
+            ]
+        flipped = [-c for c in f]
+        return [
+            (boosted_weyl_density_operators(h, boost, g), chained_boosted_densities(h, boost, g))
+            for h in (f, flipped)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("boosted", [False, True])
+    @pytest.mark.parametrize("geo_name", GEO_NAMES)
+    def test_same_terms_as_chained_construction(self, geo_name, boosted, vector, seed):
+        rng = np.random.default_rng(1010 + seed)
+        geo = geometry_instance(geo_name, rng)
+        _, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields)
+        boost = _random_boost(rng) if boosted else None
+        if not vector:
+            g = [FourierScalar.zero()] * 4
+        for got, expected in self.density_pairs(f, g, boost):
+            for op, oracle in zip(got, expected):
+                assert len(oracle.terms) > 4
+                assert_same_operator(op, oracle)
+
+    @pytest.mark.parametrize("boosted", [False, True])
+    def test_mode_cancelling_between_potentials(self, boosted):
+        """A mode of f_1 that i g_1 cancels leaves f_1 - i g_1 without it, so
+        the left boosted density meets the mode first at mu = 2."""
+        rng = np.random.default_rng(1020)
+        _, f, g = overlapping_action_inputs(rng, 2)
+        k = (3, 0, -3, 0)
+        f[1] = f[1] + FourierScalar.wave(k, 0.5 + 0.25j)
+        g[1] = g[1] + FourierScalar.wave(k, 0.25 - 0.5j)
+        f[2] = f[2] + FourierScalar.wave(k, -0.75)
+        assert k not in (f[1] - 1j * g[1]).coeffs and k in (-f[1] - 1j * g[1]).coeffs
+        boost = _random_boost(rng) if boosted else None
+        for got, expected in self.density_pairs(f, g, boost):
+            for op, oracle in zip(got, expected):
+                assert (k, ()) in oracle.terms
+                assert_same_operator(op, oracle)
+        if boosted:
+            keys = list(boosted_weyl_density_operators(f, boost, g)[0].terms)
+            assert keys.index((k, ())) > keys.index((ZERO_MODE, (2,)))
+
+    def test_zero_term_is_pruned_and_reinserted(self):
+        """A zero coefficient of f_0 makes an exactly zero start term: the chain
+        drops it at the first ``+``, and g_2's piece at that mode goes in after d_2."""
+        rng = np.random.default_rng(1021)
+        _, f, g = overlapping_action_inputs(rng, 2)
+        k = (0, 3, 0, -3)
+        f0 = with_zero_coefficient(f[0], k)
+        g[2] = g[2] + FourierScalar.wave(k, 0.5 - 0.5j)
+        got = covariant_weyl_density_operators(f0, g)
+        for op, oracle in zip(got, chained_covariant_densities(f0, g)):
+            keys = list(oracle.terms)
+            assert keys.index((k, ())) > keys.index((ZERO_MODE, (2,)))
+            assert_same_operator(op, oracle)
+
+    def test_sub_densities_match_chained_operators(self):
+        rng = np.random.default_rng(1022)
+        w, f, _ = overlapping_action_inputs(rng, 2)
+        pro = promote_weyl_fields(w)
+        phi, zeta = pro.fields
+        f0 = with_zero_coefficient(f[0], (2, 0, 0, 0))
+        deriv = FieldOperator.zero(2)
+        for j in (1, 2, 3):
+            deriv = deriv + chained_deriv(_S2 @ PAULI[j - 1], j)
+        assert_same_grassmann(
+            weyl_derivative_form(phi, zeta), 2 * bilinear_integral(phi, deriv.apply(zeta))
+        )
+        assert_same_grassmann(
+            weyl_potential_form(phi, zeta, f0),
+            -2j * bilinear_integral(phi, chained_mult(_S2, f0).apply(zeta)),
+        )
+
+    def test_builders_call_no_operator_arithmetic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a density builder called operator arithmetic")
+
+        for name in ("compose", "__matmul__", "__add__", "__sub__", "scale"):
+            monkeypatch.setattr(FieldOperator, name, refuse)
+        rng = np.random.default_rng(1023)
+        w, f, g = overlapping_action_inputs(rng, 2)
+        boost = _random_boost(rng)
+        covariant_weyl_density_operators(f[0], g)
+        boosted_weyl_density_operators(f, boost, g)
+        weyl_derivative_form(w[0], w[1])
+        weyl_potential_form(w[0], w[1], f[0])
+
+
 class TestManifoldAction:
     def test_spatial_potential_is_silent(self):
         """The density only sees f0: zeroing the spatial f changes nothing."""
@@ -520,9 +672,6 @@ class TestManifoldAction:
             MANIFOLD, MANIFOLD.dressed_dirac([f[0], zero, zero, zero], None), pro
         )
         assert abs(full - time_only) < TOL
-
-
-_S2 = PAULI[1]
 
 
 def weyl_vector_form(phi_w: Section, zeta_w: Section, g):

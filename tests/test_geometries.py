@@ -466,6 +466,44 @@ class TestBoostCompatibility:
         one = FieldOperator.identity(geo.fiber_dim)
         assert normal_form_distance(geo.boosted_operator(one, boost), one) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    @GEO_PARAMS
+    def test_boosted_operator_matches_composed_conjugation(self, geo_name, seed):
+        """Term by term, the same keys in the same order and the same bits,
+        zero signs included, as ``B @ op @ B^-1`` with the slot-2 matrices,
+        for a dressed Dirac operator, the antilinear real structure, an
+        operator with an exactly zero term, which both drop, and one with an
+        infinite entry, whose NaNs both place alike."""
+        rng = np.random.default_rng(60 + seed)
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        boost = SpinBoost(float(rng.uniform(0.05, 1.0)), tuple(rng.normal(size=3) / 2))
+        n = geo.fiber_dim
+        f = [random_scalar(rng, cutoff=1, n_modes=2, real=True) for _ in range(4)]
+        g = [random_scalar(rng, cutoff=1, n_modes=2, real=True) for _ in range(4)]
+        zero_key = ((0, 1, 0, 0), ())
+        with_zero = FieldOperator(n, {zero_key: np.zeros((n, n)), **geo.dirac.terms})
+        b = FieldOperator.from_matrix(geo.boost_slot2_matrix(boost))
+        b_inv = FieldOperator.from_matrix(
+            geo._sectorwise_boost(boost, 1.0 - geo._slot2_inverted)
+        )
+        blowup = np.eye(n, dtype=complex)
+        blowup[0, 1] = np.inf
+        with_inf = FieldOperator(n, {((1, 0, 0, 0), (2,)): blowup, **geo.dirac.terms})
+        for op in (geo.dressed_dirac(f, g), geo.real_structure, with_zero, with_inf):
+            with np.errstate(invalid="ignore"):
+                got = geo.boosted_operator(op, boost)
+                expected = b @ op @ b_inv
+            assert got.antilinear == expected.antilinear == op.antilinear
+            assert list(got.terms) == list(expected.terms)
+            for key, m in got.terms.items():
+                assert np.array_equal(m, expected.terms[key], equal_nan=True)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(
+                        np.signbit(part(m)), np.signbit(part(expected.terms[key]))
+                    )
+        assert zero_key in with_zero.terms
+        assert zero_key not in geo.boosted_operator(with_zero, boost).terms
+
     def test_boosted_dirac_uses_boosted_gammas(self):
         geo = ManifoldGeometry()
         boost = SpinBoost(0.7, (0.0, 0.0, 1.0))

@@ -6,11 +6,13 @@ its tests and its scripts with ``ast`` and lists the names that a module-level
 import binds but nothing in the module reads.  It also lists the private
 (single-underscore) functions, classes and module- or class-level names that
 the package defines but nothing in the package reads; check generators, which
-the ``@check`` decorator registers, are exempt.  It lists the test modules
-that import ``subprocess``: only ``conftest.py`` may start a process.  Last,
-it lists the bare ``return`` statements in check generators: a check that
-cannot run at some configuration declares it (``needs_boost``) instead of
-returning early.
+the ``@check`` decorator registers, are exempt.  It lists the underscore names
+that a package module or a script imports from a package module, at any
+depth: a private helper is read only where it is defined.  It lists the test
+modules that import ``subprocess``: only ``conftest.py`` may start a process.
+Last, it lists the bare ``return`` statements in check generators: a check
+that cannot run at some configuration declares it (``needs_boost``) instead
+of returning early.
 """
 
 import ast
@@ -105,6 +107,41 @@ def test_every_private_helper_is_read():
     package = sorted((ROOT / "src/twistkit").glob("*.py"))
     sources = {path.name: path.read_text(encoding="utf-8") for path in package}
     assert unread_private_helpers(sources) == []
+
+
+def private_package_imports(source: str) -> list[str]:
+    """``name (line N)`` for each underscore name that ``source`` imports from
+    a twistkit module, at module level or inside a function."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "twistkit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_private_import_scanner_finds_every_package_import():
+    source = (
+        "from __future__ import annotations\nfrom numpy.linalg import _umath_linalg\n"
+        "from .actions import _deriv2, bilinear_integral\n"
+        "from twistkit.cli import UsageError\n"
+        "def f():\n    from twistkit.geometries import _GeometryBase as Base\n"
+        "    from . import _private_module\n"
+    )
+    assert private_package_imports(source) == [
+        "_deriv2 (line 3)", "_GeometryBase (line 6)", "_private_module (line 7)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in MODULES if path.parent.name != "tests"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_private_import_across_package_modules(path):
+    assert private_package_imports(path.read_text(encoding="utf-8")) == []
 
 
 def subprocess_imports(source: str) -> list[int]:

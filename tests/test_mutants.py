@@ -107,7 +107,7 @@ GEOMETRY_MUTANTS = [
     ("gauge.adjoint_action", "adjoint action conjugates u*", "adjoint_action",
      ("self.real_conjugate(self.represent(u))", "self.real_conjugate(self.represent(u.star()))")),
     ("boost.action_invariance", "boosted operator not boosted", "boosted_operator",
-     ("return b @ op @ b_inv", "return op")),
+     ("return out", "return op")),
 ]
 
 MUTANTS = [
@@ -127,7 +127,8 @@ MUTANTS = [
         ("doubled.action_closed_form", "chiral sign read from the particle table",
          edit(DoubledGeometry, "_sector_signs", "2.0 * exchanged", "2.0 * particle")),
         ("actions.printed_factor_conventions", "right boosted density with +f",
-         edit(actions, "boosted_weyl_density_operators", "_mult2(sb, -f[mu]", "_mult2(sb, f[mu]")),
+         edit(actions, "boosted_weyl_density_operators", "_mult_terms(sb, -f[mu]",
+              "_mult_terms(sb, f[mu]")),
         ("actions.twisted_pairing_antisymmetry", "untwisted pairing inserts R",
          edit(actions, "untwisted_pairing", "op.apply(second))",
               "geometry.r_operator.apply(op.apply(second)))")),

@@ -407,6 +407,19 @@ class TestNanPropagation:
         assert np.isnan(normal_form_distance(FieldOperator.conjugation(2), op))
         assert np.isnan(_probe_distance(op, 1))
 
+    def test_infinite_derivative_entry_is_nan_on_the_probe_route(self):
+        """The probe route multiplies the zero factor of the m_0 = 0 probes
+        into an inf entry (NaN); ``apply`` skips a zero factor, and the
+        probe-by-probe reference, which skips it too, reads inf.  Both are
+        inequality, so the two routes keep one verdict."""
+        op = FieldOperator(2, {(ZERO_MODE, (0,)): [[np.inf, 0.0], [0.0, 1.0]]})
+        still = Section(2, {(0, 1, 0, 0): np.array([1.0, 1.0], dtype=complex)})
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_probe_distance(op, 1))
+            assert _probe_distance_reference(op, 1) == np.inf
+            assert op.apply(still).coeffs == {}
+            assert not operator_equal(op, FieldOperator.zero(2), probe_cutoff=1).equal
+
     def test_finite_values_unchanged(self):
         op = FieldOperator(2, {((1, 0, 0, 0), ()): 3 * np.eye(2), (ZERO_MODE, ()): np.eye(2)})
         assert op.max_abs() == 3.0
