@@ -306,6 +306,33 @@ def covariant_weyl_density_operators(
     return op_minus, _summed(start, covariant)
 
 
+def _potential_pair(f: FourierScalar, g: FourierScalar):
+    """``f - 1j * g`` and ``-f - 1j * g``, built together without the seven
+    intermediate scalars of those expressions.
+
+    Each coefficient goes through the operations the ``FourierScalar``
+    expressions apply, with their drops of exact zeros and their key order:
+    ``f``'s modes (for the second, the nonzero ones), then ``g``'s new ones.
+    """
+    shift = {}  # -1.0 * (1j * g), as the subtraction adds it
+    for k, v in g.coeffs.items():
+        w = 1j * v
+        if w != 0:
+            shift[k] = -1.0 * complex(w)
+    plus = dict(f.coeffs)
+    minus = {}
+    for k, v in f.coeffs.items():
+        w = -1.0 * v
+        if w != 0:
+            minus[k] = w
+    for k, w in shift.items():
+        plus[k] = plus.get(k, 0.0) + w
+        minus[k] = minus.get(k, 0.0) + w
+    return tuple(
+        FourierScalar({k: complex(v) for k, v in c.items() if v != 0}) for c in (plus, minus)
+    )
+
+
 def boosted_weyl_density_operators(
     f: Sequence[FourierScalar], boost: SpinBoost, g: Sequence[FourierScalar]
 ) -> tuple[FieldOperator, FieldOperator]:
@@ -315,8 +342,9 @@ def boosted_weyl_density_operators(
     for mu in range(4):
         st = boost.sigma_tilde_boosted(mu)
         sb = boost.sigma_boosted(mu)
-        left.append([_deriv_term(st, mu), *_mult_terms(st, f[mu] - 1j * g[mu])])
-        right.append([_deriv_term(sb, mu), *_mult_terms(sb, -f[mu] - 1j * g[mu])])
+        plus, minus = _potential_pair(f[mu], g[mu])
+        left.append([_deriv_term(st, mu), *_mult_terms(st, plus)])
+        right.append([_deriv_term(sb, mu), *_mult_terms(sb, minus)])
     return _summed((), left), _summed((), right)
 
 

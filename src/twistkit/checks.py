@@ -28,13 +28,29 @@ conventions keep the JSON strict and reproducible:
 * ``elapsed_ms`` in the JSON document is always ``0.0`` - wall-clock noise
   would break byte-level reproducibility - while the real per-check timing
   is kept on the in-memory records for the human-readable summary.
+
+:func:`run_checks` runs selected check ``i`` (in registry order) in process
+``i mod k``, with ``k`` the smaller of the CPUs in the affinity mask and the
+number of selected checks.  The calling process runs share 0, and ``k - 1``
+workers forked inside the call run the others and pickle their records back
+over one pipe each.  ``k`` is 1, the serial run through the same loop, while
+a profiler, coverage tool or debugger watches the process, so that it sees
+every check.  Records carry the time a check took in its own process.  Each
+check keeps its stream and its configuration, so the report is the same for
+every ``k``.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import os
+import pickle
+import signal
+import sys
 import time
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -1528,28 +1544,26 @@ def _chk_boosted_reduction(rng, cfg):
 # ---------------------------------------------------------------------------
 
 
-def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
-    """Run the selected groups; records come back sorted by check id.
+def _run_share(share, cfg: RunConfig):
+    """Run ``share``'s ``(position, spec, stream)`` entries in order.
 
-    Every check receives a stream spawned from the root seed at its fixed
-    registry position, so group filtering does not move anyone's draws.
-    ``elapsed_ms`` on the returned records is the real wall-clock time; the
-    JSON report replaces it with zero (see :func:`report_document`).
+    Returns their records and ``(position, exception)`` for a check that
+    raised, else ``None``; the first check that raises ends the share, as it
+    ends a serial run.
     """
-    cfg = config if config is not None else RunConfig()
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(REGISTRY))
     records = []
-    for spec, stream in zip(REGISTRY, streams):
-        if spec.group not in cfg.groups:
-            continue
+    for position, spec, stream in share:
         rng = np.random.default_rng(stream)
         tol = cfg.tolerances.get(spec.group, spec.tolerance)
         start = time.perf_counter()
-        if spec.needs_boost and cfg.rapidity_max == 0:
-            status, error = "skip", SENTINEL_ERROR
-        else:
-            error = reduce_residuals(spec.fn(rng, cfg))
-            status = "pass" if error <= tol else "fail"
+        try:
+            if spec.needs_boost and cfg.rapidity_max == 0:
+                status, error = "skip", SENTINEL_ERROR
+            else:
+                error = reduce_residuals(spec.fn(rng, cfg))
+                status = "pass" if error <= tol else "fail"
+        except Exception as exc:
+            return records, (position, exc)
         elapsed = (time.perf_counter() - start) * 1e3
         records.append(
             CheckRecord(
@@ -1562,6 +1576,134 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
                 elapsed_ms=elapsed,
             )
         )
+    return records, None
+
+
+def _watched() -> bool:
+    """Whether a profiler, coverage tool or debugger watches this process;
+    it would see only the calling process's share of a split run."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 and later
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def _process_count(n_checks: int) -> int:
+    """k: one process per CPU this process may run on, at most one per check,
+    and one while :func:`_watched` holds."""
+    if n_checks < 2 or not hasattr(os, "fork") or _watched():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_checks)
+
+
+def _worker_result(share, cfg: RunConfig) -> bytes:
+    """The pickled ``(records, failure, warnings)`` of ``share`` run here.
+
+    A check's exception carries its traceback as a note, and one that does
+    not survive pickling travels as a ``RuntimeError`` naming it.  Warnings
+    are recorded under the inherited filters, for the parent to show.
+    """
+    with warnings.catch_warnings(record=True) as shown:
+        records, failure = _run_share(share, cfg)
+    if failure is not None:
+        position, exc = failure
+        trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{exc!r}, which does not pickle")
+        if hasattr(exc, "add_note"):  # Python 3.11 and later
+            exc.add_note(f"raised in a worker process:\n{trace}")
+        failure = position, exc
+    shown = [(str(w.message), w.category, w.filename, w.lineno) for w in shown]
+    return pickle.dumps((records, failure, shown))
+
+
+def _fork_share(share, cfg: RunConfig):
+    """Fork a worker that runs ``share`` and writes its result to a pipe.
+
+    Returns ``(pid, pipe, check ids)``.  The worker leaves through
+    ``os._exit`` on every path, so it writes nothing else, flushes none of
+    the parent's buffers and runs none of its clean-up.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb"), [spec.check_id for _, spec, _ in share]
+    status = 1
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(_worker_result(share, cfg))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
+    """Run the selected groups; records come back sorted by check id.
+
+    Every check receives a stream spawned from the root seed at its fixed
+    registry position, so group filtering does not move anyone's draws.
+    Selected check ``i`` runs in process ``i mod k`` (see the module
+    docstring); the calling process runs share 0 and reaps every worker
+    before it returns or raises.  A check that raises makes this raise the
+    exception of the earliest such check in the registry.
+    ``elapsed_ms`` on the returned records is the real wall-clock time in the
+    process that ran the check; the JSON report replaces it with zero (see
+    :func:`report_document`).
+    """
+    cfg = config if config is not None else RunConfig()
+    streams = np.random.SeedSequence(cfg.seed).spawn(len(REGISTRY))
+    selected = [
+        (position, spec, stream)
+        for position, (spec, stream) in enumerate(zip(REGISTRY, streams))
+        if spec.group in cfg.groups
+    ]
+    k = _process_count(len(selected))
+    workers = []  # (pid, pipe, check ids) of the workers not yet reaped
+    try:
+        for share in range(1, k):
+            workers.append(_fork_share(selected[share::k], cfg))
+        records, failure = _run_share(selected[::k], cfg)
+        failures = [failure]
+        while workers:
+            pid, pipe, ids = workers[0]
+            data = pipe.read()
+            pipe.close()
+            os.waitpid(pid, 0)
+            workers.pop(0)
+            try:
+                part, failure, shown = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(
+                    f"the worker process running {', '.join(ids)} exited "
+                    "without its result"
+                ) from None
+            records += part
+            failures.append(failure)
+            for args in shown:
+                warnings.showwarning(*args)
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    raised = [failure for failure in failures if failure is not None]
+    if raised:
+        raise min(raised, key=lambda failure: failure[0])[1]
     records.sort(key=lambda r: r.check_id)
     return records
 

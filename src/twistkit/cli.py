@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -199,7 +200,9 @@ def cmd_verify(args) -> int:
         report = None if args.json is None else open(args.json, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write the JSON report: {exc}") from exc
+    start = time.perf_counter()
     records = run_checks(cfg)
+    wall = time.perf_counter() - start
     print(
         f"seed={cfg.seed} mode_cutoff={cfg.mode_cutoff} "
         f"probe_cutoff={cfg.probe_cutoff} rapidity_max={cfg.rapidity_max} "
@@ -218,10 +221,9 @@ def cmd_verify(args) -> int:
     n_pass = sum(r.status == "pass" for r in records)
     n_fail = sum(r.status == "fail" for r in records)
     n_skip = sum(r.status == "skip" for r in records)
-    total = sum(r.elapsed_ms for r in records) / 1e3
     print(
         f"{len(records)} checks: {n_pass} passed, {n_fail} failed, "
-        f"{n_skip} skipped in {total:.1f} s"
+        f"{n_skip} skipped in {wall:.1f} s"
     )
     if report is not None:
         with report:

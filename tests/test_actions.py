@@ -660,6 +660,56 @@ class TestDensityBuilders:
         weyl_potential_form(w[0], w[1], f[0])
 
 
+def assert_same_scalar(got, expected):
+    """The same modes in the same order, with complex coefficients of the same bits."""
+    assert list(got.coeffs) == list(expected.coeffs)
+    assert all(type(v) is complex for v in got.coeffs.values())
+    assert_same_bits(
+        np.array(list(got.coeffs.values()), dtype=complex),
+        np.array(list(expected.coeffs.values()), dtype=complex),
+    )
+
+
+class TestPotentialPair:
+    """``_potential_pair`` against the scalar expressions it replaces."""
+
+    def assert_matches_expressions(self, f, g):
+        plus, minus = actions._potential_pair(f, g)
+        assert_same_scalar(plus, f - 1j * g)
+        assert_same_scalar(minus, -f - 1j * g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drawn_potentials(self, seed):
+        rng = np.random.default_rng(1030 + seed)
+        _, f, g = overlapping_action_inputs(rng, 4)
+        for mu in range(4):
+            self.assert_matches_expressions(f[mu], g[mu])
+            self.assert_matches_expressions(f[mu], FourierScalar.zero())
+            self.assert_matches_expressions(FourierScalar.zero(), g[mu])
+
+    def test_cancelling_modes_zero_signs_and_raw_coefficients(self):
+        """Mode a cancels in f - i g and mode b in -f - i g; f's explicit zero
+        at c comes back at f's position in the first and at the end in the
+        second; d and p carry signed zeros (at p, i g has a zero imaginary
+        part, which ``-1.0 *`` and unary minus sign differently, and f's
+        ``-0.0`` keeps that sign in the sum), and e (in f only) and h (in g
+        only) a float and an integer."""
+        a, b, c, d, e, h, p = ((n, 0, -n, 1) for n in range(1, 8))
+        f = FourierScalar(
+            {a: 0.5 + 0.25j, b: -0.5 + 0.75j, c: 0j, d: complex(-0.0, 1.0), e: 2.0,
+             p: complex(1.0, -0.0)}
+        )
+        g = FourierScalar(
+            {d: complex(1.0, -0.0), a: 0.25 - 0.5j, c: 1.5, h: -3, b: -0.75 - 0.5j,
+             p: complex(0.0, -2.0)}
+        )
+        assert a not in (f - 1j * g).coeffs and b in (f - 1j * g).coeffs
+        assert b not in (-f - 1j * g).coeffs and a in (-f - 1j * g).coeffs
+        assert list((f - 1j * g).coeffs).index(c) < list((-f - 1j * g).coeffs).index(c)
+        self.assert_matches_expressions(f, g)
+        self.assert_matches_expressions(g, f)
+
+
 class TestManifoldAction:
     def test_spatial_potential_is_silent(self):
         """The density only sees f0: zeroing the spatial f changes nothing."""

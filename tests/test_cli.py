@@ -1,7 +1,12 @@
 """Runner registry contract and command-line behaviour."""
 
+import cProfile
 import inspect
 import json
+import os
+import sys
+import time
+import warnings
 
 import pytest
 
@@ -243,6 +248,188 @@ class TestRunner:
         cfg = RunConfig(groups=("clifford",), tolerances=caller)
         assert cfg.tolerances == {"clifford": 1.0} and cfg.tolerances is not caller
         assert type(caller["clifford"]) is int
+
+
+def _use_cpus(monkeypatch, k):
+    """Make the affinity mask, and so the runner's process count, hold ``k`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _refuse_fork():
+    raise AssertionError("the runner forked")
+
+
+class TestSplitRunner:
+    """Selected check i runs in process i mod k; k = 1 is the serial run."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_call(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def fixture_registry(self, monkeypatch, *behaviours):
+        """A registry of checks ``clifford.c0``, ``clifford.c1``, ...: a float
+        is the check's one residual, a callable runs first (it may raise)."""
+
+        def make(behaviour):
+            def fixture(rng, cfg):
+                if callable(behaviour):
+                    behaviour()
+                yield behaviour if isinstance(behaviour, float) else 0.0
+
+            return fixture
+
+        specs = tuple(
+            CheckSpec(f"clifford.c{i}", "fixture", 1e-12, make(b))
+            for i, b in enumerate(behaviours)
+        )
+        monkeypatch.setattr(twistkit.checks, "REGISTRY", specs)
+        return RunConfig(groups=("clifford",))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"seed": 3},
+            {"seed": 11},
+            {"seed": 5, "rapidity_max": 6.0, "groups": ("clifford", "boost")},
+        ],
+        ids=["seed3", "seed11", "rapidity6"],
+    )
+    def test_reports_identical_for_every_process_count(self, monkeypatch, seed11_run, config):
+        cfg = RunConfig(**config)
+        reports = {}
+        if cfg == seed11_run[0]:  # the shared run, made with this machine's k
+            shared_k = twistkit.checks._process_count(len(REGISTRY))
+            reports[shared_k] = report_json(*seed11_run[:2])
+        for k in {1, 2, 3} - set(reports):
+            _use_cpus(monkeypatch, k)
+            reports[k] = report_json(cfg, run_checks(cfg))
+        assert len(set(reports.values())) == 1 and {1, 2, 3} <= set(reports)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_raising_check_raises_in_either_process(self, monkeypatch, k, position):
+        def boom():
+            raise LookupError(f"c{position} raised")
+
+        behaviours = [0.0] * 4
+        behaviours[position] = boom
+        cfg = self.fixture_registry(monkeypatch, *behaviours)
+        _use_cpus(monkeypatch, k)
+        with pytest.raises(LookupError, match=f"c{position} raised") as info:
+            run_checks(cfg)
+        if position % k and sys.version_info >= (3, 11):
+            assert "in boom" in "".join(info.value.__notes__)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 2), (2, 3)])
+    def test_earliest_raising_check_wins(self, monkeypatch, k, pair):
+        def raiser(position):
+            def boom():
+                raise LookupError(f"c{position} raised")
+
+            return boom
+
+        behaviours = [0.0] * 4
+        for position in pair:
+            behaviours[position] = raiser(position)
+        cfg = self.fixture_registry(monkeypatch, *behaviours)
+        _use_cpus(monkeypatch, k)
+        with pytest.raises(LookupError, match=f"c{pair[0]} raised"):
+            run_checks(cfg)
+
+    def test_exception_that_does_not_pickle_travels_as_runtime_error(self, monkeypatch):
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(a)
+
+        def boom():
+            raise Unpicklable("two", "arguments")
+
+        cfg = self.fixture_registry(monkeypatch, 0.0, boom)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="Unpicklable.*does not pickle"):
+            run_checks(cfg)
+
+    def test_worker_without_result_is_named(self, monkeypatch):
+        parent = os.getpid()
+
+        def vanish():
+            if os.getpid() != parent:
+                os._exit(0)
+
+        cfg = self.fixture_registry(monkeypatch, 0.0, vanish, 0.0, 0.0, 0.0)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"running clifford\.c1, clifford\.c3 exited"):
+            run_checks(cfg)
+
+    def test_interrupt_kills_the_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def interrupt_or_hang():
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        cfg = self.fixture_registry(monkeypatch, interrupt_or_hang, interrupt_or_hang)
+        _use_cpus(monkeypatch, 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_checks(cfg)
+        assert time.perf_counter() - start < 30
+
+    def test_workers_write_nothing(self, monkeypatch, capfd):
+        def boom():
+            raise LookupError("c1 raised")
+
+        cfg = self.fixture_registry(monkeypatch, 0.0, boom, 0.0, 1.0)
+        _use_cpus(monkeypatch, 3)
+        with pytest.raises(LookupError):
+            run_checks(cfg)
+        assert capfd.readouterr() == ("", "")
+
+    def test_worker_warnings_are_shown_by_the_caller(self, monkeypatch):
+        def warn():
+            warnings.warn("from a worker")
+
+        cfg = self.fixture_registry(monkeypatch, 0.0, warn)
+        _use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            records = run_checks(cfg)
+        assert [str(w.message) for w in shown] == ["from a worker"]
+        assert [r.status for r in records] == ["pass", "pass"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UserWarning, match="from a worker"):
+                run_checks(cfg)
+
+    def test_one_selected_check_never_forks(self, monkeypatch):
+        def residual(rng, cfg):
+            yield 0.0
+
+        specs = (
+            CheckSpec("clifford.only", "fixture", 1e-12, residual),
+            CheckSpec("gauge.other", "fixture", 1e-12, residual),
+        )
+        monkeypatch.setattr(twistkit.checks, "REGISTRY", specs)
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        (rec,) = run_checks(RunConfig(groups=("clifford",)))
+        assert rec.status == "pass"
+
+    def test_profiled_run_never_forks(self, monkeypatch):
+        cfg = self.fixture_registry(monkeypatch, 0.0, 0.0)
+        _use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            records = run_checks(cfg)
+        finally:
+            profile.disable()
+        assert len(records) == 2
 
 
 class TestReport:

@@ -127,8 +127,8 @@ MUTANTS = [
         ("doubled.action_closed_form", "chiral sign read from the particle table",
          edit(DoubledGeometry, "_sector_signs", "2.0 * exchanged", "2.0 * particle")),
         ("actions.printed_factor_conventions", "right boosted density with +f",
-         edit(actions, "boosted_weyl_density_operators", "_mult_terms(sb, -f[mu]",
-              "_mult_terms(sb, f[mu]")),
+         edit(actions, "boosted_weyl_density_operators", "_mult_terms(sb, minus)",
+              "_mult_terms(sb, plus)")),
         ("actions.twisted_pairing_antisymmetry", "untwisted pairing inserts R",
          edit(actions, "untwisted_pairing", "op.apply(second))",
               "geometry.r_operator.apply(op.apply(second)))")),
