@@ -99,9 +99,9 @@ class SpinBoost:
     """Spinor representation of a boost: half_rapidity along a unit axis.
 
     The boosted families ``Lambda_minus SIGMA[mu] Lambda_minus`` and
-    ``Lambda_plus SIGMA_TILDE[mu] Lambda_plus`` are built once per boost, as
-    one (4, 2, 2) stack each; ``sigma_boosted(mu)`` and
-    ``sigma_tilde_boosted(mu)`` return read-only rows of those stacks.
+    ``Lambda_plus SIGMA_TILDE[mu] Lambda_plus`` are built once per boost, as the
+    read-only (4, 2, 2) stacks ``sigma_boosted_stack`` and ``sigma_tilde_boosted_stack``;
+    ``sigma_boosted(mu)`` and ``sigma_tilde_boosted(mu)`` return their rows.
     """
 
     half_rapidity: float = 0.0
@@ -142,22 +142,22 @@ class SpinBoost:
         return chiral_blocks(self.lambda_plus, self.lambda_minus)
 
     @cached_property
-    def _sigma_boosted_stack(self) -> np.ndarray:
+    def sigma_boosted_stack(self) -> np.ndarray:
         out = self.lambda_minus @ SIGMA @ self.lambda_minus
         out.flags.writeable = False
         return out
 
     @cached_property
-    def _sigma_tilde_boosted_stack(self) -> np.ndarray:
+    def sigma_tilde_boosted_stack(self) -> np.ndarray:
         out = self.lambda_plus @ SIGMA_TILDE @ self.lambda_plus
         out.flags.writeable = False
         return out
 
     def sigma_boosted(self, mu: int) -> np.ndarray:
-        return self._sigma_boosted_stack[mu]
+        return self.sigma_boosted_stack[mu]
 
     def sigma_tilde_boosted(self, mu: int) -> np.ndarray:
-        return self._sigma_tilde_boosted_stack[mu]
+        return self.sigma_tilde_boosted_stack[mu]
 
     def gamma_boosted(self, mu: int) -> np.ndarray:
         return _offdiag(self.sigma_boosted(mu), self.sigma_tilde_boosted(mu))

@@ -3,8 +3,8 @@
 Everything here lives at the symbol level: on a plane wave ``exp(-i p.x)``
 each derivative becomes ``-i p_mu``, so a constant-coefficient equation of
 motion collapses to a finite matrix.  Momenta are arbitrary reals (not
-torus-quantized) and the systems are small enough that determinants,
-``p_0`` roots and kernels all come in closed form -- no iterative solvers.
+torus-quantized).  The ``p_0`` roots come in closed form; each solve takes
+its determinant from one LU factorisation and its kernel from one SVD.
 
 Conventions
 -----------
@@ -29,6 +29,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,6 +40,7 @@ from .actions import (
     covariant_weyl_density_operators,
 )
 from .clifford import (
+    I2,
     IDENTITY_BOOST,
     PAULI,
     SIGMA_M,
@@ -56,12 +58,9 @@ KERNEL_THRESHOLD = 1e-10
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
-_ID2 = np.eye(2, dtype=complex)
-
-
-def sigma_dot(v: Sequence[float]) -> np.ndarray:
-    """``sigma . v`` for a spatial 3-vector ``v``."""
-    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
+#: ``chiral_blocks(SIGMA_M_BAR[mu], SIGMA_M[mu])`` flattened, one row per
+#: ``mu``: the massless flat Dirac system is ``p`` times this stack.
+_DIRAC_STACK = np.stack([chiral_blocks(*pair).ravel() for pair in zip(SIGMA_M_BAR, SIGMA_M)])
 
 
 def _as_covector(p: Sequence[float]) -> np.ndarray:
@@ -78,18 +77,16 @@ def _require_handed(handed: str) -> str:
 
 
 def minkowski_weyl_matrix(p: Sequence[float], handed: str = "left") -> np.ndarray:
-    """``p_0 - sigma.p`` (left) or ``p_0 + sigma.p`` (right)."""
-    p = np.asarray(p, dtype=complex)
-    sign = -1.0 if _require_handed(handed) == "left" else 1.0
-    return p[0] * _ID2 + sign * sigma_dot(p[1:4])
+    """``p_0 - sigma.p`` (left) or ``p_0 + sigma.p`` (right), entry by entry."""
+    p0, p1, p2, p3 = _as_covector(p).tolist()
+    if _require_handed(handed) == "left":
+        p1, p2, p3 = -p1, -p2, -p3
+    return np.array([[p0 + p3, complex(p1, -p2)], [complex(p1, p2), p0 - p3]], dtype=complex)
 
 
-def _boosted_sum(sigma, coeff: np.ndarray) -> np.ndarray:
-    """``sum_mu sigma(mu) * coeff[mu]`` for a boosted sigma family."""
-    out = np.zeros((2, 2), dtype=complex)
-    for mu in range(4):
-        out = out + sigma(mu) * coeff[mu]
-    return out
+def _boosted_sum(stack: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``sum_mu stack[mu] * coeff[mu]`` for a boosted sigma stack, in order of ``mu``."""
+    return (stack * coeff[:, None, None]).sum(axis=0)
 
 
 def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
@@ -98,10 +95,9 @@ def minkowski_dirac_matrix(p: Sequence[float], m: complex) -> np.ndarray:
     Rows read ``(p_0 - sigma.p) psi_l = m psi_r`` and
     ``(p_0 + sigma.p) psi_r = m psi_l``.
     """
-    p = np.asarray(p, dtype=complex)
-    upper = np.einsum("m,mij->ij", p, SIGMA_M_BAR)
-    lower = np.einsum("m,mij->ij", p, SIGMA_M)
-    return chiral_blocks(upper, lower, -m)
+    out = (_as_covector(p) @ _DIRAC_STACK).reshape(4, 4)
+    out[:2, 2:] = out[2:, :2] = -m * I2
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,8 @@ def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> Dispersi
     or ``p_0 = f_0`` (right) and the matrix below is singular.
     """
     p = _as_covector(p)
-    matrix = minkowski_weyl_matrix((f0, *-p[1:4]), handed)
-    radius = float(np.linalg.norm(p[1:4]))
+    matrix = minkowski_weyl_matrix(np.concatenate(([f0], -p[1:4])), handed)
+    radius = math.sqrt(p[1:4].dot(p[1:4]))
     return _solved(f"weyl-{handed}", matrix, (radius, -radius))
 
 
@@ -171,7 +167,7 @@ def dirac_system(
         raise ValueError("gauge potential must be a spatial 3-vector")
     m = -1j * complex(d)
     big_p = p[1:4] + g
-    matrix = minkowski_dirac_matrix((f0, *(big_p if primed else -big_p)), m)
+    matrix = minkowski_dirac_matrix(np.concatenate(([f0], big_p if primed else -big_p)), m)
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
     kind = "dirac-primed" if primed else "dirac"
     return _solved(kind, matrix, (shell, -shell))
@@ -194,10 +190,10 @@ def boosted_weyl_system(
     p = _as_covector(p)
     f = _as_covector(f)
     if _require_handed(handed) == "left":
-        matrix = _boosted_sum(boost.sigma_tilde_boosted, -1j * p + f)
+        matrix = _boosted_sum(boost.sigma_tilde_boosted_stack, -1j * p + f)
     else:
-        matrix = _boosted_sum(boost.sigma_boosted, -1j * p - f)
-    radius = float(np.linalg.norm(p[1:4]))
+        matrix = _boosted_sum(boost.sigma_boosted_stack, -1j * p - f)
+    radius = math.sqrt(p[1:4].dot(p[1:4]))
     return _solved(f"boosted-weyl-{handed}", matrix, (radius, -radius))
 
 
@@ -230,8 +226,8 @@ def boosted_dirac_system(
     g = _as_covector(g)
     big_p = p + g
     coeff = (-1j * big_p) + (-f if primed else f)
-    upper = _boosted_sum(boost.sigma_tilde_boosted, coeff)
-    lower = _boosted_sum(boost.sigma_boosted, coeff)
+    upper = _boosted_sum(boost.sigma_tilde_boosted_stack, coeff)
+    lower = _boosted_sum(boost.sigma_boosted_stack, coeff)
     off = 1j * np.conj(complex(d)) if primed else -1j * complex(d)
     m = boosted_dirac_mass(d, primed)
     shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
@@ -375,6 +371,9 @@ def _kind_parts(kind: str) -> tuple[bool, str, str]:
     return flat != kind, family, variant
 
 
+_KIND_PARTS = {kind: _kind_parts(kind) for kind in PROBLEM_KINDS}
+
+
 @dataclass(frozen=True)
 class PlaneWaveProblem:
     """Constant-coefficient plane-wave problem, dispatched by ``kind``.
@@ -400,7 +399,7 @@ class PlaneWaveProblem:
         return self.boost if self.boost is not None else IDENTITY_BOOST
 
     def solve(self) -> DispersionResult:
-        boosted, family, variant = _kind_parts(self.kind)
+        boosted, family, variant = _KIND_PARTS[self.kind]
         boost = self.spin_boost
         if family == "weyl" and boosted:
             return boosted_weyl_system(boost, self.f, self.p, variant)

@@ -795,17 +795,18 @@ class TestDispersionCommand:
         assert "must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kind", PROBLEM_KINDS)
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--kind", "dirac", "--p", "0,1.7e308,0,0", "--g", "0,1.7e308,0,0"),
-            ("--kind", "boosted-dirac", "--rapidity", "12",
-             "--p", "1e305,1e305,1e305,1e305"),
-            ("--kind", "weyl-left", "--p", "0,1e308,1e308,0"),
+            ("--p", "0,1.7e308,0,0", "--g", "0,1.7e308,0,0"),
+            ("--rapidity", "12", "--p", "1e305,1e305,1e305,1e305"),
+            ("--p", "0,1e308,1e308,0"),
+            ("--f", "1e308,1e308,0,0"),
         ],
     )
-    def test_overflowing_system_usage_error(self, run_cli, argv):
-        proc = run_cli("dispersion", *argv)
+    def test_overflowing_system_usage_error(self, run_cli, kind, argv):
+        proc = run_cli("dispersion", "--kind", kind, *argv)
         assert proc.returncode == 2
         assert "overflows double precision" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistkit import dynamics as dyn
-from twistkit.clifford import IDENTITY_BOOST, SpinBoost, boost_covector
+from twistkit.clifford import (
+    IDENTITY_BOOST,
+    MAX_RAPIDITY,
+    PAULI,
+    SIGMA_M,
+    SIGMA_M_BAR,
+    SpinBoost,
+    boost_covector,
+    chiral_blocks,
+)
 
 from conftest import check_error
 
@@ -426,3 +435,96 @@ class TestPlaneWaveProblem:
             result = problem.solve()
             assert result.matrix.shape == (n, n)
             assert result.kind == kind
+
+
+def bits(x):
+    """dtype and bytes of ``x`` as an array: equal only when bit for bit equal."""
+    x = np.asarray(x)
+    return x.dtype, x.tobytes()
+
+
+class TestOnePassAssembly:
+    """Every solve against the per-term assembly it replaced, spelled out here
+    as the reference: ``p_0 I -+ sum_j p_j sigma_j`` for the flat Weyl
+    systems, one ``einsum`` per Minkowski stack for the flat Dirac systems,
+    and a per-``mu`` loop over the boosted sigmas.  The determinant, singular
+    values, kernel and roots agree bit for bit and the matrix under ``==``
+    (a zero entry may change sign)."""
+
+    @staticmethod
+    def _weyl(p, handed):
+        p = np.asarray(p, dtype=complex)
+        sign = -1.0 if handed == "left" else 1.0
+        sigma_p = p[1] * PAULI[0] + p[2] * PAULI[1] + p[3] * PAULI[2]
+        return p[0] * np.eye(2, dtype=complex) + sign * sigma_p
+
+    @staticmethod
+    def _dirac(p, m):
+        p = np.asarray(p, dtype=complex)
+        upper = np.einsum("m,mij->ij", p, SIGMA_M_BAR)
+        lower = np.einsum("m,mij->ij", p, SIGMA_M)
+        return chiral_blocks(upper, lower, -m)
+
+    @staticmethod
+    def _boosted_sum(sigma, coeff):
+        out = np.zeros((2, 2), dtype=complex)
+        for mu in range(4):
+            out = out + sigma(mu) * coeff[mu]
+        return out
+
+    @classmethod
+    def _matrix_and_roots(cls, problem):
+        p, f, g = (np.asarray(v, dtype=float) for v in (problem.p, problem.f, problem.g))
+        boost, kind = problem.spin_boost, problem.kind
+        radius = float(np.linalg.norm(p[1:4]))
+        if kind in ("weyl-left", "weyl-right"):
+            return cls._weyl((f[0], *-p[1:4]), kind[5:]), (radius, -radius)
+        if kind == "boosted-weyl-left":
+            return cls._boosted_sum(boost.sigma_tilde_boosted, -1j * p + f), (radius, -radius)
+        if kind == "boosted-weyl-right":
+            return cls._boosted_sum(boost.sigma_boosted, -1j * p - f), (radius, -radius)
+        primed = kind.endswith("primed")
+        d = complex(problem.d)
+        if kind in ("dirac", "dirac-primed"):
+            m = -1j * d
+            big_p = p[1:4] + g[1:4]
+            shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
+            return cls._dirac((f[0], *(big_p if primed else -big_p)), m), (shell, -shell)
+        big_p = p + g
+        coeff = (-1j * big_p) + (-f if primed else f)
+        m = dyn.boosted_dirac_mass(d, primed)
+        shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
+        matrix = chiral_blocks(
+            cls._boosted_sum(boost.sigma_tilde_boosted, coeff),
+            cls._boosted_sum(boost.sigma_boosted, coeff),
+            1j * np.conj(d) if primed else -1j * d,
+        )
+        return matrix, (-g[0] + shell, -g[0] - shell)
+
+    @classmethod
+    def _reference(cls, problem):
+        """``(matrix, determinant, singular values, kernel, roots)``."""
+        matrix, roots = cls._matrix_and_roots(problem)
+        determinant = complex(np.linalg.det(matrix))
+        _, s, vh = np.linalg.svd(matrix)
+        cut = dyn.KERNEL_THRESHOLD * max(1.0, float(s[0]))
+        kernel = tuple(vh[i].conj() for i in range(len(s)) if s[i] <= cut)
+        return matrix, determinant, s, kernel, roots
+
+    @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
+    def test_solve_matches_per_term_assembly(self, kind):
+        rng = np.random.default_rng(60 + dyn.PROBLEM_KINDS.index(kind))
+        singular = 0
+        for max_half_rapidity in (0.5, 2.0, MAX_RAPIDITY / 2):
+            for _ in range(40):
+                for draw in (dyn.random_problem, dyn.on_shell_problem):
+                    problem = draw(rng, kind, max_half_rapidity)
+                    result = problem.solve()
+                    matrix, determinant, s, kernel, roots = self._reference(problem)
+                    assert np.array_equal(result.matrix, matrix)
+                    assert bits(result.determinant) == bits(determinant)
+                    assert bits(result.singular_values) == bits(s)
+                    assert bits(result.kernel) == bits(kernel)
+                    assert bits(result.roots) == bits(roots)
+                    singular += result.singular
+        assert singular >= 100

@@ -137,6 +137,11 @@ MUTANTS = [
               "momentum")),
         ("dynamics.euler_lagrange_consistency", "plane-wave symbol with +i p",
          edit(dynamics, "_plane_wave_symbol", "factor *= -1j * p[mu]", "factor *= 1j * p[mu]")),
+        ("dynamics.euler_lagrange_consistency", "Weyl sigma_2 entry with flipped sign",
+         edit(dynamics, "minkowski_weyl_matrix", "complex(p1, -p2)", "complex(p1, p2)")),
+        ("dynamics.boosted_reduction", "boosted sum drops mu = 0",
+         edit(dynamics, "_boosted_sum", "stack * coeff[:, None, None]",
+              "stack[1:] * coeff[1:, None, None]")),
         ("clifford.euclidean_anticommutators", "sigma_2 block set to sigma_1",
          block(clifford.GAMMA, 2, -1j * clifford.PAULI[0])),
         ("clifford.minkowski_anticommutators", "sigma_3 block set to sigma_2",
@@ -154,3 +159,18 @@ def test_check_fails_under_mutant(monkeypatch, check_id, mutant):
     assert check_error(check_id, tol, np.random.default_rng(51)) > tol
     monkeypatch.undo()
     assert check_error(check_id, tol, np.random.default_rng(51)) <= tol
+
+
+def test_dirac_assembly_needs_no_weyl_writer(monkeypatch):
+    """The ``minkowski`` Euler-Lagrange comparison sets the flat Dirac matrix
+    against two Weyl matrices, so the Dirac matrix builds without them."""
+    p, m = (0.5, -1.25, 2.0, 0.75), 0.3 - 0.2j
+    expected = dynamics.minkowski_dirac_matrix(p, m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Dirac assembly called the Weyl writer")
+
+    monkeypatch.setattr(dynamics, "minkowski_weyl_matrix", refuse)
+    assert np.array_equal(dynamics.minkowski_dirac_matrix(p, m), expected)
+    with pytest.raises(AssertionError, match="Weyl writer"):
+        dynamics.euler_lagrange_check("minkowski", np.ones(4), p, mass=0.3)
