@@ -4,7 +4,10 @@ Everything here lives at the symbol level: on a plane wave ``exp(-i p.x)``
 each derivative becomes ``-i p_mu``, so a constant-coefficient equation of
 motion collapses to a finite matrix.  Momenta are arbitrary reals (not
 torus-quantized).  The ``p_0`` roots come in closed form; each solve takes
-its determinant from one LU factorisation and its kernel from one SVD.
+its determinant from one LU factorisation and its kernel from one SVD.  The
+determinant-kernel duality sweep builds a batch of systems and factors them
+with one stacked call each, which gives every matrix the bits of a single
+call.
 
 Conventions
 -----------
@@ -55,6 +58,10 @@ from .torus_fields import ZERO_MODE, FourierScalar
 #: singular values at or below ``KERNEL_THRESHOLD * max(1, s_max)`` count
 #: as kernel directions.
 KERNEL_THRESHOLD = 1e-10
+
+#: A generic (off-shell) draw is kept only when its smallest singular value
+#: exceeds this; otherwise it is drawn again.
+GENERIC_MIN_SINGULAR = 1e-4
 
 ZERO4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -122,14 +129,21 @@ class DispersionResult:
         return len(self.kernel) > 0
 
 
-def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
+def _factored(
+    kind: str, matrix: np.ndarray, roots: tuple, determinant, s: np.ndarray, vh: np.ndarray
+) -> DispersionResult:
     """``matrix`` with its determinant and kernel: the right-singular
     directions whose singular value is negligible against the largest."""
-    determinant = complex(np.linalg.det(matrix))
-    _, s, vh = np.linalg.svd(matrix)
     cut = KERNEL_THRESHOLD * max(1.0, float(s[0]))
     kernel = tuple(vh[i].conj() for i in range(len(s)) if s[i] <= cut)
-    return DispersionResult(kind, matrix, determinant, roots, kernel, s)
+    return DispersionResult(kind, matrix, complex(determinant), roots, kernel, s)
+
+
+def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
+    """One system factored by one LU (the determinant) and one SVD."""
+    determinant = np.linalg.det(matrix)
+    _, s, vh = np.linalg.svd(matrix)
+    return _factored(kind, matrix, roots, determinant, s, vh)
 
 
 def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> DispersionResult:
@@ -139,10 +153,14 @@ def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> Dispersi
     ``p`` solves the equation of motion exactly when ``p_0 = -f_0`` (left)
     or ``p_0 = f_0`` (right) and the matrix below is singular.
     """
+    return _solved(*_weyl(f0, p, handed))
+
+
+def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     matrix = minkowski_weyl_matrix(np.concatenate(([f0], -p[1:4])), handed)
     radius = math.sqrt(p[1:4].dot(p[1:4]))
-    return _solved(f"weyl-{handed}", matrix, (radius, -radius))
+    return f"weyl-{handed}", matrix, (radius, -radius)
 
 
 def dirac_system(
@@ -161,6 +179,12 @@ def dirac_system(
     satisfy ``p_0^2 - |p+g|^2 = m^2`` under either identification
     ``p_0 = -+ f_0``.
     """
+    return _solved(*_dirac(f0, g, d, p, primed))
+
+
+def _dirac(
+    f0: float, g: Sequence[float], d: complex, p: Sequence[float], primed: bool
+) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     g = np.asarray(g, dtype=float)
     if g.shape != (3,):
@@ -169,8 +193,7 @@ def dirac_system(
     big_p = p[1:4] + g
     matrix = minkowski_dirac_matrix(np.concatenate(([f0], big_p if primed else -big_p)), m)
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
-    kind = "dirac-primed" if primed else "dirac"
-    return _solved(kind, matrix, (shell, -shell))
+    return "dirac-primed" if primed else "dirac", matrix, (shell, -shell)
 
 
 def boosted_weyl_system(
@@ -187,6 +210,12 @@ def boosted_weyl_system(
     momentum ``p' = boost_covector(boost, p)``, so the kernel is the flat
     one at ``p'``.
     """
+    return _solved(*_boosted_weyl(boost, f, p, handed))
+
+
+def _boosted_weyl(
+    boost: SpinBoost, f: Sequence[float], p: Sequence[float], handed: str
+) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     f = _as_covector(f)
     if _require_handed(handed) == "left":
@@ -194,7 +223,7 @@ def boosted_weyl_system(
     else:
         matrix = _boosted_sum(boost.sigma_boosted_stack, -1j * p - f)
     radius = math.sqrt(p[1:4].dot(p[1:4]))
-    return _solved(f"boosted-weyl-{handed}", matrix, (radius, -radius))
+    return f"boosted-weyl-{handed}", matrix, (radius, -radius)
 
 
 def boosted_dirac_mass(d: complex, primed: bool = False) -> complex:
@@ -221,6 +250,17 @@ def boosted_dirac_system(
     ``-(1+i) * minkowski_dirac_matrix(P', m)`` with
     ``m = boosted_dirac_mass(d, primed)``.
     """
+    return _solved(*_boosted_dirac(boost, f, g, d, p, primed))
+
+
+def _boosted_dirac(
+    boost: SpinBoost,
+    f: Sequence[float],
+    g: Sequence[float],
+    d: complex,
+    p: Sequence[float],
+    primed: bool,
+) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     f = _as_covector(f)
     g = _as_covector(g)
@@ -232,7 +272,7 @@ def boosted_dirac_system(
     m = boosted_dirac_mass(d, primed)
     shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
     kind = "boosted-dirac-primed" if primed else "boosted-dirac"
-    return _solved(kind, chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell))
+    return kind, chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +439,20 @@ class PlaneWaveProblem:
         return self.boost if self.boost is not None else IDENTITY_BOOST
 
     def solve(self) -> DispersionResult:
+        return _solved(*self._system())
+
+    def _system(self) -> tuple[str, np.ndarray, tuple]:
+        """``(kind, matrix, roots)``, built but not factored."""
         boosted, family, variant = _KIND_PARTS[self.kind]
         boost = self.spin_boost
         if family == "weyl" and boosted:
-            return boosted_weyl_system(boost, self.f, self.p, variant)
+            return _boosted_weyl(boost, self.f, self.p, variant)
         if family == "weyl":
-            return weyl_system(self.f[0], self.p, variant)
+            return _weyl(self.f[0], self.p, variant)
         primed = variant == "primed"
         if boosted:
-            return boosted_dirac_system(boost, self.f, self.g, self.d, self.p, primed)
-        return dirac_system(self.f[0], self.g[1:4], self.d, self.p, primed)
+            return _boosted_dirac(boost, self.f, self.g, self.d, self.p, primed)
+        return _dirac(self.f[0], self.g[1:4], self.d, self.p, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +469,23 @@ def _random_solved(
 ) -> tuple[PlaneWaveProblem, DispersionResult]:
     """:func:`random_problem` with the solve its nonsingularity test made."""
     for _ in range(100):
-        problem = PlaneWaveProblem(
-            kind=kind,
-            p=tuple(rng.normal(size=4)),
-            f=tuple(rng.normal(size=4)),
-            g=tuple(rng.normal(size=4)),
-            d=complex(rng.normal(), rng.normal()),
-            boost=_random_boost(rng, max_half_rapidity)
-            if kind in BOOSTED_KINDS
-            else None,
-        )
+        problem = _random_draw(rng, kind, max_half_rapidity)
         result = problem.solve()
-        if result.singular_values[-1] > 1e-4:
+        if result.singular_values[-1] > GENERIC_MIN_SINGULAR:
             return problem, result
     raise RuntimeError("could not draw a generic off-shell sample")
+
+
+def _random_draw(rng, kind: str, max_half_rapidity: float) -> PlaneWaveProblem:
+    """One generic draw, before its nonsingularity test."""
+    return PlaneWaveProblem(
+        kind=kind,
+        p=tuple(rng.normal(size=4)),
+        f=tuple(rng.normal(size=4)),
+        g=tuple(rng.normal(size=4)),
+        d=complex(rng.normal(), rng.normal()),
+        boost=_random_boost(rng, max_half_rapidity) if kind in BOOSTED_KINDS else None,
+    )
 
 
 def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveProblem:
@@ -460,24 +507,70 @@ def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
     return SpinBoost(half_rapidity=float(rng.uniform(0.05, hi)), axis=tuple(axis))
 
 
+#: Probability that a sweep sample is constructed on shell.
+_ON_SHELL_SHARE = 0.3
+
+
+def _drawn_solved(rng, kind: str, max_half_rapidity: float) -> DispersionResult:
+    """One sweep sample, solved: on shell or generic."""
+    if rng.uniform() < _ON_SHELL_SHARE:
+        return on_shell_problem(rng, kind, max_half_rapidity).solve()
+    return _random_solved(rng, kind, max_half_rapidity)[1]
+
+
+def _stacked_samples(
+    rng, kind: str, n_samples: int, max_half_rapidity: float
+) -> Optional[list[DispersionResult]]:
+    """The samples of :func:`_drawn_solved`, drawn on the assumption that
+    every generic draw passes its nonsingularity test at the first try and
+    factored by one stacked ``det`` and one stacked ``svd`` (the same bits,
+    matrix by matrix, as single calls).  None when a generic draw fails the
+    test, since the loop would have drawn that sample again."""
+    systems, generic = [], []
+    for _ in range(n_samples):
+        on_shell_draw = rng.uniform() < _ON_SHELL_SHARE
+        if on_shell_draw:
+            problem = on_shell_problem(rng, kind, max_half_rapidity)
+        else:
+            problem = _random_draw(rng, kind, max_half_rapidity)
+        systems.append(problem._system())
+        generic.append(not on_shell_draw)
+    if not systems:
+        return []
+    matrices = np.stack([matrix for _, matrix, _ in systems])
+    determinants = np.linalg.det(matrices)
+    _, s, vh = np.linalg.svd(matrices)
+    if not np.all(s[generic, -1] > GENERIC_MIN_SINGULAR):
+        return None
+    return [
+        _factored(*system, determinants[i], s[i], vh[i]) for i, system in enumerate(systems)
+    ]
+
+
 def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: float = 1.0) -> dict:
     """Check `kernel nonempty <=> |det| <= 1e-10` over a random parameter sweep.
 
-    About 30 % of the samples are constructed on shell.  Each sample is
-    solved once: a generic draw reuses the solve that tested it for
-    nonsingularity.  Returns counters plus the worst determinant/kernel
-    residuals seen on each side of the dichotomy.
+    About 30 % of the samples are constructed on shell.  The samples are
+    drawn as a batch and each is factored once, together with the others
+    (:func:`_stacked_samples`).  If a generic draw in the batch fails its
+    nonsingularity test, the generator is rewound to the batch start and
+    the samples are drawn and solved one at a time, a generic draw reusing
+    the solve that tested it.  Both paths draw the same samples from the
+    same stream.
+    Returns counters plus the worst determinant/kernel residuals seen on
+    each side of the dichotomy.
     """
+    start = rng.bit_generator.state
+    results = _stacked_samples(rng, kind, n_samples, max_half_rapidity)
+    if results is None:
+        rng.bit_generator.state = start
+        results = (_drawn_solved(rng, kind, max_half_rapidity) for _ in range(n_samples))
     violations = 0
     singular_count = 0
     min_generic_det = np.inf
     max_singular_det = 0.0
     worst_kernel_residual = 0.0
-    for _ in range(n_samples):
-        if rng.uniform() < 0.3:
-            result = on_shell_problem(rng, kind, max_half_rapidity).solve()
-        else:
-            result = _random_solved(rng, kind, max_half_rapidity)[1]
+    for result in results:
         small_det = abs(result.determinant) <= 1e-10
         if result.singular != small_det:
             violations += 1

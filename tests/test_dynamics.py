@@ -301,19 +301,55 @@ class TestDeterminantKernelDuality:
         assert report == oracle
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
+    @staticmethod
+    def _factored_matrices(monkeypatch):
+        """Per factorisation, the number of matrices ``det`` and ``svd`` were
+        handed (a stacked call counts each of its matrices)."""
+        counts = {"det": [], "svd": []}
+        for name in counts:
+            factor = getattr(np.linalg, name)
+
+            def counted(a, *args, _factor=factor, _seen=counts[name], **kwargs):
+                a = np.asarray(a)
+                _seen.append(a.shape[0] if a.ndim == 3 else 1)
+                return _factor(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
     @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
     def test_sweep_solves_each_sample_once(self, kind, monkeypatch):
-        calls = []
-        solve = dyn.PlaneWaveProblem.solve
-
-        def counted(problem):
-            calls.append(problem)
-            return solve(problem)
-
-        monkeypatch.setattr(dyn.PlaneWaveProblem, "solve", counted)
+        """Each sample is factored exactly once: one stacked ``det`` and one
+        stacked ``svd`` per sweep take every sample, and no generic draw
+        here fails its test."""
+        counts = self._factored_matrices(monkeypatch)
         rng = np.random.default_rng(90 + dyn.PROBLEM_KINDS.index(kind))
         dyn.duality_sweep(rng, kind, n_samples=200)
-        assert len(calls) == 200
+        assert counts == {"det": [200], "svd": [200]}
+
+    @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
+    def test_failed_generic_draw_rewinds_to_the_loop(self, kind, monkeypatch):
+        """With a test that a tenth to a third of generic draws fail, the batch
+        is abandoned, the generator rewound, and the one-at-a-time loop
+        gives the two-solve oracle's report and final generator state."""
+        monkeypatch.setattr(dyn, "GENERIC_MIN_SINGULAR", 0.5)
+        seed = 70 + dyn.PROBLEM_KINDS.index(kind)
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        oracle = self._two_solve_sweep(rng_old, kind, 100, 1.0)
+        counts = self._factored_matrices(monkeypatch)
+        report = dyn.duality_sweep(rng_new, kind, 100, 1.0)
+        assert report == oracle
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        # the abandoned batch, then single solves, redraws included
+        assert counts["det"][0] == counts["svd"][0] == 100
+        assert len(counts["det"]) == len(counts["svd"]) > 101
+
+    def test_empty_sweep(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        report = dyn.duality_sweep(rng, "dirac", n_samples=0)
+        assert (report["samples"], report["singular"], report["violations"]) == (0, 0, 0)
+        assert rng.bit_generator.state == state
 
     def test_root_count_bounded_by_degree(self):
         rng = np.random.default_rng(51)

@@ -17,7 +17,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from twistkit import actions, clifford, dynamics
+from twistkit import actions, clifford, dynamics, operator_algebra
 from twistkit.geometries import (
     DoubledGeometry,
     ElectrodynamicsGeometry,
@@ -119,6 +119,10 @@ MUTANTS = [
     for check_id, what, mutant in [
         ("axioms.full_axiom_suite", "star keeps the unprimed functions",
          edit(Element, "star", "f.conjugate() for f in self.unprimed", "f for f in self.unprimed")),
+        ("axioms.full_axiom_suite", "compose also skips pairs that meet past index 0",
+         edit(operator_algebra, "_compose_multiplications",
+              "left.any(axis=1) @ right.any(axis=2).T",
+              "left.any(axis=1)[:, :1] @ right.any(axis=2)[:, :1].T")),
         # the sectored potentials; the gauge law reads them on the four-sector space
         ("gauge.potential_shift_laws", "vector potential g negated",
          edit(ElectrodynamicsGeometry, "vector_potentials", "* (-0.5j)", "* (0.5j)")),

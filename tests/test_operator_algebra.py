@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistkit import operator_algebra
+from twistkit.geometries import (
+    DoubledGeometry,
+    ElectrodynamicsGeometry,
+    ManifoldGeometry,
+    random_element,
+)
 from twistkit.operator_algebra import (
     FieldOperator,
     OperatorComparison,
@@ -593,6 +600,14 @@ def assert_same_normal_form(got, expected):
         assert np.array_equal(got.terms[key], g, equal_nan=True), key
 
 
+def assert_same_bytes(got, expected):
+    """The same keys in the same order and the same bits, zero signs included."""
+    assert got.antilinear == expected.antilinear
+    assert list(got.terms) == list(expected.terms)
+    for key, g in expected.terms.items():
+        assert got.terms[key].tobytes() == g.tobytes(), key
+
+
 class TestReferenceArithmetic:
     """compose and adjoint repeat the reference loops' arithmetic exactly:
     the same keys in the same order and equal matrices, NaN included."""
@@ -636,7 +651,10 @@ class TestReferenceArithmetic:
         with np.errstate(invalid="ignore"):
             expected = _compose_reference(a, b)
             got = a @ b
-        assert_same_normal_form(got, expected)
+        if nonfinite:
+            assert_same_normal_form(got, expected)
+        else:
+            assert_same_bytes(got, expected)
 
     def test_nonfinite_entries_reach_the_result(self):
         op = oracle_operator(np.random.default_rng(3), 4, False, True)
@@ -674,3 +692,189 @@ class TestReferenceArithmetic:
         assert (key in (op + FieldOperator.zero(2)).terms) == kept
         assert (key in scaled.terms) == kept
         assert ((negate_mode(key[0]), ()) in adjoint.terms) == kept
+
+
+def multiplication_operator(rng, n, modes, antilinear=False):
+    """Terms on ``modes`` without derivatives.  As ``represent`` gives each
+    function its own mask, each matrix is diagonal on one residue class of
+    the indices mod 3 (mod n when n < 3), and a fifth of them also link two
+    classes by one off-diagonal entry."""
+    classes = min(3, n)
+    terms = {}
+    for mode in modes:
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+        g = np.diag(np.where(np.arange(n) % classes == rng.integers(classes), values, 0))
+        if rng.random() < 0.2:
+            g[rng.integers(n), rng.integers(n)] = values[0]
+        terms[(mode, ())] = g
+    return FieldOperator(n, terms, antilinear)
+
+
+def pair_supports_meet(a, b):
+    """Per term pair of ``a @ b`` (in loop order), whether some column of the
+    left matrix and the same row of the right matrix are both nonzero."""
+    b_terms = b.terms
+    if a.antilinear:
+        b_terms = {(negate_mode(k), d): np.conj(g) for (k, d), g in b.terms.items()}
+    return [
+        bool((ga.any(axis=0) & gb.any(axis=1)).any())
+        for ga in a.terms.values()
+        for gb in b_terms.values()
+    ]
+
+
+def loop_calls(monkeypatch):
+    """The operands of every run of the general pair loop from now on."""
+    calls = []
+    loop = operator_algebra._compose_pairs
+
+    def counted(a_terms, b_terms):
+        calls.append((a_terms, b_terms))
+        return loop(a_terms, b_terms)
+
+    monkeypatch.setattr(operator_algebra, "_compose_pairs", counted)
+    return calls
+
+
+NEGATIVE_ZERO = complex(-0.0, -0.0)
+SMALL_MODES = [tuple(int(v) for v in m) for m in np.ndindex(2, 2, 1, 2)]
+
+
+class TestComposeSkipsPairs:
+    """``compose`` multiplies only the term pairs of two multiplication
+    operators whose supports meet, and gives the pair loop's keys, order
+    and bits."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("space", ["manifold", "doubled", "electro"])
+    def test_geometry_products(self, space, seed, monkeypatch):
+        geo = {
+            "manifold": ManifoldGeometry,
+            "doubled": DoubledGeometry,
+            "electro": lambda: ElectrodynamicsGeometry(d=0.8 - 0.3j),
+        }[space]()
+        rng = np.random.default_rng(seed)
+        a, b = (random_element(rng, geo.n_slots) for _ in range(2))
+        pa, pb, pa_twisted = geo.represent(a), geo.represent(b), geo.represent(a.flip())
+        products = [
+            (pa, pb),
+            (pb, pa_twisted),
+            (geo.dirac, pa),
+            (pa_twisted, geo.dirac),
+            (pb, geo.twisted_commutator(a)),
+            (geo.real_structure, pa),
+            (pa, geo.real_structure),
+            (geo.r_operator, pb),
+        ]
+        for left, right in products:
+            assert_same_bytes(left @ right, _compose_reference(left, right))
+        calls = loop_calls(monkeypatch)
+        pa @ pb
+        assert calls == []
+        # distinct functions own distinct masks, so some pairs are skipped
+        assert not all(pair_supports_meet(pa, pb))
+
+    @pytest.mark.parametrize("linearity", ["ll", "la", "al", "aa"])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_every_linearity(self, n, linearity):
+        rng = np.random.default_rng(10 * n + ["ll", "la", "al", "aa"].index(linearity))
+        a = multiplication_operator(rng, n, SMALL_MODES, linearity[0] == "a")
+        b = multiplication_operator(rng, n, SMALL_MODES[::-1], linearity[1] == "a")
+        assert 0 < sum(pair_supports_meet(a, b)) < len(a.terms) * len(b.terms)
+        assert_same_bytes(a @ b, _compose_reference(a, b))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_planted_negative_zeros(self, n, monkeypatch):
+        """Key 10 is reached by a skipped pair before its first met pair, key
+        25 by one after it, and keys 0 and 35 by skipped pairs only; every
+        zero of the operands is -0.0 in both parts."""
+        low = np.arange(n) < n // 2
+
+        def masked(mask, seed):
+            values = np.array([1, 1j]) @ np.random.default_rng(seed).normal(size=(2, n))
+            g = np.full((n, n), NEGATIVE_ZERO)
+            g[np.diag_indices(n)] = np.where(mask, values, NEGATIVE_ZERO)
+            return g
+
+        def op(modes_masks):
+            out = FieldOperator(n)
+            out.terms = {((m, 0, 0, 0), ()): masked(mask, m) for m, mask in modes_masks}
+            return out
+
+        a = op([(0, low), (10, ~low)])
+        b = op([(10, ~low), (0, ~low), (25, low), (15, low)])
+        calls = loop_calls(monkeypatch)
+        got, expected = a @ b, _compose_reference(a, b)
+        assert_same_bytes(got, expected)
+        assert [k[0][0] for k in got.terms] == [10, 25, 15, 20]
+        assert pair_supports_meet(a, b) == [False, False, True, True, True, True, False, False]
+        # the skip holds unless the met pair of key 10 or 25 gives a -0.0,
+        # as BLAS may for n < 4
+        ga, gb = list(a.terms.values()), list(b.terms.values())
+        met = [(1.0 + 0.0j) * (ga[1] @ gb[1]), (1.0 + 0.0j) * (ga[0] @ gb[2])]
+        signed = any(np.signbit(h.view(float)[h.view(float) == 0]).any() for h in met)
+        assert len(calls) == signed
+
+    def test_nonfinite_entries_turn_the_skip_off(self, monkeypatch):
+        """A NaN or inf entry times a zero of the other matrix is NaN, so the
+        pair loop runs and the NaN reaches a key no support test would fill."""
+        rng = np.random.default_rng(7)
+        calls = loop_calls(monkeypatch)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            a = multiplication_operator(rng, 4, SMALL_MODES)
+            b = multiplication_operator(rng, 4, SMALL_MODES[::-1])
+            key = next(iter(a.terms))
+            a.terms[key] = np.diag([bad, 0, 0, 0]).astype(complex)
+            b_first = next(iter(b.terms))
+            b.terms[b_first] = np.diag([0, 1.0, 1.0, 1.0]).astype(complex)
+            with np.errstate(invalid="ignore"):
+                got, expected = a @ b, _compose_reference(a, b)
+            assert_same_bytes(got, expected)
+            assert np.isnan(got.terms[(add_modes(key[0], b_first[0]), ())][0, 0])
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_modes_at_two_to_the_62(self, antilinear):
+        """Mode sums reach +-2^63, past int64, and stay Python integers."""
+        big = 2**62
+        rng = np.random.default_rng(62)
+        modes = [(big, -big, 0, 1), (-big, big, big, 0), (big, 0, -big, -1)]
+        a = multiplication_operator(rng, 4, modes, antilinear)
+        b = multiplication_operator(rng, 4, [negate_mode(m) if antilinear else m for m in modes])
+        got = a @ b
+        assert_same_bytes(got, _compose_reference(a, b))
+        assert any(abs(v) >= 2**63 for (k, _) in got.terms for v in k)
+        assert all(type(v) is int for (k, _) in got.terms for v in k)
+
+    @pytest.mark.parametrize("derivs", [False, True])
+    def test_empty_operands(self, derivs):
+        rng = np.random.default_rng(3)
+        op = random_operator(rng, 3, max_deriv=2 if derivs else 0)
+        empty = FieldOperator.zero(3)
+        for left, right in ((op, empty), (empty, op), (empty, empty)):
+            got = left @ right
+            assert got.terms == {}
+            assert_same_bytes(got, _compose_reference(left, right))
+
+    @pytest.mark.parametrize("antilinear", [False, True])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_one_constant_term(self, side, antilinear, monkeypatch):
+        """J, R and the grading are one constant term: the pair loop makes
+        each term of the other operand, derivatives and NaN included, one
+        product in its own key, with no support test."""
+        rng = np.random.default_rng(20 + antilinear)
+        const = FieldOperator(
+            4, {(ZERO_MODE, ()): rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))},
+            antilinear,
+        )
+        calls = loop_calls(monkeypatch)
+        for other in (
+            oracle_operator(rng, 4, False, False),
+            oracle_operator(rng, 4, True, True),
+            multiplication_operator(rng, 4, SMALL_MODES),
+        ):
+            left, right = (const, other) if side == "left" else (other, const)
+            with np.errstate(invalid="ignore"):
+                got, expected = left @ right, _compose_reference(left, right)
+            assert_same_bytes(got, expected)
+        assert len(calls) == 3
