@@ -28,6 +28,12 @@ DIGESTS = {
         1,
         "dd259a5bd4d73097b102374ae7781b6f0e968ef8bf765157c5387fcab6807d29",
     ),
+    # a zero rapidity cap: skip records, the flat-only duality sweep and the
+    # identity boost in the Euler-Lagrange check
+    ("--seed", "3", "--rapidity", "0"): (
+        0,
+        "1ff3d77ceae8085fee55ce6057f367ec290c9eb4036ed6a1cd768e192e7ec5cf",
+    ),
 }
 
 
