@@ -461,18 +461,10 @@ class PlaneWaveProblem:
 
 def random_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWaveProblem:
     """Generic (off-shell) draw: redraws until comfortably nonsingular."""
-    return _random_solved(rng, kind, max_half_rapidity)[0]
-
-
-def _random_solved(
-    rng, kind: str, max_half_rapidity: float
-) -> tuple[PlaneWaveProblem, DispersionResult]:
-    """:func:`random_problem` with the solve its nonsingularity test made."""
     for _ in range(100):
         problem = _random_draw(rng, kind, max_half_rapidity)
-        result = problem.solve()
-        if result.singular_values[-1] > GENERIC_MIN_SINGULAR:
-            return problem, result
+        if problem.solve().singular_values[-1] > GENERIC_MIN_SINGULAR:
+            return problem
     raise RuntimeError("could not draw a generic off-shell sample")
 
 
@@ -511,29 +503,20 @@ def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
 _ON_SHELL_SHARE = 0.3
 
 
-def _drawn_solved(rng, kind: str, max_half_rapidity: float) -> DispersionResult:
-    """One sweep sample, solved: on shell or generic."""
-    if rng.uniform() < _ON_SHELL_SHARE:
-        return on_shell_problem(rng, kind, max_half_rapidity).solve()
-    return _random_solved(rng, kind, max_half_rapidity)[1]
-
-
 def _stacked_samples(
     rng, kind: str, n_samples: int, max_half_rapidity: float
 ) -> Optional[list[DispersionResult]]:
-    """The samples of :func:`_drawn_solved`, drawn on the assumption that
-    every generic draw passes its nonsingularity test at the first try and
-    factored by one stacked ``det`` and one stacked ``svd`` (the same bits,
-    matrix by matrix, as single calls).  None when a generic draw fails the
-    test, since the loop would have drawn that sample again."""
+    """The sweep's samples, each drawn by :func:`on_shell_problem` or
+    :func:`_random_draw` on the assumption that every generic draw passes
+    its nonsingularity test at the first try, and factored by one stacked
+    ``det`` and one stacked ``svd`` (the same bits, matrix by matrix, as
+    single calls).  None when a generic draw fails the test, since
+    :func:`random_problem` would have drawn that sample again."""
     systems, generic = [], []
     for _ in range(n_samples):
         on_shell_draw = rng.uniform() < _ON_SHELL_SHARE
-        if on_shell_draw:
-            problem = on_shell_problem(rng, kind, max_half_rapidity)
-        else:
-            problem = _random_draw(rng, kind, max_half_rapidity)
-        systems.append(problem._system())
+        draw = on_shell_problem if on_shell_draw else _random_draw
+        systems.append(draw(rng, kind, max_half_rapidity)._system())
         generic.append(not on_shell_draw)
     if not systems:
         return []
@@ -554,7 +537,8 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
     drawn as a batch and each is factored once, together with the others
     (:func:`_stacked_samples`).  If a generic draw in the batch fails its
     nonsingularity test, the generator is rewound to the batch start and
-    the samples are drawn and solved one at a time, a generic draw reusing
+    each sample is drawn by :func:`on_shell_problem` or
+    :func:`random_problem` and solved, a generic sample a second time after
     the solve that tested it.  Both paths draw the same samples from the
     same stream.
     Returns counters plus the worst determinant/kernel residuals seen on
@@ -564,7 +548,12 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
     results = _stacked_samples(rng, kind, n_samples, max_half_rapidity)
     if results is None:
         rng.bit_generator.state = start
-        results = (_drawn_solved(rng, kind, max_half_rapidity) for _ in range(n_samples))
+        results = (
+            (on_shell_problem if rng.uniform() < _ON_SHELL_SHARE else random_problem)(
+                rng, kind, max_half_rapidity
+            ).solve()
+            for _ in range(n_samples)
+        )
     violations = 0
     singular_count = 0
     min_generic_det = np.inf

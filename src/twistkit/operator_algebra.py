@@ -17,11 +17,12 @@ matrices.  Adjoints are closed form per term: by (d_mu)^+ = -d_mu and
 (-1)^|alpha| G^+ d^alpha e^{-ik.x}, whose derivatives are pushed through the
 phase by the same cached Leibniz table that composition reads.
 
-Composition keeps the arithmetic of the term-pair loop bit for bit, keys
-and their order included, while doing less of it: the product of two
-multiplication operators multiplies only the term pairs whose supports
+Composition gives the keys of the term-pair loop that multiplies every
+pair, their order and their values, while doing less of it: the product of
+two multiplication operators multiplies only the term pairs whose supports
 meet (functions with their own diagonal masks, as the geometries represent
-them, never meet).
+them, never meet).  The sign of a zero entry is not part of that contract,
+since a pair left out would only have added signed zeros.
 
 ``apply`` multiplies each amplitude by the term matrices, so the same
 operator acts on vector amplitudes ``(n,)`` and on the ``(n, G)`` blocks of
@@ -67,18 +68,18 @@ def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarra
     return {(negate_mode(k), d): np.conj(g) for (k, d), g in terms.items()}
 
 
-def _is_nonzero(g: np.ndarray) -> bool:
+def _is_nonzero(g: np.ndarray | None) -> bool:
     """Whether some entry of g is nonzero: NaN counts, +-0.0 does not, and a
-    complex entry is zero only when both of its parts are."""
-    return np.count_nonzero(g) > 0
+    complex entry is zero only when both of its parts are.  None, a key that
+    no product filled, is zero."""
+    return g is not None and np.count_nonzero(g) > 0
 
 
 def _accumulate(terms: dict, key, g: np.ndarray) -> None:
-    """Add g into terms[key]; a new key stores g itself, not a copy."""
-    if key in terms:
-        terms[key] = terms[key] + g
-    else:
-        terms[key] = g
+    """Add g into terms[key]; a new key, or one that holds None, stores g
+    itself, not a copy."""
+    held = terms.get(key)
+    terms[key] = g if held is None else held + g
 
 
 @lru_cache(maxsize=1024)
@@ -102,69 +103,45 @@ def _leibniz_coefficient(axes: DerivIndex, k: Mode) -> complex:
     return coeff
 
 
-def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarray]:
-    """The general term-pair loop: each product expanded by the Leibniz table
-    and summed into its key in pair order."""
-    terms: dict[TermKey, np.ndarray] = {}
-    for (ka, da), ga in a_terms.items():
-        for (kb, db), gb in b_terms.items():
-            gab = ga @ gb
+def _pair_mask(a_terms: Mapping, b_terms: Mapping) -> list[list[bool]]:
+    """Per term pair, whether some column of the left matrix and the same
+    row of the right matrix are both nonzero.  Every pair counts as meeting
+    when an operand has fewer than two terms (J, R and the grading are one
+    constant term that meets nearly every other, so the test costs more
+    than it saves), a derivative term or a non-finite entry (NaN or inf
+    times a zero is NaN)."""
+    every = [[True] * len(b_terms)] * len(a_terms)
+    if len(a_terms) < 2 or len(b_terms) < 2:
+        return every
+    if any(d for _, d in a_terms) or any(d for _, d in b_terms):
+        return every
+    left = np.stack(list(a_terms.values()))
+    right = np.stack(list(b_terms.values()))
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        return every
+    return (left.any(axis=1) @ right.any(axis=2).T).tolist()
+
+
+def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarray | None]:
+    """The term-pair loop: each pair whose supports meet is multiplied,
+    expanded by the Leibniz table and summed into its key in pair order.  A
+    pair that cannot meet has no derivatives (:func:`_pair_mask`) and a
+    product of signed zeros, so it only reserves its key where the pair is
+    first reached; a key that no met pair fills holds None, which the prune
+    drops."""
+    terms: dict[TermKey, np.ndarray | None] = {}
+    for ((ka, da), ga), row in zip(a_terms.items(), _pair_mask(a_terms, b_terms)):
+        for ((kb, db), gb), meet in zip(b_terms.items(), row):
             mode = add_modes(ka, kb)
+            if not meet:
+                terms.setdefault((mode, ()), None)
+                continue
+            gab = ga @ gb
             for axes, d_new in _leibniz(da, db):
                 coeff = _leibniz_coefficient(axes, kb)
                 if coeff != 0:
                     _accumulate(terms, (mode, d_new), coeff * gab)
     return terms
-
-
-#: The bits of -0.0 read as an int64.
-_NEGATIVE_ZERO_BITS = np.array(-0.0).view(np.int64)
-
-
-def _compose_multiplications(
-    a_terms: Mapping, b_terms: Mapping
-) -> dict[TermKey, np.ndarray] | None:
-    """The pair loop for two multiplication operators, multiplying only the
-    pairs whose supports meet; None where the loop itself must run: when an
-    operand has fewer than two terms (J, R and the grading are one constant
-    term that meets nearly every other, so the support test costs more than
-    it saves), a derivative term or a non-finite entry, or when a key that a
-    skipped pair reaches holds a -0.0.
-
-    A pair whose left column support misses its right row support has a
-    product of signed zeros (which signs, BLAS decides).  Adding such a
-    product into a key changes at most the sign of a zero entry, and a sum
-    is -0.0 only when every addend is.  So where the met pairs of a key sum
-    to no -0.0, the loop's sum is theirs bit for bit; a skipped pair still
-    places its key where the loop first put it, and a key that only skipped
-    pairs reach is dropped, as the loop's prune drops it.
-    """
-    if len(a_terms) < 2 or len(b_terms) < 2:
-        return None
-    if any(d for _, d in a_terms) or any(d for _, d in b_terms):
-        return None
-    left = np.stack(list(a_terms.values()))
-    right = np.stack(list(b_terms.values()))
-    if not (np.isfinite(left).all() and np.isfinite(right).all()):
-        return None
-    meets = (left.any(axis=1) @ right.any(axis=2).T).tolist()
-    b_pairs = [(kb, gb) for (kb, _), gb in b_terms.items()]
-    terms: dict[TermKey, np.ndarray | None] = {}
-    skipped = set()
-    for ((ka, _), ga), row in zip(a_terms.items(), meets):
-        for (kb, gb), meet in zip(b_pairs, row):
-            key = (add_modes(ka, kb), ())
-            if not meet:
-                terms.setdefault(key, None)
-                skipped.add(key)
-                continue
-            h = (1.0 + 0.0j) * (ga @ gb)
-            g = terms.get(key)
-            terms[key] = h if g is None else g + h
-    reached = [terms[key] for key in skipped if terms[key] is not None]
-    if reached and (np.stack(reached).view(np.int64) == _NEGATIVE_ZERO_BITS).any():
-        return None
-    return {key: g for key, g in terms.items() if g is not None}
 
 
 class FieldOperator:
@@ -254,8 +231,7 @@ class FieldOperator:
         out = FieldOperator(
             self.fiber_dim, {}, self.antilinear != other.antilinear
         )
-        terms = _compose_multiplications(self.terms, b_terms)
-        out.terms = _compose_pairs(self.terms, b_terms) if terms is None else terms
+        out.terms = _compose_pairs(self.terms, b_terms)
         return out._pruned()
 
     # ----- involutions ---------------------------------------------------

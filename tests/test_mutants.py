@@ -120,7 +120,7 @@ MUTANTS = [
         ("axioms.full_axiom_suite", "star keeps the unprimed functions",
          edit(Element, "star", "f.conjugate() for f in self.unprimed", "f for f in self.unprimed")),
         ("axioms.full_axiom_suite", "compose also skips pairs that meet past index 0",
-         edit(operator_algebra, "_compose_multiplications",
+         edit(operator_algebra, "_pair_mask",
               "left.any(axis=1) @ right.any(axis=2).T",
               "left.any(axis=1)[:, :1] @ right.any(axis=2)[:, :1].T")),
         # the sectored potentials; the gauge law reads them on the four-sector space
