@@ -816,12 +816,12 @@ def _chk_doubled_action_closed_form(rng, cfg):
         yield close(eng, 2 * single)
 
 
-def _selfadjoint_agreement(geo, fl, adjoint=None) -> float:
+def _selfadjoint_agreement(geo, fl, adjoint) -> float:
     """The sentinel unless the operator and parameter self-adjointness tests
-    of ``fl`` agree at 1e-9; a NaN defect on either side fails.  ``adjoint``
-    is ``fl.adjoint()`` when the caller has it already."""
+    of ``fl`` (whose adjoint is ``adjoint``) agree at 1e-9; a NaN defect on
+    either side fails."""
     z, zp = geo.fluctuation_parameters(fl)
-    op_defect = (fl - (fl.adjoint() if adjoint is None else adjoint)).max_abs()
+    op_defect = (fl - adjoint).max_abs()
     par_defect = selfadjoint_defect_parameters(z, zp)
     if np.isnan([op_defect, par_defect]).any():
         return SENTINEL_ERROR

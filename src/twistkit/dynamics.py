@@ -503,57 +503,46 @@ def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
 _ON_SHELL_SHARE = 0.3
 
 
-def _stacked_samples(
-    rng, kind: str, n_samples: int, max_half_rapidity: float
-) -> Optional[list[DispersionResult]]:
-    """The sweep's samples, each drawn by :func:`on_shell_problem` or
-    :func:`_random_draw` on the assumption that every generic draw passes
-    its nonsingularity test at the first try, and factored by one stacked
-    ``det`` and one stacked ``svd`` (the same bits, matrix by matrix, as
-    single calls).  None when a generic draw fails the test, since
-    :func:`random_problem` would have drawn that sample again."""
-    systems, generic = [], []
-    for _ in range(n_samples):
-        on_shell_draw = rng.uniform() < _ON_SHELL_SHARE
-        draw = on_shell_problem if on_shell_draw else _random_draw
-        systems.append(draw(rng, kind, max_half_rapidity)._system())
-        generic.append(not on_shell_draw)
-    if not systems:
-        return []
-    matrices = np.stack([matrix for _, matrix, _ in systems])
-    determinants = np.linalg.det(matrices)
-    _, s, vh = np.linalg.svd(matrices)
-    if not np.all(s[generic, -1] > GENERIC_MIN_SINGULAR):
-        return None
-    return [
-        _factored(*system, determinants[i], s[i], vh[i]) for i, system in enumerate(systems)
-    ]
+def _sample(rng, kind: str, max_half_rapidity: float) -> tuple[PlaneWaveProblem, bool]:
+    """One sweep sample and whether it is generic: the on-shell coin, then
+    :func:`on_shell_problem` or one :func:`_random_draw`."""
+    on_shell_draw = rng.uniform() < _ON_SHELL_SHARE
+    draw = on_shell_problem if on_shell_draw else _random_draw
+    return draw(rng, kind, max_half_rapidity), not on_shell_draw
 
 
 def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: float = 1.0) -> dict:
     """Check `kernel nonempty <=> |det| <= 1e-10` over a random parameter sweep.
 
-    About 30 % of the samples are constructed on shell.  The samples are
-    drawn as a batch and each is factored once, together with the others
-    (:func:`_stacked_samples`).  If a generic draw in the batch fails its
-    nonsingularity test, the generator is rewound to the batch start and
-    each sample is drawn by :func:`on_shell_problem` or
-    :func:`random_problem` and solved, a generic sample a second time after
-    the solve that tested it.  Both paths draw the same samples from the
-    same stream.
+    About 30 % of the samples are constructed on shell.  The samples still
+    missing are drawn as a batch (:func:`_sample`) and factored by one
+    stacked ``det`` and one stacked ``svd``, the same bits, matrix by
+    matrix, as single calls.  The batch keeps the samples before its first
+    generic draw that fails the nonsingularity test; the generator goes back
+    to the batch start, replays the kept draws and that sample's coin, and
+    :func:`random_problem` draws the sample again, so every sample comes
+    from the stream of a one-at-a-time loop.  A new batch takes the rest.
     Returns counters plus the worst determinant/kernel residuals seen on
     each side of the dichotomy.
     """
-    start = rng.bit_generator.state
-    results = _stacked_samples(rng, kind, n_samples, max_half_rapidity)
-    if results is None:
-        rng.bit_generator.state = start
-        results = (
-            (on_shell_problem if rng.uniform() < _ON_SHELL_SHARE else random_problem)(
-                rng, kind, max_half_rapidity
-            ).solve()
-            for _ in range(n_samples)
-        )
+    results = []
+    while len(results) < n_samples:
+        start = rng.bit_generator.state
+        draws = [_sample(rng, kind, max_half_rapidity) for _ in range(n_samples - len(results))]
+        systems = [problem._system() for problem, _ in draws]
+        matrices = np.stack([matrix for _, matrix, _ in systems])
+        determinants = np.linalg.det(matrices)
+        _, s, vh = np.linalg.svd(matrices)
+        passed = s[:, -1] > GENERIC_MIN_SINGULAR
+        failed = (i for i, (_, generic) in enumerate(draws) if generic and not passed[i])
+        kept = next(failed, len(draws))
+        results += [_factored(*systems[i], determinants[i], s[i], vh[i]) for i in range(kept)]
+        if kept < len(draws):
+            rng.bit_generator.state = start
+            for _ in range(kept):
+                _sample(rng, kind, max_half_rapidity)
+            rng.uniform()
+            results.append(random_problem(rng, kind, max_half_rapidity).solve())
     violations = 0
     singular_count = 0
     min_generic_det = np.inf

@@ -166,13 +166,13 @@ def test_selfadjoint_predicates_fail_on_nan_defect():
     assert np.isnan(selfadjoint_defect_parameters(z, zp))
     selfadjoint, found = _selfadjoint_agreement(fl, z, zp)
     assert not selfadjoint and reduce_residuals(found) == SENTINEL_ERROR
-    assert checks._selfadjoint_agreement(geo, fl) == SENTINEL_ERROR
+    assert checks._selfadjoint_agreement(geo, fl, fl.adjoint()) == SENTINEL_ERROR
     # the same predicates on the finite pair agree and read self-adjoint
     z[2] = random_scalar(np.random.default_rng(2))
     zp = [(-1.0) * c.conjugate() for c in z]
     fl = geo.fluctuation_from_z(z, zp)
     assert _selfadjoint_agreement(fl, z, zp)[0]
-    assert checks._selfadjoint_agreement(geo, fl) == 0.0
+    assert checks._selfadjoint_agreement(geo, fl, fl.adjoint()) == 0.0
 
 
 def test_criterion_04_selfadjoint_predicates():

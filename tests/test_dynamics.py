@@ -303,15 +303,16 @@ class TestDeterminantKernelDuality:
 
     @staticmethod
     def _factored_matrices(monkeypatch):
-        """Per factorisation, the number of matrices ``det`` and ``svd`` were
-        handed (a stacked call counts each of its matrices)."""
+        """Per factorisation, the stack shape ``det`` and ``svd`` were handed:
+        ``(n,)`` for a stacked call of ``n`` matrices, ``()`` for a single
+        matrix."""
         counts = {"det": [], "svd": []}
         for name in counts:
             factor = getattr(np.linalg, name)
 
             def counted(a, *args, _factor=factor, _seen=counts[name], **kwargs):
                 a = np.asarray(a)
-                _seen.append(a.shape[0] if a.ndim == 3 else 1)
+                _seen.append(a.shape[:-2])
                 return _factor(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
@@ -325,13 +326,14 @@ class TestDeterminantKernelDuality:
         counts = self._factored_matrices(monkeypatch)
         rng = np.random.default_rng(90 + dyn.PROBLEM_KINDS.index(kind))
         dyn.duality_sweep(rng, kind, n_samples=200)
-        assert counts == {"det": [200], "svd": [200]}
+        assert counts == {"det": [(200,)], "svd": [(200,)]}
 
     @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
-    def test_failed_generic_draw_rewinds_to_the_loop(self, kind, monkeypatch):
-        """With a test that a tenth to a third of generic draws fail, the batch
-        is abandoned, the generator rewound, and the one-at-a-time loop
-        gives the two-solve oracle's report and final generator state."""
+    def test_failed_generic_draw_resumes_the_batch(self, kind, monkeypatch):
+        """With a test that a tenth to a third of generic draws fail, each
+        batch keeps its samples up to the first failed draw, ``random_problem``
+        draws that sample again, and a smaller batch takes the rest; the
+        sweep gives the two-solve oracle's report and final generator state."""
         monkeypatch.setattr(dyn, "GENERIC_MIN_SINGULAR", 0.5)
         seed = 70 + dyn.PROBLEM_KINDS.index(kind)
         rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -340,9 +342,30 @@ class TestDeterminantKernelDuality:
         report = dyn.duality_sweep(rng_new, kind, 100, 1.0)
         assert report == oracle
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        # the abandoned batch, then single solves, redraws included
-        assert counts["det"][0] == counts["svd"][0] == 100
-        assert len(counts["det"]) == len(counts["svd"]) > 101
+        # single factorisations are the redraws' own solves
+        stacked = [shape for shape in counts["det"] if shape]
+        assert stacked == [shape for shape in counts["svd"] if shape]
+        assert stacked[0] == (100,) and len(stacked) > 1
+        assert all(later < earlier for earlier, later in zip(stacked, stacked[1:]))
+
+    @pytest.mark.parametrize("kind", ["weyl-left", "boosted-dirac"])
+    def test_redraw_cap(self, kind, monkeypatch):
+        """A generic sample that no draw makes nonsingular is given up after
+        100 draws, by ``random_problem`` and by the sweep through it."""
+        monkeypatch.setattr(dyn, "GENERIC_MIN_SINGULAR", np.inf)
+        draws = []
+
+        def counted(*args, _draw=dyn._random_draw):
+            draws.append(args)
+            return _draw(*args)
+
+        monkeypatch.setattr(dyn, "_random_draw", counted)
+        message = "^could not draw a generic off-shell sample$"
+        with pytest.raises(RuntimeError, match=message):
+            dyn.random_problem(np.random.default_rng(6), kind)
+        assert len(draws) == 100
+        with pytest.raises(RuntimeError, match=message):
+            dyn.duality_sweep(np.random.default_rng(6), kind, n_samples=10)
 
     def test_empty_sweep(self):
         rng = np.random.default_rng(5)

@@ -35,7 +35,7 @@ DIGESTS = {
         "1ff3d77ceae8085fee55ce6057f367ec290c9eb4036ed6a1cd768e192e7ec5cf",
     ),
     # a generic draw of the weyl-right duality sweep fails its nonsingularity
-    # test, so the sweep rewinds and draws its samples one at a time
+    # test, so random_problem redraws that sample and a new batch resumes
     ("--seed", "15"): (0, "51bf3051840d9a790e3ddee0298e1c6a6d0a57de8aa3084e38886f32e19bff22"),
 }
 
