@@ -272,26 +272,6 @@ _SPATIAL = tuple(
 )
 
 
-def _summed(start, batches=()) -> FieldOperator:
-    """The fiber-two operator that ``+`` builds from the terms ``start``, then
-    each batch of ``(key, matrix)`` pieces: a new key stores its matrix, a
-    present one adds to its own, and each batch ends by dropping the exactly
-    zero keys touched since the last, so a key filled again sits at the end."""
-    terms = dict(start)
-    touched = list(terms)
-    for batch in batches:
-        for key, g in batch:
-            terms[key] = terms[key] + g if key in terms else g
-            touched.append(key)
-        for key in touched:
-            if key in terms and not np.count_nonzero(terms[key]):
-                del terms[key]
-        touched = []
-    op = FieldOperator(2)
-    op.terms = terms
-    return op
-
-
 def covariant_weyl_density_operators(
     f0: FourierScalar, g: Sequence[FourierScalar]
 ) -> tuple[FieldOperator, FieldOperator]:
@@ -302,35 +282,8 @@ def covariant_weyl_density_operators(
     for j, (deriv, isj) in enumerate(_SPATIAL, start=1):
         pieces = [deriv] + [(key, -1.0 * m) for key, m in _mult_terms(isj, g[j])]
         covariant.append([(key, m) for key, m in pieces if np.count_nonzero(m)])
-    op_minus = _summed(start, [[(key, -1.0 * m) for key, m in cov] for cov in covariant])
-    return op_minus, _summed(start, covariant)
-
-
-def _potential_pair(f: FourierScalar, g: FourierScalar):
-    """``f - 1j * g`` and ``-f - 1j * g``, built together without the seven
-    intermediate scalars of those expressions.
-
-    Each coefficient goes through the operations the ``FourierScalar``
-    expressions apply, with their drops of exact zeros and their key order:
-    ``f``'s modes (for the second, the nonzero ones), then ``g``'s new ones.
-    """
-    shift = {}  # -1.0 * (1j * g), as the subtraction adds it
-    for k, v in g.coeffs.items():
-        w = 1j * v
-        if w != 0:
-            shift[k] = -1.0 * complex(w)
-    plus = dict(f.coeffs)
-    minus = {}
-    for k, v in f.coeffs.items():
-        w = -1.0 * v
-        if w != 0:
-            minus[k] = w
-    for k, w in shift.items():
-        plus[k] = plus.get(k, 0.0) + w
-        minus[k] = minus.get(k, 0.0) + w
-    return tuple(
-        FourierScalar({k: complex(v) for k, v in c.items() if v != 0}) for c in (plus, minus)
-    )
+    negated = [[(key, -1.0 * m) for key, m in cov] for cov in covariant]
+    return FieldOperator.summed(2, start, negated), FieldOperator.summed(2, start, covariant)
 
 
 def boosted_weyl_density_operators(
@@ -342,10 +295,9 @@ def boosted_weyl_density_operators(
     for mu in range(4):
         st = boost.sigma_tilde_boosted(mu)
         sb = boost.sigma_boosted(mu)
-        plus, minus = _potential_pair(f[mu], g[mu])
-        left.append([_deriv_term(st, mu), *_mult_terms(st, plus)])
-        right.append([_deriv_term(sb, mu), *_mult_terms(sb, minus)])
-    return _summed((), left), _summed((), right)
+        left.append([_deriv_term(st, mu), *_mult_terms(st, f[mu] - 1j * g[mu])])
+        right.append([_deriv_term(sb, mu), *_mult_terms(sb, -f[mu] - 1j * g[mu])])
+    return FieldOperator.summed(2, (), left), FieldOperator.summed(2, (), right)
 
 
 def manifold_lagrangian_action(phi_w: Section, zeta_w: Section, f0: FourierScalar):
@@ -473,13 +425,14 @@ def boosted_electro_lagrangian_action(
 
 def weyl_derivative_form(phi_w: Section, zeta_w: Section):
     """``2 int phi^T s2 sigma_j d_j zeta`` - the kinetic sub-density."""
-    op = _summed((), [[deriv for deriv, _ in _SPATIAL]])
+    op = FieldOperator.summed(2, (), [[deriv for deriv, _ in _SPATIAL]])
     return 2 * bilinear_integral(phi_w, op.apply(zeta_w))
 
 
 def weyl_potential_form(phi_w: Section, zeta_w: Section, f0: FourierScalar):
     """``-2i int f0 phi^T s2 zeta`` - the chiral-potential sub-density."""
-    return -2j * bilinear_integral(phi_w, _summed(_mult_terms(_S2, f0)).apply(zeta_w))
+    op = FieldOperator.summed(2, _mult_terms(_S2, f0))
+    return -2j * bilinear_integral(phi_w, op.apply(zeta_w))
 
 
 def electro_operator_pieces(geometry, f, g) -> dict[str, FieldOperator]:

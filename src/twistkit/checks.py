@@ -93,6 +93,7 @@ from .clifford import (
     SpinBoost,
     anticommutator,
     boost_covector,
+    draw_rapidity,
     lorentz_matrix,
     twist_gamma,
 )
@@ -101,7 +102,7 @@ from .dynamics import (
     EL_KINDS,
     FLAT_KINDS,
     PROBLEM_KINDS,
-    dirac_system,
+    PlaneWaveProblem,
     duality_sweep,
     euler_lagrange_check,
     identified_problem,
@@ -109,7 +110,6 @@ from .dynamics import (
     on_shell,
     on_shell_problem,
     reduction_residual,
-    weyl_system,
 )
 from .geometries import (
     DoubledGeometry,
@@ -339,9 +339,9 @@ def _geometries(rng):
 
 
 def _draw_boost(rng, cfg: RunConfig) -> SpinBoost:
-    """One boost: full rapidity uniform in (0.05, rapidity_max], random axis."""
-    hi = max(cfg.rapidity_max, 0.06)
-    rapidity = float(rng.uniform(0.05, hi))
+    """One boost: full rapidity drawn by ``draw_rapidity`` up to
+    ``rapidity_max``, random axis."""
+    rapidity = draw_rapidity(rng, cfg.rapidity_max)
     axis = rng.standard_normal(3)
     while np.linalg.norm(axis) < 1e-3:
         axis = rng.standard_normal(3)
@@ -1429,8 +1429,9 @@ def _chk_dispersion_surfaces(rng, cfg):
         g3 = rng.standard_normal(3)
         d = complex(rng.standard_normal(), rng.standard_normal())
         p = rng.standard_normal(4)
-        for primed in (False, True):
-            res = dirac_system(f0, g3, d, p, primed=primed)
+        for kind in FLAT_KINDS[2:]:
+            problem = PlaneWaveProblem(kind, tuple(p), (f0, 0.0, 0.0, 0.0), (0.0, *g3), d)
+            res = problem.solve()
             mass = -1j * d
             big_p = p[1:] + g3
             closed = (f0**2 - big_p @ big_p - mass * mass) ** 2
@@ -1439,12 +1440,14 @@ def _chk_dispersion_surfaces(rng, cfg):
         f0 = float(rng.standard_normal())
         p = rng.standard_normal(4)
         handed = "left" if rng.uniform() < 0.5 else "right"
-        res = weyl_system(f0, p, handed)
+        kind = f"weyl-{handed}"
+        res = PlaneWaveProblem(kind, tuple(p), (f0, 0.0, 0.0, 0.0)).solve()
         norm = float(np.linalg.norm(p[1:]))
         yield close(res.determinant, f0**2 - norm**2)
         yield close(abs(res.roots[0]), norm)
         yield close(abs(res.roots[1]), norm)
-        on_shell = weyl_system(float(res.roots[1]), p, handed)
+        f_shell = (float(res.roots[1]), 0.0, 0.0, 0.0)
+        on_shell = PlaneWaveProblem(kind, tuple(p), f_shell).solve()
         yield abs(on_shell.determinant)
         yield _fail_unless(on_shell.singular)
     for _ in range(10):
@@ -1453,7 +1456,9 @@ def _chk_dispersion_surfaces(rng, cfg):
         p = rng.standard_normal(4)
         primed = rng.uniform() < 0.5
         shell = float(np.sqrt((p[1:] + g3) @ (p[1:] + g3) + mass**2))
-        res = dirac_system(shell, g3, 1j * mass, p, primed=primed)
+        kind = "dirac-primed" if primed else "dirac"
+        problem = PlaneWaveProblem(kind, tuple(p), (shell, 0.0, 0.0, 0.0), (0.0, *g3), 1j * mass)
+        res = problem.solve()
         yield abs(res.determinant)
         yield _fail_unless(res.singular)
         yield close(res.roots[0], shell)

@@ -216,3 +216,9 @@ def boost_covector(boost: SpinBoost, p: np.ndarray) -> np.ndarray:
     """Components p'_nu = Lam^mu_nu p_mu of a boosted plane-wave covector."""
     lam = lorentz_matrix(boost)
     return np.asarray(p, dtype=float) @ lam
+
+
+def draw_rapidity(rng, cap: float) -> float:
+    """One uniform draw in (0.05, cap), or in (cap / 2, cap) for a cap below
+    0.06, so that for every positive cap the draw is positive and at most cap."""
+    return float(rng.uniform(0.05 if cap >= 0.06 else 0.5 * cap, cap))

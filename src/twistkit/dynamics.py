@@ -51,6 +51,7 @@ from .clifford import (
     SpinBoost,
     boost_covector,
     chiral_blocks,
+    draw_rapidity,
 )
 from .operator_algebra import FieldOperator
 from .torus_fields import ZERO_MODE, FourierScalar
@@ -146,30 +147,22 @@ def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
     return _factored(kind, matrix, roots, determinant, s, vh)
 
 
-def weyl_system(f0: float, p: Sequence[float], handed: str = "left") -> DispersionResult:
+def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, tuple]:
     """Massless system ``f_0 +- sigma.p``: the flat Weyl matrix at ``(f_0, -p_j)``.
 
     The matrix uses only the spatial part of ``p``; a plane wave at the full
     ``p`` solves the equation of motion exactly when ``p_0 = -f_0`` (left)
     or ``p_0 = f_0`` (right) and the matrix below is singular.
     """
-    return _solved(*_weyl(f0, p, handed))
-
-
-def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     matrix = minkowski_weyl_matrix(np.concatenate(([f0], -p[1:4])), handed)
     radius = math.sqrt(p[1:4].dot(p[1:4]))
     return f"weyl-{handed}", matrix, (radius, -radius)
 
 
-def dirac_system(
-    f0: float,
-    g: Sequence[float],
-    d: complex,
-    p: Sequence[float],
-    primed: bool = False,
-) -> DispersionResult:
+def _dirac(
+    f0: float, g: Sequence[float], d: complex, p: Sequence[float], primed: bool
+) -> tuple[str, np.ndarray, tuple]:
     """Coupled pair ``(f_0 +- sigma.(p+g)) psi = m psi_other`` with ``m = -i d``.
 
     The flat Dirac matrix at ``(f_0, -+P_j)`` with ``P = p + g``, where
@@ -179,12 +172,6 @@ def dirac_system(
     satisfy ``p_0^2 - |p+g|^2 = m^2`` under either identification
     ``p_0 = -+ f_0``.
     """
-    return _solved(*_dirac(f0, g, d, p, primed))
-
-
-def _dirac(
-    f0: float, g: Sequence[float], d: complex, p: Sequence[float], primed: bool
-) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     g = np.asarray(g, dtype=float)
     if g.shape != (3,):
@@ -196,12 +183,9 @@ def _dirac(
     return "dirac-primed" if primed else "dirac", matrix, (shell, -shell)
 
 
-def boosted_weyl_system(
-    boost: SpinBoost,
-    f: Sequence[float],
-    p: Sequence[float],
-    handed: str = "left",
-) -> DispersionResult:
+def _boosted_weyl(
+    boost: SpinBoost, f: Sequence[float], p: Sequence[float], handed: str
+) -> tuple[str, np.ndarray, tuple]:
     """``sum_mu st_L^mu (-i p_mu + f_mu)`` (left) / ``s_L^mu (-i p_mu - f_mu)``.
 
     All four components of ``f`` and ``p`` enter.  Under the identification
@@ -210,12 +194,6 @@ def boosted_weyl_system(
     momentum ``p' = boost_covector(boost, p)``, so the kernel is the flat
     one at ``p'``.
     """
-    return _solved(*_boosted_weyl(boost, f, p, handed))
-
-
-def _boosted_weyl(
-    boost: SpinBoost, f: Sequence[float], p: Sequence[float], handed: str
-) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     f = _as_covector(f)
     if _require_handed(handed) == "left":
@@ -233,14 +211,14 @@ def boosted_dirac_mass(d: complex, primed: bool = False) -> complex:
     return -(1 + 1j) * complex(d) / 2
 
 
-def boosted_dirac_system(
+def _boosted_dirac(
     boost: SpinBoost,
     f: Sequence[float],
     g: Sequence[float],
     d: complex,
     p: Sequence[float],
-    primed: bool = False,
-) -> DispersionResult:
+    primed: bool,
+) -> tuple[str, np.ndarray, tuple]:
     """Boosted coupled pair in the generalized momentum ``P = p + g``.
 
     Unprimed rows: ``st_L(-iP + f) psi_l = i d psi_r`` and
@@ -250,17 +228,6 @@ def boosted_dirac_system(
     ``-(1+i) * minkowski_dirac_matrix(P', m)`` with
     ``m = boosted_dirac_mass(d, primed)``.
     """
-    return _solved(*_boosted_dirac(boost, f, g, d, p, primed))
-
-
-def _boosted_dirac(
-    boost: SpinBoost,
-    f: Sequence[float],
-    g: Sequence[float],
-    d: complex,
-    p: Sequence[float],
-    primed: bool,
-) -> tuple[str, np.ndarray, tuple]:
     p = _as_covector(p)
     f = _as_covector(f)
     g = _as_covector(g)
@@ -495,8 +462,7 @@ def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWav
 def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
     axis = rng.normal(0.0, 1.0, 3)
     axis = axis / np.linalg.norm(axis)
-    hi = max(max_half_rapidity, 0.06)
-    return SpinBoost(half_rapidity=float(rng.uniform(0.05, hi)), axis=tuple(axis))
+    return SpinBoost(half_rapidity=draw_rapidity(rng, max_half_rapidity), axis=tuple(axis))
 
 
 #: Probability that a sweep sample is constructed on shell.
@@ -640,7 +606,7 @@ def euler_lagrange_check(
         el = _S2 @ _plane_wave_symbol(op, p)
         handed = _kind_parts(kind)[2]
         q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])
-        system = 1j * weyl_system(f[0], q, handed).matrix
+        system = 1j * PlaneWaveProblem(kind, tuple(q), (f[0], 0.0, 0.0, 0.0)).solve().matrix
     elif kind in ("dirac", "dirac-primed"):
         primed = kind == "dirac-primed"
         g_scalars = [FourierScalar.constant(component) for component in g]
@@ -654,7 +620,7 @@ def euler_lagrange_check(
             1j * (_S2 @ _plane_wave_symbol(op_plus, p)),
             -1j * complex(d),
         )
-        system = -1.0 * dirac_system(f[0], g[1:4], d, p, primed).matrix
+        system = -1.0 * PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d).solve().matrix
     elif kind == "boosted-weyl":
         boost = boost if boost is not None else IDENTITY_BOOST
         f_scalars = [FourierScalar.constant(component) for component in f]
@@ -663,8 +629,10 @@ def euler_lagrange_check(
         )
         el = chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
         system = chiral_blocks(
-            boosted_weyl_system(boost, f, p, "left").matrix,
-            boosted_weyl_system(boost, f, p, "right").matrix,
+            *(
+                PlaneWaveProblem(weyl, tuple(p), tuple(f), boost=boost).solve().matrix
+                for weyl in BOOSTED_KINDS[:2]
+            )
         )
     elif kind == "minkowski":
         el = minkowski_dirac_matrix(p, mass)

@@ -119,12 +119,13 @@ def wave_phase(mode: Mode, alpha: float = 0.0) -> FourierScalar:
 
 def embed_sector(op4: FieldOperator, n_sectors: int, sector: int) -> FieldOperator:
     """Embed a spinor-fiber operator into one internal diagonal sector."""
+    n = 4 * n_sectors
     block = slice(4 * sector, 4 * sector + 4)
-    out = FieldOperator(4 * n_sectors, {}, op4.antilinear)
+    terms = {}
     for key, g in op4.terms.items():
-        out.terms[key] = np.zeros((4 * n_sectors, 4 * n_sectors), dtype=complex)
-        out.terms[key][block, block] = g
-    return out
+        terms[key] = np.zeros((n, n), dtype=complex)
+        terms[key][block, block] = g
+    return FieldOperator(n, terms, op4.antilinear)
 
 
 def chiral_vector_parameters(
@@ -408,21 +409,10 @@ class _GeometryBase:
         return self._sectorwise_boost(boost, self._slot2_inverted)
 
     def boosted_operator(self, op: FieldOperator, boost: SpinBoost) -> FieldOperator:
-        """Conjugate an operator by the slot-2 boost action B, term by term:
-        ``G -> B G B^-1`` (``B G conj(B^-1)`` for an antilinear operator), with
-        the keys, order, pruning and bits of ``B @ op @ B^-1``."""
-        b = self.boost_slot2_matrix(boost)
+        """``B op B^-1`` for the slot-2 boost action B, whose inverse is the
+        sectorwise boost with the inverted flags swapped."""
         b_inv = self._sectorwise_boost(boost, 1.0 - self._slot2_inverted)
-        if op.antilinear:
-            b_inv = np.conj(b_inv)
-        out = FieldOperator(self.fiber_dim, {}, op.antilinear)
-        for key, g in op.terms.items():
-            left = (1.0 + 0.0j) * (b @ g)
-            if np.count_nonzero(left):
-                conjugated = (1.0 + 0.0j) * (left @ b_inv)
-                if np.count_nonzero(conjugated):
-                    out.terms[key] = conjugated
-        return out
+        return op.conjugate_by(self.boost_slot2_matrix(boost), b_inv)
 
 
 class ManifoldGeometry(_GeometryBase):

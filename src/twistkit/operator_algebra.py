@@ -172,6 +172,31 @@ class FieldOperator:
 
     # ----- constructors -------------------------------------------------
     @staticmethod
+    def summed(n: int, start=(), batches=(), antilinear: bool = False) -> "FieldOperator":
+        """The operator with the terms ``start`` (a mapping or ``(key,
+        matrix)`` pairs), then each batch of ``(key, matrix)`` pieces added
+        in: a new key stores its matrix, a present one adds to its own, and
+        each batch ends by dropping the exactly zero keys touched since the
+        last, so a key filled again sits at the end.  The first batch counts
+        every key of ``start`` as touched; with no batch nothing is dropped.
+        Keys must be in normal form and matrices complex ``(n, n)`` arrays;
+        nothing is copied or checked.  ``+`` is one batch on the left
+        operand's terms."""
+        terms = dict(start)
+        touched = dict.fromkeys(terms)
+        for batch in batches:
+            for key, g in batch:
+                terms[key] = terms[key] + g if key in terms else g
+                touched[key] = None
+            for key in touched:
+                if not np.count_nonzero(terms[key]):
+                    del terms[key]
+            touched = {}
+        out = FieldOperator(n, {}, antilinear)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(n: int, antilinear: bool = False) -> "FieldOperator":
         return FieldOperator(n, {}, antilinear)
 
@@ -202,11 +227,8 @@ class FieldOperator:
             raise ValueError("fiber dimensions differ")
         if self.antilinear != other.antilinear:
             raise ValueError("cannot add linear and antilinear operators")
-        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
-        out.terms = dict(self.terms)
-        for key, g in other.terms.items():
-            _accumulate(out.terms, key, g)
-        return out._pruned()
+        batch = other.terms.items()
+        return FieldOperator.summed(self.fiber_dim, self.terms, [batch], self.antilinear)
 
     def __sub__(self, other: "FieldOperator") -> "FieldOperator":
         return self + other.scale(-1.0)
@@ -215,10 +237,8 @@ class FieldOperator:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "FieldOperator":
-        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
-        for key, g in self.terms.items():
-            out.terms[key] = c * g
-        return out._pruned()
+        scaled = [(key, c * g) for key, g in self.terms.items()]
+        return FieldOperator.summed(self.fiber_dim, (), [scaled], self.antilinear)
 
     # ----- composition ---------------------------------------------------
     def __matmul__(self, other: "FieldOperator") -> "FieldOperator":
@@ -235,14 +255,16 @@ class FieldOperator:
         return out._pruned()
 
     # ----- involutions ---------------------------------------------------
-    def conjugate_by(self, u: np.ndarray) -> "FieldOperator":
-        """U O U^dagger for a constant unitary U."""
+    def conjugate_by(self, u: np.ndarray, u_inv: np.ndarray | None = None) -> "FieldOperator":
+        """U O U^-1 for a constant invertible U, term by term: G -> U G U^-1
+        (U G conj(U^-1) for an antilinear operator), dropping the terms that
+        come out exactly zero.  ``u_inv`` defaults to U^dagger, the inverse
+        of a unitary U."""
         u = np.asarray(u, dtype=complex)
-        right = u.T if self.antilinear else u.conj().T
-        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
-        for key, g in self.terms.items():
-            out.terms[key] = u @ g @ right
-        return out._pruned()
+        u_inv = u.conj().T if u_inv is None else np.asarray(u_inv, dtype=complex)
+        right = np.conj(u_inv) if self.antilinear else u_inv
+        conjugated = [(key, u @ g @ right) for key, g in self.terms.items()]
+        return FieldOperator.summed(self.fiber_dim, (), [conjugated], self.antilinear)
 
     def adjoint(self) -> "FieldOperator":
         """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms, with G^+ stored in C

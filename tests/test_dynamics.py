@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistkit import dynamics as dyn
+from twistkit import checks, dynamics as dyn
 from twistkit.clifford import (
     IDENTITY_BOOST,
     MAX_RAPIDITY,
@@ -35,13 +35,13 @@ def parallel_gap(u, v):
 
 class TestWeylSystem:
     def test_axis_aligned_kernel(self):
-        result = dyn.weyl_system(1.0, (0.0, 0.0, 0.0, 1.0), "left")
+        result = dyn.PlaneWaveProblem("weyl-left", (0.0, 0.0, 0.0, 1.0), (1.0, 0, 0, 0)).solve()
         assert abs(result.determinant) < 1e-14
         assert len(result.kernel) == 1
         assert parallel_gap(result.kernel[0], np.array([0.0, 1.0])) < 1e-12
 
     def test_zero_field_whole_space(self):
-        result = dyn.weyl_system(0.0, (0.0, 0.0, 0.0, 0.0), "left")
+        result = dyn.PlaneWaveProblem("weyl-left").solve()
         assert len(result.kernel) == 2
 
     def test_identification_reproduces_flat_system(self):
@@ -49,10 +49,12 @@ class TestWeylSystem:
         for _ in range(20):
             f0 = rng.normal()
             p_spatial = rng.normal(0.0, 1.0, 3)
-            left = dyn.weyl_system(f0, (-f0, *p_spatial), "left").matrix
+            left = dyn.PlaneWaveProblem("weyl-left", (-f0, *p_spatial), (f0, 0, 0, 0))
+            left = left.solve().matrix
             flat_left = dyn.minkowski_weyl_matrix((-f0, *p_spatial), "left")
             assert np.array_equal(left, -flat_left)
-            right = dyn.weyl_system(f0, (f0, *p_spatial), "right").matrix
+            right = dyn.PlaneWaveProblem("weyl-right", (f0, *p_spatial), (f0, 0, 0, 0))
+            right = right.solve().matrix
             flat_right = dyn.minkowski_weyl_matrix((f0, *(-p_spatial)), "right")
             assert np.array_equal(right, flat_right)
 
@@ -60,17 +62,18 @@ class TestWeylSystem:
         rng = np.random.default_rng(12)
         for _ in range(10):
             p = (0.0, *rng.normal(0.0, 1.0, 3))
-            result = dyn.weyl_system(rng.normal(), p, "left")
+            result = dyn.PlaneWaveProblem("weyl-left", p, (rng.normal(), 0, 0, 0)).solve()
             for root in result.roots:
-                on_shell = dyn.weyl_system(-float(root), p, "left")
+                on_shell = dyn.PlaneWaveProblem("weyl-left", p, (-float(root), 0, 0, 0)).solve()
                 assert abs(on_shell.determinant) < 1e-12
                 assert on_shell.singular
 
     @given(f0=coord, p1=coord, p2=coord, p3=coord)
     @settings(max_examples=50, deadline=None)
     def test_handedness_is_spatial_reflection(self, f0, p1, p2, p3):
-        right = dyn.weyl_system(f0, (0.0, p1, p2, p3), "right").matrix
-        left = dyn.weyl_system(f0, (0.0, -p1, -p2, -p3), "left").matrix
+        right = dyn.PlaneWaveProblem("weyl-right", (0.0, p1, p2, p3), (f0, 0, 0, 0)).solve()
+        left = dyn.PlaneWaveProblem("weyl-left", (0.0, -p1, -p2, -p3), (f0, 0, 0, 0)).solve()
+        right, left = right.matrix, left.matrix
         assert np.abs(right - left).max() == 0.0
 
 
@@ -81,7 +84,7 @@ class TestDiracSystem:
         p_spatial = rng.normal(0.0, 1.0, 3)
         f0 = np.sqrt(p_spatial @ p_spatial + 1.0)
         p = (-f0, *p_spatial)
-        result = dyn.dirac_system(f0, (0.0, 0.0, 0.0), -1j, p, primed=False)
+        result = dyn.PlaneWaveProblem("dirac", p, (f0, 0, 0, 0), (0, 0.0, 0.0, 0.0), -1j).solve()
         assert abs(result.determinant) < 1e-10
         assert result.singular
         assert abs(p[0] ** 2 - p_spatial @ p_spatial - 1.0) < 1e-12
@@ -91,10 +94,10 @@ class TestDiracSystem:
         f0 = rng.normal()
         g = rng.normal(0.0, 1.0, 3)
         p = rng.normal(0.0, 1.0, 4)
-        result = dyn.dirac_system(f0, g, 0.0, p, primed=False)
+        result = dyn.PlaneWaveProblem("dirac", p, (f0, 0, 0, 0), (0, *g), 0.0).solve()
         shifted = (p[0], *(p[1:4] + g))
-        left = dyn.weyl_system(f0, shifted, "left").matrix
-        right = dyn.weyl_system(f0, shifted, "right").matrix
+        left = dyn.PlaneWaveProblem("weyl-left", shifted, (f0, 0, 0, 0)).solve().matrix
+        right = dyn.PlaneWaveProblem("weyl-right", shifted, (f0, 0, 0, 0)).solve().matrix
         assert np.abs(result.matrix[:2, :2] - left).max() == 0.0
         assert np.abs(result.matrix[2:, 2:] - right).max() == 0.0
         assert np.abs(result.matrix[:2, 2:]).max() == 0.0
@@ -105,7 +108,9 @@ class TestDiracSystem:
     def test_determinant_closed_form(self, f0, d_re, d_im, p3, g3):
         d = complex(d_re, d_im)
         m = -1j * d
-        result = dyn.dirac_system(f0, (0.1, -0.2, g3), d, (0.0, 0.4, 0.7, p3))
+        result = dyn.PlaneWaveProblem(
+            "dirac", (0.0, 0.4, 0.7, p3), (f0, 0, 0, 0), (0, 0.1, -0.2, g3), d
+        ).solve()
         big_p = np.array([0.4 + 0.1, 0.7 - 0.2, p3 + g3])
         expected = (f0**2 - big_p @ big_p - m * m) ** 2
         assert abs(result.determinant - expected) < 1e-9 * max(1.0, abs(expected))
@@ -116,7 +121,8 @@ class TestDiracSystem:
             m = abs(rng.normal()) + 0.1
             g = rng.normal(0.0, 1.0, 3)
             p = rng.normal(0.0, 1.0, 4)
-            result = dyn.dirac_system(rng.normal(), g, 1j * m, p)
+            result = dyn.PlaneWaveProblem("dirac", p, (rng.normal(), 0, 0, 0), (0, *g), 1j * m)
+            result = result.solve()
             big_p = p[1:4] + g
             for root in result.roots:
                 assert abs(root.imag) < 1e-12
@@ -124,8 +130,11 @@ class TestDiracSystem:
                 assert abs(gap) < DISPERSION_TOL
 
     def test_primed_swaps_diagonal_blocks(self):
-        plain = dyn.dirac_system(0.7, (0.1, 0.2, 0.3), 0.4 + 0.5j, (0, 1, 2, 3))
-        primed = dyn.dirac_system(0.7, (0.1, 0.2, 0.3), 0.4 + 0.5j, (0, 1, 2, 3), True)
+        f, g = (0.7, 0, 0, 0), (0, 0.1, 0.2, 0.3)
+        plain, primed = (
+            dyn.PlaneWaveProblem(kind, (0, 1, 2, 3), f, g, 0.4 + 0.5j).solve()
+            for kind in ("dirac", "dirac-primed")
+        )
         assert np.abs(plain.matrix[:2, :2] - primed.matrix[2:, 2:]).max() == 0.0
         assert np.abs(plain.matrix[2:, 2:] - primed.matrix[:2, :2]).max() == 0.0
         assert np.abs(plain.matrix[:2, 2:] - primed.matrix[:2, 2:]).max() == 0.0
@@ -141,7 +150,7 @@ class TestDiracSystem:
         kind = "dirac-primed" if primed else "dirac"
         p = dyn.identified_problem(kind, (f0, *f_spatial), (0.0, *g)).p
         assert abs(p[0] - (f0 if primed else -f0)) < 1e-14
-        result = dyn.dirac_system(f0, g, 1j * mass, p, primed)
+        result = dyn.PlaneWaveProblem(kind, p, (f0, 0, 0, 0), (0, *g), 1j * mass).solve()
         assert result.singular
         assert abs(result.determinant) <= 1e-10
 
@@ -151,18 +160,19 @@ class TestBoostedWeylSystem:
         rng = np.random.default_rng(31)
         f0 = rng.normal()
         p = (0.0, *rng.normal(0.0, 1.0, 3))
-        boosted = dyn.boosted_weyl_system(IDENTITY_BOOST, (f0, 0, 0, 0), p, "left")
-        plain = dyn.weyl_system(f0, p, "left")
+        boosted = dyn.PlaneWaveProblem("boosted-weyl-left", p, (f0, 0, 0, 0), boost=IDENTITY_BOOST)
+        plain = dyn.PlaneWaveProblem("weyl-left", p, (f0, 0, 0, 0))
+        boosted, plain = boosted.solve(), plain.solve()
         assert np.abs(boosted.matrix - plain.matrix).max() < 1e-14
 
     def test_identity_boost_right_is_reflected_negation(self):
         rng = np.random.default_rng(32)
         f0 = rng.normal()
         p_spatial = rng.normal(0.0, 1.0, 3)
-        boosted = dyn.boosted_weyl_system(
-            IDENTITY_BOOST, (f0, 0, 0, 0), (0.0, *p_spatial), "right"
-        )
-        plain = dyn.weyl_system(f0, (0.0, *(-p_spatial)), "right")
+        boosted = dyn.PlaneWaveProblem(
+            "boosted-weyl-right", (0.0, *p_spatial), (f0, 0, 0, 0), boost=IDENTITY_BOOST
+        ).solve()
+        plain = dyn.PlaneWaveProblem("weyl-right", (0.0, *(-p_spatial)), (f0, 0, 0, 0)).solve()
         assert np.abs(boosted.matrix + plain.matrix).max() < 1e-14
 
     @pytest.mark.parametrize("handed", ["left", "right"])
@@ -180,7 +190,7 @@ class TestBoostedWeylSystem:
         p_spatial = rng.normal(0.0, 1.0, 3)
         p = np.array([-np.linalg.norm(p_spatial), *p_spatial])
         f = np.array([-p[0], *p_spatial])  # f0 = -p0, f_j = p_j
-        result = dyn.boosted_weyl_system(boost, f, p, "left")
+        result = dyn.PlaneWaveProblem("boosted-weyl-left", p, f, boost=boost).solve()
         assert abs(result.determinant) <= 1e-10
         assert len(result.kernel) == 1
         flat = dyn.minkowski_weyl_matrix(boost_covector(boost, p), "left")
@@ -209,10 +219,11 @@ class TestBoostedDiracSystem:
             f = rng.normal(0.0, 1.0, 4)
             d = complex(rng.normal(), rng.normal())
             p = dyn.identified_problem("dirac", f).p
-            boosted = dyn.boosted_dirac_system(
-                IDENTITY_BOOST, f, (0, 0, 0, 0), d, p, False
-            ).matrix
-            plain = dyn.dirac_system(f[0], (0, 0, 0), (1j - 1) * d / 2, p, False).matrix
+            boosted = dyn.PlaneWaveProblem(
+                "boosted-dirac", p, f, (0, 0, 0, 0), d, IDENTITY_BOOST
+            ).solve().matrix
+            plain = dyn.PlaneWaveProblem("dirac", p, f, (0, 0, 0, 0), (1j - 1) * d / 2)
+            plain = plain.solve().matrix
             assert np.abs(boosted - (1 + 1j) * plain).max() < 1e-13
 
     def test_gauge_potential_shifts_momentum(self):
@@ -222,8 +233,9 @@ class TestBoostedDiracSystem:
         g = rng.normal(0.0, 1.0, 4)
         d = complex(rng.normal(), rng.normal())
         p = rng.normal(0.0, 1.0, 4)
-        gauged = dyn.boosted_dirac_system(boost, f, g, d, p, True).matrix
-        shifted = dyn.boosted_dirac_system(boost, f, (0, 0, 0, 0), d, p + g, True).matrix
+        gauged = dyn.PlaneWaveProblem("boosted-dirac-primed", p, f, g, d, boost).solve()
+        shifted = dyn.PlaneWaveProblem("boosted-dirac-primed", p + g, f, (0, 0, 0, 0), d, boost)
+        gauged, shifted = gauged.matrix, shifted.solve().matrix
         assert np.abs(gauged - shifted).max() == 0.0
 
     def test_light_cone_couplings_give_real_positive_mass(self):
@@ -242,12 +254,31 @@ class TestBoostedDiracSystem:
             boost = dyn._random_boost(rng)
             g = rng.normal(0.0, 1.0, 4)
             p = rng.normal(0.0, 1.0, 4)
-            result = dyn.boosted_dirac_system(boost, rng.normal(0.0, 1.0, 4), g, d, p, primed)
+            kind = "boosted-dirac-primed" if primed else "boosted-dirac"
+            result = dyn.PlaneWaveProblem(kind, p, rng.normal(0.0, 1.0, 4), g, d, boost).solve()
             big_p_spatial = p[1:4] + g[1:4]
             for root in result.roots:
                 assert abs(root.imag) < 1e-12
                 gap = (root.real + g[0]) ** 2 - big_p_spatial @ big_p_spatial - mass**2
                 assert abs(gap) < DISPERSION_TOL
+
+
+class TestBoostDraws:
+    @pytest.mark.parametrize("cap", [0.01, 0.055, 0.1, 2.0, 6.0])
+    def test_full_rapidity_stays_under_the_cap(self, cap):
+        """The registry's boosts and the sweep's (drawn at half the cap, as
+        half-rapidities) have full rapidity in (0, cap]; from cap 0.06 on
+        (half-cap 0.06 for the sweep) they keep the floor 0.05."""
+        rng = np.random.default_rng(71)
+        cfg = checks.RunConfig(rapidity_max=cap)
+        half_cap = checks._half_cap(cfg)
+        for _ in range(200):
+            full = 2 * checks._draw_boost(rng, cfg).half_rapidity
+            assert 0 < full <= cap
+            assert full >= 0.05 or cap < 0.06
+            half = dyn._random_boost(rng, half_cap).half_rapidity
+            assert 0 < 2 * half <= cap
+            assert half >= 0.05 or half_cap < 0.06
 
 
 class TestDeterminantKernelDuality:

@@ -10,9 +10,11 @@ the ``@check`` decorator registers, are exempt.  It lists the underscore names
 that a package module or a script imports from a package module, at any
 depth: a private helper is read only where it is defined.  It lists the test
 modules that import ``subprocess``: only ``conftest.py`` may start a process.
-Last, it lists the bare ``return`` statements in check generators: a check
-that cannot run at some configuration declares it (``needs_boost``) instead
-of returning early.
+It lists the bare ``return`` statements in check generators: a check that
+cannot run at some configuration declares it (``needs_boost``) instead of
+returning early.  Last, it lists the package lines outside
+``operator_algebra`` that assign to an operator's ``terms`` or to an item of
+them: operator term arithmetic lives in one module.
 """
 
 import ast
@@ -194,3 +196,51 @@ def test_return_scanner_finds_a_bare_return_in_a_check():
 def test_check_skips_are_declared():
     source = (ROOT / "src/twistkit/checks.py").read_text(encoding="utf-8")
     assert bare_returns_in_checks(source) == []
+
+
+def _writes_terms(target) -> bool:
+    """Whether an assignment target is ``x.terms``, an item of it, or an
+    item of an item, at any depth; tuple targets are searched too."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_terms(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_terms(target.value)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "terms"
+
+
+def term_writes(source: str) -> list[int]:
+    """Lines of ``source`` that assign to an operator's ``.terms`` or to an
+    item of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(_writes_terms(t) for t in targets):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_term_write_scanner_finds_every_write():
+    source = (
+        "out.terms = {}\nout.terms[key] = g\nout.terms[key][0, 1] += 1.0\n"
+        "a, op.terms = 1, {}\nx: dict = op.terms\nterms[key] = g\nterms = op.terms\n"
+        "op.other = 1\ndef f():\n    self.terms: dict = {}\na, *op.terms = 1, 2\n"
+    )
+    assert term_writes(source) == [1, 2, 3, 4, 10, 11]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted((ROOT / "src/twistkit").glob("*.py")) if p.name != "operator_algebra.py"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_operator_terms_are_written_only_in_operator_algebra(path):
+    """Operator term arithmetic has one home, ``operator_algebra``: no other
+    package module writes an operator's terms."""
+    assert term_writes(path.read_text(encoding="utf-8")) == []

@@ -107,7 +107,7 @@ GEOMETRY_MUTANTS = [
     ("gauge.adjoint_action", "adjoint action conjugates u*", "adjoint_action",
      ("self.real_conjugate(self.represent(u))", "self.real_conjugate(self.represent(u.star()))")),
     ("boost.action_invariance", "boosted operator not boosted", "boosted_operator",
-     ("return out", "return op")),
+     ("return op.conjugate_by(self.boost_slot2_matrix(boost), b_inv)", "return op")),
 ]
 
 MUTANTS = [
@@ -131,8 +131,8 @@ MUTANTS = [
         ("doubled.action_closed_form", "chiral sign read from the particle table",
          edit(DoubledGeometry, "_sector_signs", "2.0 * exchanged", "2.0 * particle")),
         ("actions.printed_factor_conventions", "right boosted density with +f",
-         edit(actions, "boosted_weyl_density_operators", "_mult_terms(sb, minus)",
-              "_mult_terms(sb, plus)")),
+         edit(actions, "boosted_weyl_density_operators", "_mult_terms(sb, -f[mu]",
+              "_mult_terms(sb, f[mu]")),
         ("actions.twisted_pairing_antisymmetry", "untwisted pairing inserts R",
          edit(actions, "untwisted_pairing", "op.apply(second))",
               "geometry.r_operator.apply(op.apply(second)))")),
