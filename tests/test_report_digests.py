@@ -37,6 +37,11 @@ DIGESTS = {
     # a generic draw of the weyl-right duality sweep fails its nonsingularity
     # test, so random_problem redraws that sample and a new batch resumes
     ("--seed", "15"): (0, "51bf3051840d9a790e3ddee0298e1c6a6d0a57de8aa3084e38886f32e19bff22"),
+    # larger operators: more terms through each per-operator reduction
+    ("--seed", "4", "--mode-cutoff", "3"): (
+        0,
+        "4a7a0ba5ce7477f1d5fd7db677eb9bc3d12393015c604c98628e49eb33358872",
+    ),
 }
 
 
