@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -88,10 +89,47 @@ def pauli_components(x: np.ndarray) -> np.ndarray:
     """Coefficients (c_0, c_1, c_2, c_3) of x = c_0 I + sum_j c_j sigma_j.
 
     A stack of blocks (..., 2, 2) gives the coefficients along the last axis.
+    They are tr(sigma_j x) / 2 read entry by entry, with the bits of the
+    traces of matrix products: each part of x00 + x11, x10 + x01,
+    -i (x10 - x01) and x00 - x11 is one sum, which starts from +0.0; the
+    products 0 . x_ab make c_1..c_3 NaN wherever an entry is not finite; and
+    the complex division by 2 makes the partner of an infinite part NaN.
     """
-    c0 = np.trace(x, axis1=-2, axis2=-1) / 2.0
-    cj = [np.trace(PAULI[j] @ x, axis1=-2, axis2=-1) / 2.0 for j in range(3)]
-    return np.stack([c0, *cj], axis=-1)
+    x = np.asarray(x, dtype=complex)
+    re, im = x.real, x.imag
+    out = np.empty(x.shape[:-2] + (4,), dtype=complex)
+    out_re, out_im = out.real, out.imag
+    np.add(re[..., 0, 0], re[..., 1, 1], out=out_re[..., 0])
+    np.add(im[..., 0, 0], im[..., 1, 1], out=out_im[..., 0])
+    np.add(re[..., 1, 0], re[..., 0, 1], out=out_re[..., 1])
+    np.add(im[..., 1, 0], im[..., 0, 1], out=out_im[..., 1])
+    np.subtract(im[..., 1, 0], im[..., 0, 1], out=out_re[..., 2])
+    np.subtract(re[..., 0, 1], re[..., 1, 0], out=out_im[..., 2])
+    np.subtract(re[..., 0, 0], re[..., 1, 1], out=out_re[..., 3])
+    np.subtract(im[..., 0, 0], im[..., 1, 1], out=out_im[..., 3])
+    out[..., 1:] += (0.0 * x).sum(axis=(-2, -1))[..., None]
+    out += 0.0
+    out /= 2.0
+    return out
+
+
+def _boost_lambdas(half_rapidity, axis) -> tuple[np.ndarray, np.ndarray]:
+    """``(Lambda_plus, Lambda_minus) = cosh(a) I +- sinh(a) n.sigma``, shape
+    S + (2, 2), for half-rapidities of shape S and unit axes of shape
+    S + (3,); elementwise, so a boost gets the same bits alone or in a batch."""
+    a = np.asarray(half_rapidity, dtype=float)[..., None, None]
+    n = np.asarray(axis, dtype=float)[..., None, None]
+    n_sigma = n[..., 0, :, :] * PAULI[0] + n[..., 1, :, :] * PAULI[1] + n[..., 2, :, :] * PAULI[2]
+    cosh, sinh = np.cosh(a) * I2, np.sinh(a) * n_sigma
+    return cosh + sinh, cosh - sinh
+
+
+def _boosted_sigmas(lam: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``lam sigma[mu] lam`` for the four blocks of ``sigma``, read-only, shape
+    S + (4, 2, 2) for ``lam`` of shape S + (2, 2)."""
+    out = lam[..., None, :, :] @ sigma @ lam[..., None, :, :]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,6 +140,8 @@ class SpinBoost:
     ``Lambda_plus SIGMA_TILDE[mu] Lambda_plus`` are built once per boost, as the
     read-only (4, 2, 2) stacks ``sigma_boosted_stack`` and ``sigma_tilde_boosted_stack``;
     ``sigma_boosted(mu)`` and ``sigma_tilde_boosted(mu)`` return their rows.
+    The blocks come from :func:`_boost_lambdas` and :func:`_boosted_sigmas`,
+    lazily for one boost or filled for many at once by :meth:`fill_blocks`.
     """
 
     half_rapidity: float = 0.0
@@ -119,19 +159,16 @@ class SpinBoost:
         object.__setattr__(self, "axis", tuple(n / norm))
 
     @cached_property
-    def _n_sigma(self) -> np.ndarray:
-        n = np.asarray(self.axis)
-        return n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
+    def _lambdas(self) -> tuple[np.ndarray, np.ndarray]:
+        return _boost_lambdas(self.half_rapidity, self.axis)
 
-    @cached_property
+    @property
     def lambda_plus(self) -> np.ndarray:
-        a = self.half_rapidity
-        return np.cosh(a) * I2 + np.sinh(a) * self._n_sigma
+        return self._lambdas[0]
 
-    @cached_property
+    @property
     def lambda_minus(self) -> np.ndarray:
-        a = self.half_rapidity
-        return np.cosh(a) * I2 - np.sinh(a) * self._n_sigma
+        return self._lambdas[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -143,15 +180,28 @@ class SpinBoost:
 
     @cached_property
     def sigma_boosted_stack(self) -> np.ndarray:
-        out = self.lambda_minus @ SIGMA @ self.lambda_minus
-        out.flags.writeable = False
-        return out
+        return _boosted_sigmas(self.lambda_minus, SIGMA)
 
     @cached_property
     def sigma_tilde_boosted_stack(self) -> np.ndarray:
-        out = self.lambda_plus @ SIGMA_TILDE @ self.lambda_plus
-        out.flags.writeable = False
-        return out
+        return _boosted_sigmas(self.lambda_plus, SIGMA_TILDE)
+
+    @staticmethod
+    def fill_blocks(boosts: Sequence["SpinBoost"]) -> None:
+        """Cache ``Lambda_+-`` and both boosted sigma stacks of ``boosts``
+        with one broadcast each, the bits each boost would compute alone."""
+        if not boosts:
+            return
+        plus, minus = _boost_lambdas(
+            [boost.half_rapidity for boost in boosts], [boost.axis for boost in boosts]
+        )
+        stacks = zip(_boosted_sigmas(minus, SIGMA), _boosted_sigmas(plus, SIGMA_TILDE))
+        for boost, lp, lm, (sigma, sigma_tilde) in zip(boosts, plus, minus, stacks):
+            boost.__dict__.update(
+                _lambdas=(lp, lm),
+                sigma_boosted_stack=sigma,
+                sigma_tilde_boosted_stack=sigma_tilde,
+            )
 
     def sigma_boosted(self, mu: int) -> np.ndarray:
         return self.sigma_boosted_stack[mu]
@@ -173,6 +223,14 @@ MAX_RAPIDITY = 12
 _IMAG_RESIDUE_TOL = 1e-10
 
 
+def _route_components(stack: np.ndarray) -> np.ndarray:
+    """Pauli components of a boosted sigma stack, its spatial blocks times i:
+    row mu holds those of block mu."""
+    x = 1j * stack
+    x[0] = stack[0]
+    return pauli_components(x)
+
+
 def lorentz_matrix(boost: SpinBoost) -> np.ndarray:
     """Extract the vector (one-index-up, one-down) boost matrix from S.
 
@@ -182,26 +240,11 @@ def lorentz_matrix(boost: SpinBoost) -> np.ndarray:
     boosted-frame label, the column the rest-frame one, so plane-wave
     covectors transform as p'_nu = Lam[mu, nu] p_mu.
     """
-    lam_tilde = np.zeros((4, 4), dtype=complex)
-    lam_sigma = np.zeros((4, 4), dtype=complex)
-
-    for mu in range(4):
-        # Tilde route: the mu = 0 block decomposes on {I, -sigma_j}; the
-        # spatial blocks carry an extra factor -i.
-        x = boost.sigma_tilde_boosted(mu)
-        if mu != 0:
-            x = 1j * x
-        c = pauli_components(x)
-        lam_tilde[mu, 0] = c[0]
-        lam_tilde[mu, 1:] = -c[1:]
-
-        # Sigma route: decomposition on {I, +sigma_j}.
-        y = boost.sigma_boosted(mu)
-        if mu != 0:
-            y = 1j * y
-        c = pauli_components(y)
-        lam_sigma[mu, 0] = c[0]
-        lam_sigma[mu, 1:] = c[1:]
+    # Tilde route: the mu = 0 block decomposes on {I, -sigma_j}; the spatial
+    # blocks carry an extra factor -i.  Sigma route: on {I, +sigma_j}.
+    lam_tilde = _route_components(boost.sigma_tilde_boosted_stack)
+    np.negative(lam_tilde[:, 1:], out=lam_tilde[:, 1:])
+    lam_sigma = _route_components(boost.sigma_boosted_stack)
 
     disagreement = np.max(np.abs(lam_tilde - lam_sigma))
     if disagreement > _IMAG_RESIDUE_TOL:

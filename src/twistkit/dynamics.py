@@ -481,13 +481,15 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
     """Check `kernel nonempty <=> |det| <= 1e-10` over a random parameter sweep.
 
     About 30 % of the samples are constructed on shell.  The samples still
-    missing are drawn as a batch (:func:`_sample`) and factored by one
-    stacked ``det`` and one stacked ``svd``, the same bits, matrix by
-    matrix, as single calls.  The batch keeps the samples before its first
-    generic draw that fails the nonsingularity test; the generator goes back
-    to the batch start, replays the kept draws and that sample's coin, and
-    :func:`random_problem` draws the sample again, so every sample comes
-    from the stream of a one-at-a-time loop.  A new batch takes the rest.
+    missing are drawn as a batch (:func:`_sample`), their boosts' blocks are
+    filled by one broadcast (:meth:`SpinBoost.fill_blocks`), and the systems
+    are factored by one stacked ``det`` and one stacked ``svd``; both give
+    the bits, matrix by matrix, of single calls.  The batch keeps the
+    samples before its first generic draw that fails the nonsingularity
+    test; the generator goes back to the batch start, replays the kept draws
+    and that sample's coin, and :func:`random_problem` draws the sample
+    again, so every sample comes from the stream of a one-at-a-time loop.  A
+    new batch takes the rest.
     Returns counters plus the worst determinant/kernel residuals seen on
     each side of the dichotomy.
     """
@@ -495,6 +497,7 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
     while len(results) < n_samples:
         start = rng.bit_generator.state
         draws = [_sample(rng, kind, max_half_rapidity) for _ in range(n_samples - len(results))]
+        SpinBoost.fill_blocks([p.boost for p, _ in draws if p.boost is not None])
         systems = [problem._system() for problem, _ in draws]
         matrices = np.stack([matrix for _, matrix, _ in systems])
         determinants = np.linalg.det(matrices)

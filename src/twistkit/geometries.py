@@ -238,12 +238,13 @@ class _GeometryBase:
         return FieldOperator.from_matrix(self.r_matrix)
 
     @cached_property
+    def _j_matrix(self) -> np.ndarray:
+        """The linear part of the real structure J = (this matrix) K."""
+        return np.kron(self._j_swap, _J_SPINOR)
+
+    @cached_property
     def real_structure(self) -> FieldOperator:
-        return FieldOperator(
-            self.fiber_dim,
-            {((0, 0, 0, 0), ()): np.kron(self._j_swap, _J_SPINOR)},
-            antilinear=True,
-        )
+        return FieldOperator(self.fiber_dim, {((0, 0, 0, 0), ()): self._j_matrix}, antilinear=True)
 
     @cached_property
     def grading_matrix(self) -> np.ndarray:
@@ -313,9 +314,10 @@ class _GeometryBase:
 
     # ----- real structure and fluctuations ------------------------------
     def real_conjugate(self, op: FieldOperator) -> FieldOperator:
-        """J op J^{-1}; the real structure squares to -1 here."""
-        j = self.real_structure
-        return (j @ op @ j).scale(-1.0)
+        """J op J^{-1} in one term-wise pass.  With J = U K and J^2 = -1,
+        J^{-1} = -U K, so J op J^{-1} = U (K op K) (-conj U)."""
+        u = self._j_matrix
+        return op.conjugate().conjugate_by(u, -u.conj())
 
     def fluctuation(self, omega: FieldOperator) -> FieldOperator:
         return omega + self.real_conjugate(omega)

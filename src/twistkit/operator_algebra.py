@@ -75,6 +75,13 @@ def _is_nonzero(g: np.ndarray | None) -> bool:
     return g is not None and np.count_nonzero(g) > 0
 
 
+def _peak_modulus(stack: np.ndarray) -> float:
+    """Largest entry modulus of a stack of term matrices, 0.0 for an empty
+    stack; NaN if any entry is NaN.  The maximum is exact, so one reduction
+    per operator gives the bits of one per term."""
+    return float(np.abs(stack).max(initial=0.0))
+
+
 def _accumulate(terms: dict, key, g: np.ndarray) -> None:
     """Add g into terms[key]; a new key, or one that holds None, stores g
     itself, not a copy."""
@@ -255,6 +262,11 @@ class FieldOperator:
         return out._pruned()
 
     # ----- involutions ---------------------------------------------------
+    def conjugate(self) -> "FieldOperator":
+        """K O K for the componentwise conjugation K: every mode negated and
+        every matrix conjugated, term by term."""
+        return FieldOperator.summed(self.fiber_dim, _conj_pushed(self.terms), (), self.antilinear)
+
     def conjugate_by(self, u: np.ndarray, u_inv: np.ndarray | None = None) -> "FieldOperator":
         """U O U^-1 for a constant invertible U, term by term: G -> U G U^-1
         (U G conj(U^-1) for an antilinear operator), dropping the terms that
@@ -309,9 +321,8 @@ class FieldOperator:
 
     # ----- diagnostics -----------------------------------------------------
     def max_abs(self) -> float:
-        """Largest matrix entry modulus; NaN if any entry is NaN."""
-        peaks = [np.max(np.abs(g)) for g in self.terms.values()]
-        return float(np.max(peaks, initial=0.0))
+        """Largest matrix entry modulus, 0.0 with no term; NaN if any entry is NaN."""
+        return _peak_modulus(np.array(list(self.terms.values())))
 
     def max_deriv_order(self) -> int:
         return max((len(d) for _, d in self.terms), default=0)
@@ -326,16 +337,19 @@ class FieldOperator:
 def function_matrix_sum(
     n: int, pairs: Sequence[tuple[np.ndarray, FourierScalar]]
 ) -> FieldOperator:
-    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i."""
+    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i.
+    Its term matrices are built here, so they are not copied again."""
     terms: dict[TermKey, np.ndarray] = {}
     for g, f in pairs:
         g = np.asarray(g, dtype=complex)
+        if g.shape != (n, n):
+            raise ValueError("matrix shape does not match fiber dimension")
         for k, c in f.coeffs.items():
             key = (k, ())
             if key not in terms:
                 terms[key] = np.zeros((n, n), dtype=complex)
             terms[key] += c * g
-    return FieldOperator(n, terms)
+    return FieldOperator.summed(n, terms)
 
 
 def twisted_commutator(
@@ -354,10 +368,10 @@ def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:
     if o1.antilinear != o2.antilinear:
         return float(np.max([o1.max_abs(), o2.max_abs()]))
     keys = set(o1.terms) | set(o2.terms)
-    n = o1.fiber_dim
-    zero = np.zeros((n, n))
-    peaks = [np.max(np.abs(o1.terms.get(k, zero) - o2.terms.get(k, zero))) for k in keys]
-    return float(np.max(peaks, initial=0.0))
+    zero = np.zeros((o1.fiber_dim, o1.fiber_dim))
+    left = np.array([o1.terms.get(k, zero) for k in keys])
+    right = np.array([o2.terms.get(k, zero) for k in keys])
+    return _peak_modulus(left - right)
 
 
 def _probe_distance(diff: FieldOperator, probe_cutoff: int) -> float:

@@ -198,3 +198,152 @@ class TestLorentzExtraction:
         p = rng.normal(size=4)
         q = cl.boost_covector(cl.SpinBoost(a, axis), p)
         np.testing.assert_allclose(q @ cl.ETA @ q, p @ cl.ETA @ p, atol=1e-9)
+
+
+def _pauli_components_reference(x):
+    """The trace form: the oracle for the entry-by-entry read."""
+    c0 = np.trace(x, axis1=-2, axis2=-1) / 2.0
+    cj = [np.trace(cl.PAULI[j] @ x, axis1=-2, axis2=-1) / 2.0 for j in range(3)]
+    return np.stack([c0, *cj], axis=-1)
+
+
+def _assert_same_floats(got, expected):
+    """NaN at the same places, and the same bits, zero signs included,
+    everywhere else."""
+    got, expected = (np.ascontiguousarray(a).view(float) for a in (got, expected))
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+#: Entry parts that reach every rounding and non-finite case of the read.
+PAULI_POOL = np.array(
+    [1.5, -2.25, 0.0, -0.0, 1.0, 3e-300, -5e-324, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan]
+)
+
+
+class TestPauliComponents:
+    @staticmethod
+    def _blocks(rng, shape, pool=PAULI_POOL):
+        x = np.empty(shape + (2, 2), dtype=complex)
+        x.real, x.imag = rng.choice(pool, size=x.shape), rng.choice(pool, size=x.shape)
+        return x
+
+    @pytest.mark.parametrize("layout", ["single", "stack", "strided", "nested"])
+    def test_matches_trace_form(self, layout):
+        rng = np.random.default_rng(len(layout))
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                if layout == "single":
+                    x = self._blocks(rng, ())
+                elif layout == "stack":
+                    x = self._blocks(rng, (int(rng.integers(1, 9)),))
+                elif layout == "strided":  # Weyl blocks of a stack of 4 x 4 terms
+                    full = self._blocks(rng, (5, 2)).reshape(5, 4, 2)
+                    x = np.concatenate([full, full[:, :, ::-1]], axis=2)[:, 2:4, 0:2]
+                else:
+                    x = self._blocks(rng, (2, 3))
+                _assert_same_floats(cl.pauli_components(x), _pauli_components_reference(x))
+
+    def test_finite_blocks(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+        _assert_same_floats(cl.pauli_components(x), _pauli_components_reference(x))
+        one = cl.pauli_components(x[0])
+        assert one.shape == (4,)
+        _assert_same_floats(one, _pauli_components_reference(x[0]))
+
+    def test_nan_pattern(self):
+        """A non-finite entry spoils c_1..c_3 and, on the diagonal, c_0."""
+        x = np.ones((3, 2, 2), dtype=complex)
+        x[0, 0, 1] = np.nan
+        x[1, 1, 1] = np.inf
+        x[2, 1, 0] = 1e308
+        x[2, 0, 1] = 1e308
+        with np.errstate(all="ignore"):
+            c = cl.pauli_components(x)
+        assert np.isfinite(c[0, 0]) and np.isnan(c[0, 1:]).all()
+        assert np.isinf(c[1, 0].real) and np.isnan(c[1, 0].imag) and np.isnan(c[1, 1:]).all()
+        # an overflowing finite sum is inf, its partner NaN by the division
+        assert np.isinf(c[2, 1].real) and np.isnan(c[2, 1].imag) and np.isfinite(c[2, 3])
+
+
+def _lorentz_matrix_reference(boost):
+    """One Pauli read per block: the oracle for the stacked read."""
+    lam_tilde = np.zeros((4, 4), dtype=complex)
+    lam_sigma = np.zeros((4, 4), dtype=complex)
+    for mu in range(4):
+        x = boost.sigma_tilde_boosted(mu)
+        y = boost.sigma_boosted(mu)
+        if mu != 0:
+            x, y = 1j * x, 1j * y
+        c = _pauli_components_reference(x)
+        lam_tilde[mu, 0], lam_tilde[mu, 1:] = c[0], -c[1:]
+        lam_sigma[mu] = _pauli_components_reference(y)
+    return lam_tilde, lam_sigma
+
+
+def _boost_blocks_reference(boost):
+    """The per-boost expressions: the oracle for the shared block arithmetic."""
+    n = np.asarray(boost.axis)
+    n_sigma = n[0] * cl.PAULI[0] + n[1] * cl.PAULI[1] + n[2] * cl.PAULI[2]
+    a = boost.half_rapidity
+    lp = np.cosh(a) * cl.I2 + np.sinh(a) * n_sigma
+    lm = np.cosh(a) * cl.I2 - np.sinh(a) * n_sigma
+    return lp, lm, lm @ cl.SIGMA @ lm, lp @ cl.SIGMA_TILDE @ lp
+
+
+def _extreme_boosts(n):
+    """Boosts up to MAX_RAPIDITY, with axes scaled by 1e+-200 and along the
+    coordinate axes."""
+    rng = np.random.default_rng(72)
+    half = cl.MAX_RAPIDITY / 2
+    boosts = [cl.SpinBoost(half, (0.0, 0.0, 1.0)), cl.SpinBoost(-half, (1.0, 0.0, 0.0))]
+    for i in range(n):
+        scale = (1.0, 1e200, 1e-200)[i % 3]
+        a = float(rng.uniform(-half, half))
+        boosts.append(cl.SpinBoost(a, tuple(scale * rng.normal(size=3))))
+    return boosts
+
+
+class TestBoostBlocks:
+    @staticmethod
+    def _blocks(boost):
+        return (
+            boost.lambda_plus,
+            boost.lambda_minus,
+            boost.sigma_boosted_stack,
+            boost.sigma_tilde_boosted_stack,
+        )
+
+    def test_lazy_blocks_match_per_boost_expressions(self):
+        for boost in _extreme_boosts(150):
+            for got, expected in zip(self._blocks(boost), _boost_blocks_reference(boost)):
+                _assert_same_floats(got, expected)
+
+    def test_batch_fill_matches_lazy_blocks(self):
+        boosts = _extreme_boosts(300)
+        lazy = [self._blocks(boost) for boost in _extreme_boosts(300)]
+        cl.SpinBoost.fill_blocks(boosts)
+        cl.SpinBoost.fill_blocks([])
+        for boost, expected in zip(boosts, lazy):
+            assert {"_lambdas", "sigma_boosted_stack"} <= set(vars(boost))
+            for got, want in zip(self._blocks(boost), expected):
+                _assert_same_floats(got, want)
+            for stack in self._blocks(boost)[2:]:
+                assert not stack.flags.writeable
+        assert boosts[0].lambda_plus is not boosts[1].lambda_plus
+        _assert_same_floats(boosts[5].matrix, _extreme_boosts(300)[5].matrix)
+
+    def test_lorentz_matrix_matches_per_block_read(self):
+        for boost in _extreme_boosts(60)[:40]:
+            with np.errstate(all="ignore"):
+                lam_tilde, lam_sigma = _lorentz_matrix_reference(boost)
+            try:
+                got = cl.lorentz_matrix(boost)
+            except ValueError:
+                routes = np.abs(lam_tilde - lam_sigma).max() > 1e-10
+                residue = max(np.abs(lam_tilde.imag).max(), np.abs(lam_sigma.imag).max())
+                assert routes or residue > 1e-10
+                continue
+            _assert_same_floats(got, lam_tilde.real)

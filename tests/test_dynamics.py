@@ -359,6 +359,29 @@ class TestDeterminantKernelDuality:
         dyn.duality_sweep(rng, kind, n_samples=200)
         assert counts == {"det": [(200,)], "svd": [(200,)]}
 
+    @pytest.mark.parametrize("kind", ["weyl-left", "boosted-weyl-right", "boosted-dirac"])
+    def test_sweep_fills_each_batch_of_boosts_once(self, kind, monkeypatch):
+        """The boosts of each batch get their blocks from one fill, before
+        any system is built; at this cap some generic draws fail, so later
+        batches are smaller.  The report is the lazy blocks' (two-solve
+        oracle)."""
+        fills = []
+
+        def fill(boosts, _fill=dyn.SpinBoost.fill_blocks):
+            fills.append(len(boosts))
+            _fill(boosts)
+            assert all("sigma_boosted_stack" in vars(boost) for boost in boosts)
+
+        monkeypatch.setattr(dyn.SpinBoost, "fill_blocks", staticmethod(fill))
+        seed = 60 + dyn.PROBLEM_KINDS.index(kind)
+        report = dyn.duality_sweep(np.random.default_rng(seed), kind, 150, 6.0)
+        if kind.startswith("boosted"):
+            assert fills[0] == 150 and len(fills) > 1
+            assert all(later < earlier for earlier, later in zip(fills, fills[1:]))
+        else:
+            assert fills == [0]
+        assert report == self._two_solve_sweep(np.random.default_rng(seed), kind, 150, 6.0)
+
     @pytest.mark.parametrize("kind", dyn.PROBLEM_KINDS)
     def test_failed_generic_draw_resumes_the_batch(self, kind, monkeypatch):
         """With a test that a tenth to a third of generic draws fail, each

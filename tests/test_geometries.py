@@ -353,6 +353,30 @@ class TestRealConjugate:
         assert twice.antilinear == antilinear
         assert normal_form_distance(twice, op) <= 1e-12
 
+    @GEO_PARAMS
+    @pytest.mark.parametrize("nonfinite", [False, True])
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_matches_composed_conjugation(self, geo_name, antilinear, nonfinite):
+        """The term-wise pass gives the keys, their order and the values of
+        J op J composed and negated (zero signs aside), NaN and inf included."""
+        geo = GEOMETRY_FACTORIES[geo_name]()
+        rng = np.random.default_rng(31 + 2 * antilinear + nonfinite)
+        j = geo.real_structure
+        for _ in range(5):
+            op = _random_operator(rng, geo.fiber_dim, antilinear, n_terms=6)
+            assert any(d for _, d in op.terms)
+            if nonfinite:
+                keys = list(op.terms)
+                op.terms[keys[0]][1, 2] = complex(np.nan, 1.0)
+                op.terms[keys[1]][0, 0] = complex(0.5, np.inf)
+            with np.errstate(invalid="ignore"):
+                expected = (j @ op @ j).scale(-1.0)
+                got = geo.real_conjugate(op)
+            assert got.antilinear == expected.antilinear == antilinear
+            assert list(got.terms) == list(expected.terms)
+            for key, g in expected.terms.items():
+                assert np.array_equal(got.terms[key], g, equal_nan=True), key
+
 
 class TestDressedDirac:
     @GEO_PARAMS

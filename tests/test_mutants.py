@@ -86,7 +86,7 @@ def block(table, mu, upper_right):
 
 #: (check id, what the mutant does, attribute, source edit) per space.
 GEOMETRY_MUTANTS = [
-    ("axioms.ko_signs", "J squares to +1", "real_structure",
+    ("axioms.ko_signs", "J squares to +1", "_j_matrix",
      ("np.kron(self._j_swap, _J_SPINOR)", "np.kron(self._j_swap, np.kron(np.eye(2), PAULI[0]))")),
     ("axioms.ko_signs", "free Dirac without -i", "_free_dirac",
      ("-1j * GAMMA[mu]", "GAMMA[mu]")),
@@ -99,7 +99,8 @@ GEOMETRY_MUTANTS = [
     ("axioms.grading_relations", "representation not diagonal", "represent",
      ("(np.diag(m), f)", "(np.diag(m) + np.diag(m[:-1], 1), f)")),
     ("axioms.order_zero", "real conjugate adds D", "real_conjugate",
-     ("(j @ op @ j).scale(-1.0)", "(j @ op @ j).scale(-1.0) + self.dirac")),
+     ("op.conjugate().conjugate_by(u, -u.conj())",
+      "op.conjugate().conjugate_by(u, -u.conj()) + self.dirac")),
     ("axioms.twisted_first_order", "twist is the identity", "twist",
      ("return op.conjugate_by(self.r_matrix)", "return op")),
     ("gauge.potential_shift_laws", "gauge transform by u, not its flip", "gauge_transformed",
@@ -152,6 +153,10 @@ MUTANTS = [
          block(clifford.GAMMA_M, 3, clifford.PAULI[1])),
         ("clifford.euclidean_anticommutators", "grading twist is the identity",
          edit(clifford, "twist_gamma", "GAMMA0 @ GAMMA[mu] @ GAMMA0", "GAMMA[mu]")),
+        # the trace route of the check reads the components without the helper
+        ("clifford.lorentz_extraction_routes", "sigma_2 component with a sign slip",
+         edit(clifford, "pauli_components", "np.subtract(im[..., 1, 0], im[..., 0, 1]",
+              "np.subtract(im[..., 0, 1], im[..., 1, 0]")),
     ]
 ]
 

@@ -882,3 +882,99 @@ class TestComposeSkipsPairs:
                 got, expected = left @ right, _compose_reference(left, right)
             assert_same_bytes(got, expected)
             assert all(pair_mask(left, right))
+
+
+def _max_abs_reference(op):
+    """One reduction per term: the oracle for the stacked ``max_abs``."""
+    peaks = [np.max(np.abs(g)) for g in op.terms.values()]
+    return float(np.max(peaks, initial=0.0))
+
+
+def _normal_form_distance_reference(o1, o2):
+    """One reduction per key: the oracle for the stacked distance."""
+    if o1.antilinear != o2.antilinear:
+        return float(np.max([_max_abs_reference(o1), _max_abs_reference(o2)]))
+    zero = np.zeros((o1.fiber_dim, o1.fiber_dim))
+    keys = set(o1.terms) | set(o2.terms)
+    peaks = [np.max(np.abs(o1.terms.get(k, zero) - o2.terms.get(k, zero))) for k in keys]
+    return float(np.max(peaks, initial=0.0))
+
+
+def _function_matrix_sum_reference(n, pairs):
+    """The terms built as ``function_matrix_sum`` builds them, then copied
+    through the constructor."""
+    terms = {}
+    for g, f in pairs:
+        g = np.asarray(g, dtype=complex)
+        for k, c in f.coeffs.items():
+            terms.setdefault((k, ()), np.zeros((n, n), dtype=complex))
+            terms[(k, ())] += c * g
+    return FieldOperator(n, terms)
+
+
+class TestStackedReductions:
+    """One reduction per operator gives the bits of one per term: the same
+    float, NaN where any entry is NaN, 0.0 for no term."""
+
+    @staticmethod
+    def _operators(rng, n):
+        finite = [oracle_operator(rng, n, antilinear, False) for antilinear in (False, True)]
+        nonfinite = [oracle_operator(rng, n, antilinear, True) for antilinear in (False, True)]
+        perturbed = FieldOperator(n, finite[0].terms) + FieldOperator(
+            n, {ORACLE_KEYS[0]: 1e-13 * np.eye(n), ((5, 0, 0, 0), ()): 1e200 * np.eye(n)}
+        )
+        empty = [FieldOperator.zero(n), FieldOperator.zero(n, antilinear=True)]
+        return finite + nonfinite + [perturbed] + empty
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_max_abs_matches_per_term(self, n):
+        for op in self._operators(np.random.default_rng(n), n):
+            expected = _max_abs_reference(op)
+            assert np.array_equal(op.max_abs(), expected, equal_nan=True)
+            assert type(op.max_abs()) is float
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_normal_form_distance_matches_per_key(self, n):
+        ops = self._operators(np.random.default_rng(50 + n), n)
+        with np.errstate(invalid="ignore"):
+            for o1 in ops:
+                for o2 in ops:
+                    expected = _normal_form_distance_reference(o1, o2)
+                    got = normal_form_distance(o1, o2)
+                    assert np.array_equal(got, expected, equal_nan=True), (o1, o2)
+
+    def test_empty_operators(self):
+        for antilinear in (False, True):
+            empty = FieldOperator.zero(3, antilinear)
+            assert empty.max_abs() == 0.0
+            assert normal_form_distance(empty, empty) == 0.0
+        assert normal_form_distance(FieldOperator.zero(3), FieldOperator.conjugation(3)) == 1.0
+
+
+class TestFunctionMatrixSumBuild:
+    @given(seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_constructor_copy(self, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [(rng.normal(size=(4, 4)), random_scalar(rng)) for _ in range(3)]
+        pairs.append((np.eye(4), pairs[0][1]))  # a shared function's modes add up
+        assert_same_bytes(function_matrix_sum(4, pairs), _function_matrix_sum_reference(4, pairs))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (1, 1)])
+    def test_matrix_shape_is_checked(self, shape):
+        with pytest.raises(ValueError, match="fiber dimension"):
+            function_matrix_sum(4, [(np.ones(shape), FourierScalar.one())])
+
+
+class TestConjugate:
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_is_k_o_k(self, antilinear):
+        """K O K equals the composition with K on both sides, term for term."""
+        rng = np.random.default_rng(8 + antilinear)
+        op = oracle_operator(rng, 4, antilinear, False)
+        k = FieldOperator.conjugation(4)
+        got = op.conjugate()
+        assert_same_normal_form(got, k @ op @ k)
+        assert list(got.terms) == [(negate_mode(m), d) for m, d in op.terms]
+        s = random_section(rng, 4)
+        assert (got.apply(s) - op.apply(s.conjugate()).conjugate()).max_abs() < 1e-12
