@@ -12,21 +12,23 @@ about to start flaking.
 import argparse
 import sys
 
-from twistkit.checks import GROUPS, RunConfig, run_checks
+from twistkit.checks import RunConfig, run_checks
 from twistkit.cli import split_groups
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=8, help="number of consecutive seeds")
-    parser.add_argument("--start", type=int, default=0, help="first seed")
+    parser.add_argument("--start", type=int, default=RunConfig.seed, help="first seed")
     parser.add_argument("--groups", default=None, help="comma-separated group subset")
-    parser.add_argument("--rapidity", type=float, default=2.0, help="boost rapidity cap")
+    parser.add_argument(
+        "--rapidity", type=float, default=RunConfig.rapidity_max, help="boost rapidity cap"
+    )
     args = parser.parse_args(argv)
     if not 1 <= args.seeds <= 10_000:
         parser.error("--seeds must be between 1 and 10000")
 
-    groups = split_groups(args.groups) if args.groups is not None else GROUPS
+    groups = split_groups(args.groups) if args.groups is not None else RunConfig.groups
     try:
         configs = [
             RunConfig(seed=seed, groups=groups, rapidity_max=args.rapidity)

@@ -233,6 +233,10 @@ class CheckSpec:
         """The check id's prefix, ``"boost"`` for ``"boost.action_invariance"``."""
         return self.check_id.partition(".")[0]
 
+    def gate(self, cfg: RunConfig) -> float:
+        """The tolerance under ``cfg``: the group's override, else the registered one."""
+        return cfg.tolerances.get(self.group, self.tolerance)
+
 
 # Definition order is registry order, and registry order is stream order.
 REGISTRY: tuple[CheckSpec, ...] = ()
@@ -541,12 +545,16 @@ def _chk_ko_signs(rng, cfg):
     for geo in _geometries(rng):
         j = geo.real_structure
         dim = geo.fiber_dim
+        # J's entries are +-i and R's 0 or 1, so reading one part of each
+        # entry, real or imaginary, misses the peak of one of the two
+        yield _fail_unless(j.max_abs() == 1.0)
         yield close(j @ j, FieldOperator.identity(dim).scale(-1.0))
         yield close(j @ geo.dirac, geo.dirac @ j)
         g = FieldOperator.from_matrix(geo.grading_matrix)
         sign = geo.ko_signs[2]
         yield close(j @ g, (g @ j).scale(sign))
         r = geo.r_operator
+        yield _fail_unless(r.max_abs() == 1.0)
         yield close(j @ r, (r @ j).scale(-1.0))
         rm = geo.r_matrix
         yield close(rm @ rm, np.eye(dim))
@@ -1557,7 +1565,7 @@ def _run_share(share, cfg: RunConfig):
     records = []
     for position, spec, stream in share:
         rng = np.random.default_rng(stream)
-        tol = cfg.tolerances.get(spec.group, spec.tolerance)
+        tol = spec.gate(cfg)
         start = time.perf_counter()
         try:
             if spec.needs_boost and cfg.rapidity_max == 0:

@@ -10,7 +10,8 @@ Three subcommands:
 ``action``
     Evaluates the fermionic action for one geometry on explicit or seeded
     Weyl data, prints the degree-two generator coefficient matrix, and
-    compares the operator engine against the closed-form density.
+    compares the operator engine against the closed-form density, at the
+    gate of the geometry's ``<group>.action_closed_form`` check.
 
 ``dispersion``
     Solves one constant-coefficient plane-wave system and prints the
@@ -19,14 +20,15 @@ Three subcommands:
 Configuration layering: flags override the ``--config`` file, the file
 overrides the ``TWISTKIT_SEED`` environment variable, and everything falls
 back to the ``RunConfig`` defaults.  Config files are flat ``key=value``
-text; ``tolerance.<group>=1e-8`` overrides one group's tolerance and
-``groups=a,b,c`` selects check groups.
+text; ``tolerance.<group>=1e-8`` overrides one group's tolerance, for
+``verify`` and ``action`` alike, and ``groups=a,b,c`` selects check groups.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import dataclasses
 import os
 import sys
 import time
@@ -41,17 +43,13 @@ from .actions import (
     promote_weyl_fields,
     route_spread,
 )
-from .checks import GROUPS, RunConfig, report_json, run_checks
+from .checks import REGISTRY, RunConfig, report_json, run_checks
 from .clifford import MAX_RAPIDITY, SpinBoost
 from .dynamics import BOOSTED_KINDS, PROBLEM_KINDS, PlaneWaveProblem
 from .geometries import DoubledGeometry, ElectrodynamicsGeometry, ManifoldGeometry
 from .grassmann import pair_coefficient_matrix
 from .operator_algebra import MAX_MODE_CUTOFF
 from .torus_fields import FourierScalar, Section
-
-#: The action subcommand reports failure when the engine and the closed
-#: density drift further apart than this.
-ACTION_TOL = 1e-10
 
 #: How many degree-two coefficients the action subcommand prints before
 #: truncating (the full matrix still decides the comparison error).
@@ -61,9 +59,15 @@ MAX_PRINTED_COEFFS = 24
 #: largest one; structurally zero pairings leave rounding residues far below.
 RELATIVE_COEFF_FLOOR = 1e-12
 
-GEOMETRY_NAMES = ("manifold", "doubled", "electro")
+#: ``--geometry`` -> (geometry at coupling d, the check whose gate ``action`` meets).
+GEOMETRIES = {
+    "manifold": (lambda d: ManifoldGeometry(), "manifold.action_closed_form"),
+    "doubled": (lambda d: DoubledGeometry(), "doubled.action_closed_form"),
+    "electro": (ElectrodynamicsGeometry, "electrodynamics.action_closed_form"),
+}
 
-_CONFIG_KEYS = {"seed", "mode_cutoff", "probe_cutoff", "rapidity_max", "groups"}
+#: The settings a config file may set; a flag that sets one has the same dest.
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(RunConfig)} - {"tolerances"}
 
 
 class UsageError(Exception):
@@ -98,47 +102,28 @@ def split_groups(text: str) -> tuple[str, ...]:
 
 
 def _resolve_run_config(args) -> RunConfig:
-    """Build the run configuration with flag > file > environment > default."""
-    file_cfg = (
-        _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    )
-
-    def pick(flag_name: str, file_key: str, fallback):
-        flag_value = getattr(args, flag_name, None)
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return fallback
-
-    seed = pick("seed", "seed", os.environ.get("TWISTKIT_SEED", "0"))
-    mode_cutoff = pick("mode_cutoff", "mode_cutoff", 2)
-    probe_cutoff = file_cfg.get("probe_cutoff", 3)
-    rapidity_max = pick("rapidity", "rapidity_max", 2.0)
-    groups_raw = pick("groups", "groups", None)
-    groups = split_groups(groups_raw) if isinstance(groups_raw, str) else GROUPS
-
+    """``RunConfig`` with what the environment, then the file, then the flags
+    set, each overriding the one before; ``RunConfig`` checks every value."""
+    settings = {"seed": os.environ["TWISTKIT_SEED"]} if "TWISTKIT_SEED" in os.environ else {}
     tolerances: dict[str, float] = {}
-    for key, value in file_cfg.items():
+    for key, value in (_parse_config_file(args.config) if args.config else {}).items():
         if key.startswith("tolerance."):
-            group = key[len("tolerance.") :]
             try:
-                tolerances[group] = float(value)
+                tolerances[key[len("tolerance.") :]] = float(value)
             except ValueError as exc:
                 raise UsageError(f"bad tolerance value for {key}: {value!r}") from exc
-        elif key not in _CONFIG_KEYS:
+        elif key in _CONFIG_KEYS:
+            settings[key] = value
+        else:
             raise UsageError(f"unknown config key {key!r}")
-
+    for key in _CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    if "groups" in settings:
+        settings["groups"] = split_groups(settings["groups"])
     try:
-        return RunConfig(
-            seed=int(seed),
-            mode_cutoff=int(mode_cutoff),
-            probe_cutoff=int(probe_cutoff),
-            rapidity_max=float(rapidity_max),
-            groups=groups,
-            tolerances=tolerances,
-        )
-    except (TypeError, ValueError) as exc:
+        return RunConfig(**settings, tolerances=tolerances)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -237,14 +222,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _geometry_for(name: str, d: complex):
-    if name == "manifold":
-        return ManifoldGeometry()
-    if name == "doubled":
-        return DoubledGeometry()
-    return ElectrodynamicsGeometry(d)
-
-
 def _terms(terms, label: str, key: str, shape: tuple[int, ...]):
     """Yield ``(mode, amplitude)`` for each ``{"mode": ..., key: ...}`` term.
 
@@ -316,18 +293,15 @@ def _load_weyl_file(path: str, n_fields: int):
 
 
 def cmd_action(args) -> int:
-    d = parse_complex(args.d, "--d")
-    geo = _geometry_for(args.geometry, d)
-    n_fields = geo.n_weyl_fields
+    make_geometry, check_id = GEOMETRIES[args.geometry]
+    geo = make_geometry(parse_complex(args.d, "--d"))
     cfg = _resolve_run_config(args)
     if args.weyl_file:
-        fields, f, g = _load_weyl_file(args.weyl_file, n_fields)
+        fields, f, g = _load_weyl_file(args.weyl_file, geo.n_weyl_fields)
         source = args.weyl_file
     else:
         rng = np.random.default_rng(cfg.seed)
-        fields, f, g = overlapping_action_inputs(
-            rng, n_fields, cutoff=cfg.mode_cutoff
-        )
+        fields, f, g = overlapping_action_inputs(rng, geo.n_weyl_fields, cutoff=cfg.mode_cutoff)
         source = f"seeded draw (seed={cfg.seed})"
 
     op = geo.dressed_dirac(f, g)
@@ -371,7 +345,8 @@ def cmd_action(args) -> int:
             print(f"  {name:<10} |value| = {abs(value):.6e}")
         print(f"  piece-sum residual: {abs(total - engine):.3e}")
     print(f"closed-form comparison error: {spread:.3e}")
-    return 0 if spread <= ACTION_TOL else 1
+    (spec,) = (spec for spec in REGISTRY if spec.check_id == check_id)
+    return 0 if spread <= spec.gate(cfg) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -434,41 +409,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run the registered check suite")
-    verify.add_argument("--seed", type=int, default=None, help="root seed")
-    verify.add_argument("--config", default=None, help="key=value config file")
+    run = argparse.ArgumentParser(add_help=False)  # an unset flag stays None
+    run.add_argument("--seed", type=int, default=None, help="root seed")
+    run.add_argument("--config", default=None, help="key=value config file")
+    run.add_argument(
+        "--mode-cutoff", dest="mode_cutoff", type=int, default=None,
+        help="Fourier mode cutoff for random draws",
+    )
+
+    verify = sub.add_parser("verify", parents=[run], help="run the registered check suite")
     verify.add_argument(
         "--groups", default=None, help="comma-separated check groups"
     )
     verify.add_argument("--json", default=None, help="write the JSON report here")
     verify.add_argument(
-        "--mode-cutoff", dest="mode_cutoff", type=int, default=None,
-        help="Fourier mode cutoff for random draws",
-    )
-    verify.add_argument(
-        "--rapidity", type=float, default=None,
+        "--rapidity", dest="rapidity_max", metavar="RAPIDITY", type=float, default=None,
         help="largest boost rapidity drawn (0 skips boost checks)",
     )
     verify.set_defaults(func=cmd_verify)
 
     action = sub.add_parser(
-        "action", help="evaluate the fermionic action on Weyl data"
+        "action", parents=[run], help="evaluate the fermionic action on Weyl data"
     )
-    action.add_argument(
-        "--geometry", choices=GEOMETRY_NAMES, default="manifold"
-    )
+    action.add_argument("--geometry", choices=tuple(GEOMETRIES), default="manifold")
     action.add_argument(
         "--d", default="-1j", help="coupling constant for the four-sector space"
     )
     action.add_argument(
         "--weyl-file", dest="weyl_file", default=None,
         help="JSON Weyl data; omit for a seeded draw",
-    )
-    action.add_argument("--seed", type=int, default=None, help="root seed")
-    action.add_argument("--config", default=None, help="key=value config file")
-    action.add_argument(
-        "--mode-cutoff", dest="mode_cutoff", type=int, default=None,
-        help="Fourier mode cutoff for the seeded draw",
     )
     action.set_defaults(func=cmd_action)
 

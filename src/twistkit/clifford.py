@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 
 PAULI = np.array(
     [

@@ -140,13 +140,6 @@ def _factored(
     return DispersionResult(kind, matrix, complex(determinant), roots, kernel, s)
 
 
-def _solved(kind: str, matrix: np.ndarray, roots: tuple) -> DispersionResult:
-    """One system factored by one LU (the determinant) and one SVD."""
-    determinant = np.linalg.det(matrix)
-    _, s, vh = np.linalg.svd(matrix)
-    return _factored(kind, matrix, roots, determinant, s, vh)
-
-
 def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, tuple]:
     """Massless system ``f_0 +- sigma.p``: the flat Weyl matrix at ``(f_0, -p_j)``.
 
@@ -330,7 +323,7 @@ def reduction_residual(problem: PlaneWaveProblem) -> float:
     """``max | system - (-(1+i)) * flat reference at p' |`` for a boosted
     problem at its identification momentum (:func:`identified_problem`)."""
     target = -(1 + 1j) * _flat_reference(problem, transported=True)
-    return float(np.abs(problem.solve().matrix - target).max())
+    return float(np.abs(problem._system()[1] - target).max())
 
 
 def kernel_covariance(problem: PlaneWaveProblem) -> float:
@@ -406,7 +399,11 @@ class PlaneWaveProblem:
         return self.boost if self.boost is not None else IDENTITY_BOOST
 
     def solve(self) -> DispersionResult:
-        return _solved(*self._system())
+        """The system factored by one LU (the determinant) and one SVD."""
+        kind, matrix, roots = self._system()
+        determinant = np.linalg.det(matrix)
+        _, s, vh = np.linalg.svd(matrix)
+        return _factored(kind, matrix, roots, determinant, s, vh)
 
     def _system(self) -> tuple[str, np.ndarray, tuple]:
         """``(kind, matrix, roots)``, built but not factored."""
@@ -609,7 +606,7 @@ def euler_lagrange_check(
         el = _S2 @ _plane_wave_symbol(op, p)
         handed = _kind_parts(kind)[2]
         q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])
-        system = 1j * PlaneWaveProblem(kind, tuple(q), (f[0], 0.0, 0.0, 0.0)).solve().matrix
+        system = 1j * PlaneWaveProblem(kind, tuple(q), (f[0], 0.0, 0.0, 0.0))._system()[1]
     elif kind in ("dirac", "dirac-primed"):
         primed = kind == "dirac-primed"
         g_scalars = [FourierScalar.constant(component) for component in g]
@@ -623,7 +620,7 @@ def euler_lagrange_check(
             1j * (_S2 @ _plane_wave_symbol(op_plus, p)),
             -1j * complex(d),
         )
-        system = -1.0 * PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d).solve().matrix
+        system = -1.0 * PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d)._system()[1]
     elif kind == "boosted-weyl":
         boost = boost if boost is not None else IDENTITY_BOOST
         f_scalars = [FourierScalar.constant(component) for component in f]
@@ -633,7 +630,7 @@ def euler_lagrange_check(
         el = chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
         system = chiral_blocks(
             *(
-                PlaneWaveProblem(weyl, tuple(p), tuple(f), boost=boost).solve().matrix
+                PlaneWaveProblem(weyl, tuple(p), tuple(f), boost=boost)._system()[1]
                 for weyl in BOOSTED_KINDS[:2]
             )
         )

@@ -117,17 +117,6 @@ def wave_phase(mode: Mode, alpha: float = 0.0) -> FourierScalar:
     return np.exp(1j * alpha) * FourierScalar.wave(mode)
 
 
-def embed_sector(op4: FieldOperator, n_sectors: int, sector: int) -> FieldOperator:
-    """Embed a spinor-fiber operator into one internal diagonal sector."""
-    n = 4 * n_sectors
-    block = slice(4 * sector, 4 * sector + 4)
-    terms = {}
-    for key, g in op4.terms.items():
-        terms[key] = np.zeros((n, n), dtype=complex)
-        terms[key][block, block] = g
-    return FieldOperator(n, terms, op4.antilinear)
-
-
 def chiral_vector_parameters(
     op: FieldOperator,
 ) -> tuple[list[FourierScalar], list[FourierScalar]]:
@@ -154,15 +143,18 @@ def chiral_vector_parameters(
     )
 
 
+def _chiral_vector_pairs(h: Sequence[FourierScalar], hp: Sequence[FourierScalar]):
+    """The (matrix, function) pairs of the one-form -i gamma^mu diag(h 1, h' 1)."""
+    for mu in range(4):
+        yield -1j * (GAMMA[mu] @ _P_UPPER), h[mu]
+        yield -1j * (GAMMA[mu] @ _P_LOWER), hp[mu]
+
+
 def chiral_vector_operator(
     h: Sequence[FourierScalar], hp: Sequence[FourierScalar]
 ) -> FieldOperator:
     """Rebuild the spinor-fiber one-form -i gamma^mu diag(h 1, h' 1)."""
-    pairs = []
-    for mu in range(4):
-        pairs.append((-1j * (GAMMA[mu] @ _P_UPPER), h[mu]))
-        pairs.append((-1j * (GAMMA[mu] @ _P_LOWER), hp[mu]))
-    return function_matrix_sum(4, pairs)
+    return function_matrix_sum(4, _chiral_vector_pairs(h, hp))
 
 
 def selfadjoint_defect_parameters(
@@ -330,10 +322,10 @@ class _GeometryBase:
         """Rebuild a fluctuation from (z, z'): the parameters on particle-type
         sectors, their conjugates on the others, in each sector's Weyl order."""
         conjugates = ([c.conjugate() for c in z], [c.conjugate() for c in zp])
-        out = FieldOperator.zero(self.fiber_dim)
-        for s, pair in enumerate(self._sector_pairs((z, zp), conjugates)):
-            out = out + embed_sector(chiral_vector_operator(*pair), self.n_sectors, s)
-        return out
+        pairs = []
+        for mask, pair in zip(np.eye(self.n_sectors), self._sector_pairs((z, zp), conjugates)):
+            pairs += [(np.kron(np.diag(mask), g), f) for g, f in _chiral_vector_pairs(*pair)]
+        return function_matrix_sum(self.fiber_dim, pairs)
 
     def selfadjoint_fluctuation(self, f, g) -> FieldOperator:
         """-i gamma^mu gamma5 f_mu, negated on exchanged sectors, plus

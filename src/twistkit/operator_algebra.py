@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -335,7 +335,7 @@ class FieldOperator:
 # ----- derived constructions ------------------------------------------------
 
 def function_matrix_sum(
-    n: int, pairs: Sequence[tuple[np.ndarray, FourierScalar]]
+    n: int, pairs: Iterable[tuple[np.ndarray, FourierScalar]]
 ) -> FieldOperator:
     """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i.
     Its term matrices are built here, so they are not copied again."""
@@ -357,10 +357,6 @@ def twisted_commutator(
 ) -> FieldOperator:
     """D a - rho(a) D with the twisted image supplied by the caller."""
     return d_op.compose(a) - a_twisted.compose(d_op)
-
-
-def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
-    return a.compose(b) - b.compose(a)
 
 
 def normal_form_distance(o1: FieldOperator, o2: FieldOperator) -> float:

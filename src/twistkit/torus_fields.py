@@ -103,15 +103,6 @@ class FourierScalar:
     def integral(self) -> complex:
         return CELL_VOLUME * self.coeffs.get(ZERO_MODE, 0.0)
 
-    def inner(self, other: "FourierScalar") -> complex:
-        """L2 pairing, conjugate-linear in the first slot."""
-        acc = 0.0 + 0.0j
-        for k, v in self.coeffs.items():
-            w = other.coeffs.get(k)
-            if w is not None:
-                acc += np.conj(v) * w
-        return CELL_VOLUME * acc
-
     def real_part(self) -> "FourierScalar":
         return 0.5 * (self + self.conjugate())
 

@@ -1,6 +1,7 @@
 """Runner registry contract and command-line behaviour."""
 
 import cProfile
+import dataclasses
 import inspect
 import json
 import os
@@ -23,7 +24,7 @@ from twistkit.checks import (
     report_json,
     run_checks,
 )
-from twistkit.cli import build_parser
+from twistkit.cli import _resolve_run_config, build_parser
 from twistkit.clifford import MAX_RAPIDITY
 from twistkit.dynamics import PROBLEM_KINDS
 from twistkit.operator_algebra import MAX_MODE_CUTOFF, MAX_PROBE_CUTOFF
@@ -81,6 +82,35 @@ NEEDS_BOOST_IDS = {
     "dynamics.kernel_boost_covariance",
     "dynamics.boosted_reduction",
 }
+
+#: A config file line that is a usage error, and the message it prints.
+BAD_CONFIG_LINES = [
+    ("rapidity_max = inf", "rapidity_max must be finite"),
+    ("tolerance.actions = nan", "must be finite and positive"),
+    (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
+     f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
+    ("rapidity_max = 13", f"rapidity_max must be at most {MAX_RAPIDITY}"),
+    (f"mode_cutoff = {MAX_MODE_CUTOFF + 1}",
+     f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}"),
+    ("groups =", "no check groups selected"),
+    ("groups = ,", "no check groups selected"),
+    pytest.param("seed = 1\xff", "can't decode byte 0xff", id="not-utf8"),
+    ("seed", ":1: expected key=value, got 'seed'"),
+    ("tolerances = 1", "unknown config key 'tolerances'"),
+    ("tolerance.boost = x", "bad tolerance value for tolerance.boost: 'x'"),
+    ("tolerance.nope = 1", "tolerance override for unknown group 'nope'"),
+    ("groups = nope,clifford", "unknown check groups: nope"),
+    ("seed = 1.5", "invalid literal for int() with base 10: '1.5'"),
+    ("rapidity_max = x", "could not convert string to float: 'x'"),
+]
+
+
+def assert_bad_config(run_cli, tmp_path, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes((line + "\n").encode("latin-1"))
+    proc = run_cli(command, "--config", str(cfg))
+    assert proc.returncode == 2
+    assert message in proc.stderr
 
 
 class TestRegistry:
@@ -542,25 +572,17 @@ class TestVerifyCommand:
         assert "rapidity_max must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("rapidity_max = inf", "rapidity_max must be finite"),
-            ("tolerance.actions = nan", "must be finite and positive"),
-            (f"probe_cutoff = {MAX_PROBE_CUTOFF + 1}",
-             f"probe_cutoff must be between 1 and {MAX_PROBE_CUTOFF}"),
-            ("rapidity_max = 13", f"rapidity_max must be at most {MAX_RAPIDITY}"),
-            (f"mode_cutoff = {MAX_MODE_CUTOFF + 1}",
-             f"mode_cutoff must be between 1 and {MAX_MODE_CUTOFF}"),
-            ("groups =", "no check groups selected"),
-            ("groups = ,", "no check groups selected"),
-            pytest.param("seed = 1\xff", "can't decode byte 0xff", id="not-utf8"),
-        ],
-    )
+    @pytest.mark.parametrize("line, message", BAD_CONFIG_LINES)
     def test_bad_config_value_usage_error(self, run_cli, tmp_path, line, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes((line + "\n").encode("latin-1"))
-        proc = run_cli("verify", "--config", str(cfg))
+        assert_bad_config(run_cli, tmp_path, "verify", line, message)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("x", "invalid literal for int() with base 10: 'x'"), ("-3", "seed must be non-negative")],
+    )
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    def test_bad_environment_seed_usage_error(self, run_cli, command, value, message):
+        proc = run_cli(command, env_extra={"TWISTKIT_SEED": value})
         assert proc.returncode == 2
         assert message in proc.stderr
 
@@ -611,6 +633,50 @@ class TestVerifyCommand:
         assert "unknown config key" in proc.stderr
 
 
+class TestRunSettings:
+    """``RunConfig`` is the one home of the run settings: the command line
+    layers the environment, the config file and the flags over it."""
+
+    @staticmethod
+    def resolve(monkeypatch, *argv, seed_env=None):
+        monkeypatch.delenv("TWISTKIT_SEED", raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv("TWISTKIT_SEED", seed_env)
+        return _resolve_run_config(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    def test_bare_command_gives_the_defaults(self, monkeypatch, command):
+        assert self.resolve(monkeypatch, command) == RunConfig()
+
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    def test_environment_seed_alone(self, monkeypatch, command):
+        assert self.resolve(monkeypatch, command, seed_env="77") == RunConfig(seed=77)
+
+    @pytest.mark.parametrize("command", ["verify", "action"])
+    def test_flag_over_file_over_environment(self, monkeypatch, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "seed = 9\nmode_cutoff = 3\nprobe_cutoff = 2\nrapidity_max = 1.5\n"
+            "groups = boost, clifford\ntolerance.boost = 1e-8\n"
+        )
+        from_file = RunConfig(
+            seed=9, mode_cutoff=3, probe_cutoff=2, rapidity_max=1.5,
+            groups=("boost", "clifford"), tolerances={"boost": 1e-8},
+        )
+        argv = (command, "--config", str(cfg))
+        assert self.resolve(monkeypatch, *argv, seed_env="77") == from_file
+        flags = ("--seed", "5", "--mode-cutoff", "4")
+        assert self.resolve(monkeypatch, *argv, *flags, seed_env="77") == dataclasses.replace(
+            from_file, seed=5, mode_cutoff=4
+        )
+
+    def test_verify_flags_over_file(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rapidity_max = 1.5\ngroups = boost\n")
+        argv = ("verify", "--config", str(cfg), "--rapidity", "0.5", "--groups", "gauge")
+        assert self.resolve(monkeypatch, *argv) == RunConfig(rapidity_max=0.5, groups=("gauge",))
+
+
 def _weyl_doc(mode=(0, 0, 0, 1), amplitude=((1, 0), (0, 1)), f=None) -> bytes:
     """A two-field Weyl file whose first term has ``mode`` and ``amplitude``."""
     first = {"mode": list(mode), "amplitude": amplitude}
@@ -633,6 +699,27 @@ class TestActionCommand:
         assert "degree-two coefficients" in proc.stdout
         error = float(proc.stdout.rsplit("comparison error:", 1)[1])
         assert error <= 1e-10
+
+    @pytest.mark.parametrize(
+        "geometry, group",
+        [("manifold", "manifold"), ("doubled", "doubled"), ("electro", "electrodynamics")],
+    )
+    def test_gate_is_the_closed_form_check_tolerance(self, run_cli, tmp_path, geometry, group):
+        """The closed-form spread meets the registry gate of the geometry's
+        ``<group>.action_closed_form`` check, with the run's overrides."""
+        tight, other = tmp_path / "tight.cfg", tmp_path / "other.cfg"
+        tight.write_text(f"tolerance.{group} = 1e-30\n")
+        other.write_text("tolerance.clifford = 1e-30\n")
+        argv = ("action", "--geometry", geometry, "--seed", "5")
+        assert run_cli(*argv).returncode == 0
+        assert run_cli(*argv, "--config", str(other)).returncode == 0
+        proc = run_cli(*argv, "--config", str(tight))
+        assert proc.returncode == 1
+        assert float(proc.stdout.rsplit("comparison error:", 1)[1]) > 1e-30
+
+    @pytest.mark.parametrize("line, message", BAD_CONFIG_LINES)
+    def test_bad_config_value_usage_error(self, run_cli, tmp_path, line, message):
+        assert_bad_config(run_cli, tmp_path, "action", line, message)
 
     def test_listed_count_ignores_rounding_residues(self, run_cli):
         """Structurally zero pairings are not listed as nonzero coefficients."""

@@ -57,7 +57,7 @@ def test_registry_claims(check_id):
 class TestSpinBoost:
     def test_identity(self):
         s = cl.SpinBoost(0.0)
-        np.testing.assert_allclose(s.matrix, cl.I4, atol=TOL)
+        np.testing.assert_allclose(s.matrix, np.eye(4), atol=TOL)
         np.testing.assert_allclose(cl.lorentz_matrix(s), np.eye(4), atol=TOL)
 
     def test_zero_axis_rejected(self):
@@ -82,13 +82,13 @@ class TestSpinBoost:
         s = cl.SpinBoost(a, axis)
         np.testing.assert_allclose(s.matrix, s.matrix.conj().T, atol=1e-12)
         if abs(a) > 1e-3:
-            assert np.max(np.abs(s.matrix @ s.matrix.conj().T - cl.I4)) > 1e-4
+            assert np.max(np.abs(s.matrix @ s.matrix.conj().T - np.eye(4))) > 1e-4
 
     @given(rapidities, axes)
     @settings(max_examples=60, deadline=None)
     def test_inverse_blocks(self, a, axis):
         s = cl.SpinBoost(a, axis)
-        np.testing.assert_allclose(s.matrix @ s.inverse, cl.I4, atol=1e-12)
+        np.testing.assert_allclose(s.matrix @ s.inverse, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(
             s.lambda_plus @ s.lambda_minus, cl.I2, atol=1e-12
         )

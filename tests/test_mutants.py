@@ -158,6 +158,12 @@ MUTANTS = [
          edit(clifford, "pauli_components", "np.subtract(im[..., 1, 0], im[..., 0, 1]",
               "np.subtract(im[..., 0, 1], im[..., 1, 0]")),
     ]
+] + [
+    # J's entries are imaginary and R's real, so a peak modulus that reads one
+    # part of each entry misses the one or the other
+    pytest.param("axioms.ko_signs", edit(operator_algebra, "_peak_modulus", "np.abs(stack)", peak),
+                 id=f"axioms.ko_signs-peak modulus reads {peak}")
+    for peak in ("stack.real", "np.abs(stack.real)", "stack.imag", "np.abs(stack.imag)")
 ]
 
 

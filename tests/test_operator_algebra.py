@@ -17,7 +17,6 @@ from twistkit.operator_algebra import (
     FieldOperator,
     OperatorComparison,
     _probe_distance,
-    commutator,
     normal_form_distance,
     function_matrix_sum,
     operator_equal,
@@ -107,7 +106,7 @@ class TestComposition:
         mu = int(rng.integers(0, 4))
         d_op = FieldOperator.derivative(1, mu)
         mf = function_matrix_sum(1, [(np.eye(1), f)])
-        lhs = commutator(d_op, mf)
+        lhs = d_op @ mf - mf @ d_op
         rhs = function_matrix_sum(1, [(np.eye(1), f.derivative(mu))])
         assert normal_form_distance(lhs, rhs) < 1e-12
 

@@ -1,4 +1,5 @@
-"""``twistkit verify --json`` reports pinned by their SHA-256.
+"""``twistkit verify --json`` reports and ``twistkit action`` output pinned by
+their SHA-256.
 
 A speed-up may not change what a check measures, so its reports must stay
 byte-identical: these digests turn that into a test.  The bits of a report
@@ -44,16 +45,47 @@ DIGESTS = {
     ),
 }
 
+#: ``action`` arguments -> (exit status, SHA-256 of its stdout).
+ACTION_DIGESTS = {
+    ("--geometry", "manifold", "--seed", "1"): (
+        0,
+        "84bd4c19757ddfd55a73bbbfcffe3fed956ad2fd2df7761348ce30024590c180",
+    ),
+    ("--geometry", "doubled", "--seed", "1"): (
+        0,
+        "111bdf7475969d0d71f7b027b2401627d434da1057b7ab9581f623c56cfe68bb",
+    ),
+    ("--geometry", "electro", "--seed", "1"): (
+        0,
+        "45248018f4087097b963590bcbd781631658eea19b08ebe96e1e8eb25b78c862",
+    ),
+}
 
-@pytest.mark.parametrize(
-    "args", list(DIGESTS), ids=lambda args: "_".join(a.lstrip("-") for a in args)
-)
-def test_report_digest(args, run_cli, tmp_path):
+
+def _skip_unless_recorded_here():
     here = {"numpy": np.__version__, "machine": platform.machine()}
     if here != RECORDED_ON:
         pytest.skip(f"digests were recorded on {RECORDED_ON}, this is {here}")
+
+
+def _id(args):
+    return "_".join(a.lstrip("-") for a in args)
+
+
+@pytest.mark.parametrize("args", list(DIGESTS), ids=_id)
+def test_report_digest(args, run_cli, tmp_path):
+    _skip_unless_recorded_here()
     path = tmp_path / "report.json"
     proc = run_cli("verify", *args, "--json", str(path))
     status, digest = DIGESTS[args]
     assert proc.returncode == status, proc.stdout + proc.stderr
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", list(ACTION_DIGESTS), ids=_id)
+def test_action_digest(args, run_cli):
+    _skip_unless_recorded_here()
+    proc = run_cli("action", *args)
+    status, digest = ACTION_DIGESTS[args]
+    assert proc.returncode == status, proc.stdout + proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest

@@ -74,14 +74,6 @@ class TestScalarAlgebra:
             assert (part - part.conjugate()).max_abs() <= 1e-12
         assert (f - (re + 1j * im)).max_abs() <= 1e-12
 
-    @given(seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_inner_matches_integral(self, seed):
-        f, g = pair(seed)
-        direct = (f.conjugate() * g).integral()
-        assert np.isclose(f.inner(g), direct)
-        assert f.inner(f).real >= 0.0
-
     def test_max_abs_propagates_nan_in_any_mode_order(self):
         nan_mode = ((1, 0, 0, 0), np.nan)
         finite_mode = ((0, 0, 0, 0), 1.0)
