@@ -338,7 +338,9 @@ def function_matrix_sum(
     n: int, pairs: Iterable[tuple[np.ndarray, FourierScalar]]
 ) -> FieldOperator:
     """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i.
-    Its term matrices are built here, so they are not copied again."""
+    Its term matrices are built here, so they are not copied again, and go
+    to ``summed`` as one batch, which drops the modes whose matrices cancel
+    exactly."""
     terms: dict[TermKey, np.ndarray] = {}
     for g, f in pairs:
         g = np.asarray(g, dtype=complex)
@@ -349,7 +351,7 @@ def function_matrix_sum(
             if key not in terms:
                 terms[key] = np.zeros((n, n), dtype=complex)
             terms[key] += c * g
-    return FieldOperator.summed(n, terms)
+    return FieldOperator.summed(n, (), [terms.items()])
 
 
 def twisted_commutator(

@@ -11,6 +11,7 @@ from twistkit.geometries import (
     DoubledGeometry,
     ElectrodynamicsGeometry,
     ManifoldGeometry,
+    chiral_vector_operator,
     random_element,
 )
 from twistkit.operator_algebra import (
@@ -901,14 +902,14 @@ def _normal_form_distance_reference(o1, o2):
 
 def _function_matrix_sum_reference(n, pairs):
     """The terms built as ``function_matrix_sum`` builds them, then copied
-    through the constructor."""
+    through the constructor without the exactly zero ones."""
     terms = {}
     for g, f in pairs:
         g = np.asarray(g, dtype=complex)
         for k, c in f.coeffs.items():
             terms.setdefault((k, ()), np.zeros((n, n), dtype=complex))
             terms[(k, ())] += c * g
-    return FieldOperator(n, terms)
+    return FieldOperator(n, {key: g for key, g in terms.items() if np.count_nonzero(g)})
 
 
 class TestStackedReductions:
@@ -963,6 +964,54 @@ class TestFunctionMatrixSumBuild:
     def test_matrix_shape_is_checked(self, shape):
         with pytest.raises(ValueError, match="fiber dimension"):
             function_matrix_sum(4, [(np.ones(shape), FourierScalar.one())])
+
+
+def _zero_terms(op):
+    return [key for key, g in op.terms.items() if not np.count_nonzero(g)]
+
+
+class TestBuildersGiveNormalForm:
+    """Every public builder of multiplication operators drops the modes whose
+    matrices come out exactly zero, as ``+`` does."""
+
+    #: a function whose stored coefficients include an exact zero and a -0.0
+    HOLLOW = FourierScalar({(1, 0, 0, 0): 0j, (0, 2, 0, 0): complex(-0.0), ZERO_MODE: 1.5 - 0.5j})
+
+    def test_cancelling_pairs(self):
+        f = FourierScalar({(0, 1, 0, 0): 1.0 + 2.0j})
+        eye = np.eye(2)
+        assert function_matrix_sum(2, [(eye, f), (-eye, f)]).terms == {}
+        kept = function_matrix_sum(2, [(eye, f), (eye, self.HOLLOW), (-eye, f)])
+        assert list(kept.terms) == [(ZERO_MODE, ())]
+
+    @pytest.mark.parametrize("space", [ManifoldGeometry, DoubledGeometry, ElectrodynamicsGeometry])
+    def test_geometry_builders(self, space):
+        geo = space()
+        h = [self.HOLLOW] * 4
+        slots = (self.HOLLOW,) * geo.n_slots
+        built = {
+            "represent": geo.represent(geo.element(slots, slots)),
+            "selfadjoint_fluctuation": geo.selfadjoint_fluctuation(h, h),
+            "fluctuation_from_z": geo.fluctuation_from_z(h, h),
+            "chiral_vector_operator": chiral_vector_operator(h, h),
+        }
+        for name, op in built.items():
+            assert op.terms, name
+            assert _zero_terms(op) == [], name
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_random_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        for geo in (ManifoldGeometry(), DoubledGeometry(), ElectrodynamicsGeometry()):
+            f, g = ([random_scalar(rng) for _ in range(4)] for _ in range(2))
+            for op in (
+                geo.represent(random_element(rng, geo.n_slots)),
+                geo.selfadjoint_fluctuation(f, g),
+                geo.fluctuation_from_z(f, g),
+                chiral_vector_operator(f, g),
+            ):
+                assert _zero_terms(op) == []
 
 
 class TestConjugate:
