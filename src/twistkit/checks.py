@@ -496,41 +496,6 @@ def _chk_lorentz_extraction_routes(rng, cfg):
 
 
 @check(
-    "axioms.order_zero", 1e-12, "represented algebra commutes with its conjugated copy"
-)
-def _chk_order_zero(rng, cfg):
-    """Represented elements commute with conjugated ones.
-
-    Draws: 2 normals (mass) + per geometry 4 rounds x 2 elements.
-    """
-    for geo in _geometries(rng):
-        for _ in range(4):
-            a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
-            b = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
-            pa, opp = geo.represent(a), geo.real_conjugate(geo.represent(b))
-            yield close(pa @ opp, opp @ pa)
-
-
-@check(
-    "axioms.twisted_first_order",
-    1e-12,
-    "twisted commutators commute with the conjugated algebra up to the twist",
-)
-def _chk_twisted_first_order(rng, cfg):
-    """Twisted commutators commute with the conjugated algebra up to twist.
-
-    Draws: 2 normals + per geometry 4 rounds x 2 elements.
-    """
-    for geo in _geometries(rng):
-        for _ in range(4):
-            a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
-            b = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
-            t = geo.twisted_commutator(a)
-            opp = geo.real_conjugate(geo.represent(b))
-            yield close(t @ opp, geo.twist(opp) @ t)
-
-
-@check(
     "axioms.ko_signs",
     1e-12,
     "conjugation squares to minus one, commutes with the operator, carries the "
@@ -591,13 +556,14 @@ def _chk_rho_adjoint_involution(rng, cfg):
 @check(
     "axioms.grading_relations",
     1e-12,
-    "grading is a self-adjoint involution, odd for the operator, even for the algebra",
+    "grading is a self-adjoint involution and odd for the operator",
 )
 def _chk_grading_relations(rng, cfg):
-    """Grading squares to one, is self-adjoint, anticommutes with the
-    operator and commutes with the algebra.
+    """Grading squares to one, is self-adjoint and anticommutes with the
+    operator; :func:`_chk_full_axiom_suite` checks that it is even for the
+    algebra.
 
-    Draws: 2 normals + per geometry 2 elements.
+    Draws: 2 normals (mass).
     """
     for geo in _geometries(rng):
         g = geo.grading_matrix
@@ -605,9 +571,6 @@ def _chk_grading_relations(rng, cfg):
         yield close(g, g.conj().T)
         g_op = FieldOperator.from_matrix(g)
         yield close(g_op @ geo.dirac, (geo.dirac @ g_op).scale(-1.0))
-        for _ in range(2):
-            pa = geo.represent(random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff))
-            yield close(g_op @ pa, pa @ g_op)
 
 
 @check(
@@ -616,12 +579,15 @@ def _chk_grading_relations(rng, cfg):
     "star homomorphism, evenness, and both order conditions at volume",
 )
 def _chk_full_axiom_suite(rng, cfg):
-    """Volume battery: homomorphism, star, evenness, order conditions.
+    """Volume battery and the one home of the algebra claims: homomorphism,
+    star, evenness, order zero (the represented algebra commutes with its
+    conjugated copy) and the twisted first-order condition (twisted
+    commutators commute with the conjugated algebra up to the twist).
 
-    Draws: 2 normals + 20 rounds (7 + 7 + 6 across the geometries) x 2
+    Draws: 2 normals + 32 rounds (11 + 11 + 10 across the geometries) x 2
     elements each.
     """
-    for geo, rounds in zip(_geometries(rng), (7, 7, 6)):
+    for geo, rounds in zip(_geometries(rng), (11, 11, 10)):
         g_op = FieldOperator.from_matrix(geo.grading_matrix)
         for _ in range(rounds):
             a = random_element(rng, geo.n_slots, cutoff=cfg.mode_cutoff)
@@ -810,13 +776,14 @@ def _chk_selfadjoint_edge_cases(rng, cfg):
     "two-sheet engine equals the closed density and twice the single sheet",
 )
 def _chk_doubled_action_closed_form(rng, cfg):
-    """Two-sheet engine vs closed density vs twice the single sheet.
+    """Two-sheet engine vs closed density vs twice the single sheet, the one
+    home of sheet doubling.
 
-    Draws: 2 instances of overlapping Weyl inputs.
+    Draws: 3 instances of overlapping Weyl inputs.
     """
     man = ManifoldGeometry()
     dbl = DoubledGeometry()
-    for _ in range(2):
+    for _ in range(3):
         w, f, g = overlapping_action_inputs(rng, 2, cutoff=cfg.mode_cutoff)
         pro = promote_weyl_fields(w)
         eng = yield from _closed_form_residuals(dbl, pro, f, g)
@@ -1088,25 +1055,19 @@ def _chk_term_symmetry_split(rng, cfg):
 @check(
     "actions.printed_factor_conventions",
     1e-10,
-    "sheet doubling, the sub-density split, and the zero-rapidity collapse of the "
-    "boosted densities",
+    "the sub-density split and the zero-rapidity collapse of the boosted densities",
 )
 def _chk_printed_factor_conventions(rng, cfg):
-    """Relative normalisations: sheet doubling, the density split of the
-    single-sheet form, and the zero-rapidity collapse of the boosted
-    densities.
+    """Relative normalisations: the density split of the single-sheet form
+    and the zero-rapidity collapse of the boosted densities.  Sheet doubling
+    is :func:`_chk_doubled_action_closed_form`'s.
 
     Draws: 1 overlapping input set (4 fields) + 2 normals for the mass.
     """
-    man = ManifoldGeometry()
-    dbl = DoubledGeometry()
     w, f, g = overlapping_action_inputs(rng, 4, cutoff=cfg.mode_cutoff)
     pro2 = promote_weyl_fields(w[:2])
-    man_eng = fermionic_action(man, man.dressed_dirac(f, None), pro2)
-    dbl_eng = fermionic_action(dbl, dbl.dressed_dirac(f, None), pro2)
-    yield close(dbl_eng, 2 * man_eng)
-    yield _fail_unless(abs(man_eng) > 1e-6)
     lag = manifold_lagrangian_action(pro2.fields[0], pro2.fields[1], f[0])
+    yield _fail_unless(abs(lag) > 1e-6)
     split = weyl_potential_form(
         pro2.fields[0], pro2.fields[1], f[0]
     ) + weyl_derivative_form(pro2.fields[0], pro2.fields[1])

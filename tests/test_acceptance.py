@@ -40,7 +40,7 @@ from conftest import SPECS, check_error
 #: criterion -> (gate, {registry check id: runs}).
 BATTERY = {
     1: (1e-14, {"clifford.euclidean_anticommutators": 1, "clifford.minkowski_anticommutators": 1}),
-    2: (1e-12, {"axioms.order_zero": 5, "axioms.twisted_first_order": 5, "axioms.ko_signs": 1}),
+    2: (1e-12, {"axioms.full_axiom_suite": 2, "axioms.ko_signs": 1}),
     3: (1e-12, {"axioms.fluctuation_round_trip": 2}),
     5: (1e-14, {"gauge.potential_shift_laws": 1, "gauge.adjoint_action": 1}),
     6: (1e-10, dict.fromkeys(("manifold.action_closed_form", "doubled.action_closed_form",
@@ -124,7 +124,9 @@ def test_criterion_02_real_structure_axioms():
         float(np.abs(np.subtract(geo.ko_signs, KO_SIGN_TABLE[name])).max())
         for name, geo in _three_geometries()
     )
-    pairs = 4 * BATTERY[2][1]["axioms.order_zero"]
+    # a suite run draws 11, 11 and 10 order-condition pairs on the three spaces
+    runs = BATTERY[2][1]["axioms.full_axiom_suite"]
+    pairs = "/".join(str(runs * rounds) for rounds in (11, 11, 10))
     table = ", ".join(f"{k} {v}" for k, v in KO_SIGN_TABLE.items())
     counts = f"(J²,JD,JΓ,JR) signs {table}; order conditions on {pairs} pairs per geometry"
     _run_battery(2, np.random.default_rng(202), counts, err)

@@ -108,7 +108,7 @@ class TestPairingLemmas:
 @pytest.mark.parametrize(
     "check_id, gate, runs",
     [
-        ("doubled.action_closed_form", TOL, 1),  # twice the single sheet, 2 instances
+        ("doubled.action_closed_form", TOL, 1),  # twice the single sheet, 3 instances
         ("actions.printed_factor_conventions", TOL, 1),  # zero-rapidity collapse
         ("actions.twisted_pairing_antisymmetry", TOL, 3),  # -untwisted, 3 pairs per space
         ("boost.action_invariance", BOOST_TOL, 3),  # 6 boosts per space

@@ -20,18 +20,6 @@ from twistkit import checks
 
 #: expression -> (its homes in source order, why it is not one claim twice)
 DECLARED_REPEATS = {
-    "close(pa @ opp, opp @ pa)": (
-        ("axioms.order_zero", "axioms.full_axiom_suite"),
-        "restated: order zero, to keep in the suite only",
-    ),
-    "close(t @ opp, geo.twist(opp) @ t)": (
-        ("axioms.twisted_first_order", "axioms.full_axiom_suite"),
-        "restated: the twisted first-order condition, to keep in the suite only",
-    ),
-    "close(g_op @ pa, pa @ g_op)": (
-        ("axioms.grading_relations", "axioms.full_axiom_suite"),
-        "restated: the grading is even for the algebra, to keep in the suite only",
-    ),
     "close(f2[mu], f[mu])": (
         ("axioms.fluctuation_round_trip", "gauge.potential_shift_laws"),
         "the chiral potential read back from its own fluctuation, and kept by a matched "

@@ -35,8 +35,6 @@ EXPECTED_CHECK_IDS = (
     "clifford.sigma_pair_identities",
     "clifford.spin_boost_structure",
     "clifford.lorentz_extraction_routes",
-    "axioms.order_zero",
-    "axioms.twisted_first_order",
     "axioms.ko_signs",
     "axioms.rho_adjoint_involution",
     "axioms.grading_relations",
@@ -119,7 +117,7 @@ class TestRegistry:
 
     def test_ids_unique_and_grouped(self):
         ids = [s.check_id for s in REGISTRY]
-        assert len(set(ids)) == len(ids) == 40
+        assert len(set(ids)) == len(ids) == 38
         for spec in REGISTRY:
             assert spec.group in GROUPS
             assert spec.check_id.partition(".")[2]

@@ -108,19 +108,17 @@ SEED0_CENSUS = {
     "clifford.sigma_pair_identities": (72, 48),
     "clifford.spin_boost_structure": (48, 0),
     "clifford.lorentz_extraction_routes": (61, 0),
-    "axioms.order_zero": (12, 0),
-    "axioms.twisted_first_order": (12, 0),
     "axioms.ko_signs": (18, 0),
     "axioms.rho_adjoint_involution": (36, 7),
-    "axioms.grading_relations": (15, 0),
-    "axioms.full_axiom_suite": (100, 0),
+    "axioms.grading_relations": (9, 0),
+    "axioms.full_axiom_suite": (160, 0),
     "axioms.fluctuation_round_trip": (16, 0),
     "manifold.integration_by_parts": (4, 3),
     "manifold.multiply_algebra": (36, 0),
-    "manifold.real_closure": (19, 1),
+    "manifold.real_closure": (19, 2),
     "manifold.action_closed_form": (4, 0),
     "manifold.selfadjoint_edge_cases": (4, 0),
-    "doubled.action_closed_form": (6, 0),
+    "doubled.action_closed_form": (9, 0),
     "doubled.selfadjoint_fluctuations": (30, 0),
     "electrodynamics.finite_part_commutes": (8, 0),
     "electrodynamics.finite_space_structure": (6, 0),
@@ -129,7 +127,7 @@ SEED0_CENSUS = {
     "actions.pair_form_oracle": (4, 0),
     "actions.operator_composition": (6, 0),
     "actions.term_symmetry_split": (16, 0),
-    "actions.printed_factor_conventions": (4, 0),
+    "actions.printed_factor_conventions": (3, 0),
     "actions.twisted_pairing_antisymmetry": (6, 0),
     "gauge.potential_shift_laws": (32, 0),
     "gauge.adjoint_action": (2, 0),

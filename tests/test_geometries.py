@@ -77,10 +77,8 @@ class TestAxioms:
 @pytest.mark.parametrize(
     "check_id, gate, runs",
     [
-        ("axioms.grading_relations", 1e-12, 5),  # evenness: 10 elements per space
-        ("axioms.full_axiom_suite", 1e-12, 2),  # homomorphism, star: 12-14 pairs per space
-        ("axioms.order_zero", 1e-12, 3),  # 12 pairs per space
-        ("axioms.twisted_first_order", 1e-12, 3),  # 12 pairs per space
+        # homomorphism, star, evenness and both order conditions: 20-22 pairs per space
+        ("axioms.full_axiom_suite", 1e-12, 2),
         ("electrodynamics.finite_part_commutes", 0.0, 1),  # exactly, 8 elements
         ("gauge.potential_shift_laws", 1e-12, 10),  # 10 phases per law
         ("gauge.adjoint_action", 1e-12, 1),

@@ -96,12 +96,12 @@ GEOMETRY_MUTANTS = [
     ("axioms.ko_signs", "R is 2 gamma0", "r_matrix", ("GAMMA0)", "2 * GAMMA0)")),
     ("axioms.grading_relations", "grading doubled", "grading_matrix",
      ("return np.kron(", "return 2 * np.kron(")),
-    ("axioms.grading_relations", "representation not diagonal", "represent",
+    ("axioms.full_axiom_suite", "representation not diagonal", "represent",
      ("(np.diag(m), f)", "(np.diag(m) + np.diag(m[:-1], 1), f)")),
-    ("axioms.order_zero", "real conjugate adds D", "real_conjugate",
+    ("axioms.full_axiom_suite", "real conjugate adds D", "real_conjugate",
      ("op.conjugate().conjugate_by(u, -u.conj())",
       "op.conjugate().conjugate_by(u, -u.conj()) + self.dirac")),
-    ("axioms.twisted_first_order", "twist is the identity", "twist",
+    ("axioms.full_axiom_suite", "twist is the identity", "twist",
      ("return op.conjugate_by(self.r_matrix)", "return op")),
     ("gauge.potential_shift_laws", "gauge transform by u, not its flip", "gauge_transformed",
      ("self.represent(u.flip()) @ inner", "self.represent(u) @ inner")),

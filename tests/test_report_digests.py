@@ -20,28 +20,31 @@ RECORDED_ON = {"numpy": "2.4.6", "machine": "x86_64"}
 
 #: ``verify`` arguments -> (exit status, SHA-256 of the ``--json`` report).
 DIGESTS = {
-    ("--seed", "0"): (0, "c82bd8ef10456303e8a37e0c3d176fc0957aef22884540ebf2c33e882f046ac2"),
-    ("--seed", "1"): (0, "40fa2ee2d14a839889b7b597dabebfd7020ffe535498f0f37156d481dede46ab"),
+    ("--seed", "0"): (0, "de19c359ed925558e8f519aba1cf3f13a6713ed24cac578bd8cfd3b6df2dbd68"),
+    ("--seed", "1"): (0, "3fe1a588acb5934a6f8e60816a4f531b2011f56407f4c193f3598b14bd03d357"),
     # manifold.integration_by_parts fails seed 2 by rounding (ROADMAP)
-    ("--seed", "2"): (1, "c40ead8f5ba8407b25ae4d90c8d8275d6314874fa5bc6609ad4ba6e457475a5c"),
+    ("--seed", "2"): (1, "b1d6b609085af3283cb2a4b4576268c19f8e84b1dea283f251c8b285ace456d6"),
     # boost gates are absolute, so rapidity 6 fails some of them (ROADMAP)
     ("--seed", "0", "--rapidity", "6"): (
         1,
-        "dd259a5bd4d73097b102374ae7781b6f0e968ef8bf765157c5387fcab6807d29",
+        "77474819e20a5505b8c6bef1fd69e97dd25205188dbacb63f37090c4d24541bd",
     ),
     # a zero rapidity cap: skip records, the flat-only duality sweep and the
     # identity boost in the Euler-Lagrange check
     ("--seed", "3", "--rapidity", "0"): (
         0,
-        "1ff3d77ceae8085fee55ce6057f367ec290c9eb4036ed6a1cd768e192e7ec5cf",
+        "8af0059cbb54f31a0f78fa2ea969be942dc9821f0bc53d5b6a080456ab3a8ccc",
     ),
     # a generic draw of the weyl-right duality sweep fails its nonsingularity
     # test, so random_problem redraws that sample and a new batch resumes
-    ("--seed", "15"): (0, "51bf3051840d9a790e3ddee0298e1c6a6d0a57de8aa3084e38886f32e19bff22"),
-    # larger operators: more terms through each per-operator reduction
-    ("--seed", "4", "--mode-cutoff", "3"): (
+    # (the smallest such seed: the sweep of seeds 0-39 redraws no weyl-right
+    # sample, and seed 9 redraws a weyl-left one)
+    ("--seed", "40"): (0, "6c90989d41d246192dc7909819464af1bc129dc2437971778f44c5918da3dcd2"),
+    # larger operators: more terms through each per-operator reduction (the
+    # smallest seed whose report passes at this cutoff)
+    ("--seed", "0", "--mode-cutoff", "3"): (
         0,
-        "4a7a0ba5ce7477f1d5fd7db677eb9bc3d12393015c604c98628e49eb33358872",
+        "bb739481813c9b7e01732308b48285091f020c2376c0e251220bb0425627d183",
     ),
 }
 
