@@ -469,8 +469,8 @@ def overlapping_action_inputs(rng, n_fields: int, cutoff: int = 1, fiber: int = 
     whole spinors).
     """
     while True:
-        a = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=4))
-        b = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=4))
+        a = tuple(rng.integers(-cutoff, cutoff + 1, size=4).tolist())
+        b = tuple(rng.integers(-cutoff, cutoff + 1, size=4).tolist())
         if a != b and a != negate_mode(b):
             break
     pool = {a, negate_mode(a), b, negate_mode(b)}

@@ -2,7 +2,7 @@
 
 A check is a generator of residuals, registered where it is defined::
 
-    @check("group.name", tolerance, "the paper's claim")
+    @check("group.name", tolerance, "the paper's claim", cost=milliseconds)
     def _chk_name(rng, cfg):
         ...
         yield residual
@@ -32,15 +32,20 @@ conventions keep the JSON strict and reproducible:
   would break byte-level reproducibility - while the real per-check timing
   is kept on the in-memory records for the human-readable summary.
 
-:func:`run_checks` runs selected check ``i`` (in registry order) in process
-``i mod k``, with ``k`` the smaller of the CPUs in the affinity mask and the
-number of selected checks.  The calling process runs share 0, and ``k - 1``
-workers forked inside the call run the others and pickle their records back
-over one pipe each.  ``k`` is 1, the serial run through the same loop, while
-a profiler, coverage tool or debugger watches the process, so that it sees
-every check.  Records carry the time a check took in its own process.  Each
-check keeps its stream and its configuration, so the report is the same for
-every ``k``.
+:func:`run_checks` splits the selected checks into ``k`` shares, with
+``k`` the smaller of the CPUs in the affinity mask and the number of
+selected checks.  Each check declares a static ``cost``, its serial time in
+milliseconds frozen from a profile (medians over seeds 3000-3011 on a
+2-CPU x86_64 machine, Python 3.11, numpy 2.4; only their ratios matter, and
+nothing is timed to plan a run).  The checks go longest first, ties in
+registry order, each to the share with the least cost so far, and each
+share runs in registry order.  The calling process runs share 0, and
+``k - 1`` workers forked inside the call run the others and pickle their
+records back over one pipe each.  ``k`` is 1, the serial run through the
+same loop, while a profiler, coverage tool or debugger watches the
+process, so that it sees every check.  Records carry the time a check
+took in its own process.  Each check keeps its stream and its
+configuration, so the report is the same for every ``k``.
 """
 
 from __future__ import annotations
@@ -227,6 +232,8 @@ class CheckSpec:
     tolerance: float
     fn: Callable
     needs_boost: bool = False
+    #: Serial milliseconds, the runner's static weight (:func:`_plan_shares`).
+    cost: float = 1.0
 
     @property
     def group(self) -> str:
@@ -242,8 +249,11 @@ class CheckSpec:
 REGISTRY: tuple[CheckSpec, ...] = ()
 
 
-def check(check_id: str, tolerance: float, paper_ref: str, needs_boost: bool = False):
+def check(
+    check_id: str, tolerance: float, paper_ref: str, *, cost: float, needs_boost: bool = False
+):
     """Register the decorated generator of residuals as check ``check_id``;
+    ``cost`` is its serial time in milliseconds, frozen from a profile, and
     ``needs_boost`` declares that it draws boosts (a zero cap skips it).  It
     yields ``close(a, b)`` per two-sided claim, a bare modulus per one-sided
     zero claim, ``_fail_unless`` per predicate and ``operator_equal``'s error
@@ -255,7 +265,9 @@ def check(check_id: str, tolerance: float, paper_ref: str, needs_boost: bool = F
             raise ValueError(f"duplicate check id {check_id!r}")
         if not inspect.isgeneratorfunction(fn):
             raise TypeError(f"check {check_id!r} must be a generator of residuals")
-        REGISTRY += (CheckSpec(check_id, paper_ref, tolerance, fn, needs_boost),)
+        if not (np.isfinite(cost) and cost > 0):
+            raise ValueError(f"check {check_id!r} must declare a positive cost")
+        REGISTRY += (CheckSpec(check_id, paper_ref, tolerance, fn, needs_boost, cost),)
         return fn
 
     return register
@@ -329,7 +341,7 @@ def _random_one_form(rng, geo, cutoff: int):
 
 def _random_mode(rng, r: int) -> tuple[int, ...]:
     """A Fourier mode with integer components in [-r, r]: 4 integers."""
-    return tuple(int(v) for v in rng.integers(-r, r + 1, size=4))
+    return tuple(rng.integers(-r, r + 1, size=4).tolist())
 
 
 def _electro_geometry(rng):
@@ -366,6 +378,7 @@ def _half_cap(cfg: RunConfig) -> float:
     1e-14,
     "gamma matrices pair to twice the Kronecker delta; the grading twist flips the "
     "spatial ones",
+    cost=0.2,
 )
 def _chk_euclidean_anticommutators(rng, cfg):
     """Euclidean gamma table, chirality element, grading twist.  Draws: none."""
@@ -385,6 +398,7 @@ def _chk_euclidean_anticommutators(rng, cfg):
     "clifford.minkowski_anticommutators",
     1e-14,
     "flat-metric gamma matrices pair to twice the metric",
+    cost=0.11,
 )
 def _chk_minkowski_anticommutators(rng, cfg):
     """Flat-metric gamma table; shared time component.  Draws: none."""
@@ -399,6 +413,7 @@ def _chk_minkowski_anticommutators(rng, cfg):
     "clifford.sigma_pair_identities",
     1e-14,
     "two-by-two sigma blocks assemble the gammas and trace to the metric",
+    cost=0.73,
 )
 def _chk_sigma_pair_identities(rng, cfg):
     """Two-by-two blocks assemble the gammas and pair into the metric.
@@ -426,6 +441,7 @@ def _chk_sigma_pair_identities(rng, cfg):
     "self-adjoint non-unitary spin boosts with mutually inverse half-blocks swapped "
     "by conjugation",
     needs_boost=True,
+    cost=0.72,
 )
 def _chk_spin_boost_structure(rng, cfg):
     """Boost half-blocks: mutual inverses, self-adjoint, non-unitary, the
@@ -456,6 +472,7 @@ def _chk_spin_boost_structure(rng, cfg):
     "vector boost matrix from the spinor one: trace route, sigma decomposition, "
     "metric preservation, rapidity additivity",
     needs_boost=True,
+    cost=2.3,
 )
 def _chk_lorentz_extraction_routes(rng, cfg):
     """Vector matrix from the spin boost: independent trace extraction,
@@ -500,6 +517,7 @@ def _chk_lorentz_extraction_routes(rng, cfg):
     1e-12,
     "conjugation squares to minus one, commutes with the operator, carries the "
     "per-geometry grading sign, anticommutes with the twist unitary",
+    cost=1.5,
 )
 def _chk_ko_signs(rng, cfg):
     """Sign table of the real structure against each geometry's data table,
@@ -531,6 +549,7 @@ def _chk_ko_signs(rng, cfg):
     1e-10,
     "the flip is conjugation by the twist unitary and its adjoint is involutive, also "
     "through the twisted product",
+    cost=31.0,
 )
 def _chk_rho_adjoint_involution(rng, cfg):
     """The flip is conjugation by the involution, squares to the identity,
@@ -557,6 +576,7 @@ def _chk_rho_adjoint_involution(rng, cfg):
     "axioms.grading_relations",
     1e-12,
     "grading is a self-adjoint involution and odd for the operator",
+    cost=0.93,
 )
 def _chk_grading_relations(rng, cfg):
     """Grading squares to one, is self-adjoint and anticommutes with the
@@ -577,6 +597,7 @@ def _chk_grading_relations(rng, cfg):
     "axioms.full_axiom_suite",
     1e-12,
     "star homomorphism, evenness, and both order conditions at volume",
+    cost=110.0,
 )
 def _chk_full_axiom_suite(rng, cfg):
     """Volume battery and the one home of the algebra claims: homomorphism,
@@ -606,6 +627,7 @@ def _chk_full_axiom_suite(rng, cfg):
     "axioms.fluctuation_round_trip",
     1e-12,
     "potential extraction inverts fluctuation assembly on every geometry",
+    cost=33.0,
 )
 def _chk_fluctuation_round_trip(rng, cfg):
     """Potential extraction inverts assembly on every geometry.
@@ -643,6 +665,7 @@ def _chk_fluctuation_round_trip(rng, cfg):
     "manifold.integration_by_parts",
     1e-12,
     "total derivatives integrate away and the flat operator is symmetric",
+    cost=1.1,
 )
 def _chk_integration_by_parts(rng, cfg):
     """Total derivatives integrate away; the flat operator is symmetric.
@@ -666,6 +689,7 @@ def _chk_integration_by_parts(rng, cfg):
     1e-12,
     "commutative associative function product with Leibniz derivative, pinned to "
     "pointwise evaluation",
+    cost=2.6,
 )
 def _chk_multiply_algebra(rng, cfg):
     """Commutative associative product with Leibniz derivatives, pinned to
@@ -693,6 +717,7 @@ def _chk_multiply_algebra(rng, cfg):
     "manifold.real_closure",
     1e-12,
     "charge conjugation is antiunitary and conjugates one-form coefficients",
+    cost=3.0,
 )
 def _chk_real_closure(rng, cfg):
     """Antilinear structure: antiunitary on sections, conjugates one-form
@@ -719,6 +744,7 @@ def _chk_real_closure(rng, cfg):
     "manifold.action_closed_form",
     1e-10,
     "single-sheet engine equals the closed two-spinor density",
+    cost=2.8,
 )
 def _chk_manifold_action_closed_form(rng, cfg):
     """Engine, quadratic reassembly, and the closed density agree
@@ -737,6 +763,7 @@ def _chk_manifold_action_closed_form(rng, cfg):
     1e-12,
     "imaginary chiral parameters: self-adjoint one-form, silent fluctuation; real "
     "ones stay audible",
+    cost=4.9,
 )
 def _chk_selfadjoint_edge_cases(rng, cfg):
     """Imaginary chiral parameters give a self-adjoint one-form with a
@@ -774,6 +801,7 @@ def _chk_selfadjoint_edge_cases(rng, cfg):
     "doubled.action_closed_form",
     1e-10,
     "two-sheet engine equals the closed density and twice the single sheet",
+    cost=6.2,
 )
 def _chk_doubled_action_closed_form(rng, cfg):
     """Two-sheet engine vs closed density vs twice the single sheet, the one
@@ -808,6 +836,7 @@ def _selfadjoint_agreement(geo, fl, adjoint) -> float:
     1e-12,
     "the conjugate-pair parameter test tracks operator self-adjointness in both "
     "directions on the sectored spaces",
+    cost=170.0,
 )
 def _chk_selfadjoint_fluctuations(rng, cfg):
     """Parameter test `z' = -conj(z)` tracks operator self-adjointness in
@@ -850,6 +879,7 @@ def _chk_selfadjoint_fluctuations(rng, cfg):
     "electrodynamics.finite_part_commutes",
     1e-14,
     "the constant mass block has exactly vanishing twisted commutators",
+    cost=4.0,
 )
 def _chk_finite_part_commutes(rng, cfg):
     """The constant mass block has exactly vanishing twisted commutators.
@@ -868,6 +898,7 @@ def _chk_finite_part_commutes(rng, cfg):
     1e-14,
     "hermitian mass block layout, its tensor assembly with the chirality element, and "
     "the internal grading anticommutation",
+    cost=0.3,
 )
 def _chk_finite_space_structure(rng, cfg):
     """Mass block layout: the four-by-four internal matrix, its hermiticity,
@@ -897,6 +928,7 @@ def _chk_finite_space_structure(rng, cfg):
     1e-10,
     "four-sector engine equals the closed covariant density and the four-piece split "
     "is additive",
+    cost=16.0,
 )
 def _chk_electro_action_closed_form(rng, cfg):
     """Four-sector engine vs the closed density and the additive split of
@@ -930,6 +962,7 @@ def _chk_electro_action_closed_form(rng, cfg):
     1e-10,
     "anticommuting generators square to zero; the pairing is pure degree two after "
     "promotion and null on plain diagonal data",
+    cost=1.2,
 )
 def _chk_graded_commutativity(rng, cfg):
     """Generator algebra plus the plain-vs-promoted dichotomy: the engine
@@ -956,6 +989,7 @@ def _chk_graded_commutativity(rng, cfg):
     1e-12,
     "quadratic form expansion equals the explicit generator double loop; coefficient "
     "matrices round-trip antisymmetrized",
+    cost=0.8,
 )
 def _chk_pair_form_oracle(rng, cfg):
     """Quadratic form expansion against an explicit generator double loop
@@ -981,6 +1015,7 @@ def _chk_pair_form_oracle(rng, cfg):
     "actions.operator_composition",
     1e-12,
     "operators act generator-linearly on promoted sections and compose associatively",
+    cost=0.93,
 )
 def _chk_operator_composition(rng, cfg):
     """Operators act on promoted sections exactly as on their generator
@@ -1013,6 +1048,7 @@ def _chk_operator_composition(rng, cfg):
     "the vector term form is symmetric on plain spinors, the derivative, chiral, and "
     "chirality-block forms antisymmetric, with both characters exchanged after "
     "promotion",
+    cost=4.7,
 )
 def _chk_term_symmetry_split(rng, cfg):
     """Single-sheet component forms sort by conjugation behaviour: the
@@ -1056,6 +1092,7 @@ def _chk_term_symmetry_split(rng, cfg):
     "actions.printed_factor_conventions",
     1e-10,
     "the sub-density split and the zero-rapidity collapse of the boosted densities",
+    cost=3.5,
 )
 def _chk_printed_factor_conventions(rng, cfg):
     """Relative normalisations: the density split of the single-sheet form
@@ -1088,6 +1125,7 @@ def _chk_printed_factor_conventions(rng, cfg):
     1e-10,
     "dressed pairing is antisymmetric with null diagonal, equals minus the untwisted "
     "one on the fixed subspace, and the chirality-positive fixed part is null",
+    cost=4.1,
 )
 def _chk_twisted_pairing_antisymmetry(rng, cfg):
     """Full dressed pairing on distinguished sections: antisymmetric with a
@@ -1126,6 +1164,7 @@ def _chk_twisted_pairing_antisymmetry(rng, cfg):
     1e-12,
     "pure phases shift the chiral potentials by their gradient; matched sector phases "
     "shift only the vector potential",
+    cost=16.0,
 )
 def _chk_potential_shift_laws(rng, cfg):
     """Pure-phase transforms shift the chiral potentials by the phase
@@ -1189,6 +1228,7 @@ def _chk_potential_shift_laws(rng, cfg):
     1e-12,
     "doubled-unitary conjugation: trivial single-sector, component phases sectored, "
     "fixed subspace preserved for matched phases",
+    cost=2.4,
 )
 def _chk_adjoint_action(rng, cfg):
     """Doubled-unitary conjugation: trivial on the single-sector space,
@@ -1242,6 +1282,7 @@ def _chk_adjoint_action(rng, cfg):
     "gauge.action_phase_absorption",
     1e-10,
     "matched-phase gauge moves leave the four-sector pairing untouched",
+    cost=20.0,
 )
 def _chk_action_phase_absorption(rng, cfg):
     """Matched-phase gauge moves leave the four-sector pairing untouched
@@ -1284,6 +1325,7 @@ def _chk_action_phase_absorption(rng, cfg):
     "boosting operator and slots together fixes the pairing; the twisted product is "
     "boost-invariant",
     needs_boost=True,
+    cost=7.1,
 )
 def _chk_boost_action_invariance(rng, cfg):
     """Boosting the operator and both slots fixes the pairing; the twisted
@@ -1315,6 +1357,7 @@ def _chk_boost_action_invariance(rng, cfg):
     1e-9,
     "boosted single-sheet engine equals the boosted closed density",
     needs_boost=True,
+    cost=4.2,
 )
 def _chk_boosted_manifold_closed_form(rng, cfg):
     """Boosted single-sheet engine vs the boosted closed density.
@@ -1329,6 +1372,7 @@ def _chk_boosted_manifold_closed_form(rng, cfg):
     1e-9,
     "boosted two-sheet engine equals the boosted closed density",
     needs_boost=True,
+    cost=4.9,
 )
 def _chk_boosted_doubled_closed_form(rng, cfg):
     """Boosted two-sheet engine vs the boosted closed density.
@@ -1343,6 +1387,7 @@ def _chk_boosted_doubled_closed_form(rng, cfg):
     1e-9,
     "boosted four-sector engine equals the boosted closed density",
     needs_boost=True,
+    cost=11.0,
 )
 def _chk_boosted_electro_closed_form(rng, cfg):
     """Boosted four-sector engine vs the boosted closed density.
@@ -1362,6 +1407,7 @@ def _chk_boosted_electro_closed_form(rng, cfg):
     1e-9,
     "vanishing determinant coincides with a nontrivial kernel across all plane-wave "
     "families",
+    cost=92.0,
 )
 def _chk_determinant_kernel_duality(rng, cfg):
     """Vanishing determinant coincides with a nontrivial kernel over every
@@ -1386,6 +1432,7 @@ def _chk_determinant_kernel_duality(rng, cfg):
     "dynamics.dispersion_surfaces",
     1e-9,
     "closed determinant formulas and mass-shell roots for every family",
+    cost=3.7,
 )
 def _chk_dispersion_surfaces(rng, cfg):
     """Closed determinant formulas and mass-shell roots.
@@ -1447,6 +1494,7 @@ def _chk_dispersion_surfaces(rng, cfg):
     1e-9,
     "on-shell kernels transport through the boost half-blocks",
     needs_boost=True,
+    cost=2.0,
 )
 def _chk_kernel_boost_covariance(rng, cfg):
     """On-shell kernels transport through the boost half-blocks.
@@ -1468,6 +1516,7 @@ def _chk_kernel_boost_covariance(rng, cfg):
     "dynamics.euler_lagrange_consistency",
     1e-12,
     "variational matrices of the densities equal the dispersion systems",
+    cost=2.2,
 )
 def _chk_euler_lagrange_consistency(rng, cfg):
     """Variational matrices agree with the dispersion systems for every
@@ -1496,6 +1545,7 @@ def _chk_euler_lagrange_consistency(rng, cfg):
     1e-9,
     "boosted systems reduce to scaled flat ones at identification momenta",
     needs_boost=True,
+    cost=2.3,
 )
 def _chk_boosted_reduction(rng, cfg):
     """Boosted systems reduce to scaled flat ones at identification momenta.
@@ -1574,6 +1624,20 @@ def _process_count(n_checks: int) -> int:
     return min(cpus, n_checks)
 
 
+def _plan_shares(selected, k: int) -> list[list]:
+    """Split ``selected`` (``(position, spec, stream)`` in registry order)
+    into ``k`` shares: by declared cost, longest first and ties in registry
+    order, each check goes to the share with the least cost so far (the
+    first such share on a tie); each share keeps registry order."""
+    loads = [0.0] * k
+    shares: list[list] = [[] for _ in range(k)]
+    for entry in sorted(selected, key=lambda entry: -entry[1].cost):
+        lightest = loads.index(min(loads))
+        loads[lightest] += entry[1].cost
+        shares[lightest].append(entry)
+    return [sorted(share, key=lambda entry: entry[0]) for share in shares]
+
+
 def _worker_result(share, cfg: RunConfig) -> bytes:
     """The pickled ``(records, failure, warnings)`` of ``share`` run here.
 
@@ -1629,7 +1693,7 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
 
     Every check receives a stream spawned from the root seed at its fixed
     registry position, so group filtering does not move anyone's draws.
-    Selected check ``i`` runs in process ``i mod k`` (see the module
+    The checks run in ``k`` shares balanced by declared cost (see the module
     docstring); the calling process runs share 0 and reaps every worker
     before it returns or raises.  A check that raises makes this raise the
     exception of the earliest such check in the registry.
@@ -1644,12 +1708,12 @@ def run_checks(config: Optional[RunConfig] = None) -> list[CheckRecord]:
         for position, (spec, stream) in enumerate(zip(REGISTRY, streams))
         if spec.group in cfg.groups
     ]
-    k = _process_count(len(selected))
+    shares = _plan_shares(selected, _process_count(len(selected)))
     workers = []  # (pid, pipe, check ids) of the workers not yet reaped
     try:
-        for share in range(1, k):
-            workers.append(_fork_share(selected[share::k], cfg))
-        records, failure = _run_share(selected[::k], cfg)
+        for share in shares[1:]:
+            workers.append(_fork_share(share, cfg))
+        records, failure = _run_share(shares[0], cfg)
         failures = [failure]
         while workers:
             pid, pipe, ids = workers[0]

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -148,13 +149,13 @@ class SpinBoost:
 
     def __post_init__(self) -> None:
         n = np.asarray(self.axis, dtype=float)
-        if not np.all(np.isfinite(n)) or not n.any():
+        if not (np.isfinite(n).all() and n.any()):
             raise ValueError("boost axis must be finite and nonzero")
         with np.errstate(over="ignore", under="ignore"):
-            norm = np.linalg.norm(n)
+            norm = math.sqrt(n.dot(n))  # np.linalg.norm's arithmetic on a real vector
         if not 1e-150 < norm < 1e150:  # the squares lose bits or overflow
             n = n / np.max(np.abs(n))
-            norm = np.linalg.norm(n)
+            norm = math.sqrt(n.dot(n))
         object.__setattr__(self, "axis", tuple(n / norm))
 
     @cached_property

@@ -449,7 +449,7 @@ def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWav
     boosted, family, _ = _kind_parts(kind)
     boost = _random_boost(rng, max_half_rapidity) if boosted else None
     f_spatial = rng.normal(size=3)
-    sign = rng.choice((-1.0, 1.0))
+    sign = (-1.0, 1.0)[rng.integers(0, 2)]
     if family == "weyl":
         return on_shell(kind, f_spatial, sign, boost=boost)
     mass = abs(rng.normal()) + 0.1
@@ -458,7 +458,7 @@ def on_shell_problem(rng, kind: str, max_half_rapidity: float = 1.0) -> PlaneWav
 
 def _random_boost(rng, max_half_rapidity: float = 1.0) -> SpinBoost:
     axis = rng.normal(0.0, 1.0, 3)
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / math.sqrt(axis.dot(axis))
     return SpinBoost(half_rapidity=draw_rapidity(rng, max_half_rapidity), axis=tuple(axis))
 
 

@@ -143,18 +143,25 @@ def chiral_vector_parameters(
     )
 
 
-def _chiral_vector_pairs(h: Sequence[FourierScalar], hp: Sequence[FourierScalar]):
-    """The (matrix, function) pairs of the one-form -i gamma^mu diag(h 1, h' 1)."""
-    for mu in range(4):
-        yield -1j * (GAMMA[mu] @ _P_UPPER), h[mu]
-        yield -1j * (GAMMA[mu] @ _P_LOWER), hp[mu]
+#: The matrices of the one-form -i gamma^mu diag(h 1, h' 1): per mu, the one
+#: that multiplies h_mu, then the one that multiplies h'_mu.
+_CHIRAL_VECTOR_BASIS = tuple(
+    -1j * (GAMMA[mu] @ block) for mu in range(4) for block in (_P_UPPER, _P_LOWER)
+)
+
+
+def _chiral_vector_functions(
+    h: Sequence[FourierScalar], hp: Sequence[FourierScalar]
+) -> list[FourierScalar]:
+    """The functions of the one-form, in the order of ``_CHIRAL_VECTOR_BASIS``."""
+    return [c for mu in range(4) for c in (h[mu], hp[mu])]
 
 
 def chiral_vector_operator(
     h: Sequence[FourierScalar], hp: Sequence[FourierScalar]
 ) -> FieldOperator:
     """Rebuild the spinor-fiber one-form -i gamma^mu diag(h 1, h' 1)."""
-    return function_matrix_sum(4, _chiral_vector_pairs(h, hp))
+    return function_matrix_sum(4, zip(_CHIRAL_VECTOR_BASIS, _chiral_vector_functions(h, hp)))
 
 
 def selfadjoint_defect_parameters(
@@ -318,24 +325,42 @@ class _GeometryBase:
         """(z_mu, z'_mu) from the first (particle-type) sector of a fluctuation."""
         return chiral_vector_parameters(fluct)
 
+    @cached_property
+    def _fluctuation_basis(self) -> list[np.ndarray]:
+        """The matrices of ``fluctuation_from_z``: ``_CHIRAL_VECTOR_BASIS``
+        on each sector in turn."""
+        return [
+            np.kron(np.diag(mask), g)
+            for mask in np.eye(self.n_sectors)
+            for g in _CHIRAL_VECTOR_BASIS
+        ]
+
     def fluctuation_from_z(self, z, zp) -> FieldOperator:
         """Rebuild a fluctuation from (z, z'): the parameters on particle-type
         sectors, their conjugates on the others, in each sector's Weyl order."""
         conjugates = ([c.conjugate() for c in z], [c.conjugate() for c in zp])
-        pairs = []
-        for mask, pair in zip(np.eye(self.n_sectors), self._sector_pairs((z, zp), conjugates)):
-            pairs += [(np.kron(np.diag(mask), g), f) for g, f in _chiral_vector_pairs(*pair)]
-        return function_matrix_sum(self.fiber_dim, pairs)
+        functions = []
+        for pair in self._sector_pairs((z, zp), conjugates):
+            functions += _chiral_vector_functions(*pair)
+        return function_matrix_sum(self.fiber_dim, zip(self._fluctuation_basis, functions))
+
+    @cached_property
+    def _selfadjoint_basis(self) -> list[np.ndarray]:
+        """The matrices of ``selfadjoint_fluctuation``: per mu, -i gamma^mu
+        gamma5 negated on exchanged sectors, then gamma^mu negated off
+        particle-type sectors."""
+        vector, chiral = map(np.diag, self._sector_signs)
+        return [
+            m
+            for mu in range(4)
+            for m in (np.kron(chiral, -1j * (GAMMA[mu] @ GAMMA5)), np.kron(vector, GAMMA[mu]))
+        ]
 
     def selfadjoint_fluctuation(self, f, g) -> FieldOperator:
         """-i gamma^mu gamma5 f_mu, negated on exchanged sectors, plus
         gamma^mu g_mu, negated off particle-type sectors."""
-        vector, chiral = map(np.diag, self._sector_signs)
-        pairs = []
-        for mu in range(4):
-            pairs.append((np.kron(chiral, -1j * (GAMMA[mu] @ GAMMA5)), f[mu]))
-            pairs.append((np.kron(vector, GAMMA[mu]), g[mu]))
-        return function_matrix_sum(self.fiber_dim, pairs)
+        functions = [c for mu in range(4) for c in (f[mu], g[mu])]
+        return function_matrix_sum(self.fiber_dim, zip(self._selfadjoint_basis, functions))
 
     def dressed_dirac(self, f, g) -> FieldOperator:
         """D plus the self-adjoint fluctuation of (f, 0); g is not read."""

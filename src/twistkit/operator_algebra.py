@@ -32,8 +32,9 @@ sections linear in G anticommuting generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -73,6 +74,12 @@ def _is_nonzero(g: np.ndarray | None) -> bool:
     complex entry is zero only when both of its parts are.  None, a key that
     no product filled, is zero."""
     return g is not None and np.count_nonzero(g) > 0
+
+
+def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of a ``(T, n, n)`` stack, whether it is nonzero by
+    :func:`_is_nonzero`'s rules, in one comparison that does not warn on NaN."""
+    return (stack != 0).any(axis=(1, 2))
 
 
 def _peak_modulus(stack: np.ndarray) -> float:
@@ -152,8 +159,9 @@ def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarr
 
 
 class FieldOperator:
-    """Normal form; the constructor copies its matrices, and since no term
-    matrix is written after its operator is built, results share them."""
+    """Normal form.  The constructor copies its matrices; no term matrix is
+    written after its operator is built, so results share them, and the
+    terms of a term-wise map are views of the one stack it computed."""
 
     __slots__ = ("fiber_dim", "antilinear", "terms")
 
@@ -176,6 +184,20 @@ class FieldOperator:
     def _pruned(self) -> "FieldOperator":
         self.terms = {k: g for k, g in self.terms.items() if _is_nonzero(g)}
         return self
+
+    def _stack(self) -> np.ndarray:
+        """The term matrices as one ``(T, n, n)`` stack, in term order."""
+        if not self.terms:
+            return np.zeros((0, self.fiber_dim, self.fiber_dim), dtype=complex)
+        return np.array(list(self.terms.values()))
+
+    def _mapped(self, keys, stack: np.ndarray, antilinear: bool) -> "FieldOperator":
+        """The operator with the terms ``keys[i]: stack[i]`` (views) whose
+        matrices are nonzero, in key order."""
+        out = FieldOperator(self.fiber_dim, {}, antilinear)
+        kept = _nonzero_rows(stack).tolist()
+        out.terms = {key: g for key, g, keep in zip(keys, stack, kept) if keep}
+        return out
 
     # ----- constructors -------------------------------------------------
     @staticmethod
@@ -244,8 +266,7 @@ class FieldOperator:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "FieldOperator":
-        scaled = [(key, c * g) for key, g in self.terms.items()]
-        return FieldOperator.summed(self.fiber_dim, (), [scaled], self.antilinear)
+        return self._mapped(self.terms, c * self._stack(), self.antilinear)
 
     # ----- composition ---------------------------------------------------
     def __matmul__(self, other: "FieldOperator") -> "FieldOperator":
@@ -264,39 +285,54 @@ class FieldOperator:
     # ----- involutions ---------------------------------------------------
     def conjugate(self) -> "FieldOperator":
         """K O K for the componentwise conjugation K: every mode negated and
-        every matrix conjugated, term by term."""
-        return FieldOperator.summed(self.fiber_dim, _conj_pushed(self.terms), (), self.antilinear)
+        every matrix conjugated."""
+        keys = [(negate_mode(k), d) for k, d in self.terms]
+        return self._mapped(keys, np.conj(self._stack()), self.antilinear)
 
     def conjugate_by(self, u: np.ndarray, u_inv: np.ndarray | None = None) -> "FieldOperator":
-        """U O U^-1 for a constant invertible U, term by term: G -> U G U^-1
-        (U G conj(U^-1) for an antilinear operator), dropping the terms that
-        come out exactly zero.  ``u_inv`` defaults to U^dagger, the inverse
-        of a unitary U."""
+        """U O U^-1 for a constant invertible U: G -> U G U^-1 (U G conj(U^-1)
+        for an antilinear operator) over the stack of terms, dropping the
+        terms that come out exactly zero.  ``u_inv`` defaults to U^dagger,
+        the inverse of a unitary U."""
         u = np.asarray(u, dtype=complex)
         u_inv = u.conj().T if u_inv is None else np.asarray(u_inv, dtype=complex)
         right = np.conj(u_inv) if self.antilinear else u_inv
-        conjugated = [(key, u @ g @ right) for key, g in self.terms.items()]
-        return FieldOperator.summed(self.fiber_dim, (), [conjugated], self.antilinear)
+        return self._mapped(self.terms, u @ self._stack() @ right, self.antilinear)
 
     def adjoint(self) -> "FieldOperator":
-        """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms, with G^+ stored in C
-        order (later products round by it) and entries summed and pruned per
-        term.  An antilinear A = L K has A^+ = K L^+."""
-        out = FieldOperator(self.fiber_dim, {}, self.antilinear)
-        for (k, d), g in self.terms.items():
+        """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms.  The signed G^+ are
+        one stack in C order (later products round by it); each entry of a
+        term's Leibniz table scales its G^+ by the entry's coefficient, all
+        in one product; entries are summed per term, then per key, and the
+        sums are pruned once.  An antilinear A = L K has A^+ = K L^+."""
+        signs = np.array([(-1.0) ** len(d) for _, d in self.terms]).reshape(-1, 1, 1)
+        g_plus = np.multiply(signs, self._stack().conj().transpose(0, 2, 1), order="C")
+        # per key, the pushed entries of each term that reaches it, as rows of
+        # the product stack
+        rows: list[int] = []
+        coeffs: list[complex] = []
+        reached: dict[TermKey, list[list[int]]] = {}
+        for t, (k, d) in enumerate(self.terms):
             mode = negate_mode(k)
-            gab = np.ascontiguousarray(((-1.0) ** len(d)) * g.conj().T)
-            pushed: dict[DerivIndex, np.ndarray] = {}
+            pushed: dict[DerivIndex, list[int]] = {}
             for axes, d_new in _leibniz(d, ()):
                 coeff = _leibniz_coefficient(axes, mode)
                 if coeff != 0:
-                    _accumulate(pushed, d_new, coeff * gab)
-            for d_new, h in pushed.items():
-                if _is_nonzero(h):
-                    _accumulate(out.terms, (mode, d_new), h)
+                    pushed.setdefault(d_new, []).append(len(rows))
+                    rows.append(t)
+                    coeffs.append(coeff)
+            for d_new, entries in pushed.items():
+                reached.setdefault((mode, d_new), []).append(entries)
+        products = np.array(coeffs, dtype=complex).reshape(-1, 1, 1) * g_plus[rows]
+        stack = products[[groups[0][0] for groups in reached.values()]]
+        for i, groups in enumerate(reached.values()):
+            if len(groups) > 1 or len(groups[0]) > 1:
+                stack[i] = reduce(add, [reduce(add, products[entries]) for entries in groups])
+        keys = list(reached)
         if self.antilinear:
-            out.terms = _conj_pushed(out.terms)
-        return out._pruned()
+            keys = [(negate_mode(k), d) for k, d in keys]
+            stack = np.conj(stack)
+        return self._mapped(keys, stack, self.antilinear)
 
     # ----- action on sections ---------------------------------------------
     def apply(self, section: Section) -> Section:

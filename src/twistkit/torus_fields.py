@@ -125,7 +125,7 @@ def random_scalar(
     """A random finite Fourier sum with modes in the box |k|_inf <= cutoff."""
     out: dict[Mode, complex] = {}
     for _ in range(n_modes):
-        k = tuple(int(m) for m in rng.integers(-cutoff, cutoff + 1, size=4))
+        k = tuple(rng.integers(-cutoff, cutoff + 1, size=4).tolist())
         c = rng.normal() + 1j * rng.normal()
         out[k] = out.get(k, 0.0) + c
     f = FourierScalar(_cleaned(out))
@@ -238,7 +238,7 @@ def random_section(
 ) -> Section:
     out = Section(fiber_dim)
     for _ in range(n_modes):
-        k = tuple(int(m) for m in rng.integers(-cutoff, cutoff + 1, size=4))
+        k = tuple(rng.integers(-cutoff, cutoff + 1, size=4).tolist())
         v = rng.normal(size=fiber_dim) + 1j * rng.normal(size=fiber_dim)
         if k in out.coeffs:
             out.coeffs[k] = out.coeffs[k] + v

@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 import twistkit.checks
@@ -129,6 +130,9 @@ class TestRegistry:
     def test_tolerances_positive(self):
         assert all(s.tolerance > 0 for s in REGISTRY)
 
+    def test_costs_declared_positive(self):
+        assert all(np.isfinite(s.cost) and s.cost > 0 for s in REGISTRY)
+
     def test_paper_refs_filled(self):
         assert all(s.paper_ref.strip() for s in REGISTRY)
 
@@ -143,9 +147,14 @@ class TestRegistry:
             yield 0.0
 
         with pytest.raises(ValueError, match="duplicate"):
-            check(EXPECTED_CHECK_IDS[0], 1e-12, "registered twice")(residuals)
+            check(EXPECTED_CHECK_IDS[0], 1e-12, "registered twice", cost=1.0)(residuals)
         with pytest.raises(TypeError, match="generator"):
-            check("clifford.plain_function", 1e-12, "returns")(lambda rng, cfg: 0.0)
+            check("clifford.plain_function", 1e-12, "returns", cost=1.0)(lambda rng, cfg: 0.0)
+        for cost in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive cost"):
+                check("clifford.costless", 1e-12, "no weight", cost=cost)(residuals)
+        with pytest.raises(TypeError, match="cost"):
+            check("clifford.undeclared", 1e-12, "no weight")(residuals)
         assert twistkit.checks.REGISTRY == REGISTRY
 
 
@@ -288,7 +297,8 @@ def _refuse_fork():
 
 
 class TestSplitRunner:
-    """Selected check i runs in process i mod k; k = 1 is the serial run."""
+    """The selected checks run in k shares balanced by declared cost, each
+    share in registry order; k = 1 is the serial run."""
 
     @pytest.fixture(autouse=True)
     def no_child_outlives_the_call(self):
@@ -363,6 +373,80 @@ class TestSplitRunner:
         for position in pair:
             behaviours[position] = raiser(position)
         cfg = self.fixture_registry(monkeypatch, *behaviours)
+        _use_cpus(monkeypatch, k)
+        with pytest.raises(LookupError, match=f"c{pair[0]} raised"):
+            run_checks(cfg)
+
+    @staticmethod
+    def _selected(groups=GROUPS):
+        streams = np.random.SeedSequence(0).spawn(len(REGISTRY))
+        return [
+            (position, spec, stream)
+            for position, (spec, stream) in enumerate(zip(REGISTRY, streams))
+            if spec.group in groups
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("groups", [GROUPS, GROUPS[:2] + GROUPS[3:]], ids=["all", "no-manifold"])
+    def test_shares_partition_the_selection_in_registry_order(self, k, groups):
+        selected = self._selected(groups)
+        shares = twistkit.checks._plan_shares(selected, k)
+        assert len(shares) == k and all(shares)
+        positions = [[entry[0] for entry in share] for share in shares]
+        assert sorted(p for share in positions for p in share) == [e[0] for e in selected]
+        assert all(share == sorted(share) for share in positions)
+
+    def test_plan_is_deterministic_and_greedy(self):
+        """Longest first, ties by registry position, each to the least-loaded
+        share (the first on a tie)."""
+        costs = [1.0, 5.0, 3.0, 3.0, 2.0]
+        selected = [
+            (i, CheckSpec(f"clifford.c{i}", "fixture", 1e-12, None, cost=c), None)
+            for i, c in enumerate(costs)
+        ]
+        plans = [twistkit.checks._plan_shares(list(selected), 2) for _ in range(3)]
+        assert plans[0] == plans[1] == plans[2]
+        assert [[e[0] for e in share] for share in plans[0]] == [[1, 4], [0, 2, 3]]
+        full = self._selected()
+        assert twistkit.checks._plan_shares(full, 2) == twistkit.checks._plan_shares(full, 2)
+
+    def test_equal_costs_give_i_mod_k(self):
+        selected = [
+            (i, CheckSpec(f"clifford.c{i}", "fixture", 1e-12, None), None) for i in range(7)
+        ]
+        for k in (1, 2, 3):
+            shares = twistkit.checks._plan_shares(selected, k)
+            assert shares == [selected[share::k] for share in range(k)]
+
+    def test_registry_split_is_balanced(self):
+        """At k = 2 the registry's split is balanced within its largest cost."""
+        for groups in (GROUPS, GROUPS[:2] + GROUPS[3:]):
+            shares = twistkit.checks._plan_shares(self._selected(groups), 2)
+            loads = [sum(e[1].cost for e in share) for share in shares]
+            assert abs(loads[0] - loads[1]) <= max(s.cost for s in REGISTRY)
+            assert abs(loads[0] - loads[1]) < 0.05 * sum(loads)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("pair", [(0, 3), (1, 2), (2, 3)])
+    def test_earliest_raising_check_wins_under_costs(self, monkeypatch, k, pair):
+        """Costs that put a later check first in a share still let the
+        earliest raising check in registry order raise."""
+
+        def raiser(position):
+            def boom():
+                raise LookupError(f"c{position} raised")
+
+            return boom
+
+        behaviours = [0.0] * 4
+        for position in pair:
+            behaviours[position] = raiser(position)
+        cfg = self.fixture_registry(monkeypatch, *behaviours)
+        weighted = tuple(
+            dataclasses.replace(spec, cost=cost)
+            for spec, cost in zip(twistkit.checks.REGISTRY, (1.0, 2.0, 3.0, 9.0))
+        )
+        monkeypatch.setattr(twistkit.checks, "REGISTRY", weighted)
         _use_cpus(monkeypatch, k)
         with pytest.raises(LookupError, match=f"c{pair[0]} raised"):
             run_checks(cfg)

@@ -1,6 +1,8 @@
 """Plane-wave systems: dispersion surfaces, kernels, boost covariance,
 and stationarity consistency with the action densities."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -641,3 +643,30 @@ class TestOnePassAssembly:
                     assert bits(result.roots) == bits(roots)
                     singular += result.singular
         assert singular >= 100
+
+
+def test_draw_spellings_match_the_old_ones():
+    """The draw path's short spellings give the bits and the streams of the
+    ones they replaced, on fixed seeds: the boost axis norm
+    ``math.sqrt(n.dot(n))`` against ``np.linalg.norm``, the axis test
+    ``np.isfinite(n).all() and n.any()``, the on-shell sign
+    ``(-1.0, 1.0)[rng.integers(0, 2)]`` against ``rng.choice((-1.0, 1.0))``
+    and the mode tuples ``tuple(arr.tolist())`` against ``int`` per entry."""
+    rng = np.random.default_rng(2024)
+    axes = [rng.normal(size=3) * 10.0 ** rng.integers(-140, 140) for _ in range(500)]
+    axes += [np.zeros(3), np.array([0.0, -0.0, 5e-324]), np.array([np.nan, 1.0, 0.0]),
+             np.array([np.inf, 0.0, 0.0]), np.array([1e200, 1e200, 0.0])]
+    with np.errstate(over="ignore", under="ignore"):
+        for n in axes:
+            assert (np.isfinite(n).all() and n.any()) == (np.all(np.isfinite(n)) and n.any())
+            if np.isfinite(n).all():
+                assert math.sqrt(n.dot(n)) == np.linalg.norm(n)
+    new, old = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(1000):
+        assert (-1.0, 1.0)[new.integers(0, 2)] == old.choice((-1.0, 1.0))
+    assert new.random() == old.random()
+    new, old = np.random.default_rng(8), np.random.default_rng(8)
+    for cutoff in (1, 2, 3, 2**62):
+        got = tuple(new.integers(-cutoff, cutoff + 1, size=4).tolist())
+        expected = tuple(int(m) for m in old.integers(-cutoff, cutoff + 1, size=4))
+        assert got == expected and all(type(m) is int for m in got)

@@ -164,6 +164,12 @@ MUTANTS = [
     pytest.param("axioms.ko_signs", edit(operator_algebra, "_peak_modulus", "np.abs(stack)", peak),
                  id=f"axioms.ko_signs-peak modulus reads {peak}")
     for peak in ("stack.real", "np.abs(stack.real)", "stack.imag", "np.abs(stack.imag)")
+] + [
+    # J's entries are imaginary, and so are those of its products with the
+    # grading and with R, which a scale that prunes on real parts drops
+    pytest.param("axioms.ko_signs",
+                 edit(operator_algebra, "_nonzero_rows", "(stack != 0)", "(stack.real != 0)"),
+                 id="axioms.ko_signs-stacked prune drops a purely imaginary term")
 ]
 
 

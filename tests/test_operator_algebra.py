@@ -1,5 +1,6 @@
 """Normal-form operator calculus: composition, adjoints, probes."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -593,6 +594,85 @@ def oracle_operator(rng, n, antilinear, nonfinite):
     return FieldOperator(n, terms, antilinear)
 
 
+def _pruned_reference(n, terms, antilinear):
+    """The operator of ``terms`` without the exactly zero ones, term by term."""
+    out = FieldOperator(n, {}, antilinear)
+    out.terms = {key: g for key, g in terms.items() if np.count_nonzero(g)}
+    return out
+
+
+def _scale_reference(op, c):
+    """One product per term: the oracle for the stacked ``scale``."""
+    terms = {key: c * g for key, g in op.terms.items()}
+    return _pruned_reference(op.fiber_dim, terms, op.antilinear)
+
+
+def _conjugate_reference(op):
+    """One conjugation per term: the oracle for the stacked ``conjugate``."""
+    terms = {(negate_mode(k), d): np.conj(g) for (k, d), g in op.terms.items()}
+    return _pruned_reference(op.fiber_dim, terms, op.antilinear)
+
+
+def _conjugate_by_reference(op, u, u_inv):
+    """Two matrix products per term: the oracle for the stacked ``conjugate_by``."""
+    right = np.conj(u_inv) if op.antilinear else u_inv
+    terms = {key: u @ g @ right for key, g in op.terms.items()}
+    return _pruned_reference(op.fiber_dim, terms, op.antilinear)
+
+
+def _adjoint_loop_reference(op):
+    """The per-term loop with the closed form's arithmetic: each term's
+    signed G^+ copied in C order, its Leibniz entries summed per term, the
+    nonzero sums summed per key, conjugated for an antilinear operator and
+    pruned.  The oracle for the stacked ``adjoint``."""
+    terms = {}
+    for (k, d), g in op.terms.items():
+        mode = negate_mode(k)
+        gab = np.ascontiguousarray(((-1.0) ** len(d)) * g.conj().T)
+        pushed = {}
+        for axes, d_new in operator_algebra._leibniz(d, ()):
+            coeff = 1.0 + 0.0j
+            for mu in axes:
+                coeff *= 1j * mode[mu]
+            if coeff != 0:
+                h = coeff * gab
+                pushed[d_new] = pushed[d_new] + h if d_new in pushed else h
+        for d_new, h in pushed.items():
+            if np.count_nonzero(h):
+                key = (mode, d_new)
+                terms[key] = terms[key] + h if key in terms else h
+    if op.antilinear:
+        terms = {(negate_mode(k), d): np.conj(g) for (k, d), g in terms.items()}
+    return _pruned_reference(op.fiber_dim, terms, op.antilinear)
+
+
+def map_operators(rng, n):
+    """Operators in normal form for the term-wise maps, each linear and
+    antilinear: the oracle terms with signed zeros planted, the same with a
+    NaN and an inf entry, one with a NaN and no inf, one whose terms are
+    purely imaginary, and the empty operator."""
+    ops = []
+    for antilinear in (False, True):
+        for nonfinite in (False, True):
+            op = oracle_operator(rng, n, antilinear, nonfinite)
+            for g in op.terms.values():
+                g[rng.random((n, n)) < 0.15] = complex(-0.0, 0.0)
+                g[rng.random((n, n)) < 0.15] = complex(0.0, -0.0)
+                g[rng.random((n, n)) < 0.15] = complex(-0.0, -0.0)
+            ops.append(op)
+        nan_only = oracle_operator(rng, n, antilinear, False)
+        nan_only.terms[ORACLE_KEYS[4]][n - 1, n - 1] = complex(np.nan, 1.0)
+        ops.append(nan_only)
+        real = oracle_operator(rng, n, antilinear, False)
+        ops.append(FieldOperator(n, {key: 1j * g.imag for key, g in real.terms.items()}, antilinear))
+        ops.append(FieldOperator.zero(n, antilinear))
+    return [op + FieldOperator.zero(n, op.antilinear) for op in ops]
+
+
+def _has_inf(op):
+    return any(np.isinf(g).any() for g in op.terms.values())
+
+
 def assert_same_normal_form(got, expected):
     assert got.antilinear == expected.antilinear
     assert list(got.terms) == list(expected.terms)
@@ -655,6 +735,74 @@ class TestReferenceArithmetic:
             assert_same_normal_form(got, expected)
         else:
             assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_scale_matches_reference(self, n):
+        for op in map_operators(np.random.default_rng(300 + n), n):
+            for c in (-1.0, 0.0, 1e-300, np.nan, 2.5 - 0.5j):
+                with np.errstate(invalid="ignore"):
+                    expected = _scale_reference(op, c)
+                    got = op.scale(c)
+                assert_same_bytes(got, expected)
+            if np.isfinite(op.max_abs()):
+                assert op.scale(0.0).terms == {}
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_conjugate_matches_reference(self, n):
+        for op in map_operators(np.random.default_rng(400 + n), n):
+            assert_same_bytes(op.conjugate(), _conjugate_reference(op))
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_conjugate_by_matches_reference(self, n):
+        """A random, hence non-unitary, ``u_inv`` and the unitary default."""
+        rng = np.random.default_rng(500 + n)
+        u = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        u_inv = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for op in map_operators(rng, n):
+            with np.errstate(invalid="ignore"):
+                pairs = [
+                    (op.conjugate_by(u, u_inv), _conjugate_by_reference(op, u, u_inv)),
+                    (op.conjugate_by(u), _conjugate_by_reference(op, u, u.conj().T)),
+                ]
+            for got, expected in pairs:
+                assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_stacked_adjoint_matches_loop(self, n):
+        """Derivative terms up to the repeated axes (1, 1) and (2, 2), whose
+        pushed entries add up within a term and across terms."""
+        for op in map_operators(np.random.default_rng(600 + n), n):
+            with np.errstate(invalid="ignore"):
+                expected = _adjoint_loop_reference(op)
+                got = op.adjoint()
+            assert_same_bytes(got, expected)
+            if op.terms:  # the entries of (2, 2) that keep one derivative meet (2,)
+                mode = (0, 0, 3, 0) if op.antilinear else (0, 0, -3, 0)
+                assert (mode, (2,)) in got.terms
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_mapped_terms_are_c_ordered_and_unwritten(self, n):
+        """Each map's terms are C-ordered (later products round by the
+        layout) and none writes the operator it maps."""
+        rng = np.random.default_rng(700 + n)
+        u = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for op in map_operators(rng, n):
+            before = {key: g.copy() for key, g in op.terms.items()}
+            with np.errstate(invalid="ignore"):
+                mapped = [op.scale(2.0), op.conjugate(), op.conjugate_by(u), op.adjoint()]
+            for out in mapped:
+                assert all(g.flags.c_contiguous for g in out.terms.values())
+            assert_same_bytes(op, FieldOperator(n, before, op.antilinear))
+
+    def test_no_map_warns_on_a_nan_stack(self):
+        op = map_operators(np.random.default_rng(8), 4)[2]
+        assert not _has_inf(op) and np.isnan(op.max_abs())
+        u = np.eye(4) + 0.5j * np.ones((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for adjoint_first in (op, op.conjugate()):
+                adjoint_first.adjoint()
+            op.scale(np.nan), op.scale(-1.0), op.conjugate_by(u, u), op.conjugate_by(u)
 
     def test_nonfinite_entries_reach_the_result(self):
         op = oracle_operator(np.random.default_rng(3), 4, False, True)
