@@ -278,12 +278,11 @@ def covariant_weyl_density_operators(
     """``s2 (i f0 -+ sigma_j (d_j - i g_j))`` for the two chirality branches;
     at ``g = 0`` the first is the single-sheet density kernel."""
     start = _mult_terms(1j * _S2, f0)
-    covariant = []  # per j, the nonzero terms of s2 sigma_j (d_j - i g_j)
+    covariant = []  # the terms of s2 sigma_j (d_j - i g_j), j = 1, 2, 3
     for j, (deriv, isj) in enumerate(_SPATIAL, start=1):
-        pieces = [deriv] + [(key, -1.0 * m) for key, m in _mult_terms(isj, g[j])]
-        covariant.append([(key, m) for key, m in pieces if np.count_nonzero(m)])
-    negated = [[(key, -1.0 * m) for key, m in cov] for cov in covariant]
-    return FieldOperator.summed(2, start, negated), FieldOperator.summed(2, start, covariant)
+        covariant += [deriv] + [(key, -1.0 * m) for key, m in _mult_terms(isj, g[j])]
+    negated = [(key, -1.0 * m) for key, m in covariant]
+    return FieldOperator.summed(2, start + negated), FieldOperator.summed(2, start + covariant)
 
 
 def boosted_weyl_density_operators(
@@ -295,9 +294,9 @@ def boosted_weyl_density_operators(
     for mu in range(4):
         st = boost.sigma_tilde_boosted(mu)
         sb = boost.sigma_boosted(mu)
-        left.append([_deriv_term(st, mu), *_mult_terms(st, f[mu] - 1j * g[mu])])
-        right.append([_deriv_term(sb, mu), *_mult_terms(sb, -f[mu] - 1j * g[mu])])
-    return FieldOperator.summed(2, (), left), FieldOperator.summed(2, (), right)
+        left += [_deriv_term(st, mu), *_mult_terms(st, f[mu] - 1j * g[mu])]
+        right += [_deriv_term(sb, mu), *_mult_terms(sb, -f[mu] - 1j * g[mu])]
+    return FieldOperator.summed(2, left), FieldOperator.summed(2, right)
 
 
 def manifold_lagrangian_action(phi_w: Section, zeta_w: Section, f0: FourierScalar):
@@ -425,7 +424,7 @@ def boosted_electro_lagrangian_action(
 
 def weyl_derivative_form(phi_w: Section, zeta_w: Section):
     """``2 int phi^T s2 sigma_j d_j zeta`` - the kinetic sub-density."""
-    op = FieldOperator.summed(2, (), [[deriv for deriv, _ in _SPATIAL]])
+    op = FieldOperator.summed(2, [deriv for deriv, _ in _SPATIAL])
     return 2 * bilinear_integral(phi_w, op.apply(zeta_w))
 
 

@@ -17,6 +17,14 @@ matrices.  Adjoints are closed form per term: by (d_mu)^+ = -d_mu and
 (-1)^|alpha| G^+ d^alpha e^{-ik.x}, whose derivatives are pushed through the
 phase by the same cached Leibniz table that composition reads.
 
+Every operator gets its terms from one builder, ``FieldOperator._build``:
+the constructor, ``summed``, ``+``, ``compose``, the term-wise maps and
+``function_matrix_sum`` all end in it.  It keeps, in key order, the rows of
+one stack of term matrices that are not exactly zero, by one stacked test.
+A build that adds pieces per key keeps each key where it was first reached
+and tests only the final sums, so a key whose pieces cancel exactly partway
+through, and that a later piece fills again, keeps its first place.
+
 Composition gives the keys of the term-pair loop that multiplies every
 pair, their order and their values, while doing less of it: the product of
 two multiplication operators multiplies only the term pairs whose supports
@@ -32,9 +40,8 @@ sections linear in G anticommuting generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
-from operator import add
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -64,22 +71,9 @@ MAX_PROBE_CUTOFF = 6
 MAX_MODE_CUTOFF = 2**63 - 1
 
 
-def _conj_pushed(terms: Mapping[TermKey, np.ndarray]) -> dict[TermKey, np.ndarray]:
-    """Rewrite K . T as T' . K for the linear part T (K = conjugation)."""
-    return {(negate_mode(k), d): np.conj(g) for (k, d), g in terms.items()}
-
-
-def _is_nonzero(g: np.ndarray | None) -> bool:
-    """Whether some entry of g is nonzero: NaN counts, +-0.0 does not, and a
-    complex entry is zero only when both of its parts are.  None, a key that
-    no product filled, is zero."""
-    return g is not None and np.count_nonzero(g) > 0
-
-
-def _nonzero_rows(stack: np.ndarray) -> np.ndarray:
-    """Per matrix of a ``(T, n, n)`` stack, whether it is nonzero by
-    :func:`_is_nonzero`'s rules, in one comparison that does not warn on NaN."""
-    return (stack != 0).any(axis=(1, 2))
+def _stacked(n: int, matrices) -> np.ndarray:
+    """The matrices as one new C-ordered ``(T, n, n)`` stack."""
+    return np.array(list(matrices), dtype=complex).reshape(-1, n, n)
 
 
 def _peak_modulus(stack: np.ndarray) -> float:
@@ -141,7 +135,7 @@ def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarr
     expanded by the Leibniz table and summed into its key in pair order.  A
     pair that cannot meet has no derivatives (:func:`_pair_mask`) and a
     product of signed zeros, so it only reserves its key where the pair is
-    first reached; a key that no met pair fills holds None, which the prune
+    first reached; a key that no met pair fills holds None, which ``compose``
     drops."""
     terms: dict[TermKey, np.ndarray | None] = {}
     for ((ka, da), ga), row in zip(a_terms.items(), _pair_mask(a_terms, b_terms)):
@@ -159,9 +153,10 @@ def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarr
 
 
 class FieldOperator:
-    """Normal form.  The constructor copies its matrices; no term matrix is
-    written after its operator is built, so results share them, and the
-    terms of a term-wise map are views of the one stack it computed."""
+    """Normal form: ``terms`` maps each term key to a matrix that is not
+    exactly zero, and only ``_build`` sets it.  The constructor sums its
+    matrices per normalised key into a new stack; no term matrix is written
+    after its operator is built, so results share them."""
 
     __slots__ = ("fiber_dim", "antilinear", "terms")
 
@@ -171,59 +166,41 @@ class FieldOperator:
         terms: Mapping[TermKey, np.ndarray] | None = None,
         antilinear: bool = False,
     ):
-        self.fiber_dim = int(fiber_dim)
-        self.antilinear = bool(antilinear)
-        self.terms: dict[TermKey, np.ndarray] = {}
-        if terms:
-            for (k, d), g in terms.items():
-                g = np.array(g, dtype=complex, order="C")
-                if g.shape != (self.fiber_dim, self.fiber_dim):
-                    raise ValueError("matrix shape does not match fiber dimension")
-                _accumulate(self.terms, (tuple(k), tuple(sorted(d))), g)
+        n = int(fiber_dim)
+        added: dict[TermKey, np.ndarray] = {}
+        for (k, d), g in (terms or {}).items():
+            g = np.asarray(g, dtype=complex)
+            if g.shape != (n, n):
+                raise ValueError("matrix shape does not match fiber dimension")
+            _accumulate(added, (tuple(k), tuple(sorted(d))), g)
+        self._build(n, added, _stacked(n, added.values()), bool(antilinear))
 
-    def _pruned(self) -> "FieldOperator":
-        self.terms = {k: g for k, g in self.terms.items() if _is_nonzero(g)}
+    def _build(self, n: int, keys, stack: np.ndarray, antilinear: bool) -> "FieldOperator":
+        """The one place an operator gets its terms: ``keys[i]: stack[i]``
+        for the rows of the C-ordered ``(T, n, n)`` stack that are not
+        exactly zero, in key order, stored as views of the stack.  A row is
+        zero when every entry is +-0.0 in both parts; NaN, inf and
+        subnormal entries keep it.  The test reads the stack's floats, so it
+        does not warn on NaN."""
+        self.fiber_dim = n
+        self.antilinear = antilinear
+        kept = stack.view(float).any(axis=(1, 2)).tolist()
+        self.terms = {key: g for key, g, keep in zip(keys, stack, kept) if keep}
         return self
 
     def _stack(self) -> np.ndarray:
         """The term matrices as one ``(T, n, n)`` stack, in term order."""
-        if not self.terms:
-            return np.zeros((0, self.fiber_dim, self.fiber_dim), dtype=complex)
-        return np.array(list(self.terms.values()))
-
-    def _mapped(self, keys, stack: np.ndarray, antilinear: bool) -> "FieldOperator":
-        """The operator with the terms ``keys[i]: stack[i]`` (views) whose
-        matrices are nonzero, in key order."""
-        out = FieldOperator(self.fiber_dim, {}, antilinear)
-        kept = _nonzero_rows(stack).tolist()
-        out.terms = {key: g for key, g, keep in zip(keys, stack, kept) if keep}
-        return out
+        return _stacked(self.fiber_dim, self.terms.values())
 
     # ----- constructors -------------------------------------------------
     @staticmethod
-    def summed(n: int, start=(), batches=(), antilinear: bool = False) -> "FieldOperator":
-        """The operator with the terms ``start`` (a mapping or ``(key,
-        matrix)`` pairs), then each batch of ``(key, matrix)`` pieces added
-        in: a new key stores its matrix, a present one adds to its own, and
-        each batch ends by dropping the exactly zero keys touched since the
-        last, so a key filled again sits at the end.  The first batch counts
-        every key of ``start`` as touched; with no batch nothing is dropped.
-        Keys must be in normal form and matrices complex ``(n, n)`` arrays;
-        nothing is copied or checked.  ``+`` is one batch on the left
-        operand's terms."""
-        terms = dict(start)
-        touched = dict.fromkeys(terms)
-        for batch in batches:
-            for key, g in batch:
-                terms[key] = terms[key] + g if key in terms else g
-                touched[key] = None
-            for key in touched:
-                if not np.count_nonzero(terms[key]):
-                    del terms[key]
-            touched = {}
-        out = FieldOperator(n, {}, antilinear)
-        out.terms = terms
-        return out
+    def summed(n: int, pieces, antilinear: bool = False) -> "FieldOperator":
+        """The operator of the ``(key, matrix)`` pieces added per key: a new
+        key stores its matrix, a present one adds to its own, keys in
+        first-reached order, and the exactly zero sums are dropped once at
+        the end.  Keys must be in normal form and matrices complex ``(n,
+        n)`` arrays; nothing is checked."""
+        return _summed(n, {}, pieces, antilinear)
 
     @staticmethod
     def zero(n: int, antilinear: bool = False) -> "FieldOperator":
@@ -256,8 +233,7 @@ class FieldOperator:
             raise ValueError("fiber dimensions differ")
         if self.antilinear != other.antilinear:
             raise ValueError("cannot add linear and antilinear operators")
-        batch = other.terms.items()
-        return FieldOperator.summed(self.fiber_dim, self.terms, [batch], self.antilinear)
+        return _summed(self.fiber_dim, dict(self.terms), other.terms.items(), self.antilinear)
 
     def __sub__(self, other: "FieldOperator") -> "FieldOperator":
         return self + other.scale(-1.0)
@@ -266,7 +242,7 @@ class FieldOperator:
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "FieldOperator":
-        return self._mapped(self.terms, c * self._stack(), self.antilinear)
+        return _built(self.fiber_dim, self.terms, c * self._stack(), self.antilinear)
 
     # ----- composition ---------------------------------------------------
     def __matmul__(self, other: "FieldOperator") -> "FieldOperator":
@@ -275,19 +251,19 @@ class FieldOperator:
     def compose(self, other: "FieldOperator") -> "FieldOperator":
         if self.fiber_dim != other.fiber_dim:
             raise ValueError("fiber dimensions differ")
-        b_terms = _conj_pushed(other.terms) if self.antilinear else other.terms
-        out = FieldOperator(
-            self.fiber_dim, {}, self.antilinear != other.antilinear
-        )
-        out.terms = _compose_pairs(self.terms, b_terms)
-        return out._pruned()
+        # K T = T' K: an antilinear left operand meets the conjugate of the right
+        b_terms = other.conjugate().terms if self.antilinear else other.terms
+        terms = _compose_pairs(self.terms, b_terms)
+        met = {key: g for key, g in terms.items() if g is not None}
+        return _built(self.fiber_dim, met, _stacked(self.fiber_dim, met.values()),
+                      self.antilinear != other.antilinear)
 
     # ----- involutions ---------------------------------------------------
     def conjugate(self) -> "FieldOperator":
         """K O K for the componentwise conjugation K: every mode negated and
         every matrix conjugated."""
         keys = [(negate_mode(k), d) for k, d in self.terms]
-        return self._mapped(keys, np.conj(self._stack()), self.antilinear)
+        return _built(self.fiber_dim, keys, np.conj(self._stack()), self.antilinear)
 
     def conjugate_by(self, u: np.ndarray, u_inv: np.ndarray | None = None) -> "FieldOperator":
         """U O U^-1 for a constant invertible U: G -> U G U^-1 (U G conj(U^-1)
@@ -297,42 +273,34 @@ class FieldOperator:
         u = np.asarray(u, dtype=complex)
         u_inv = u.conj().T if u_inv is None else np.asarray(u_inv, dtype=complex)
         right = np.conj(u_inv) if self.antilinear else u_inv
-        return self._mapped(self.terms, u @ self._stack() @ right, self.antilinear)
+        return _built(self.fiber_dim, self.terms, u @ self._stack() @ right, self.antilinear)
 
     def adjoint(self) -> "FieldOperator":
         """Sum of (-1)^|d| G^+ d^d e^{-ik.x} over terms.  The signed G^+ are
         one stack in C order (later products round by it); each entry of a
         term's Leibniz table scales its G^+ by the entry's coefficient, all
-        in one product; entries are summed per term, then per key, and the
-        sums are pruned once.  An antilinear A = L K has A^+ = K L^+."""
+        in one product; entries are summed per term, then per key.  An
+        antilinear A = L K has A^+ = K L^+ = (K L^+ K) K, the conjugate of
+        the summed L^+."""
         signs = np.array([(-1.0) ** len(d) for _, d in self.terms]).reshape(-1, 1, 1)
         g_plus = np.multiply(signs, self._stack().conj().transpose(0, 2, 1), order="C")
-        # per key, the pushed entries of each term that reaches it, as rows of
-        # the product stack
-        rows: list[int] = []
+        entries: list[tuple[int, TermKey]] = []  # (term, key) per row of the products
         coeffs: list[complex] = []
-        reached: dict[TermKey, list[list[int]]] = {}
         for t, (k, d) in enumerate(self.terms):
             mode = negate_mode(k)
-            pushed: dict[DerivIndex, list[int]] = {}
             for axes, d_new in _leibniz(d, ()):
                 coeff = _leibniz_coefficient(axes, mode)
                 if coeff != 0:
-                    pushed.setdefault(d_new, []).append(len(rows))
-                    rows.append(t)
+                    entries.append((t, (mode, d_new)))
                     coeffs.append(coeff)
-            for d_new, entries in pushed.items():
-                reached.setdefault((mode, d_new), []).append(entries)
+        rows = [t for t, _ in entries]
         products = np.array(coeffs, dtype=complex).reshape(-1, 1, 1) * g_plus[rows]
-        stack = products[[groups[0][0] for groups in reached.values()]]
-        for i, groups in enumerate(reached.values()):
-            if len(groups) > 1 or len(groups[0]) > 1:
-                stack[i] = reduce(add, [reduce(add, products[entries]) for entries in groups])
-        keys = list(reached)
-        if self.antilinear:
-            keys = [(negate_mode(k), d) for k, d in keys]
-            stack = np.conj(stack)
-        return self._mapped(keys, stack, self.antilinear)
+        per_term: dict[tuple[int, TermKey], np.ndarray] = {}
+        for entry, g in zip(entries, products):
+            _accumulate(per_term, entry, g)
+        pieces = [(key, g) for (_, key), g in per_term.items()]
+        out = FieldOperator.summed(self.fiber_dim, pieces, self.antilinear)
+        return out.conjugate() if self.antilinear else out
 
     # ----- action on sections ---------------------------------------------
     def apply(self, section: Section) -> Section:
@@ -358,7 +326,7 @@ class FieldOperator:
     # ----- diagnostics -----------------------------------------------------
     def max_abs(self) -> float:
         """Largest matrix entry modulus, 0.0 with no term; NaN if any entry is NaN."""
-        return _peak_modulus(np.array(list(self.terms.values())))
+        return _peak_modulus(self._stack())
 
     def max_deriv_order(self) -> int:
         return max((len(d) for _, d in self.terms), default=0)
@@ -368,26 +336,33 @@ class FieldOperator:
         return f"FieldOperator(n={self.fiber_dim}, {kind}, {len(self.terms)} terms)"
 
 
+def _built(n: int, keys, stack: np.ndarray, antilinear: bool) -> FieldOperator:
+    """A new operator from :meth:`FieldOperator._build`."""
+    return FieldOperator.__new__(FieldOperator)._build(n, keys, stack, antilinear)
+
+
+def _summed(n: int, terms: dict, pieces, antilinear: bool) -> FieldOperator:
+    """The operator of ``terms`` with the pieces added per key, in order."""
+    for key, g in pieces:
+        _accumulate(terms, key, g)
+    return _built(n, terms, _stacked(n, terms.values()), antilinear)
+
+
 # ----- derived constructions ------------------------------------------------
 
 def function_matrix_sum(
     n: int, pairs: Iterable[tuple[np.ndarray, FourierScalar]]
 ) -> FieldOperator:
-    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i.
-    Its term matrices are built here, so they are not copied again, and go
-    to ``summed`` as one batch, which drops the modes whose matrices cancel
-    exactly."""
-    terms: dict[TermKey, np.ndarray] = {}
+    """Multiplication operator sum_i G_i f_i(x) with constant matrices G_i:
+    the pieces ``0.0 + c G_i`` per mode of f_i, summed, so a mode whose
+    matrices cancel exactly leaves no term."""
+    pieces = []
     for g, f in pairs:
         g = np.asarray(g, dtype=complex)
         if g.shape != (n, n):
             raise ValueError("matrix shape does not match fiber dimension")
-        for k, c in f.coeffs.items():
-            key = (k, ())
-            if key not in terms:
-                terms[key] = np.zeros((n, n), dtype=complex)
-            terms[key] += c * g
-    return FieldOperator.summed(n, (), [terms.items()])
+        pieces += [((k, ()), 0.0 + c * g) for k, c in f.coeffs.items()]
+    return FieldOperator.summed(n, pieces)
 
 
 def twisted_commutator(

@@ -14,7 +14,10 @@ It lists the bare ``return`` statements in check generators: a check that
 cannot run at some configuration declares it (``needs_boost``) instead of
 returning early.  Last, it lists the package lines outside
 ``operator_algebra`` that assign to an operator's ``terms`` or to an item of
-them: operator term arithmetic lives in one module.
+them: operator term arithmetic lives in one module, and inside it only the
+builder ``FieldOperator._build`` gives an operator its terms; and the package
+lines that read numpy's ``count_nonzero``: whether a term is zero has one
+test, the builder's.
 """
 
 import ast
@@ -244,3 +247,39 @@ def test_operator_terms_are_written_only_in_operator_algebra(path):
     """Operator term arithmetic has one home, ``operator_algebra``: no other
     package module writes an operator's terms."""
     assert term_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_only_the_builder_writes_terms_in_operator_algebra():
+    source = (ROOT / "src/twistkit/operator_algebra.py").read_text(encoding="utf-8")
+    builders = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "_build"
+    ]
+    writes = term_writes(source)
+    assert len(builders) == 1 and writes
+    assert [line for line in writes if line not in builders[0]] == []
+
+
+def count_nonzero_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read a name or attribute ``count_nonzero``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "count_nonzero")
+        or (isinstance(node, ast.Name) and node.id == "count_nonzero")
+    )
+
+
+def test_count_nonzero_scanner_finds_every_read():
+    source = "np.count_nonzero(g)\nx = 1\nf = count_nonzero\n# count_nonzero\n"
+    assert count_nonzero_reads(source) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src/twistkit").glob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_package_never_counts_nonzero_entries(path):
+    assert count_nonzero_reads(path.read_text(encoding="utf-8")) == []

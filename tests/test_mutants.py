@@ -166,9 +166,9 @@ MUTANTS = [
     for peak in ("stack.real", "np.abs(stack.real)", "stack.imag", "np.abs(stack.imag)")
 ] + [
     # J's entries are imaginary, and so are those of its products with the
-    # grading and with R, which a scale that prunes on real parts drops
+    # grading and with R, which a prune that reads real parts drops
     pytest.param("axioms.ko_signs",
-                 edit(operator_algebra, "_nonzero_rows", "(stack != 0)", "(stack.real != 0)"),
+                 edit(operator_algebra.FieldOperator, "_build", "stack.view(float)", "stack.real"),
                  id="axioms.ko_signs-stacked prune drops a purely imaginary term")
 ]
 

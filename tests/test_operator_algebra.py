@@ -810,6 +810,19 @@ class TestReferenceArithmetic:
             assert np.isnan(op.adjoint().max_abs())
             assert np.isnan((op @ op).max_abs())
 
+    def test_zero_term_leaves_no_trace_in_the_adjoint(self):
+        """The constructor drops the zero derivative term, so the adjoint
+        lists its keys in the order of the terms that remain, as a loop
+        that skips each zero pushed entry does."""
+        g = np.array([[1.0, 2.0j], [0.5, -1.0]])
+        op = FieldOperator(2, {
+            ((0, 0, 3, 0), (2,)): np.zeros((2, 2)),
+            ((1, 0, 0, 0), ()): np.eye(2),
+            ((0, 0, 3, 0), ()): g,
+        })
+        assert list(op.adjoint().terms) == [((-1, 0, 0, 0), ()), ((0, 0, -3, 0), ())]
+        assert_same_bytes(op.adjoint(), _adjoint_loop_reference(op))
+
     def test_vanishing_leibniz_coefficients_are_skipped(self):
         # d_0 e^{i k.x} with k_0 = 0 is e^{i k.x} d_0: no underived term
         op = FieldOperator(2, {((0, 1, 0, 2), (0,)): np.eye(2)})
@@ -837,6 +850,7 @@ class TestReferenceArithmetic:
         op = FieldOperator(2, {key: g, (ZERO_MODE, ()): np.eye(2)})
         with np.errstate(invalid="ignore"):
             scaled, adjoint = op.scale(2.0), op.adjoint()
+        assert (key in op.terms) == kept
         assert (key in (op + FieldOperator.zero(2)).terms) == kept
         assert (key in scaled.terms) == kept
         assert ((negate_mode(key[0]), ()) in adjoint.terms) == kept
@@ -1050,14 +1064,14 @@ def _normal_form_distance_reference(o1, o2):
 
 def _function_matrix_sum_reference(n, pairs):
     """The terms built as ``function_matrix_sum`` builds them, then copied
-    through the constructor without the exactly zero ones."""
+    through the constructor, which drops the exactly zero ones."""
     terms = {}
     for g, f in pairs:
         g = np.asarray(g, dtype=complex)
         for k, c in f.coeffs.items():
             terms.setdefault((k, ()), np.zeros((n, n), dtype=complex))
             terms[(k, ())] += c * g
-    return FieldOperator(n, {key: g for key, g in terms.items() if np.count_nonzero(g)})
+    return FieldOperator(n, terms)
 
 
 class TestStackedReductions:
@@ -1119,8 +1133,9 @@ def _zero_terms(op):
 
 
 class TestBuildersGiveNormalForm:
-    """Every public builder of multiplication operators drops the modes whose
-    matrices come out exactly zero, as ``+`` does."""
+    """Every public builder of multiplication operators, the constructor
+    included, drops the modes whose matrices come out exactly zero, as ``+``
+    does."""
 
     #: a function whose stored coefficients include an exact zero and a -0.0
     HOLLOW = FourierScalar({(1, 0, 0, 0): 0j, (0, 2, 0, 0): complex(-0.0), ZERO_MODE: 1.5 - 0.5j})
@@ -1131,6 +1146,21 @@ class TestBuildersGiveNormalForm:
         assert function_matrix_sum(2, [(eye, f), (-eye, f)]).terms == {}
         kept = function_matrix_sum(2, [(eye, f), (eye, self.HOLLOW), (-eye, f)])
         assert list(kept.terms) == [(ZERO_MODE, ())]
+
+    @pytest.mark.parametrize("antilinear", [False, True])
+    def test_constructor(self, antilinear):
+        """A zero matrix, one of signed zeros and two orderings of one
+        derivative index whose matrices cancel leave no term."""
+        eye = np.eye(2)
+        op = FieldOperator(2, {
+            ((1, 0, 0, 0), ()): np.zeros((2, 2)),
+            ((0, 2, 0, 0), ()): np.array([[-0.0, complex(0.0, -0.0)], [NEGATIVE_ZERO, 0.0]]),
+            (ZERO_MODE, (1, 2)): eye,
+            (ZERO_MODE, (2, 1)): -eye,
+            (ZERO_MODE, ()): eye,
+        }, antilinear)
+        assert list(op.terms) == [(ZERO_MODE, ())]
+        assert _zero_terms(op) == []
 
     @pytest.mark.parametrize("space", [ManifoldGeometry, DoubledGeometry, ElectrodynamicsGeometry])
     def test_geometry_builders(self, space):
@@ -1160,6 +1190,27 @@ class TestBuildersGiveNormalForm:
                 chiral_vector_operator(f, g),
             ):
                 assert _zero_terms(op) == []
+
+
+class TestSummed:
+    def test_cancelled_key_keeps_its_first_reached_place(self):
+        """Pieces are added per key and only the final sums are tested: a key
+        whose pieces cancel partway through and that a later piece fills
+        again keeps its first place, and one that ends at zero is dropped.
+        A chain of ``+`` drops the key when it cancels, so the refill lands
+        at the end."""
+        a, b, c = ((1, 0, 0, 0), ()), (ZERO_MODE, (2,)), ((0, 3, 0, -3), ())
+        g = np.array([[1.0, 2.0j], [0.0, -1.5]])
+        eye = np.eye(2, dtype=complex)
+        pieces = [(a, g), (b, eye), (a, -g), (c, eye), (a, 2 * g), (c, -eye)]
+        op = FieldOperator.summed(2, pieces)
+        assert list(op.terms) == [a, b]
+        assert op.terms[a].tobytes() == (g + -g + 2 * g).tobytes()
+        chain = FieldOperator.zero(2)
+        for key, m in pieces:
+            chain = chain + FieldOperator(2, {key: m})
+        assert list(chain.terms) == [b, a]
+        assert chain.terms[a].tobytes() == op.terms[a].tobytes()
 
 
 class TestConjugate:
