@@ -58,7 +58,8 @@ def main(argv=None) -> int:
         # every system is solved before anything is printed, so an overflow
         # anywhere on the grid leaves only the error line
         probe = _system(args.kind, 0.0, sp, g3, d, boost)
-        top = max(abs(complex(r).real) for r in probe.roots) if probe.roots else 1.0
+        # the grid's half-width is 1.0 when no root has a nonzero real part
+        top = max((abs(complex(r).real) for r in probe.roots), default=0.0) or 1.0
         grid = [
             (p0, _system(args.kind, p0, sp, g3, d, boost))
             for p0 in np.linspace(-1.6 * top, 1.6 * top, args.steps)

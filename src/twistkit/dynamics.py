@@ -140,7 +140,7 @@ def _factored(
     return DispersionResult(kind, matrix, complex(determinant), roots, kernel, s)
 
 
-def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, tuple]:
+def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[np.ndarray, tuple]:
     """Massless system ``f_0 +- sigma.p``: the flat Weyl matrix at ``(f_0, -p_j)``.
 
     The matrix uses only the spatial part of ``p``; a plane wave at the full
@@ -150,12 +150,12 @@ def _weyl(f0: float, p: Sequence[float], handed: str) -> tuple[str, np.ndarray, 
     p = _as_covector(p)
     matrix = minkowski_weyl_matrix(np.concatenate(([f0], -p[1:4])), handed)
     radius = math.sqrt(p[1:4].dot(p[1:4]))
-    return f"weyl-{handed}", matrix, (radius, -radius)
+    return matrix, (radius, -radius)
 
 
 def _dirac(
     f0: float, g: Sequence[float], d: complex, p: Sequence[float], primed: bool
-) -> tuple[str, np.ndarray, tuple]:
+) -> tuple[np.ndarray, tuple]:
     """Coupled pair ``(f_0 +- sigma.(p+g)) psi = m psi_other`` with ``m = -i d``.
 
     The flat Dirac matrix at ``(f_0, -+P_j)`` with ``P = p + g``, where
@@ -173,12 +173,12 @@ def _dirac(
     big_p = p[1:4] + g
     matrix = minkowski_dirac_matrix(np.concatenate(([f0], big_p if primed else -big_p)), m)
     shell = np.sqrt(complex(np.dot(big_p, big_p)) + m * m)
-    return "dirac-primed" if primed else "dirac", matrix, (shell, -shell)
+    return matrix, (shell, -shell)
 
 
 def _boosted_weyl(
     boost: SpinBoost, f: Sequence[float], p: Sequence[float], handed: str
-) -> tuple[str, np.ndarray, tuple]:
+) -> tuple[np.ndarray, tuple]:
     """``sum_mu st_L^mu (-i p_mu + f_mu)`` (left) / ``s_L^mu (-i p_mu - f_mu)``.
 
     All four components of ``f`` and ``p`` enter.  Under the identification
@@ -194,7 +194,7 @@ def _boosted_weyl(
     else:
         matrix = _boosted_sum(boost.sigma_boosted_stack, -1j * p - f)
     radius = math.sqrt(p[1:4].dot(p[1:4]))
-    return f"boosted-weyl-{handed}", matrix, (radius, -radius)
+    return matrix, (radius, -radius)
 
 
 def boosted_dirac_mass(d: complex, primed: bool = False) -> complex:
@@ -211,7 +211,7 @@ def _boosted_dirac(
     d: complex,
     p: Sequence[float],
     primed: bool,
-) -> tuple[str, np.ndarray, tuple]:
+) -> tuple[np.ndarray, tuple]:
     """Boosted coupled pair in the generalized momentum ``P = p + g``.
 
     Unprimed rows: ``st_L(-iP + f) psi_l = i d psi_r`` and
@@ -231,8 +231,7 @@ def _boosted_dirac(
     off = 1j * np.conj(complex(d)) if primed else -1j * complex(d)
     m = boosted_dirac_mass(d, primed)
     shell = np.sqrt(complex(np.dot(big_p[1:4], big_p[1:4])) + m * m)
-    kind = "boosted-dirac-primed" if primed else "boosted-dirac"
-    return kind, chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell)
+    return chiral_blocks(upper, lower, off), (-g[0] + shell, -g[0] - shell)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +322,7 @@ def reduction_residual(problem: PlaneWaveProblem) -> float:
     """``max | system - (-(1+i)) * flat reference at p' |`` for a boosted
     problem at its identification momentum (:func:`identified_problem`)."""
     target = -(1 + 1j) * _flat_reference(problem, transported=True)
-    return float(np.abs(problem._system()[1] - target).max())
+    return float(np.abs(problem._system()[0] - target).max())
 
 
 def kernel_covariance(problem: PlaneWaveProblem) -> float:
@@ -400,13 +399,13 @@ class PlaneWaveProblem:
 
     def solve(self) -> DispersionResult:
         """The system factored by one LU (the determinant) and one SVD."""
-        kind, matrix, roots = self._system()
+        matrix, roots = self._system()
         determinant = np.linalg.det(matrix)
         _, s, vh = np.linalg.svd(matrix)
-        return _factored(kind, matrix, roots, determinant, s, vh)
+        return _factored(self.kind, matrix, roots, determinant, s, vh)
 
-    def _system(self) -> tuple[str, np.ndarray, tuple]:
-        """``(kind, matrix, roots)``, built but not factored."""
+    def _system(self) -> tuple[np.ndarray, tuple]:
+        """``(matrix, roots)``, built but not factored."""
         boosted, family, variant = _KIND_PARTS[self.kind]
         boost = self.spin_boost
         if family == "weyl" and boosted:
@@ -496,13 +495,16 @@ def duality_sweep(rng, kind: str, n_samples: int = 1000, max_half_rapidity: floa
         draws = [_sample(rng, kind, max_half_rapidity) for _ in range(n_samples - len(results))]
         SpinBoost.fill_blocks([p.boost for p, _ in draws if p.boost is not None])
         systems = [problem._system() for problem, _ in draws]
-        matrices = np.stack([matrix for _, matrix, _ in systems])
+        matrices = np.stack([matrix for matrix, _ in systems])
         determinants = np.linalg.det(matrices)
         _, s, vh = np.linalg.svd(matrices)
         passed = s[:, -1] > GENERIC_MIN_SINGULAR
         failed = (i for i, (_, generic) in enumerate(draws) if generic and not passed[i])
         kept = next(failed, len(draws))
-        results += [_factored(*systems[i], determinants[i], s[i], vh[i]) for i in range(kept)]
+        results += [
+            _factored(draws[i][0].kind, *systems[i], determinants[i], s[i], vh[i])
+            for i in range(kept)
+        ]
         if kept < len(draws):
             rng.bit_generator.state = start
             for _ in range(kept):
@@ -606,7 +608,7 @@ def euler_lagrange_check(
         el = _S2 @ _plane_wave_symbol(op, p)
         handed = _kind_parts(kind)[2]
         q = p if handed == "left" else np.array([p[0], -p[1], -p[2], -p[3]])
-        system = 1j * PlaneWaveProblem(kind, tuple(q), (f[0], 0.0, 0.0, 0.0))._system()[1]
+        system = 1j * PlaneWaveProblem(kind, tuple(q), (f[0], 0.0, 0.0, 0.0))._system()[0]
     elif kind in ("dirac", "dirac-primed"):
         primed = kind == "dirac-primed"
         g_scalars = [FourierScalar.constant(component) for component in g]
@@ -620,7 +622,7 @@ def euler_lagrange_check(
             1j * (_S2 @ _plane_wave_symbol(op_plus, p)),
             -1j * complex(d),
         )
-        system = -1.0 * PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d)._system()[1]
+        system = -1.0 * PlaneWaveProblem(kind, tuple(p), tuple(f), tuple(g), d)._system()[0]
     elif kind == "boosted-weyl":
         boost = boost if boost is not None else IDENTITY_BOOST
         f_scalars = [FourierScalar.constant(component) for component in f]
@@ -630,7 +632,7 @@ def euler_lagrange_check(
         el = chiral_blocks(_plane_wave_symbol(op_left, p), _plane_wave_symbol(op_right, p))
         system = chiral_blocks(
             *(
-                PlaneWaveProblem(weyl, tuple(p), tuple(f), boost=boost)._system()[1]
+                PlaneWaveProblem(weyl, tuple(p), tuple(f), boost=boost)._system()[0]
                 for weyl in BOOSTED_KINDS[:2]
             )
         )

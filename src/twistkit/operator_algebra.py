@@ -18,19 +18,21 @@ matrices.  Adjoints are closed form per term: by (d_mu)^+ = -d_mu and
 phase by the same cached Leibniz table that composition reads.
 
 Every operator gets its terms from one builder, ``FieldOperator._build``:
-the constructor, ``summed``, ``+``, ``compose``, the term-wise maps and
-``function_matrix_sum`` all end in it.  It keeps, in key order, the rows of
-one stack of term matrices that are not exactly zero, by one stacked test.
-A build that adds pieces per key keeps each key where it was first reached
-and tests only the final sums, so a key whose pieces cancel exactly partway
-through, and that a later piece fills again, keeps its first place.
+the constructor, ``summed`` (through which ``+`` and ``function_matrix_sum``
+add their pieces), ``compose`` and the term-wise maps all end in it.  It
+keeps, in key order, the rows of one stack of term matrices that are not
+exactly zero, by one stacked test.  A build that adds pieces per key keeps
+each key where it was first reached and tests only the final sums, so a key
+whose pieces cancel exactly partway through, and that a later piece fills
+again, keeps its first place.
 
-Composition gives the keys of the term-pair loop that multiplies every
-pair, their order and their values, while doing less of it: the product of
-two multiplication operators multiplies only the term pairs whose supports
-meet (functions with their own diagonal masks, as the geometries represent
-them, never meet).  The sign of a zero entry is not part of that contract,
-since a pair left out would only have added signed zeros.
+Composition multiplies only the term pairs whose supports meet: in the
+product of two multiplication operators a pair whose supports do not meet
+(functions with their own diagonal masks, as the geometries represent them,
+never meet) does no work at all.  Each key holds the sum, in pair order, of
+the products of the pairs that meet; a pair left out would only have added
+signed zeros, so the sum is the all-pairs loop's up to the sign of a zero
+entry.  Keys come in the order in which multiplied pairs first reach them.
 
 ``apply`` multiplies each amplitude by the term matrices, so the same
 operator acts on vector amplitudes ``(n,)`` and on the ``(n, G)`` blocks of
@@ -84,8 +86,7 @@ def _peak_modulus(stack: np.ndarray) -> float:
 
 
 def _accumulate(terms: dict, key, g: np.ndarray) -> None:
-    """Add g into terms[key]; a new key, or one that holds None, stores g
-    itself, not a copy."""
+    """Add g into terms[key]; a new key stores g itself, not a copy."""
     held = terms.get(key)
     terms[key] = g if held is None else held + g
 
@@ -128,28 +129,6 @@ def _pair_mask(a_terms: Mapping, b_terms: Mapping) -> list[list[bool]]:
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
         return every
     return (left.any(axis=1) @ right.any(axis=2).T).tolist()
-
-
-def _compose_pairs(a_terms: Mapping, b_terms: Mapping) -> dict[TermKey, np.ndarray | None]:
-    """The term-pair loop: each pair whose supports meet is multiplied,
-    expanded by the Leibniz table and summed into its key in pair order.  A
-    pair that cannot meet has no derivatives (:func:`_pair_mask`) and a
-    product of signed zeros, so it only reserves its key where the pair is
-    first reached; a key that no met pair fills holds None, which ``compose``
-    drops."""
-    terms: dict[TermKey, np.ndarray | None] = {}
-    for ((ka, da), ga), row in zip(a_terms.items(), _pair_mask(a_terms, b_terms)):
-        for ((kb, db), gb), meet in zip(b_terms.items(), row):
-            mode = add_modes(ka, kb)
-            if not meet:
-                terms.setdefault((mode, ()), None)
-                continue
-            gab = ga @ gb
-            for axes, d_new in _leibniz(da, db):
-                coeff = _leibniz_coefficient(axes, kb)
-                if coeff != 0:
-                    _accumulate(terms, (mode, d_new), coeff * gab)
-    return terms
 
 
 class FieldOperator:
@@ -200,7 +179,10 @@ class FieldOperator:
         first-reached order, and the exactly zero sums are dropped once at
         the end.  Keys must be in normal form and matrices complex ``(n,
         n)`` arrays; nothing is checked."""
-        return _summed(n, {}, pieces, antilinear)
+        terms: dict[TermKey, np.ndarray] = {}
+        for key, g in pieces:
+            _accumulate(terms, key, g)
+        return _built(n, terms, _stacked(n, terms.values()), antilinear)
 
     @staticmethod
     def zero(n: int, antilinear: bool = False) -> "FieldOperator":
@@ -233,7 +215,8 @@ class FieldOperator:
             raise ValueError("fiber dimensions differ")
         if self.antilinear != other.antilinear:
             raise ValueError("cannot add linear and antilinear operators")
-        return _summed(self.fiber_dim, dict(self.terms), other.terms.items(), self.antilinear)
+        pieces = [*self.terms.items(), *other.terms.items()]
+        return FieldOperator.summed(self.fiber_dim, pieces, self.antilinear)
 
     def __sub__(self, other: "FieldOperator") -> "FieldOperator":
         return self + other.scale(-1.0)
@@ -249,13 +232,24 @@ class FieldOperator:
         return self.compose(other)
 
     def compose(self, other: "FieldOperator") -> "FieldOperator":
+        """The term-pair loop over the pairs that meet (:func:`_pair_mask`):
+        each is multiplied, expanded by the Leibniz table and summed into its
+        key in pair order."""
         if self.fiber_dim != other.fiber_dim:
             raise ValueError("fiber dimensions differ")
         # K T = T' K: an antilinear left operand meets the conjugate of the right
         b_terms = other.conjugate().terms if self.antilinear else other.terms
-        terms = _compose_pairs(self.terms, b_terms)
-        met = {key: g for key, g in terms.items() if g is not None}
-        return _built(self.fiber_dim, met, _stacked(self.fiber_dim, met.values()),
+        terms: dict[TermKey, np.ndarray] = {}
+        for ((ka, da), ga), row in zip(self.terms.items(), _pair_mask(self.terms, b_terms)):
+            for ((kb, db), gb), meet in zip(b_terms.items(), row):
+                if not meet:
+                    continue
+                mode, gab = add_modes(ka, kb), ga @ gb
+                for axes, d_new in _leibniz(da, db):
+                    coeff = _leibniz_coefficient(axes, kb)
+                    if coeff != 0:
+                        _accumulate(terms, (mode, d_new), coeff * gab)
+        return _built(self.fiber_dim, terms, _stacked(self.fiber_dim, terms.values()),
                       self.antilinear != other.antilinear)
 
     # ----- involutions ---------------------------------------------------
@@ -339,13 +333,6 @@ class FieldOperator:
 def _built(n: int, keys, stack: np.ndarray, antilinear: bool) -> FieldOperator:
     """A new operator from :meth:`FieldOperator._build`."""
     return FieldOperator.__new__(FieldOperator)._build(n, keys, stack, antilinear)
-
-
-def _summed(n: int, terms: dict, pieces, antilinear: bool) -> FieldOperator:
-    """The operator of ``terms`` with the pieces added per key, in order."""
-    for key, g in pieces:
-        _accumulate(terms, key, g)
-    return _built(n, terms, _stacked(n, terms.values()), antilinear)
 
 
 # ----- derived constructions ------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: one full-registry run serves every test that reads it, one
-runner serves every test of the command line and of the scripts, and one
-helper runs a registry check wherever a test asserts that check's claim."""
+runner serves every test of the command line and of the scripts, one helper
+runs a registry check wherever a test asserts that check's claim, and one
+trace-form oracle reads Pauli components for the Clifford and geometry tests."""
 
 import functools
 import importlib.util
@@ -11,11 +12,13 @@ import warnings
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from twistkit import cli
 from twistkit.checks import REGISTRY, RunConfig, reduce_residuals, run_checks
+from twistkit.clifford import PAULI
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,6 +28,14 @@ settings.register_profile("replayable", derandomize=True, database=None)
 settings.load_profile("replayable")
 
 SPECS = {spec.check_id: spec for spec in REGISTRY}
+
+
+def pauli_components_reference(x):
+    """The trace form over the last two axes: the oracle for
+    ``clifford.pauli_components``' entry-by-entry read."""
+    c0 = np.trace(x, axis1=-2, axis2=-1) / 2.0
+    cj = [np.trace(PAULI[j] @ x, axis1=-2, axis2=-1) / 2.0 for j in range(3)]
+    return np.stack([c0, *cj], axis=-1)
 
 
 def check_error(check_id, gate, rng, runs=1):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from twistkit import clifford as cl
 
-from conftest import check_error
+from conftest import check_error, pauli_components_reference
 
 TOL = 1e-14
 
@@ -200,13 +200,6 @@ class TestLorentzExtraction:
         np.testing.assert_allclose(q @ cl.ETA @ q, p @ cl.ETA @ p, atol=1e-9)
 
 
-def _pauli_components_reference(x):
-    """The trace form: the oracle for the entry-by-entry read."""
-    c0 = np.trace(x, axis1=-2, axis2=-1) / 2.0
-    cj = [np.trace(cl.PAULI[j] @ x, axis1=-2, axis2=-1) / 2.0 for j in range(3)]
-    return np.stack([c0, *cj], axis=-1)
-
-
 def _assert_same_floats(got, expected):
     """NaN at the same places, and the same bits, zero signs included,
     everywhere else."""
@@ -243,15 +236,15 @@ class TestPauliComponents:
                     x = np.concatenate([full, full[:, :, ::-1]], axis=2)[:, 2:4, 0:2]
                 else:
                     x = self._blocks(rng, (2, 3))
-                _assert_same_floats(cl.pauli_components(x), _pauli_components_reference(x))
+                _assert_same_floats(cl.pauli_components(x), pauli_components_reference(x))
 
     def test_finite_blocks(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
-        _assert_same_floats(cl.pauli_components(x), _pauli_components_reference(x))
+        _assert_same_floats(cl.pauli_components(x), pauli_components_reference(x))
         one = cl.pauli_components(x[0])
         assert one.shape == (4,)
-        _assert_same_floats(one, _pauli_components_reference(x[0]))
+        _assert_same_floats(one, pauli_components_reference(x[0]))
 
     def test_nan_pattern(self):
         """A non-finite entry spoils c_1..c_3 and, on the diagonal, c_0."""
@@ -277,9 +270,9 @@ def _lorentz_matrix_reference(boost):
         y = boost.sigma_boosted(mu)
         if mu != 0:
             x, y = 1j * x, 1j * y
-        c = _pauli_components_reference(x)
+        c = pauli_components_reference(x)
         lam_tilde[mu, 0], lam_tilde[mu, 1:] = c[0], -c[1:]
-        lam_sigma[mu] = _pauli_components_reference(y)
+        lam_sigma[mu] = pauli_components_reference(y)
     return lam_tilde, lam_sigma
 
 

@@ -16,7 +16,7 @@ from twistkit.geometries import (
     wave_phase,
 )
 from twistkit.actions import electro_operator_pieces
-from twistkit.clifford import PAULI, SpinBoost
+from twistkit.clifford import SpinBoost
 from twistkit.operator_algebra import (
     FieldOperator,
     normal_form_distance,
@@ -24,7 +24,7 @@ from twistkit.operator_algebra import (
 )
 from twistkit.torus_fields import FourierScalar, random_scalar, random_section
 
-from conftest import check_error
+from conftest import check_error, pauli_components_reference
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -246,12 +246,6 @@ class TestSectoredFluctuations:
         assert selfadjoint_defect_parameters(zs, zps) < 1e-12
 
 
-def _pauli_components_reference(x):
-    c0 = np.trace(x) / 2.0
-    cj = [np.trace(PAULI[j] @ x) / 2.0 for j in range(3)]
-    return np.array([c0, *cj])
-
-
 def _chiral_vector_parameters_reference(op):
     """One Pauli read per term: the oracle for the batched read."""
     h_coeffs = [{} for _ in range(4)]
@@ -263,8 +257,8 @@ def _chiral_vector_parameters_reference(op):
         upper = g[0:2, 2:4]
         if not (lower.any() or upper.any()):
             continue
-        c = _pauli_components_reference(lower)
-        cp = _pauli_components_reference(upper)
+        c = pauli_components_reference(lower)
+        cp = pauli_components_reference(upper)
         vals_h = (1j * c[0], c[1], c[2], c[3])
         vals_hp = (1j * cp[0], -cp[1], -cp[2], -cp[3])
         for mu in range(4):

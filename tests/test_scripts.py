@@ -89,6 +89,22 @@ def test_run_verification_refuses_empty_group_selection(run_script):
     assert "error: no check groups selected" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--kind", "weyl-left", "--p", "0,0,0,0", "--steps", "5"),
+        ("--kind", "dirac", "--d", "1+0j", "--p", "0,0,0,0", "--steps", "5"),
+    ],
+)
+def test_dispersion_scan_grid_spreads_without_real_roots(run_script, argv):
+    """Every closed-form root has real part 0 here; the grid still spans p0."""
+    proc = run_script("dispersion_scan.py", *argv)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.split("\n\n")[0].splitlines()[2:]
+    p0 = [float(row.split()[0]) for row in rows]
+    assert len(p0) == 5 and len(set(p0)) == 5
+
+
 def test_dispersion_scan_kinds_are_the_problem_kinds(run_script):
     proc = run_script("dispersion_scan.py", "--kind", "tachyon")
     assert proc.returncode == 2
